@@ -351,14 +351,6 @@ def dual_map(phi: ModuleMap, dual_source: Module | None = None,
     return ModuleMap(ds, dt, phi.matrix.T.copy())
 
 
-def dual_bimodule(bim: Bimodule) -> Bimodule:
-    """Dual of a bimodule: sides swap, actions transpose."""
-    return Bimodule(bim.right_algebra, bim.left_algebra, bim.dim,
-                    np.transpose(bim.right_actions, (0, 2, 1)).copy(),
-                    np.transpose(bim.left_actions, (0, 2, 1)).copy(),
-                    name=f"{bim.name}^+")
-
-
 def _conjugation_invariants(module: Module) -> tuple:
     p = module.p
     inv = []
@@ -368,20 +360,6 @@ def _conjugation_invariants(module: Module) -> tuple:
                       for lam in range(p))
         inv.append(ranks)
     return tuple(inv)
-
-
-def _batched_nonsingular(mats: np.ndarray, p: int) -> np.ndarray:
-    """Boolean mask of batch entries with nonzero determinant mod p.
-
-    Uses float LU determinants, exact for the small integer matrices handled
-    here; every positive hit is re-verified exactly by the caller.
-    """
-    if mats.shape[1] == 0:
-        return np.ones(mats.shape[0], dtype=bool)
-    if mats.shape[1] > 16:
-        raise BudgetExceededError("isomorphism scan dimension too large for det batch")
-    dets = np.round(np.linalg.det(mats.astype(np.float64))).astype(np.int64)
-    return (dets % p) != 0
 
 
 def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
@@ -412,30 +390,15 @@ def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
     chunk = 1 << 14
     for start in range(1, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((idx.size, h), dtype=np.int64)
-        rem = idx.copy()
-        for k in range(h):
-            digits[:, k] = rem % p
-            rem //= p
+        digits = la.digits(idx, p, h)
         combos = (digits @ stacked) % p             # (n, veclen)
         ok = np.ones(idx.size, dtype=bool)
         for rows, cols, offset in shapes:
-            if rows == 0:
-                continue
-            block = combos[:, offset:offset + rows * cols].reshape(-1, rows, cols)
-            ok &= _batched_nonsingular(block, p)
-        for local in np.nonzero(ok)[0]:
-            coeffs = digits[local]
-            good = True
-            for rows, cols, offset in shapes:
-                if rows == 0:
-                    continue
-                block = combos[local, offset:offset + rows * cols].reshape(rows, cols)
-                if la.rank(block, p) != rows:
-                    good = False
-                    break
-            if good:
-                return coeffs
+            block = combos[:, offset:offset + rows * cols].reshape(idx.size, rows, cols)
+            ok &= la.nonsingular_mask(block, p)
+        hits = np.flatnonzero(ok)
+        if hits.size:
+            return digits[hits[0]]
     return None
 
 
@@ -511,12 +474,6 @@ def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
     """Kernel of a module map as a submodule with its inclusion."""
     rows = la.kernel_basis(phi.matrix, phi.p)
     return submodule(phi.source, rows)
-
-
-def image_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:
-    """Image of a module map as a submodule of the target with its inclusion."""
-    rows = la.image_basis(phi.matrix, phi.p)
-    return submodule(phi.target, rows)
 
 
 def module_generators(module: Module) -> list[int]:

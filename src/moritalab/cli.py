@@ -9,9 +9,18 @@ contract codes:
     2  consistent up to the stated bound or window
     3  a hypothesis of the check failed on this input
     4  input error: bad arguments, unparseable workspace, unknown names
+    5  budget exceeded: an exhaustive scan needs more candidates than the
+       budget allows, so no verdict was reached ("budget exceeded: ...")
+    6  internal check failed: two routes that must agree did not, which is
+       a defect of the program ("internal check failed: ...")
 
 `--report PATH` additionally writes the full nested report as JSON.
-The enumeration budget honours the MORITA_ENUM_BUDGET environment variable.
+
+MORITA_ENUM_BUDGET, when set, caps the candidates of every exhaustive scan.
+Unset, module scans, structure-map scans and the unit scans of End(x) in
+tuple enumeration may each take 2^21 = 2097152 candidates, and isomorphism
+scans 2^18 = 262144.  The cap applies to each scan on its own, not to a
+whole run.
 """
 
 from __future__ import annotations
@@ -57,11 +66,14 @@ from .gorenstein import (
     check_window_transport_forward,
 )
 from .morita import DeltaModule, delta_dual, delta_is_isomorphic, pack, unpack
-from .report import CheckReport, MoritaLabError, Verdict
+from .report import (BudgetExceededError, CheckReport, InternalCheckError,
+                     MoritaLabError, Verdict)
 from .tensor import tensor_over_algebra
 from .workspace import BUILTIN_KINDS, Workspace, WorkspaceError
 
 INPUT_ERROR = 4
+BUDGET_EXCEEDED = 5
+INTERNAL_ERROR = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -466,6 +478,12 @@ def run(argv: list[str] | None = None) -> int:
     except (InputError, WorkspaceError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return INPUT_ERROR
+    except BudgetExceededError as err:
+        print(f"budget exceeded: {err}", file=sys.stderr)
+        return BUDGET_EXCEEDED
+    except InternalCheckError as err:
+        print(f"internal check failed: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
     except MoritaLabError as err:
         print(f"error: {err}", file=sys.stderr)
         return INPUT_ERROR

@@ -9,10 +9,18 @@ generating set of the algebra: first express each basis element as a linear
 combination of words in the generators, then scan all p^(r*d*d) assignments
 of generator matrices, reconstruct the full action of each candidate, and
 keep the assignments satisfying the unit and multiplication laws.  The scan
-is chunked and vectorised; survivors are reduced modulo isomorphism.
+is chunked and vectorised.
 
-Scan order is deterministic, so enumeration output (and every count frozen
-in the tests) is stable across runs.
+Survivors are reduced modulo isomorphism without any isomorphism test: the
+isomorphism classes are the orbits of a group acting on the scanned codes,
+GL(d) by conjugation for modules and Aut(x) x Aut(y) on the structure-map
+space Hom(M (x) X, Y) x Hom(N (x) Y, X) for tuples with fixed components.
+Orbits are labelled by a vectorised union-find under a generating set of
+the group, and the smallest code of each orbit is its representative.
+
+Scan order is deterministic, and each representative is the first member of
+its class in that order, so enumeration output (and every count frozen in
+the tests) is stable across runs.
 """
 
 from __future__ import annotations
@@ -24,13 +32,12 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, Algebra, Module, ModuleMap, _conjugation_invariants,
-                      is_isomorphic, submodule, quotient_module, hom_space,
-                      zero_module)
+from .algebra import (LEFT, Algebra, Module, ModuleMap, field_algebra,
+                      hom_space, quotient_module, submodule)
 from .morita import (DeltaModule, DeltaModuleMap, MoritaContext,
-                     delta_is_isomorphic, delta_submodule, delta_quotient)
-from .report import BudgetExceededError
-from .tensor import tensor_over_algebra
+                     delta_submodule, delta_quotient)
+from .report import BudgetExceededError, InternalCheckError
+from .tensor import TensorModule, tensor_map, tensor_over_algebra
 
 _SCAN_BUDGET_DEFAULT = 1 << 21
 _CHUNK = 1 << 13
@@ -117,11 +124,16 @@ def generator_plan(algebra: Algebra) -> GeneratorPlan:
 
 
 def _structures_of_dim(algebra: Algebra, side: str, d: int,
-                       budget: int | None) -> list[np.ndarray]:
-    """All valid action tensors of shape (algebra.dim, d, d), no iso reduction."""
+                       budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """All valid action tensors of shape (algebra.dim, d, d), no iso reduction.
+
+    Returns (codes, actions): the ascending scan codes of the valid
+    generator-matrix assignments and their full action tensors.
+    """
     p = algebra.p
     if d == 0:
-        return [np.zeros((algebra.dim, 0, 0), dtype=np.int64)]
+        return (np.zeros(1, dtype=np.int64),
+                np.zeros((1, algebra.dim, 0, 0), dtype=np.int64))
     plan = generator_plan(algebra)
     r = len(plan.generators)
     total = p ** (r * d * d)
@@ -132,18 +144,13 @@ def _structures_of_dim(algebra: Algebra, side: str, d: int,
             f"{total} candidates, budget is {limit}")
     word_index = {w: j for j, w in enumerate(plan.words)}
     structure = algebra.structure
-    unit = algebra.unit
     identity = la.eye(d)
+    found_codes: list[np.ndarray] = []
     found: list[np.ndarray] = []
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
         n = idx.size
-        digits = np.empty((n, r * d * d), dtype=np.int64)
-        rem = idx.copy()
-        for k in range(r * d * d):
-            digits[:, k] = rem % p
-            rem //= p
-        mats = digits.reshape(n, r, d, d)
+        mats = la.digits(idx, p, r * d * d).reshape(n, r, d, d)
         # Word values by prefix: BFS order guarantees each prefix was kept.
         values = np.empty((n, len(plan.words), d, d), dtype=np.int64)
         for j, w in enumerate(plan.words):
@@ -161,10 +168,12 @@ def _structures_of_dim(algebra: Algebra, side: str, d: int,
         # The unit law holds by construction (the empty word is the unit), so
         # only the multiplication law filters.  One row of it prunes cheaply
         # before the full quadratic check.
-        actions = actions[_law_mask(actions, structure, side, p, rows=[0])]
-        actions = actions[_law_mask(actions, structure, side, p)]
-        found.extend(actions)
-    return found
+        keep = _law_mask(actions, structure, side, p, rows=[0])
+        actions, idx = actions[keep], idx[keep]
+        keep = _law_mask(actions, structure, side, p)
+        found.append(actions[keep])
+        found_codes.append(idx[keep])
+    return np.concatenate(found_codes), np.concatenate(found)
 
 
 def _law_mask(actions: np.ndarray, structure: np.ndarray, side: str, p: int,
@@ -185,25 +194,116 @@ def _law_mask(actions: np.ndarray, structure: np.ndarray, side: str, p: int,
     return ~np.any((products - expected) % p, axis=(1, 2, 3, 4))
 
 
+def _orbit_minima(size: int, moves) -> np.ndarray:
+    """The smallest element of each orbit on 0..size-1, ascending.
+
+    ``moves`` are the actions of a generating set of a finite group on
+    0..size-1, each mapping an array of elements to their images.  The
+    orbits are the connected components of the graph with edges c - move(c),
+    labelled by a vectorised union-find: a pass hooks the larger root of
+    every edge under the smaller, pointer jumping then flattens the forest,
+    and a pass that hooks nothing ends the loop.  Every label is a member
+    of its own orbit and never exceeds its element, so the final roots are
+    the orbit minima.  Edges are recomputed chunk by chunk, so memory stays
+    one label per element whatever the size of the group.
+    """
+    labels = np.arange(size, dtype=np.int64)
+    while True:
+        hooked = False
+        for move in moves:
+            for start in range(0, size, _CHUNK):
+                src = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
+                a, b = labels[src], labels[move(src)]
+                apart = a != b
+                if apart.any():
+                    hooked = True
+                    np.minimum.at(labels, np.maximum(a, b)[apart],
+                                  np.minimum(a, b)[apart])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if not hooked:
+            return np.flatnonzero(labels == np.arange(size))
+
+
+def _linear_move(matrix: np.ndarray, p: int):
+    """The action of ``matrix`` on codes of coefficient vectors (digit k is
+    the coefficient of basis element k)."""
+    width = matrix.shape[0]
+    powers = p ** np.arange(width, dtype=np.int64)
+
+    def move(codes: np.ndarray) -> np.ndarray:
+        return ((la.digits(codes, p, width) @ matrix.T) % p) @ powers
+
+    return move
+
+
+def _coords(basis: list[np.ndarray], images: list[np.ndarray], p: int,
+            space: str) -> np.ndarray:
+    """Coordinates of ``images`` in the span of ``basis``, one column each.
+
+    ``space`` names the hom space the basis spans.  An image outside it is
+    a group element that failed to preserve the space, which is a defect,
+    not an input condition.
+    """
+    stacked = np.stack([la.vec(b) for b in basis], axis=1)
+    sol = la.solve(stacked, np.stack([la.vec(m) for m in images], axis=1), p)
+    if sol is None:
+        raise InternalCheckError(f"enumeration: a map left the space of {space}")
+    return sol
+
+
+def _conjugation_move(g: np.ndarray, codes: np.ndarray, r: int, p: int):
+    """The action X -> g X g^-1 on each of the r generator matrices, as a
+    map on positions in the ascending array ``codes`` of valid structures."""
+    d = g.shape[0]
+    g_inv = la.inverse(g, p)
+    powers = p ** np.arange(r * d * d, dtype=np.int64)
+
+    def move(positions: np.ndarray) -> np.ndarray:
+        mats = la.digits(codes[positions], p, r * d * d).reshape(
+            positions.size, r, d, d)
+        moved = ((g @ mats % p) @ g_inv % p).reshape(positions.size, -1) @ powers
+        found = np.minimum(np.searchsorted(codes, moved), codes.size - 1)
+        if np.any(codes[found] != moved):
+            raise InternalCheckError(
+                "a conjugate of a valid module structure failed the action law")
+        return found
+
+    return move
+
+
 _MODULE_CACHE: dict[tuple[int, str, int], tuple[Algebra, list[Module]]] = {}
 
 
 def _classes_of_dim(algebra: Algebra, side: str, d: int,
                     budget: int | None) -> list[Module]:
+    """First structure in scan order of each isomorphism class of dim d.
+
+    Two structures on k^d are isomorphic exactly when some g in GL(d)
+    conjugates the generator matrices of one into the other's, so the
+    classes are the GL(d)-orbits on the valid codes.  GL(d) is the unit
+    group of the plain space k^d; its scan of p^(d*d) endomorphisms is no
+    larger than the structure scan whenever there is more than one
+    candidate.
+    """
     key = (id(algebra), side, d)
     cached = _MODULE_CACHE.get(key)
     if cached is not None and cached[0] is algebra:
         return cached[1]
-    candidates = _structures_of_dim(algebra, side, d, budget)
-    classes: list[Module] = []
-    buckets: dict[tuple, list[Module]] = {}
-    for k, acts in enumerate(candidates):
-        module = Module(algebra, side, d, acts,
-                        name=f"enum[{algebra.name or 'R'}/{side}/{d}/{k}]")
-        bucket = buckets.setdefault(_conjugation_invariants(module), [])
-        if not any(is_isomorphic(module, rep) is not None for rep in bucket):
-            bucket.append(module)
-            classes.append(module)
+    codes, candidates = _structures_of_dim(algebra, side, d, budget)
+    moves = []
+    if codes.size > 1:
+        limit = budget if budget is not None else scan_budget()
+        plain = Module(field_algebra(algebra.field), LEFT, d, la.eye(d)[None])
+        r = len(generator_plan(algebra).generators)
+        moves = [_conjugation_move(g, codes, r, algebra.p)
+                 for g in _unit_generators(plain, limit)]
+    classes = [Module(algebra, side, d, candidates[k],
+                      name=f"enum[{algebra.name or 'R'}/{side}/{d}/{k}]")
+               for k in _orbit_minima(codes.size, moves)]
     _MODULE_CACHE[key] = (algebra, classes)
     return classes
 
@@ -226,10 +326,19 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
     """One representative per isomorphism class of tuples with component
     dimensions <= max_dim.
 
-    Scans all pairs of component classes and, for each pair, every element of
-    the two structural hom spaces; duplicates are removed with the tuple
-    isomorphism test.  Bucketing by component identity is sound because the
-    components are drawn from fixed representative lists.
+    Scans all pairs (x, y) of component classes.  For each pair, a candidate
+    is a code over the two structural hom spaces, digit k the coefficient of
+    basis map k (the f-basis first, then the g-basis), and two candidates
+    are isomorphic exactly when Aut(x) x Aut(y) moves one to the other:
+    alpha acts by f -> f (M (x) alpha^-1) and g -> alpha g, beta by
+    f -> beta f and g -> g (N (x) beta^-1) (alpha^-1 (x) N and so on for
+    right tuples).  Orbits are labelled under generating sets of the two
+    unit groups, and the smallest code of each orbit, the first member of
+    its class in scan order, is built as the representative; its name
+    carries its index among all candidates of the run.  Bucketing by
+    component identity is sound because the components are drawn from fixed
+    representative lists.  The structure-map space of each pair and the
+    End scan of each component count against the budget.
     """
     key = (id(ctx), side, max_dim)
     cached = _TUPLE_CACHE.get(key)
@@ -239,6 +348,13 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
     xs = enumerate_modules(ctx.algebra_a, side, max_dim, budget)
     ys = enumerate_modules(ctx.algebra_b, side, max_dim, budget)
     limit = budget if budget is not None else scan_budget()
+    units: dict[int, list[np.ndarray]] = {}
+
+    def automorphisms(module: Module) -> list[np.ndarray]:
+        if id(module) not in units:
+            units[id(module)] = _unit_generators(module, limit)
+        return units[id(module)]
+
     out: list[DeltaModule] = []
     counter = 0
     for x in xs:
@@ -249,37 +365,122 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
             else:
                 tf = tensor_over_algebra(x, ctx.n)
                 tg = tensor_over_algebra(y, ctx.m)
-            f_basis = hom_space(tf.module, y)
-            g_basis = hom_space(tg.module, x)
+            f_basis = [h.matrix for h in hom_space(tf.module, y)]
+            g_basis = [h.matrix for h in hom_space(tg.module, x)]
             hf, hg = len(f_basis), len(g_basis)
-            if p ** (hf + hg) > limit:
+            size = p ** (hf + hg)
+            if size > limit:
                 raise BudgetExceededError(
-                    f"structural-map scan needs {p ** (hf + hg)} candidates, "
+                    f"structural-map scan needs {size} candidates, "
                     f"budget is {limit}")
-            buckets: list[DeltaModule] = []
-            for code in range(p ** (hf + hg)):
-                digits = []
-                rem = code
-                for _ in range(hf + hg):
-                    digits.append(rem % p)
-                    rem //= p
+            moves = []
+            if hf + hg:
+                where = f"maps over ({x.describe()}, {y.describe()})"
+                for alpha in automorphisms(x):
+                    twist = _twist(tf, side, la.inverse(alpha, p))
+                    moves.append(_tuple_move(
+                        f_basis, [(f @ twist) % p for f in f_basis],
+                        g_basis, [(alpha @ g) % p for g in g_basis], p, where))
+                for beta in automorphisms(y):
+                    twist = _twist(tg, side, la.inverse(beta, p))
+                    moves.append(_tuple_move(
+                        f_basis, [(beta @ f) % p for f in f_basis],
+                        g_basis, [(g @ twist) % p for g in g_basis], p, where))
+            for code in _orbit_minima(size, moves):
+                digits = la.digits(np.array([code]), p, hf + hg)[0]
                 f_mat = la.zeros(y.dim, tf.dim)
                 for c, h in zip(digits[:hf], f_basis):
-                    f_mat = (f_mat + c * h.matrix) % p
+                    f_mat = (f_mat + c * h) % p
                 g_mat = la.zeros(x.dim, tg.dim)
                 for c, h in zip(digits[hf:], g_basis):
-                    g_mat = (g_mat + c * h.matrix) % p
-                candidate = DeltaModule(
+                    g_mat = (g_mat + c * h) % p
+                out.append(DeltaModule(
                     ctx, side, x, y,
                     (f_mat @ tf.projection) % p, (g_mat @ tg.projection) % p,
-                    name=f"enum[{ctx.name or 'ctx'}/{side}/{counter}]")
-                counter += 1
-                if not any(delta_is_isomorphic(candidate, rep) is not None
-                           for rep in buckets):
-                    buckets.append(candidate)
-                    out.append(candidate)
+                    name=f"enum[{ctx.name or 'ctx'}/{side}/{counter + code}]"))
+            counter += size
     _TUPLE_CACHE[key] = (ctx, out)
     return out
+
+
+def _twist(tm: TensorModule, side: str, auto: np.ndarray) -> np.ndarray:
+    """Matrix on the tensor quotient ``tm`` of bimodule (x) auto for left
+    tuples, of auto (x) bimodule for right tuples."""
+    d1, d2 = tm.dims
+    if side == LEFT:
+        return tensor_map(tm, tm, la.eye(d1), auto).matrix
+    return tensor_map(tm, tm, auto, la.eye(d2)).matrix
+
+
+def _tuple_move(f_basis, f_images, g_basis, g_images, p: int, where: str):
+    """The code-space action sending basis map k of each hom space to the
+    given image; block diagonal because f and g move separately."""
+    hf, hg = len(f_basis), len(g_basis)
+    matrix = la.zeros(hf + hg, hf + hg)
+    if hf:
+        matrix[:hf, :hf] = _coords(f_basis, f_images, p, f"f-{where}")
+    if hg:
+        matrix[hf:, hf:] = _coords(g_basis, g_images, p, f"g-{where}")
+    return _linear_move(matrix, p)
+
+
+def _unit_generators(module: Module, limit: int) -> list[np.ndarray]:
+    """A generating set of Aut(module), greedy in the scan order of End.
+
+    Every element of End(module) is scanned once, under the budget, and
+    tested for invertibility exactly.  Units are walked in scan order and
+    one is kept when it lies outside the subgroup generated by those kept
+    so far.  That subgroup is the set reached from the identity by right
+    multiplication with the kept units, each a linear map on End codes, and
+    the walk stops once it holds every unit.
+    """
+    if module.dim == 0:
+        return []
+    p = module.p
+    basis = [h.matrix for h in hom_space(module, module)]
+    e = len(basis)
+    total = p ** e
+    if total > limit:
+        raise BudgetExceededError(
+            f"unit scan of End({module.describe()}) needs {total} candidates, "
+            f"budget is {limit}")
+    stacked = np.stack(basis)
+    is_unit = np.zeros(total, dtype=bool)
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+        mats = np.tensordot(la.digits(idx, p, e), stacked, axes=1) % p
+        is_unit[idx] = la.nonsingular_mask(mats, p)
+    powers = p ** np.arange(e, dtype=np.int64)
+    where = f"End({module.describe()})"
+    identity = int(_coords(basis, [la.eye(module.dim)], p, where)[:, 0]
+                   @ powers)
+    in_group = np.zeros(total, dtype=bool)
+    in_group[identity] = True
+    members = np.array([identity], dtype=np.int64)
+    n_units = int(is_unit.sum())
+    gens: list[np.ndarray] = []
+    right: list = []
+    for code in np.flatnonzero(is_unit):
+        if members.size == n_units:
+            break
+        if in_group[code]:
+            continue
+        unit = np.tensordot(la.digits(np.array([code]), p, e)[0], stacked,
+                            axes=1) % p
+        gens.append(unit)
+        step = _linear_move(
+            _coords(basis, [(b @ unit) % p for b in basis], p, where), p)
+        right.append(step)
+        frontier, moves = members, [step]
+        while frontier.size:
+            reached = np.unique(np.concatenate(
+                [move(frontier[s:s + _CHUNK]) for move in moves
+                 for s in range(0, frontier.size, _CHUNK)]))
+            frontier = reached[~in_group[reached]]
+            in_group[frontier] = True
+            members = np.concatenate([members, frontier])
+            moves = right
+    return gens
 
 
 def invariant_subspaces(module: Module) -> list[np.ndarray]:

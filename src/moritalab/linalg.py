@@ -163,6 +163,42 @@ def inverse(m: np.ndarray, p: int) -> np.ndarray | None:
     return solve(m, eye(m.shape[0]), p)
 
 
+def nonsingular_mask(mats: np.ndarray, p: int) -> np.ndarray:
+    """Boolean mask of the invertible matrices in a (batch, n, n) stack.
+
+    Gaussian elimination over GF(p) runs on every batch entry at once, one
+    pivot column at a time; an entry is singular when some column has no
+    pivot left.  Exact for every prime and every n.
+    """
+    a = reduce_mod(mats, p)
+    batch, n = a.shape[0], a.shape[1]
+    ok = np.ones(batch, dtype=bool)
+    rows = np.arange(batch)
+    for col in range(n):
+        below = a[:, col:, col] != 0
+        ok &= below.any(axis=1)
+        pivot = col + np.argmax(below, axis=1)
+        top = a[rows, pivot].copy()
+        a[rows, pivot] = a[:, col]
+        a[:, col] = (top * _inverses(top[:, col], p)[:, None]) % p
+        a[:, col + 1:] = (a[:, col + 1:] - a[:, col + 1:, col, None]
+                          * a[:, None, col]) % p
+    return ok
+
+
+def _inverses(values: np.ndarray, p: int) -> np.ndarray:
+    """Elementwise values^(p-2) mod p: the inverse of each nonzero entry."""
+    out = np.ones_like(values)
+    base = values % p
+    e = p - 2
+    while e > 0:
+        if e & 1:
+            out = (out * base) % p
+        base = (base * base) % p
+        e >>= 1
+    return out
+
+
 def quotient_data(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Projection and section for the cokernel of ``m``.
 
@@ -229,15 +265,15 @@ def coords_in_span(basis: list[np.ndarray], target: np.ndarray, p: int) -> np.nd
     return solve(stacked, vec(target), p)
 
 
-def operator_matrix(fn, source_dim: int, target_dim: int, p: int) -> np.ndarray:
-    """Matrix of a linear map given as a callable on coordinate vectors.
+def digits(codes: np.ndarray, p: int, width: int) -> np.ndarray:
+    """Base-p digits of each code, least significant first: shape (n, width).
 
-    ``fn`` receives each standard basis vector and must return the image
-    vector of length ``target_dim``.
+    Code c stands for the coefficient vector (d_0, ..., d_{width-1}) with
+    c = sum_k d_k p^k, the numbering every exhaustive scan here walks.
     """
-    out = zeros(target_dim, source_dim)
-    for j in range(source_dim):
-        e = zeros(source_dim, 1)[:, 0]
-        e[j] = 1
-        out[:, j] = reduce_mod(fn(e), p)
+    out = np.empty((codes.size, width), dtype=np.int64)
+    rem = np.asarray(codes, dtype=np.int64).copy()
+    for k in range(width):
+        out[:, k] = rem % p
+        rem //= p
     return out

@@ -20,7 +20,8 @@ class Verdict(str, Enum):
     HYPOTHESIS_FAILURE = "hypothesis-failure"
 
 
-# CLI exit codes; 4 is reserved for input errors raised before a report exists.
+# CLI exit codes of verdicts; the CLI adds 4 (input error), 5 (budget exceeded)
+# and 6 (internal check failed) for errors raised before a report exists.
 EXIT_CODES = {
     Verdict.PASS: 0,
     Verdict.REFUTED: 1,

@@ -51,10 +51,6 @@ class TensorModule:
         v = la.reduce_mod(np.asarray(v).reshape(d2), self.p)
         return (self.projection @ np.kron(u, v)) % self.p
 
-    def lift(self, coords: np.ndarray) -> np.ndarray:
-        """A plain-tensor representative of a quotient element."""
-        return (self.section @ la.reduce_mod(np.asarray(coords), self.p)) % self.p
-
 
 def _right_action_of(obj) -> tuple[Algebra, np.ndarray, int]:
     if isinstance(obj, Bimodule):
@@ -200,12 +196,6 @@ class HomModule:
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    def matrix_of(self, coords: np.ndarray) -> np.ndarray:
-        out = la.zeros(self.target.dim, self.source.dim)
-        for c, mat in zip(la.reduce_mod(np.asarray(coords), self.p), self.basis):
-            out = (out + int(c) * mat) % self.p
-        return out
 
     def coords_of(self, matrix: np.ndarray) -> np.ndarray:
         vecs = [la.vec(m) for m in self.basis]

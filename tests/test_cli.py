@@ -1,12 +1,25 @@
 """Exit-code contract for the command line front end."""
 
 import json
+from importlib import resources
 
 import pytest
 
+from moritalab import cli
 from moritalab.cli import run
+from moritalab.report import InternalCheckError
 
 PASS, REFUTED, CONSISTENT, HYPOTHESIS_FAILURE, INPUT_ERROR = 0, 1, 2, 3, 4
+BUDGET_EXCEEDED, INTERNAL_ERROR = 5, 6
+
+
+def fixture_file(tmp_path, name, p=2):
+    """A shipped fixture written out with its field set to p; parsing a
+    fresh file gives fresh objects, so no enumeration cache is reused."""
+    text = resources.files("moritalab").joinpath("data", f"{name}.txt").read_text()
+    path = tmp_path / f"{name}_gf{p}.txt"
+    path.write_text(text.replace("field 2", f"field {p}", 1))
+    return str(path)
 
 
 def test_validate_fixture():
@@ -67,6 +80,29 @@ def test_dual_and_tensor_commands():
 
 def test_enumerate_command():
     assert run(["enumerate", "--max-dim", "1", "--fixture", "E2"]) == PASS
+
+
+def test_enumerate_bound_three_over_gf3(tmp_path, capsys):
+    workspace = fixture_file(tmp_path, "E2", p=3)
+    assert run(["enumerate", "--max-dim", "3", "--fixture", workspace]) == PASS
+    capsys.readouterr()
+
+
+def test_exhausted_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "4")
+    workspace = fixture_file(tmp_path, "E1")
+    code = run(["enumerate", "--max-dim", "2", "--fixture", workspace])
+    assert code == BUDGET_EXCEEDED
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
+
+
+def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
+    def disagree(ws, args):
+        raise InternalCheckError("two routes disagree")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", disagree)
+    assert run(["validate", "--fixture", "E1"]) == INTERNAL_ERROR
+    assert capsys.readouterr().err == "internal check failed: two routes disagree\n"
 
 
 def test_duality_pair_command():

@@ -1,20 +1,128 @@
 """Exhaustive scans with frozen class counts.
 
 The counts pin the enumeration as an oracle: a change in any of them means
-either the scan or the isomorphism reduction regressed.
+either the scan or the isomorphism reduction regressed.  The orbit labelling
+is also compared, object by object, with the pairwise isomorphism dedupe it
+replaced, which is kept here as the reference.
 """
+
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from moritalab.algebra import LEFT, FieldSpec, direct_sum, field_algebra, is_isomorphic
+from moritalab import linalg as la
+from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, direct_sum,
+                               field_algebra, hom_space, is_isomorphic)
 from moritalab.enumeration import (
+    _coords,
+    _orbit_minima,
+    _structures_of_dim,
     enumerate_delta_modules,
     enumerate_modules,
     short_exact_sequences,
 )
-from moritalab.morita import delta_is_isomorphic
-from moritalab.report import BudgetExceededError
+from moritalab.morita import DeltaModule, delta_is_isomorphic
+from moritalab.report import BudgetExceededError, InternalCheckError
+from moritalab.tensor import tensor_over_algebra
+from moritalab.workspace import parse_workspace
+
+
+def fixture_over(name, p):
+    """A fresh context parsed from a shipped fixture with its field set to p."""
+    text = resources.files("moritalab").joinpath("data", f"{name}.txt").read_text()
+    return parse_workspace(text.replace("field 2", f"field {p}", 1)).single_context()
+
+
+def pairwise_modules(algebra, side, max_dim):
+    """Keep each candidate not isomorphic to a kept one, in scan order."""
+    out = []
+    for d in range(max_dim + 1):
+        kept = []
+        for k, acts in enumerate(_structures_of_dim(algebra, side, d, None)[1]):
+            module = Module(algebra, side, d, acts,
+                            name=f"enum[{algebra.name or 'R'}/{side}/{d}/{k}]")
+            if not any(is_isomorphic(module, rep) is not None for rep in kept):
+                kept.append(module)
+        out.extend(kept)
+    return out
+
+
+def pairwise_tuples(ctx, side, max_dim):
+    """Build every candidate tuple and keep it unless it is isomorphic to a
+    kept tuple over the same components."""
+    p = ctx.p
+    out, counter = [], 0
+    for x in enumerate_modules(ctx.algebra_a, side, max_dim):
+        for y in enumerate_modules(ctx.algebra_b, side, max_dim):
+            if side == LEFT:
+                tf, tg = tensor_over_algebra(ctx.m, x), tensor_over_algebra(ctx.n, y)
+            else:
+                tf, tg = tensor_over_algebra(x, ctx.n), tensor_over_algebra(y, ctx.m)
+            f_basis = hom_space(tf.module, y)
+            g_basis = hom_space(tg.module, x)
+            hf, hg = len(f_basis), len(g_basis)
+            kept = []
+            for code in range(p ** (hf + hg)):
+                digits = la.digits(np.array([code]), p, hf + hg)[0]
+                f_mat = sum((int(c) * h.matrix for c, h in zip(digits, f_basis)),
+                            la.zeros(y.dim, tf.dim)) % p
+                g_mat = sum((int(c) * h.matrix for c, h in zip(digits[hf:], g_basis)),
+                            la.zeros(x.dim, tg.dim)) % p
+                candidate = DeltaModule(
+                    ctx, side, x, y, f_mat @ tf.projection, g_mat @ tg.projection,
+                    name=f"enum[{ctx.name or 'ctx'}/{side}/{counter}]")
+                counter += 1
+                if not any(delta_is_isomorphic(candidate, rep) is not None
+                           for rep in kept):
+                    kept.append(candidate)
+                    out.append(candidate)
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E0", "E1", "E2"])
+def test_orbit_labelling_matches_pairwise_dedupe(name, p):
+    ctx = fixture_over(name, p)
+    for side in (LEFT, RIGHT):
+        for algebra in (ctx.algebra_a, ctx.algebra_b):
+            found = enumerate_modules(algebra, side, 2)
+            reference = pairwise_modules(algebra, side, 2)
+            assert [m.name for m in found] == [m.name for m in reference]
+            assert all(np.array_equal(m.actions, r.actions)
+                       for m, r in zip(found, reference))
+        found = enumerate_delta_modules(ctx, side, 2)
+        reference = pairwise_tuples(ctx, side, 2)
+        assert [v.name for v in found] == [v.name for v in reference]
+        for v, r in zip(found, reference):
+            assert v.x is r.x and v.y is r.y
+            assert np.array_equal(v.f_plain, r.f_plain)
+            assert np.array_equal(v.g_plain, r.g_plain)
+
+
+def test_orbit_minima_of_small_groups():
+    def shift(codes):
+        return (codes + 4) % 12
+
+    def swap(codes):
+        return codes ^ 1
+
+    assert _orbit_minima(12, []).tolist() == list(range(12))
+    assert _orbit_minima(12, [shift]).tolist() == [0, 1, 2, 3]
+    # <shift, swap> joins each orbit {c, c+4, c+8} with its partner under c ^ 1
+    assert _orbit_minima(12, [shift, swap]).tolist() == [0, 2]
+
+
+def test_a_map_leaving_its_hom_space_is_an_internal_error():
+    basis = [np.array([[1, 0], [0, 0]])]
+    assert _coords(basis, [np.array([[1, 0], [0, 0]])], 2, "E11").tolist() == [[1]]
+    with pytest.raises(InternalCheckError, match="space of E11"):
+        _coords(basis, [np.array([[0, 1], [0, 0]])], 2, "E11")
+
+
+def test_bound_three_tuple_counts(e1, e2):
+    assert len(enumerate_delta_modules(e1, LEFT, 3)) == 203
+    assert len(enumerate_delta_modules(e2, LEFT, 3)) == 62
 
 
 def test_module_counts_over_the_ground_field():

@@ -96,3 +96,23 @@ def test_coords_in_span_finds_and_rejects():
     coords = la.coords_in_span(basis, inside, 2)
     assert coords is not None and np.array_equal(coords, [1, 1])
     assert la.coords_in_span(basis, outside, 2) is None
+
+
+@pytest.mark.parametrize("p, n", [(11, 16), (13, 14), (2, 17)])
+def test_nonsingular_mask_is_exact(p, n):
+    rng = np.random.default_rng(2203)
+    mats = rng.integers(0, p, size=(200, n, n))
+    expected = np.array([la.rank(m, p) == n for m in mats])
+    assert np.array_equal(la.nonsingular_mask(mats, p), expected)
+    if p > 2:
+        # A float determinant misjudges some of these same matrices, which
+        # is why invertibility is decided by elimination over GF(p).
+        dets = np.round(np.linalg.det(mats.astype(np.float64))).astype(np.int64)
+        assert np.any(((dets % p) != 0) != expected)
+
+
+def test_nonsingular_mask_edge_shapes():
+    assert la.nonsingular_mask(np.zeros((3, 0, 0), dtype=np.int64), 5).all()
+    assert la.nonsingular_mask(np.zeros((0, 2, 2), dtype=np.int64), 5).size == 0
+    mats = np.array([[[0, 1], [1, 0]], [[2, 4], [1, 2]], [[3, 0], [0, 0]]])
+    assert la.nonsingular_mask(mats, 5).tolist() == [True, False, False]
