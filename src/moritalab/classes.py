@@ -29,15 +29,18 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, Algebra, Module, direct_sum, dual_module,
-                      is_flat, is_injective, is_projective, kernel_module,
-                      quotient_module, submodule, zero_module)
+                      hom_space, is_flat, is_injective, is_isomorphic,
+                      is_projective, kernel_module, quotient_module, submodule,
+                      zero_module)
 from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
                           enumerate_modules, short_exact_sequences)
 from .functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
                        induce_from_b, tilde_f, tilde_g)
+from .memo import memo
 from .morita import (DeltaModule, MoritaContext, delta_direct_sum, delta_dual,
-                     delta_submodule, is_flat_delta, is_injective_delta,
-                     is_projective_delta, unpack)
+                     delta_hom_space, delta_is_isomorphic, delta_submodule,
+                     is_flat_delta, is_injective_delta, is_projective_delta,
+                     unpack)
 from .report import (AlgebraMismatchError, CheckReport, ValidationError,
                      Verdict)
 from .tensor import tor_one_dimension
@@ -79,6 +82,24 @@ def dual_of(obj):
     return dual_module(obj)
 
 
+def _projective(obj) -> bool:
+    if isinstance(obj, DeltaModule):
+        return is_projective_delta(obj)
+    return is_projective(obj)
+
+
+def _isomorphism(u, v):
+    if isinstance(u, DeltaModule):
+        return delta_is_isomorphic(u, v)
+    return is_isomorphic(u, v)
+
+
+def _homs(source, target):
+    if isinstance(source, DeltaModule):
+        return delta_hom_space(source, target)
+    return hom_space(source, target)
+
+
 def sum_of(u, v):
     if isinstance(u, DeltaModule):
         return delta_direct_sum([u, v])[0]
@@ -101,6 +122,13 @@ def extensions_of(obj) -> list:
 
 def _describe(obj) -> str:
     return obj.describe()
+
+
+def _as_input(report: CheckReport) -> CheckReport:
+    """Mark a sub-report as an input to an equivalence, not a decision."""
+    return CheckReport("input:" + report.name, report.verdict, report.detail,
+                       report.witnesses, report.hypotheses, report.clauses,
+                       report.meta)
 
 
 def _ring_name(ring) -> str:
@@ -127,21 +155,13 @@ class ClassOracle:
     member: Callable
     sampler: Callable | None = None
 
-    def __post_init__(self):
-        self._memo: dict[int, tuple[object, bool]] = {}
-
+    @memo("obj")
     def contains(self, obj) -> bool:
         ring, side = carrier_of(obj)
         if ring is not self.ring or side != self.side:
             raise AlgebraMismatchError(
                 f"oracle {self.name!r} got an object over the wrong ring or side")
-        key = id(obj)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is obj:
-            return hit[1]
-        answer = bool(self.member(obj))
-        self._memo[key] = (obj, answer)
-        return answer
+        return bool(self.member(obj))
 
     def sample(self, bound: int) -> list:
         if self.sampler is not None:
@@ -150,9 +170,7 @@ class ClassOracle:
                 if self.contains(obj)]
 
 
-_BUILTIN_CACHE: dict[tuple[int, str], tuple[object, dict]] = {}
-
-
+@memo("ring")
 def builtin_oracles(ring, side: str) -> dict[str, ClassOracle]:
     """The stock classes: projective, injective, flat, fp-injective, all.
 
@@ -161,10 +179,6 @@ def builtin_oracles(ring, side: str) -> dict[str, ClassOracle]:
     fp-injective with injective; the oracles keep separate names because the
     pairings treat them as different classes.
     """
-    key = (id(ring), side)
-    hit = _BUILTIN_CACHE.get(key)
-    if hit is not None and hit[0] is ring:
-        return hit[1]
     if isinstance(ring, MoritaContext):
         members = {
             "projective": is_projective_delta,
@@ -182,10 +196,8 @@ def builtin_oracles(ring, side: str) -> dict[str, ClassOracle]:
             "all": lambda m: True,
         }
     tag = f"{_ring_name(ring)}/{side}"
-    out = {kind: ClassOracle(f"{kind}:{tag}", ring, side, fn)
-           for kind, fn in members.items()}
-    _BUILTIN_CACHE[key] = (ring, out)
-    return out
+    return {kind: ClassOracle(f"{kind}:{tag}", ring, side, fn)
+            for kind, fn in members.items()}
 
 
 def _unitriangular(d: int, p: int) -> np.ndarray:
@@ -278,26 +290,16 @@ def in_epi_class(v: DeltaModule, class_a: ClassOracle,
     return class_a.contains(ker_f) and class_b.contains(ker_g)
 
 
-# Tuple oracles are cached by identity so their membership memos survive
-# across harnesses; the stored key objects keep the ids stable.
-_TUPLE_ORACLE_CACHE: dict[tuple, tuple] = {}
-
-
+@memo("ctx")
 def _tuple_oracle(kind: str, predicate, ctx: MoritaContext,
                   class_a: ClassOracle, class_b: ClassOracle) -> ClassOracle:
     if class_a.side != class_b.side:
         raise AlgebraMismatchError("component classes live on different sides")
     if class_a.ring is not ctx.algebra_a or class_b.ring is not ctx.algebra_b:
         raise AlgebraMismatchError("component classes do not match the context")
-    key = (kind, id(ctx), id(class_a), id(class_b))
-    hit = _TUPLE_ORACLE_CACHE.get(key)
-    if hit is not None and hit[0] is ctx and hit[1] is class_a and hit[2] is class_b:
-        return hit[3]
     name = f"{kind}[{class_a.name}, {class_b.name}]"
-    oracle = ClassOracle(name, ctx, class_a.side,
-                         lambda v: predicate(v, class_a, class_b))
-    _TUPLE_ORACLE_CACHE[key] = (ctx, class_a, class_b, oracle)
-    return oracle
+    return ClassOracle(name, ctx, class_a.side,
+                       lambda v: predicate(v, class_a, class_b))
 
 
 def component_class_oracle(ctx, class_a, class_b) -> ClassOracle:
@@ -338,13 +340,6 @@ class DualityPairSpec:
         return DualityPairSpec(self.right, self.left, self.bound)
 
 
-# Result caches for the two scan-heavy checks, keyed by oracle identity and
-# bound.  The same scans back several harnesses; reports are treated as
-# immutable once returned.
-_VERIFY_CACHE: dict[tuple, tuple] = {}
-_PERFECTION_CACHE: dict[tuple, tuple] = {}
-
-
 def verify_duality_pair(spec: DualityPairSpec) -> CheckReport:
     """Definition check: character biconditional plus right-class closure.
 
@@ -353,31 +348,33 @@ def verify_duality_pair(spec: DualityPairSpec) -> CheckReport:
     clause checks each unordered pair biconditionally: sum in the class iff
     both summands are, which covers finite sums and summands at once.
     """
-    cache_key = (id(spec.left), id(spec.right), spec.bound)
-    hit = _VERIFY_CACHE.get(cache_key)
-    if hit is not None and hit[0] is spec.left and hit[1] is spec.right:
-        return hit[2]
+    return _verify_duality_pair(spec.left, spec.right, spec.bound)
+
+
+@memo("left")
+def _verify_duality_pair(left: ClassOracle, right: ClassOracle,
+                         bound: int) -> CheckReport:
     clauses = []
     witness = None
-    for obj in universe_of(spec.left.ring, spec.left.side, spec.bound):
-        if spec.left.contains(obj) != spec.right.contains(dual_of(obj)):
+    for obj in universe_of(left.ring, left.side, bound):
+        if left.contains(obj) != right.contains(dual_of(obj)):
             witness = obj
             break
     clauses.append(CheckReport(
         "character-biconditional",
         Verdict.PASS if witness is None else Verdict.REFUTED,
-        detail=f"membership against dual membership, bound {spec.bound}",
+        detail=f"membership against dual membership, bound {bound}",
         witnesses=[] if witness is None else [
             {"object": _describe(witness),
-             "left": spec.left.contains(witness),
-             "dual-right": spec.right.contains(dual_of(witness))}]))
+             "left": left.contains(witness),
+             "dual-right": right.contains(dual_of(witness))}]))
 
-    objs = universe_of(spec.right.ring, spec.right.side, spec.bound)
+    objs = universe_of(right.ring, right.side, bound)
     pair_witness = None
     for i, u in enumerate(objs):
         for v in objs[i:]:
-            both = spec.right.contains(u) and spec.right.contains(v)
-            if both != spec.right.contains(sum_of(u, v)):
+            both = right.contains(u) and right.contains(v)
+            if both != right.contains(sum_of(u, v)):
                 pair_witness = (u, v)
                 break
         if pair_witness:
@@ -389,10 +386,8 @@ def verify_duality_pair(spec: DualityPairSpec) -> CheckReport:
         witnesses=[] if pair_witness is None else [
             {"first": _describe(pair_witness[0]),
              "second": _describe(pair_witness[1])}]))
-    report = CheckReport.combine(f"duality-pair({spec.name})", clauses,
-                                 meta={"bound": spec.bound})
-    _VERIFY_CACHE[cache_key] = (spec.left, spec.right, report)
-    return report
+    return CheckReport.combine(f"duality-pair({left.name} | {right.name})",
+                               clauses, meta={"bound": bound})
 
 
 def verify_perfection(spec: DualityPairSpec) -> CheckReport:
@@ -403,11 +398,11 @@ def verify_perfection(spec: DualityPairSpec) -> CheckReport:
     consistent-up-to-bound.  Extension closure runs over every short exact
     sequence of every enumerated module, which is complete at the bound.
     """
-    left = spec.left
-    cache_key = (id(left), spec.bound)
-    hit = _PERFECTION_CACHE.get(cache_key)
-    if hit is not None and hit[0] is left:
-        return hit[1]
+    return _verify_perfection(spec.left, spec.bound)
+
+
+@memo("left")
+def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
     clauses = []
     reg = regular_of(left.ring, left.side)
     has_ring = left.contains(reg)
@@ -417,7 +412,7 @@ def verify_perfection(spec: DualityPairSpec) -> CheckReport:
         detail="the ring as a module over itself belongs to the left class",
         witnesses=[] if has_ring else [{"object": _describe(reg)}]))
 
-    members = [obj for obj in universe_of(left.ring, left.side, spec.bound)
+    members = [obj for obj in universe_of(left.ring, left.side, bound)
                if left.contains(obj)]
     bad = None
     for i, u in enumerate(members):
@@ -436,7 +431,7 @@ def verify_perfection(spec: DualityPairSpec) -> CheckReport:
             {"first": _describe(bad[0]), "second": _describe(bad[1])}]))
 
     ext_bad = None
-    for whole in universe_of(left.ring, left.side, spec.bound):
+    for whole in universe_of(left.ring, left.side, bound):
         for sub, quot in extensions_of(whole):
             if left.contains(sub) and left.contains(quot) \
                     and not left.contains(whole):
@@ -451,10 +446,8 @@ def verify_perfection(spec: DualityPairSpec) -> CheckReport:
         witnesses=[] if ext_bad is None else [
             {"sub": _describe(ext_bad[0]), "middle": _describe(ext_bad[1]),
              "quotient": _describe(ext_bad[2])}]))
-    report = CheckReport.combine(f"perfection({left.name})", clauses,
-                                 meta={"bound": spec.bound})
-    _PERFECTION_CACHE[cache_key] = (left, report)
-    return report
+    return CheckReport.combine(f"perfection({left.name})", clauses,
+                               meta={"bound": bound})
 
 
 def check_perfect_pair(spec: DualityPairSpec) -> CheckReport:
@@ -495,13 +488,6 @@ def _component_quad(ctx: MoritaContext, c1, c2, d1, d2) -> None:
         raise ValidationError("component classes must come in opposite-side pairs")
     if c1.side != d1.side:
         raise ValidationError("the two left-hand classes must share a side")
-
-
-def _as_input(report: CheckReport) -> CheckReport:
-    """Mark a sub-report as an input to an equivalence, not a decision."""
-    return CheckReport("input:" + report.name, report.verdict, report.detail,
-                       report.witnesses, report.hypotheses, report.clauses,
-                       report.meta)
 
 
 def _holds(report: CheckReport) -> bool:

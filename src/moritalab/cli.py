@@ -33,7 +33,6 @@ from .algebra import (
     LEFT,
     RIGHT,
     Module,
-    dual_module,
     is_flat,
     is_injective,
     is_projective,
@@ -46,6 +45,7 @@ from .classes import (
     check_duality_transfer,
     check_injective_structure,
     check_perfect_transfer,
+    dual_of,
     epi_class_oracle,
     in_component_class,
     in_epi_class,
@@ -65,7 +65,7 @@ from .gorenstein import (
     check_window_transport_backward,
     check_window_transport_forward,
 )
-from .morita import DeltaModule, delta_dual, delta_is_isomorphic, pack, unpack
+from .morita import DeltaModule, delta_is_isomorphic, pack, unpack
 from .report import (BudgetExceededError, CheckReport, InternalCheckError,
                      MoritaLabError, Verdict)
 from .tensor import tensor_over_algebra
@@ -240,13 +240,11 @@ def _cmd_validate(ws: Workspace, args) -> CheckReport:
 
 
 def _cmd_dual(ws: Workspace, args) -> CheckReport:
-    obj = _object(ws, args.name)
-    if isinstance(obj, DeltaModule):
-        dual = delta_dual(obj)
+    dual = dual_of(_object(ws, args.name))
+    if isinstance(dual, DeltaModule):
         detail = (f"tuple on the {dual.side} side, components "
                   f"{dual.x.dim} and {dual.y.dim}")
     else:
-        dual = dual_module(obj)
         detail = f"{dual.side} module of dimension {dual.dim}"
     return CheckReport("dual", Verdict.PASS, detail=detail,
                        meta={"of": args.name})

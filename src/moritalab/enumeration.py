@@ -34,6 +34,7 @@ import numpy as np
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Module, ModuleMap, field_algebra,
                       hom_space, quotient_module, submodule)
+from .memo import memo
 from .morita import (DeltaModule, DeltaModuleMap, MoritaContext,
                      delta_submodule, delta_quotient)
 from .report import BudgetExceededError, InternalCheckError
@@ -92,14 +93,9 @@ def _word_basis(algebra: Algebra, generators: list[int]):
     return words, values, rows
 
 
-_PLAN_CACHE: dict[int, GeneratorPlan] = {}
-
-
+@memo("algebra")
 def generator_plan(algebra: Algebra) -> GeneratorPlan:
     """Greedy generating set over basis elements, minimised by drop-one."""
-    cached = _PLAN_CACHE.get(id(algebra))
-    if cached is not None and cached.algebra is algebra:
-        return cached
     p = algebra.p
     chosen: list[int] = []
     words, values, rows = _word_basis(algebra, chosen)
@@ -118,9 +114,7 @@ def generator_plan(algebra: Algebra) -> GeneratorPlan:
     # values, so V @ coefficients = identity.
     value_cols = np.stack([values[w] for w in words], axis=1) % p
     coefficients = la.solve(value_cols, la.eye(algebra.dim), p)
-    plan = GeneratorPlan(algebra, chosen, words, coefficients)
-    _PLAN_CACHE[id(algebra)] = plan
-    return plan
+    return GeneratorPlan(algebra, chosen, words, coefficients)
 
 
 def _structures_of_dim(algebra: Algebra, side: str, d: int,
@@ -275,11 +269,9 @@ def _conjugation_move(g: np.ndarray, codes: np.ndarray, r: int, p: int):
     return move
 
 
-_MODULE_CACHE: dict[tuple[int, str, int], tuple[Algebra, list[Module]]] = {}
-
-
+@memo("algebra")
 def _classes_of_dim(algebra: Algebra, side: str, d: int,
-                    budget: int | None) -> list[Module]:
+                    budget: int) -> list[Module]:
     """First structure in scan order of each isomorphism class of dim d.
 
     Two structures on k^d are isomorphic exactly when some g in GL(d)
@@ -289,36 +281,26 @@ def _classes_of_dim(algebra: Algebra, side: str, d: int,
     larger than the structure scan whenever there is more than one
     candidate.
     """
-    key = (id(algebra), side, d)
-    cached = _MODULE_CACHE.get(key)
-    if cached is not None and cached[0] is algebra:
-        return cached[1]
     codes, candidates = _structures_of_dim(algebra, side, d, budget)
     moves = []
     if codes.size > 1:
-        limit = budget if budget is not None else scan_budget()
         plain = Module(field_algebra(algebra.field), LEFT, d, la.eye(d)[None])
         r = len(generator_plan(algebra).generators)
         moves = [_conjugation_move(g, codes, r, algebra.p)
-                 for g in _unit_generators(plain, limit)]
-    classes = [Module(algebra, side, d, candidates[k],
-                      name=f"enum[{algebra.name or 'R'}/{side}/{d}/{k}]")
-               for k in _orbit_minima(codes.size, moves)]
-    _MODULE_CACHE[key] = (algebra, classes)
-    return classes
+                 for g in _unit_generators(plain, budget)]
+    return [Module(algebra, side, d, candidates[k],
+                   name=f"enum[{algebra.name or 'R'}/{side}/{d}/{k}]")
+            for k in _orbit_minima(codes.size, moves)]
 
 
 def enumerate_modules(algebra: Algebra, side: str, max_dim: int,
                       budget: int | None = None) -> list[Module]:
     """One representative per isomorphism class of modules of dim <= max_dim."""
+    budget = budget if budget is not None else scan_budget()
     out: list[Module] = []
     for d in range(max_dim + 1):
         out.extend(_classes_of_dim(algebra, side, d, budget))
     return out
-
-
-_TUPLE_CACHE: dict[tuple[int, str, int],
-                   tuple[MoritaContext, list[DeltaModule]]] = {}
 
 
 def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
@@ -340,21 +322,17 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
     representative lists.  The structure-map space of each pair and the
     End scan of each component count against the budget.
     """
-    key = (id(ctx), side, max_dim)
-    cached = _TUPLE_CACHE.get(key)
-    if cached is not None and cached[0] is ctx:
-        return cached[1]
+    return _delta_classes(ctx, side, max_dim,
+                          budget if budget is not None else scan_budget())
+
+
+@memo("ctx")
+def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
+                   limit: int) -> list[DeltaModule]:
+    """enumerate_delta_modules under a resolved budget, memoised on ctx."""
     p = ctx.p
-    xs = enumerate_modules(ctx.algebra_a, side, max_dim, budget)
-    ys = enumerate_modules(ctx.algebra_b, side, max_dim, budget)
-    limit = budget if budget is not None else scan_budget()
-    units: dict[int, list[np.ndarray]] = {}
-
-    def automorphisms(module: Module) -> list[np.ndarray]:
-        if id(module) not in units:
-            units[id(module)] = _unit_generators(module, limit)
-        return units[id(module)]
-
+    xs = enumerate_modules(ctx.algebra_a, side, max_dim, limit)
+    ys = enumerate_modules(ctx.algebra_b, side, max_dim, limit)
     out: list[DeltaModule] = []
     counter = 0
     for x in xs:
@@ -376,12 +354,12 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
             moves = []
             if hf + hg:
                 where = f"maps over ({x.describe()}, {y.describe()})"
-                for alpha in automorphisms(x):
+                for alpha in _unit_generators(x, limit):
                     twist = _twist(tf, side, la.inverse(alpha, p))
                     moves.append(_tuple_move(
                         f_basis, [(f @ twist) % p for f in f_basis],
                         g_basis, [(alpha @ g) % p for g in g_basis], p, where))
-                for beta in automorphisms(y):
+                for beta in _unit_generators(y, limit):
                     twist = _twist(tg, side, la.inverse(beta, p))
                     moves.append(_tuple_move(
                         f_basis, [(beta @ f) % p for f in f_basis],
@@ -399,7 +377,6 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
                     (f_mat @ tf.projection) % p, (g_mat @ tg.projection) % p,
                     name=f"enum[{ctx.name or 'ctx'}/{side}/{counter + code}]"))
             counter += size
-    _TUPLE_CACHE[key] = (ctx, out)
     return out
 
 
@@ -424,6 +401,7 @@ def _tuple_move(f_basis, f_images, g_basis, g_images, p: int, where: str):
     return _linear_move(matrix, p)
 
 
+@memo("module")
 def _unit_generators(module: Module, limit: int) -> list[np.ndarray]:
     """A generating set of Aut(module), greedy in the scan order of End.
 

@@ -23,11 +23,13 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import LEFT, Module, ModuleMap
+from .memo import memo
 from .morita import DeltaModule, DeltaModuleMap, MoritaContext, delta_hom_space
 from .report import AlgebraMismatchError, CheckReport, Verdict
 from .tensor import HomModule, hom_over_algebra, tensor_over_algebra
 
 
+@memo("x")
 def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
     """The tuple (X, M (x) X) for left X, (X, X (x) N) for right X."""
     if x.algebra is not ctx.algebra_a:
@@ -46,6 +48,7 @@ def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
     return out
 
 
+@memo("y")
 def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     """The tuple (N (x) Y, Y) for left Y, (Y (x) M, Y) for right Y."""
     if y.algebra is not ctx.algebra_b:

@@ -33,14 +33,22 @@ from .algebra import (
     Module,
     ModuleMap,
     dual_map,
-    dual_module,
     free_cover,
     hom_space,
     is_projective,
     kernel_module,
     quotient_module,
 )
-from .classes import ClassOracle, builtin_oracles, in_mono_class
+from .classes import (
+    ClassOracle,
+    _as_input,
+    _homs,
+    _isomorphism,
+    _projective,
+    builtin_oracles,
+    dual_of,
+    in_mono_class,
+)
 from .enumeration import enumerate_delta_modules, enumerate_modules
 from .functors import (
     component_a,
@@ -50,17 +58,16 @@ from .functors import (
     induce_from_b,
     induce_from_b_map,
 )
+from .memo import memo
 from .morita import (
     DeltaModule,
     DeltaModuleMap,
     MoritaContext,
     delta_direct_sum,
-    delta_dual,
     delta_dual_map,
     delta_hom_space,
     delta_is_isomorphic,
     delta_kernel,
-    is_projective_delta,
 )
 from .report import (
     CheckReport,
@@ -97,10 +104,6 @@ def _kernel_of(phi):
     return kernel_module(phi)
 
 
-def _dual_of(obj):
-    return delta_dual(obj) if _is_tuple(obj) else dual_module(obj)
-
-
 def _dual_map_between(phi, dual_source, dual_target):
     if isinstance(phi, DeltaModuleMap):
         return delta_dual_map(phi, dual_source, dual_target)
@@ -117,23 +120,6 @@ def _transpose_onto(phi, source, target):
         return DeltaModuleMap(source, target,
                               phi.a_matrix.T.copy(), phi.b_matrix.T.copy())
     return ModuleMap(source, target, phi.matrix.T.copy())
-
-
-def _projective(obj) -> bool:
-    return is_projective_delta(obj) if _is_tuple(obj) else is_projective(obj)
-
-
-def _isomorphism(u, v):
-    if _is_tuple(u):
-        return delta_is_isomorphic(u, v)
-    from .algebra import is_isomorphic
-    return is_isomorphic(u, v)
-
-
-def _homs(source, target):
-    if _is_tuple(source):
-        return delta_hom_space(source, target)
-    return hom_space(source, target)
 
 
 def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
@@ -262,8 +248,8 @@ def injective_coresolution(x, length: int):
     position-0 term.  Each term is the dual of a cover of the dual side, so
     it is injective; nothing here requires the terms to be projective.
     """
-    res, aug = projective_resolution(_dual_of(x), length)
-    terms = [_dual_of(t) for t in reversed(res.terms)]
+    res, aug = projective_resolution(dual_of(x), length)
+    terms = [dual_of(t) for t in reversed(res.terms)]
     maps = []
     for j in range(length):
         maps.append(_dual_map_between(res.diff(-(j + 1)), terms[j], terms[j + 1]))
@@ -284,7 +270,7 @@ def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
 
 def injective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
     """Injective dimension through the dual; duality swaps the two kinds."""
-    return projective_dimension_within(_dual_of(x), cutoff)
+    return projective_dimension_within(dual_of(x), cutoff)
 
 
 def complete_resolution_window(x, w: int) -> ChainComplex:
@@ -497,9 +483,7 @@ def _window_report(x, cx: ChainComplex, test_class: ClassOracle,
         report=report)
 
 
-_VERDICT_CACHE: dict = {}
-
-
+@memo("x")
 def is_gorenstein_projective_window(x, test_class: ClassOracle, w: int,
                                     bound: int) -> WindowVerdict:
     """Window check for relative projectivity against a test class.
@@ -509,17 +493,8 @@ def is_gorenstein_projective_window(x, test_class: ClassOracle, w: int,
     Hom-exactness against every sampled member of the test class.  Window
     construction failures propagate as WindowConstructionError.
     """
-    key = (id(x), id(test_class), w, bound)
-    hit = _VERDICT_CACHE.get(key)
-    if hit is not None and hit[0] is x and hit[1] is test_class:
-        return hit[2]
-    verdict = _window_report(x, complete_resolution_window(x, w),
-                             test_class, bound)
-    _VERDICT_CACHE[key] = (x, test_class, verdict)
-    return verdict
-
-
-_FLAT_ORACLE_CACHE: dict = {}
+    return _window_report(x, complete_resolution_window(x, w),
+                          test_class, bound)
 
 
 def flat_test_oracle(obj) -> ClassOracle:
@@ -531,11 +506,11 @@ def flat_test_oracle(obj) -> ClassOracle:
     """
     if not _is_tuple(obj):
         return builtin_oracles(obj.algebra, obj.side)["flat"]
-    ctx, side = obj.context, obj.side
-    key = (id(ctx), side)
-    hit = _FLAT_ORACLE_CACHE.get(key)
-    if hit is not None and hit[0] is ctx:
-        return hit[1]
+    return _widened_flat_oracle(obj.context, obj.side)
+
+
+@memo("ctx")
+def _widened_flat_oracle(ctx: MoritaContext, side: str) -> ClassOracle:
     base = builtin_oracles(ctx, side)["flat"]
     flat_a = builtin_oracles(ctx.algebra_a, side)["flat"]
     flat_b = builtin_oracles(ctx.algebra_b, side)["flat"]
@@ -545,9 +520,7 @@ def flat_test_oracle(obj) -> ClassOracle:
         pool.extend(enumerate_delta_modules(ctx, side, bound))
         return [v for v in pool if base.contains(v)]
 
-    oracle = ClassOracle(base.name + "/widened", ctx, side, base.member, sample)
-    _FLAT_ORACLE_CACHE[key] = (ctx, oracle)
-    return oracle
+    return ClassOracle(base.name + "/widened", ctx, side, base.member, sample)
 
 
 def _induced_test_pool(ctx: MoritaContext, class_a: ClassOracle,
@@ -562,9 +535,7 @@ def _induced_test_pool(ctx: MoritaContext, class_a: ClassOracle,
     return pool
 
 
-_MONO_ORACLE_CACHE: dict = {}
-
-
+@memo("ctx")
 def mono_class_test_oracle(ctx: MoritaContext, class_a: ClassOracle,
                            class_b: ClassOracle) -> ClassOracle:
     """Test oracle for the mono-structured tuple class over the components.
@@ -574,10 +545,6 @@ def mono_class_test_oracle(ctx: MoritaContext, class_a: ClassOracle,
     filters through membership.  Inductions of members land in the class
     because their structure maps are isomorphisms onto one component.
     """
-    key = (id(ctx), id(class_a), id(class_b))
-    hit = _MONO_ORACLE_CACHE.get(key)
-    if hit is not None and hit[0] is ctx and hit[1] is class_a and hit[2] is class_b:
-        return hit[3]
     side = class_a.side
 
     def member(v: DeltaModule) -> bool:
@@ -589,9 +556,7 @@ def mono_class_test_oracle(ctx: MoritaContext, class_a: ClassOracle,
         return [v for v in pool if member(v)]
 
     name = f"mono-class[{class_a.name}, {class_b.name}]/widened"
-    oracle = ClassOracle(name, ctx, side, member, sample)
-    _MONO_ORACLE_CACHE[key] = (ctx, class_a, class_b, oracle)
-    return oracle
+    return ClassOracle(name, ctx, side, member, sample)
 
 
 def is_ding_projective_window(x, w: int, bound: int) -> WindowVerdict:
@@ -606,13 +571,6 @@ def _class_row(name: str, ok: bool, detail: str = "",
                witnesses: list | None = None) -> CheckReport:
     return CheckReport(name, Verdict.PASS if ok else Verdict.HYPOTHESIS_FAILURE,
                        detail=detail, witnesses=witnesses or [])
-
-
-def _as_input(report: CheckReport) -> CheckReport:
-    return CheckReport("input:" + report.name, report.verdict,
-                       detail=report.detail, witnesses=report.witnesses,
-                       hypotheses=report.hypotheses, clauses=report.clauses,
-                       meta=report.meta)
 
 
 def check_window_transport_forward(ctx: MoritaContext, x: Module,

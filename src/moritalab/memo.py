@@ -1,0 +1,64 @@
+"""One memo for results that describe an object.
+
+``@memo("x")`` stores each result of the decorated function in the
+``__dict__`` of its argument ``x``, the owner, the way
+``functools.cached_property`` stores its value.  An entry lives as long as
+its owner: garbage collection frees the two together, and the function
+itself holds nothing.  The owner is the object the result describes, such
+as the module of a tensor product or the ring of an enumeration.  Entries
+about short-lived objects kept on a long-lived one, such as a bimodule or a
+ring, would live as long as that object.  ``owner`` may also be a function
+of the arguments that returns the owner's parameter name.
+
+The key is every other argument, bound through the signature, so defaults
+and keywords do not matter: ``f(a, b)`` and ``f(a, b, budget=None)`` share
+one entry.  Integers and strings compare by value, every other argument by
+identity, and an argument that compares by value in any other way is
+refused.  The entry holds the arguments it is keyed by, so their identities
+stay valid while it lives.  A call that raises stores nothing.
+"""
+
+from __future__ import annotations
+
+import functools
+import inspect
+from numbers import Integral
+
+_BY_VALUE = (str, int, Integral)   # cheapest test first
+_MISSING = object()
+
+
+def memo(owner):
+    """Decorator memoising a function in the ``__dict__`` of its owner."""
+    def decorate(fn):
+        signature = inspect.signature(fn)
+        index = {name: i for i, name in enumerate(signature.parameters)}
+        fixed = index[owner] if isinstance(owner, str) else None
+        slot = f"{fn.__module__}.{fn.__qualname__}"  # never an attribute name
+
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if kwargs or len(args) != len(index):
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = bound.args
+            at = fixed if fixed is not None else index[owner(*args)]
+            key = args[:at] + args[at + 1:]
+            for value in key:
+                if (type(value).__eq__ is not object.__eq__
+                        and not isinstance(value, _BY_VALUE)):
+                    raise TypeError(
+                        f"{fn.__qualname__} cannot be memoised on a "
+                        f"{type(value).__name__}, which compares by value")
+            entries = vars(args[at])
+            table = entries.get(slot)
+            if table is None:
+                table = entries[slot] = {}
+            result = table.get(key, _MISSING)
+            if result is _MISSING:
+                result = table[key] = fn(*args)
+            return result
+
+        return wrapper
+
+    return decorate

@@ -20,6 +20,7 @@ import numpy as np
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, Algebra, Bimodule, Module, ModuleMap,
                       field_algebra, free_cover, kernel_module)
+from .memo import memo
 from .report import AlgebraMismatchError, InternalCheckError, ValidationError
 
 
@@ -72,12 +73,13 @@ def _left_action_of(obj) -> tuple[Algebra, np.ndarray, int]:
     raise TypeError(f"cannot tensor a {type(obj).__name__}")
 
 
-# Products are immutable, so repeated requests for the same pair of factor
-# objects can share one result; the values keep the factors alive, which makes
-# the id-based key safe.
-_TENSOR_CACHE: dict[tuple[int, int], "TensorModule"] = {}
+def _module_factor(first, second) -> str:
+    """The factor a tensor product is memoised on: the module, or the second
+    bimodule when both factors are bimodules."""
+    return "second" if isinstance(first, Bimodule) else "first"
 
 
+@memo(_module_factor)
 def tensor_over_algebra(first, second) -> TensorModule:
     """Tensor product first (x)_A second.
 
@@ -89,10 +91,6 @@ def tensor_over_algebra(first, second) -> TensorModule:
     * right module (x) left module, or Bimodule (x) Bimodule
                                 -> plain space (module over the field)
     """
-    key = (id(first), id(second))
-    cached = _TENSOR_CACHE.get(key)
-    if cached is not None and cached.first is first and cached.second is second:
-        return cached
     alg1, rho, d1 = _right_action_of(first)
     alg2, lam, d2 = _left_action_of(second)
     if alg1 is not alg2:
@@ -128,10 +126,8 @@ def tensor_over_algebra(first, second) -> TensorModule:
         .reshape(out_alg.dim, q, q)
     name = f"({_describe(first)} (x) {_describe(second)})"
     module = Module(out_alg, out_side, q, acts, name=name)
-    result = TensorModule(first, second, shared, module, projection, section,
-                          relations, (d1, d2))
-    _TENSOR_CACHE[key] = result
-    return result
+    return TensorModule(first, second, shared, module, projection, section,
+                        relations, (d1, d2))
 
 
 def _describe(obj) -> str:
@@ -205,10 +201,7 @@ class HomModule:
         return coords
 
 
-# Same identity-keyed memo as the tensor cache above.
-_HOM_CACHE: dict[tuple[int, int], "HomModule"] = {}
-
-
+@memo("target")
 def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     """Hom_A(source, target) with its residual one-sided action.
 
@@ -218,10 +211,6 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     """
     from .algebra import hom_space
 
-    key = (id(source), id(target))
-    cached = _HOM_CACHE.get(key)
-    if cached is not None and cached.source is source and cached.target is target:
-        return cached
     if target.side == LEFT:
         if target.algebra is not source.left_algebra:
             raise AlgebraMismatchError("target is not a left module over the bimodule's left algebra")
@@ -250,9 +239,7 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
             acts[i, :, k] = coords
     name = f"Hom({source.name or '<bimodule>'}, {target.describe()})"
     module = Module(residual_alg, target.side, h, acts, name=name)
-    result = HomModule(source, target, module, basis)
-    _HOM_CACHE[key] = result
-    return result
+    return HomModule(source, target, module, basis)
 
 
 def tor_one_dimension(first, second: Module) -> int:

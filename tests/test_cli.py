@@ -94,6 +94,15 @@ def test_exhausted_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     code = run(["enumerate", "--max-dim", "2", "--fixture", workspace])
     assert code == BUDGET_EXCEEDED
     assert capsys.readouterr().err.startswith("budget exceeded: ")
+    # A shipped fixture whose classes are already known at the default
+    # budget still runs out of the smaller one.
+    monkeypatch.delenv("MORITA_ENUM_BUDGET")
+    assert run(["enumerate", "--max-dim", "2", "--fixture", "E1"]) == PASS
+    capsys.readouterr()
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "4")
+    code = run(["enumerate", "--max-dim", "2", "--fixture", "E1"])
+    assert code == BUDGET_EXCEEDED
+    assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):

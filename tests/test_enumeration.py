@@ -175,7 +175,7 @@ def test_enumeration_is_cached_and_deterministic(e2):
     assert len(first) == len(second)
 
 
-def test_budget_guard():
+def test_budget_guard(e1, monkeypatch):
     from moritalab.algebra import Algebra
     table = np.zeros((2, 2, 2), dtype=np.int64)
     table[0, 0, 0] = 1
@@ -184,6 +184,19 @@ def test_budget_guard():
                     name="cold")
     with pytest.raises(BudgetExceededError):
         enumerate_modules(fresh, LEFT, 2, budget=3)
+    # The shipped E1 is warm: its classes are already known at the default
+    # budget, which must not answer a call under a smaller one.
+    enumerate_delta_modules(e1, LEFT, 2)
+    scans = [lambda **kw: enumerate_modules(fresh, LEFT, 2, **kw),
+             lambda **kw: enumerate_modules(e1.algebra_a, LEFT, 2, **kw),
+             lambda **kw: enumerate_delta_modules(e1, LEFT, 2, **kw)]
+    for scan in scans:
+        with pytest.raises(BudgetExceededError):
+            scan(budget=3)
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "3")
+    for scan in scans:
+        with pytest.raises(BudgetExceededError):
+            scan()
 
 
 def test_nonsplit_extension_is_found(e2):

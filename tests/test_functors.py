@@ -27,6 +27,7 @@ def simple(e2):
 def test_induction_keeps_the_component(e2):
     k = simple(e2)
     ta = induce_from_a(e2, k)
+    assert induce_from_a(e2, k) is ta
     assert component_a(ta) is k
     assert ta.y.dim == 1          # M (x) k collapses the radical
     assert ta.side == LEFT

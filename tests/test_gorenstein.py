@@ -131,9 +131,12 @@ def test_gorenstein_window_refuted_against_all_tests(e2):
 
 
 def test_ding_window_for_the_induced_simple(e2):
-    ta = induce_from_a(e2, simple(e2))
-    verdict = is_ding_projective_window(ta, 4, 2)
+    k = simple(e2)
+    verdict = is_ding_projective_window(induce_from_a(e2, k), 4, 2)
     assert verdict.consistent
+    # Inducing k again gives the same tuple, whose window is not rebuilt.
+    ta = induce_from_a(e2, k)
+    assert is_ding_projective_window(ta, 4, 2) is verdict
     oracle = flat_test_oracle(ta)
     from moritalab.morita import flat_characterisation
     tests = [t for t in verdict.test_modules]

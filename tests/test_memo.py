@@ -1,0 +1,74 @@
+"""The memo: entries die with their owner, keys follow the signature."""
+
+import gc
+import weakref
+from dataclasses import dataclass
+
+import pytest
+
+from moritalab.algebra import LEFT, FieldSpec, Module
+from moritalab.classes import builtin_oracles
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab.functors import induce_from_a
+from moritalab.memo import memo
+from moritalab.tensor import hom_over_algebra, tensor_over_algebra
+
+
+def test_entries_are_freed_with_their_owner(e2):
+    template = enumerate_modules(e2.algebra_a, LEFT, 2)[-1]
+    x = Module(template.algebra, LEFT, template.dim, template.actions.copy(),
+               name="throwaway")
+    projective = builtin_oracles(e2.algebra_a, LEFT)["projective"]
+    assert tensor_over_algebra(e2.m, x) is tensor_over_algebra(e2.m, x)
+    assert hom_over_algebra(e2.n, x) is hom_over_algebra(e2.n, x)
+    projective.contains(x)
+    assert induce_from_a(e2, x) is induce_from_a(e2, x)
+    alive = weakref.ref(x)
+    del x
+    gc.collect()
+    assert alive() is None
+
+
+def test_defaults_and_keywords_share_an_entry(e2):
+    assert enumerate_delta_modules(e2, LEFT, 2) \
+        is enumerate_delta_modules(e2, LEFT, 2, budget=None)
+
+
+@dataclass(eq=False)
+class Box:
+    """An owner: it compares by identity and has a __dict__."""
+
+
+def counted_probe():
+    calls = []
+
+    @memo("box")
+    def probe(tag, box, budget=None):
+        calls.append(tag)
+        if tag == "fail":
+            raise ValueError(tag)
+        return object()
+
+    return probe, calls
+
+
+def test_the_key_is_every_bound_argument_but_the_owner():
+    probe, calls = counted_probe()
+    box, other = Box(), Box()
+    first = probe("t", box)
+    assert probe("t", box, None) is first
+    assert probe(box=box, tag="t", budget=None) is first
+    assert probe("t", box, budget=3) is not first
+    assert probe("t", other) is not first
+    assert len(calls) == 3
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            probe("fail", box)
+    assert len(calls) == 5
+
+
+def test_arguments_that_compare_by_value_are_refused():
+    probe, calls = counted_probe()
+    with pytest.raises(TypeError):
+        probe(FieldSpec(2), Box())
+    assert not calls
