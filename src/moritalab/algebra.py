@@ -147,9 +147,9 @@ def validate_module_data(algebra: Algebra, side: str, dim: int,
     else:
         products = np.einsum("jab,ibc->ijac", actions, actions) % p
     expected = np.einsum("ijk,kab->ijab", algebra.structure, actions) % p
-    bad = np.argwhere((products - expected) % p)
-    if bad.size:
-        i, j = int(bad[0][0]), int(bad[0][1])
+    failed = (products - expected) % p
+    if failed.any():
+        i, j = (int(v) for v in np.argwhere(failed)[0][:2])
         return CheckReport("validate-module", Verdict.REFUTED,
                            f"action law fails at basis pair ({i}, {j})",
                            witnesses=[{"pair": [i, j]}])
@@ -216,9 +216,8 @@ class Bimodule:
                     report)
         commute = (np.einsum("iab,jbc->ijac", self.left_actions, self.right_actions)
                    - np.einsum("jab,ibc->ijac", self.right_actions, self.left_actions)) % p
-        bad = np.argwhere(commute)
-        if bad.size:
-            i, j = int(bad[0][0]), int(bad[0][1])
+        if commute.any():
+            i, j = (int(v) for v in np.argwhere(commute)[0][:2])
             raise ValidationError(
                 f"bimodule {self.name or '<anon>'}: actions fail to commute at "
                 f"basis pair ({i}, {j})")
@@ -257,10 +256,11 @@ class ModuleMap:
                 f"{(self.target.dim, self.source.dim)}")
         lhs = np.einsum("ab,ibc->iac", self.matrix, self.source.actions) % p
         rhs = np.einsum("iab,bc->iac", self.target.actions, self.matrix) % p
-        bad = np.argwhere((lhs - rhs) % p)
-        if bad.size:
+        failed = (lhs - rhs) % p
+        if failed.any():
             raise ValidationError(
-                f"matrix does not intertwine action of basis element {int(bad[0][0])}")
+                "matrix does not intertwine action of basis element "
+                f"{int(np.argwhere(failed)[0][0])}")
 
     @property
     def p(self) -> int:
@@ -283,11 +283,11 @@ class ModuleMap:
         return cls(module, module, la.eye(module.dim))
 
 
-def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
-    """Direct sum with injection and projection witnesses.
+def module_sum(modules: list[Module]) -> Module:
+    """Direct sum of modules, actions block-diagonal in the given order.
 
-    Returns (sum module, injections, projections) with proj[i] o inj[i] = id
-    and the actions block-diagonal in the given order.
+    Builds only the sum; ``direct_sum`` adds the injection and projection
+    witnesses for callers that use them.
     """
     if not modules:
         raise ValueError("direct_sum of an empty list is ambiguous; pass a zero module")
@@ -297,17 +297,35 @@ def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[Mod
     total = sum(m.dim for m in modules)
     actions = np.zeros((alg.dim, total, total), dtype=np.int64)
     offset = 0
-    offsets = []
     for m in modules:
         actions[:, offset:offset + m.dim, offset:offset + m.dim] = m.actions
-        offsets.append(offset)
         offset += m.dim
     name = "(" + " + ".join(m.describe() for m in modules) + ")"
-    total_module = Module(alg, side, total, actions, name=name)
+    return Module(alg, side, total, actions, name=name)
+
+
+def block_injections(dims: list[int]) -> list[np.ndarray]:
+    """The matrices of the block injections k^d_i -> k^(sum d), in order."""
+    total = sum(dims)
+    out, offset = [], 0
+    for d in dims:
+        inj = la.zeros(total, d)
+        inj[offset:offset + d, :] = la.eye(d)
+        out.append(inj)
+        offset += d
+    return out
+
+
+def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
+    """Direct sum with injection and projection witnesses.
+
+    Returns (sum module, injections, projections) with proj[i] o inj[i] = id
+    and the actions block-diagonal in the given order.  Callers that discard
+    the witnesses use ``module_sum``.
+    """
+    total_module = module_sum(modules)
     injections, projections = [], []
-    for m, off in zip(modules, offsets):
-        inj = la.zeros(total, m.dim)
-        inj[off:off + m.dim, :] = la.eye(m.dim)
+    for m, inj in zip(modules, block_injections([m.dim for m in modules])):
         injections.append(ModuleMap(m, total_module, inj))
         projections.append(ModuleMap(total_module, m, inj.T))
     return total_module, injections, projections
@@ -457,7 +475,7 @@ def quotient_module(module: Module, image_of: np.ndarray) -> tuple[Module, Modul
     section matrix); the section satisfies projection @ section = identity.
     """
     p = module.p
-    projection, section, q = la.quotient_data(image_of, p)
+    projection, section, q, _ = la.quotient_data(image_of, p)
     acts = np.stack([(projection @ module.actions[i] @ section) % p
                      for i in range(module.algebra.dim)]).reshape(module.algebra.dim, q, q)
     quot = Module(module.algebra, module.side, q, acts,
@@ -511,8 +529,7 @@ def free_cover(module: Module) -> tuple[Module, ModuleMap]:
     if not gens:
         free = zero_module(alg, module.side)
         return free, ModuleMap(free, module, la.zeros(module.dim, 0))
-    copies = [alg.regular_module(module.side) for _ in gens]
-    free, _, _ = direct_sum(copies)
+    free = module_sum([alg.regular_module(module.side)] * len(gens))
     eps = la.zeros(module.dim, free.dim)
     for i, g in enumerate(gens):
         for l in range(alg.dim):

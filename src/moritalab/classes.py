@@ -28,17 +28,17 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, RIGHT, Algebra, Module, direct_sum, dual_module,
-                      hom_space, is_flat, is_injective, is_isomorphic,
-                      is_projective, kernel_module, quotient_module, submodule,
+from .algebra import (LEFT, RIGHT, Algebra, Module, dual_module, hom_space,
+                      is_flat, is_injective, is_isomorphic, is_projective,
+                      kernel_module, module_sum, quotient_module, submodule,
                       zero_module)
 from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
                           enumerate_modules, short_exact_sequences)
 from .functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
                        induce_from_b, tilde_f, tilde_g)
 from .memo import memo
-from .morita import (DeltaModule, MoritaContext, delta_direct_sum, delta_dual,
-                     delta_hom_space, delta_is_isomorphic, delta_submodule,
+from .morita import (DeltaModule, MoritaContext, delta_dual, delta_hom_space,
+                     delta_is_isomorphic, delta_submodule, delta_sum,
                      is_flat_delta, is_injective_delta, is_projective_delta,
                      unpack)
 from .report import (AlgebraMismatchError, CheckReport, ValidationError,
@@ -102,8 +102,8 @@ def _homs(source, target):
 
 def sum_of(u, v):
     if isinstance(u, DeltaModule):
-        return delta_direct_sum([u, v])[0]
-    return direct_sum([u, v])[0]
+        return delta_sum([u, v])
+    return module_sum([u, v])
 
 
 def regular_of(ring, side: str):

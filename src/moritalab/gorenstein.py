@@ -63,11 +63,11 @@ from .morita import (
     DeltaModule,
     DeltaModuleMap,
     MoritaContext,
-    delta_direct_sum,
     delta_dual_map,
     delta_hom_space,
     delta_is_isomorphic,
     delta_kernel,
+    delta_sum,
 )
 from .report import (
     CheckReport,
@@ -138,7 +138,7 @@ def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
     counit_b = DeltaModuleMap(tb, v, v.g_map.matrix, la.eye(v.y.dim))
     lift_a = counit_a.compose(induce_from_a_map(ctx, ex, target=ta))
     lift_b = counit_b.compose(induce_from_b_map(ctx, ey, target=tb))
-    total, _, _ = delta_direct_sum([lift_a.source, lift_b.source])
+    total = delta_sum([lift_a.source, lift_b.source])
     eps = DeltaModuleMap(
         total, v,
         np.hstack([lift_a.a_matrix, lift_b.a_matrix]) % p,
@@ -320,8 +320,7 @@ def _tuple_splitting(v: DeltaModule):
     ctx, p = v.context, v.p
     p0 = quotient_module(v.x, la.image_basis(v.g_map.matrix, p).T)[0]
     q0 = quotient_module(v.y, la.image_basis(v.f_map.matrix, p).T)[0]
-    candidate = delta_direct_sum([induce_from_a(ctx, p0),
-                                  induce_from_b(ctx, q0)])[0]
+    candidate = delta_sum([induce_from_a(ctx, p0), induce_from_b(ctx, q0)])
     if delta_is_isomorphic(candidate, v) is None:
         return None
     return p0, q0
@@ -338,7 +337,7 @@ def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
                for i, d in enumerate(wa.maps)]
     tb_maps = [induce_from_b_map(ctx, d, source=tb_terms[i], target=tb_terms[i + 1])
                for i, d in enumerate(wb.maps)]
-    terms = [delta_direct_sum([u, t])[0] for u, t in zip(ta_terms, tb_terms)]
+    terms = [delta_sum([u, t]) for u, t in zip(ta_terms, tb_terms)]
     maps = []
     for i in range(len(terms) - 1):
         maps.append(DeltaModuleMap(
@@ -531,7 +530,7 @@ def _induced_test_pool(ctx: MoritaContext, class_a: ClassOracle,
     pool = list(singles)
     for i in range(len(singles)):
         for j in range(i + 1, len(singles)):
-            pool.append(delta_direct_sum([singles[i], singles[j]])[0])
+            pool.append(delta_sum([singles[i], singles[j]]))
     return pool
 
 

@@ -199,53 +199,55 @@ def _inverses(values: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def quotient_data(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Projection and section for the cokernel of ``m``.
+def quotient_data(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Projection and section for the cokernel of ``m``, from one elimination.
 
     For m: k^s -> k^t this produces pi: k^t -> k^q with kernel exactly the
     column space of m, together with a section sigma (t, q) satisfying
     pi @ sigma = identity.  The section columns are standard basis vectors,
-    chosen deterministically in index order.
+    chosen greedily in index order: e_j joins when it is outside the span of
+    im(m) and the e_i chosen before it.
+
+    All of it is read off R = rref([m | I_t]) = E [m | I_t]:
+
+    * the pivots among the first s columns are the pivot columns of m, a
+      basis of its image;
+    * the pivots in the I_t part are exactly the greedy complement;
+    * E is R[:, s:], and E B = I for B = [image basis | chosen e_j], because
+      the pivot columns of R are its unit columns in order.  So the rows of
+      E below the rank r, R[r:, s:], are the complement coordinates of
+      B^-1: the projection.
 
     Returns:
-        (projection (q, t), section (t, q), q).
+        (projection (q, t), section (t, q), q, image (t, r) whose columns
+        are the pivot columns of m).
     """
     m = reduce_mod(m, p)
-    t = m.shape[0]
-    im = image_basis(m, p)              # (r, t) rows
-    r = im.shape[0]
-    chosen: list[int] = []
-    current = im.T                      # columns span the image
-    current_rank = r
-    for j in range(t):
-        if current_rank == t:
-            break
-        cand = np.hstack([current, eye(t)[:, [j]]])
-        if rank(cand, p) > current_rank:
-            chosen.append(j)
-            current = cand
-            current_rank += 1
-    q = t - r
-    assert len(chosen) == q, "complement extension failed"
-    basis = np.hstack([im.T, eye(t)[:, chosen]]) if r else eye(t)[:, chosen]
-    if basis.shape[1] == 0:
-        return zeros(0, t), zeros(t, 0), 0
-    binv = inverse(basis, p)
-    assert binv is not None
-    projection = binv[r:, :]
+    t, s = m.shape
+    reduced, pivots, _ = rref(np.hstack([m, eye(t)]), p)
+    image_cols = [c for c in pivots if c < s]
+    chosen = [c - s for c in pivots if c >= s]
+    r = len(image_cols)
+    projection = reduced[r:, s:].copy()
     section = eye(t)[:, chosen]
-    return projection, section, q
+    return projection, section, t - r, m[:, image_cols]
 
 
 def cokernel(m: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     """Cokernel of m: the projection k^t -> k^t/im(m) and the quotient dimension."""
-    projection, _, q = quotient_data(m, p)
+    projection, _, q, _ = quotient_data(m, p)
     return projection, q
 
 
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Kronecker product reduced mod p; index (i, j) -> i * cols(b) + j."""
-    return np.kron(reduce_mod(a, p), reduce_mod(b, p)) % p
+    """Kronecker product reduced mod p; index (i, j) -> i * cols(b) + j.
+
+    Entry [i * rows(b) + k, j * cols(b) + l] is a[i, j] * b[k, l], formed by
+    one broadcast product, with the same entries as ``numpy.kron``.
+    """
+    a, b = reduce_mod(a, p), reduce_mod(b, p)
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return ((a[:, None, :, None] * b[None, :, None, :]) % p).reshape(ra * rb, ca * cb)
 
 
 def vec(m: np.ndarray) -> np.ndarray:

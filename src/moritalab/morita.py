@@ -27,9 +27,10 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, Algebra, Bimodule, Module, ModuleMap,
-                      direct_sum, dual_module, find_invertible_combination,
+                      block_injections, dual_module, find_invertible_combination,
                       hom_space, is_flat, is_injective, is_projective,
-                      kernel_module, quotient_module, submodule, zero_module)
+                      kernel_module, module_sum, quotient_module, submodule,
+                      zero_module)
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError)
 from .tensor import factor_through, tensor_over_algebra
@@ -429,17 +430,19 @@ def delta_hom_space(u: DeltaModule, v: DeltaModule) -> list[DeltaModuleMap]:
     return out
 
 
-def delta_direct_sum(tuples: list[DeltaModule]) \
-        -> tuple[DeltaModule, list[DeltaModuleMap], list[DeltaModuleMap]]:
-    """Componentwise direct sum with injection and projection tuple maps."""
+def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
+    """Componentwise direct sum of tuples, blocks in the given order.
+
+    Builds only the sum; ``delta_direct_sum`` adds the injection and
+    projection witnesses for callers that use them.
+    """
     if not tuples:
         raise ValueError("direct sum of an empty list is ambiguous; pass a zero tuple")
     ctx, side = tuples[0].context, tuples[0].side
     if any(t.context is not ctx or t.side != side for t in tuples):
         raise AlgebraMismatchError("direct sum factors disagree on context or side")
-    xs, ys = [t.x for t in tuples], [t.y for t in tuples]
-    x_sum, x_inj, x_proj = direct_sum(xs)
-    y_sum, y_inj, y_proj = direct_sum(ys)
+    x_sum = module_sum([t.x for t in tuples])
+    y_sum = module_sum([t.y for t in tuples])
     dn, dm = ctx.n.dim, ctx.m.dim
     dxs, dys = x_sum.dim, y_sum.dim
     if side == LEFT:
@@ -471,11 +474,22 @@ def delta_direct_sum(tuples: list[DeltaModule]) \
             ox += dx
             oy += dy
     name = "(" + " + ".join(t.describe() for t in tuples) + ")"
-    total = DeltaModule(ctx, side, x_sum, y_sum, f_plain, g_plain, name=name)
+    return DeltaModule(ctx, side, x_sum, y_sum, f_plain, g_plain, name=name)
+
+
+def delta_direct_sum(tuples: list[DeltaModule]) \
+        -> tuple[DeltaModule, list[DeltaModuleMap], list[DeltaModuleMap]]:
+    """Componentwise direct sum with injection and projection tuple maps.
+
+    Callers that discard the witnesses use ``delta_sum``.
+    """
+    total = delta_sum(tuples)
+    x_inj = block_injections([t.x.dim for t in tuples])
+    y_inj = block_injections([t.y.dim for t in tuples])
     injections, projections = [], []
-    for t, xi, xp, yi, yp in zip(tuples, x_inj, x_proj, y_inj, y_proj):
-        injections.append(DeltaModuleMap(t, total, xi.matrix, yi.matrix))
-        projections.append(DeltaModuleMap(total, t, xp.matrix, yp.matrix))
+    for t, xi, yi in zip(tuples, x_inj, y_inj):
+        injections.append(DeltaModuleMap(t, total, xi, yi))
+        projections.append(DeltaModuleMap(total, t, xi.T, yi.T))
     return total, injections, projections
 
 
@@ -627,8 +641,8 @@ def is_projective_delta(v: DeltaModule) -> bool:
         p_quot, _, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
         q_quot, _, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
         if is_projective(p_quot) and is_projective(q_quot):
-            model, _, _ = delta_direct_sum([induce_from_a(v.context, p_quot),
-                                            induce_from_b(v.context, q_quot)])
+            model = delta_sum([induce_from_a(v.context, p_quot),
+                              induce_from_b(v.context, q_quot)])
             structural = delta_is_isomorphic(v, model) is not None
         else:
             structural = False
@@ -657,8 +671,8 @@ def is_injective_delta(v: DeltaModule) -> bool:
         x_ker, _ = kernel_module(tilde_f(v))
         y_ker, _ = kernel_module(tilde_g(v))
         if is_injective(x_ker) and is_injective(y_ker):
-            model, _, _ = delta_direct_sum([coinduce_from_a(v.context, x_ker),
-                                            coinduce_from_b(v.context, y_ker)])
+            model = delta_sum([coinduce_from_a(v.context, x_ker),
+                              coinduce_from_b(v.context, y_ker)])
             structural = delta_is_isomorphic(v, model) is not None
         else:
             structural = False

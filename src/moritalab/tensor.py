@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, Algebra, Bimodule, Module, ModuleMap,
-                      field_algebra, free_cover, kernel_module)
+                      field_algebra, free_cover, hom_space, kernel_module)
 from .memo import memo
 from .report import AlgebraMismatchError, InternalCheckError, ValidationError
 
@@ -107,8 +107,7 @@ def tensor_over_algebra(first, second) -> TensorModule:
         rel = np.hstack(rel_blocks)
     else:
         rel = la.zeros(plain, 0)
-    projection, section, q = la.quotient_data(rel, p)
-    relations = la.image_basis(rel, p).T.copy()
+    projection, section, q, relations = la.quotient_data(rel, p)
 
     if isinstance(first, Bimodule) and isinstance(second, Module):
         out_alg, out_side = first.left_algebra, LEFT
@@ -209,8 +208,6 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     left algebra yields a left module over its right algebra, and a right
     module over the right algebra yields a right module over the left one.
     """
-    from .algebra import hom_space
-
     if target.side == LEFT:
         if target.algebra is not source.left_algebra:
             raise AlgebraMismatchError("target is not a left module over the bimodule's left algebra")
@@ -227,16 +224,16 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     maps = hom_space(inner, target)
     basis = [m.matrix for m in maps]
     h = len(basis)
-    vecs = [la.vec(m) for m in basis]
     p = target.p
     acts = np.zeros((residual_alg.dim, h, h), dtype=np.int64)
-    for i in range(residual_alg.dim):
-        for k, mat in enumerate(basis):
-            moved = (mat @ twist[i]) % p
-            coords = la.coords_in_span(vecs, la.vec(moved), p)
+    if h:
+        stacked = np.stack([la.vec(m) for m in basis], axis=1)
+        for i in range(residual_alg.dim):
+            moved = np.stack([la.vec((mat @ twist[i]) % p) for mat in basis], axis=1)
+            coords = la.solve(stacked, moved, p)
             if coords is None:
                 raise InternalCheckError("hom action left the hom space")
-            acts[i, :, k] = coords
+            acts[i] = coords
     name = f"Hom({source.name or '<bimodule>'}, {target.describe()})"
     module = Module(residual_alg, target.side, h, acts, name=name)
     return HomModule(source, target, module, basis)

@@ -13,6 +13,7 @@ from moritalab.algebra import (
     Bimodule,
     FieldSpec,
     Module,
+    ModuleMap,
     dual_module,
     free_cover,
     hom_space,
@@ -64,6 +65,15 @@ def test_noncommuting_actions_are_rejected(e1):
     # each one-sided law holds; the two actions do not commute
     with pytest.raises(ValidationError, match="fail to commute"):
         Bimodule(kk, kk, 2, lefts, rights, name="skew")
+
+
+def test_non_intertwining_matrix_names_the_basis_element(e2):
+    reg = e2.algebra_a.regular_module(LEFT)
+    # commutes with the unit (basis element 0), not with x (basis element 1)
+    corner = np.array([[1, 0], [0, 0]], dtype=np.int64)
+    with pytest.raises(ValidationError, match="^matrix does not intertwine action "
+                                              "of basis element 1$"):
+        ModuleMap(reg, reg, corner)
 
 
 def test_regular_module_is_projective_not_simple_over_dual_numbers(e2):

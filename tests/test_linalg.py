@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moritalab import linalg as la
+from moritalab.algebra import LEFT, RIGHT, Bimodule
+from moritalab.tensor import tensor_over_algebra
 
 
 def all_matrices(rows, cols, p):
@@ -116,3 +118,92 @@ def test_nonsingular_mask_edge_shapes():
     assert la.nonsingular_mask(np.zeros((0, 2, 2), dtype=np.int64), 5).size == 0
     mats = np.array([[[0, 1], [1, 0]], [[2, 4], [1, 2]], [[3, 0], [0, 0]]])
     assert la.nonsingular_mask(mats, 5).tolist() == [True, False, False]
+
+
+def greedy_quotient_reference(m, p):
+    """The cokernel data as a greedy complement: one rank test per candidate
+    basis vector, then an inverse of the completed basis."""
+    m = la.reduce_mod(m, p)
+    t = m.shape[0]
+    im = la.image_basis(m, p)
+    r = im.shape[0]
+    chosen, current = [], im.T
+    for j in range(t):
+        if current.shape[1] == t:
+            break
+        cand = np.hstack([current, np.eye(t, dtype=np.int64)[:, [j]]])
+        if la.rank(cand, p) > current.shape[1]:
+            chosen.append(j)
+            current = cand
+    section = np.eye(t, dtype=np.int64)[:, chosen]
+    if t == 0:
+        return la.zeros(0, 0), section, 0, im.T
+    binv = la.inverse(current, p)
+    return binv[r:, :], section, t - r, im.T
+
+
+def low_rank(rng, rows, cols, rk, p):
+    """A random rows x cols matrix over GF(p) of rank at most rk."""
+    return (rng.integers(0, p, (rows, rk)) @ rng.integers(0, p, (rk, cols))) % p
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_quotient_data_is_the_greedy_complement(p):
+    rng = np.random.default_rng(100 + p)
+    cases = [la.zeros(0, 0), la.zeros(0, 3), la.zeros(4, 0), la.zeros(5, 5),
+             np.eye(4, dtype=np.int64), low_rank(rng, 6, 6, 6, p)]
+    for _ in range(40):
+        rows, cols = rng.integers(1, 9, 2)
+        m = low_rank(rng, rows, cols, int(rng.integers(0, min(rows, cols) + 1)), p)
+        if rng.random() < 0.3:
+            m[rng.integers(0, rows)] = 0
+        if rng.random() < 0.3:
+            m[:, rng.integers(0, cols)] = 0
+        cases.append(m)
+    for m in cases:
+        got = la.quotient_data(m, p)
+        want = greedy_quotient_reference(m, p)
+        assert got[2] == want[2]
+        for g, w in zip(got[:2] + got[3:], want[:2] + want[3:]):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [((2, 3), (4, 1)), ((3, 3), (2, 2)),
+                                              ((0, 3), (2, 2)), ((2, 0), (3, 1)),
+                                              ((2, 2), (0, 0)), ((1, 1), (5, 4))])
+def test_kron_matches_numpy(shape_a, shape_b):
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 7):
+        a = rng.integers(-20, 20, shape_a)
+        b = rng.integers(-20, 20, shape_b)
+        got = la.kron(a, b, p)
+        want = np.kron(a % p, b % p) % p
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_tensor_relations_are_the_image_basis(ws_e1, ws_e2):
+    def actions(obj, side):
+        if isinstance(obj, Bimodule):
+            return obj.right_actions if side == RIGHT else obj.left_actions
+        return obj.actions
+
+    for ws in (ws_e1, ws_e2):
+        ctx = ws.single_context()
+        p = ctx.p
+        pairs = [(ctx.m, ctx.n), (ctx.n, ctx.m),
+                 (ctx.m, ctx.algebra_a.regular_module(LEFT)),
+                 (ctx.n, ctx.algebra_b.regular_module(LEFT)),
+                 (ctx.algebra_b.regular_module(RIGHT), ctx.m),
+                 (ctx.algebra_a.regular_module(RIGHT), ctx.n)]
+        for first, second in pairs:
+            rho, lam = actions(first, RIGHT), actions(second, LEFT)
+            d1, d2 = rho.shape[1], lam.shape[1]
+            rel = np.hstack([(np.kron(r, np.eye(d2, dtype=np.int64))
+                              - np.kron(np.eye(d1, dtype=np.int64), l)) % p
+                             for r, l in zip(rho, lam)]) if d1 * d2 else la.zeros(0, 0)
+            relations = tensor_over_algebra(first, second).relations
+            want = la.image_basis(rel, p).T
+            assert relations.shape == want.shape
+            assert np.array_equal(relations, want)

@@ -1,10 +1,13 @@
 """Glued rings, tuple modules, and the pack/unpack dictionary."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from moritalab.algebra import LEFT, Module, dual_module, hom_space
-from moritalab.enumeration import enumerate_delta_modules
+from moritalab.algebra import (LEFT, RIGHT, Module, direct_sum, dual_module,
+                               hom_space, module_sum)
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
 from moritalab.morita import (
     DeltaModuleMap,
@@ -13,6 +16,7 @@ from moritalab.morita import (
     delta_dual,
     delta_hom_space,
     delta_is_isomorphic,
+    delta_sum,
     is_injective_delta,
     is_projective_delta,
     pack,
@@ -88,6 +92,27 @@ def test_direct_sum_components_and_projections(e2, ws_e2):
     assert np.array_equal(round_trip.b_matrix, np.eye(v.y.dim, dtype=np.int64))
     crossed = projections[2].compose(injections[0])
     assert crossed.is_zero()
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_sums_without_witnesses_match_the_witnessed_sums(e1, e2, side):
+    for ctx in (e1, e2):
+        tuples = enumerate_delta_modules(ctx, side, 1)
+        for u, v in itertools.product(tuples, repeat=2):
+            got = delta_sum([u, v])
+            want = delta_direct_sum([u, v])[0]
+            assert got.name == want.name
+            for attr in ("f_plain", "g_plain"):
+                assert np.array_equal(getattr(got, attr), getattr(want, attr))
+            for comp in ("x", "y"):
+                assert np.array_equal(getattr(got, comp).actions,
+                                      getattr(want, comp).actions)
+        for alg in (ctx.algebra_a, ctx.algebra_b):
+            modules = enumerate_modules(alg, side, 1)
+            for u, v in itertools.product(modules, repeat=2):
+                got, want = module_sum([u, v]), direct_sum([u, v])[0]
+                assert got.name == want.name
+                assert np.array_equal(got.actions, want.actions)
 
 
 def test_regular_tuple_is_projective(ws_e0, ws_e1, ws_e2):
