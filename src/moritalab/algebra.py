@@ -498,24 +498,18 @@ def module_generators(module: Module) -> list[int]:
     """Indices of a column-reduced generating set of basis vectors.
 
     Greedy in basis order: a vector joins the set when it is outside the
-    algebra-span of the vectors chosen so far.  Minimality is not required.
+    submodule generated by the vectors chosen so far.  Minimality is not
+    required.  One elimination decides every vector: in the columns
+    [e_0 | b e_0 | e_1 | b e_1 | ...], b running over the algebra basis,
+    the columns before e_j span the submodule generated by e_0 .. e_(j-1),
+    which is the one generated by the vectors chosen before j, so e_j is
+    chosen exactly when its column is a pivot.
     """
-    p = module.p
-    chosen: list[int] = []
-    span = la.zeros(module.dim, 0)
-    span_rank = 0
-    for j in range(module.dim):
-        e = la.eye(module.dim)[:, [j]]
-        if span_rank and la.rank(np.hstack([span, e]), p) == span_rank:
-            continue
-        chosen.append(j)
-        orbit = np.hstack([module.actions[i] @ e for i in range(module.algebra.dim)]) % p
-        span = np.hstack([span, orbit])
-        span = la.image_basis(span, p).T
-        span_rank = span.shape[1]
-        if span_rank == module.dim:
-            break
-    return chosen
+    d, n = module.dim, module.algebra.dim
+    orbits = np.concatenate([la.eye(d)[None], module.actions])
+    _, pivots, _ = la.rref(orbits.transpose(1, 2, 0).reshape(d, d * (n + 1)),
+                           module.p)
+    return [c // (n + 1) for c in pivots if c % (n + 1) == 0]
 
 
 def free_cover(module: Module) -> tuple[Module, ModuleMap]:

@@ -32,13 +32,13 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, Algebra, Module, ModuleMap, field_algebra,
-                      hom_space, quotient_module, submodule)
+from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
+                      field_algebra, hom_space, quotient_module, submodule)
 from .memo import memo
-from .morita import (DeltaModule, DeltaModuleMap, MoritaContext,
-                     delta_submodule, delta_quotient)
+from .morita import (DeltaModule, DeltaModuleMap, MoritaContext, TupleLayout,
+                     delta_submodule, delta_quotient, tuple_layout)
 from .report import BudgetExceededError, InternalCheckError
-from .tensor import TensorModule, tensor_map, tensor_over_algebra
+from .tensor import TensorModule, tensor_map
 
 _SCAN_BUDGET_DEFAULT = 1 << 21
 _CHUNK = 1 << 13
@@ -333,16 +333,13 @@ def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
     p = ctx.p
     xs = enumerate_modules(ctx.algebra_a, side, max_dim, limit)
     ys = enumerate_modules(ctx.algebra_b, side, max_dim, limit)
+    lay = tuple_layout(ctx, side)
     out: list[DeltaModule] = []
     counter = 0
     for x in xs:
         for y in ys:
-            if side == LEFT:
-                tf = tensor_over_algebra(ctx.m, x)
-                tg = tensor_over_algebra(ctx.n, y)
-            else:
-                tf = tensor_over_algebra(x, ctx.n)
-                tg = tensor_over_algebra(y, ctx.m)
+            tf = lay.tensor(lay.f_bimodule, x)
+            tg = lay.tensor(lay.g_bimodule, y)
             f_basis = [h.matrix for h in hom_space(tf.module, y)]
             g_basis = [h.matrix for h in hom_space(tg.module, x)]
             hf, hg = len(f_basis), len(g_basis)
@@ -355,12 +352,12 @@ def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
             if hf + hg:
                 where = f"maps over ({x.describe()}, {y.describe()})"
                 for alpha in _unit_generators(x, limit):
-                    twist = _twist(tf, side, la.inverse(alpha, p))
+                    twist = _twist(tf, lay, lay.f_bimodule, la.inverse(alpha, p))
                     moves.append(_tuple_move(
                         f_basis, [(f @ twist) % p for f in f_basis],
                         g_basis, [(alpha @ g) % p for g in g_basis], p, where))
                 for beta in _unit_generators(y, limit):
-                    twist = _twist(tg, side, la.inverse(beta, p))
+                    twist = _twist(tg, lay, lay.g_bimodule, la.inverse(beta, p))
                     moves.append(_tuple_move(
                         f_basis, [(beta @ f) % p for f in f_basis],
                         g_basis, [(g @ twist) % p for g in g_basis], p, where))
@@ -380,13 +377,11 @@ def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
     return out
 
 
-def _twist(tm: TensorModule, side: str, auto: np.ndarray) -> np.ndarray:
-    """Matrix on the tensor quotient ``tm`` of bimodule (x) auto for left
-    tuples, of auto (x) bimodule for right tuples."""
-    d1, d2 = tm.dims
-    if side == LEFT:
-        return tensor_map(tm, tm, la.eye(d1), auto).matrix
-    return tensor_map(tm, tm, auto, la.eye(d2)).matrix
+def _twist(tm: TensorModule, lay: TupleLayout, bimodule: Bimodule,
+           auto: np.ndarray) -> np.ndarray:
+    """Matrix of id (x) auto on the tensor quotient ``tm`` of ``bimodule``
+    with a component."""
+    return tensor_map(tm, tm, *lay.order(la.eye(bimodule.dim), auto)).matrix
 
 
 def _tuple_move(f_basis, f_images, g_basis, g_images, p: int, where: str):
@@ -520,18 +515,12 @@ def short_exact_sequences(module: Module) \
 
 def delta_invariant_pairs(v: DeltaModule) -> list[tuple[np.ndarray, np.ndarray]]:
     """Column-basis pairs (in x, in y) spanning sub-tuples of v."""
-    p = v.p
-    ctx = v.context
-    dn, dm = ctx.n.dim, ctx.m.dim
+    p, lay = v.p, v.layout
     out = []
     for span_x in invariant_subspaces(v.x):
         for span_y in invariant_subspaces(v.y):
-            if v.side == LEFT:
-                f_moved = (v.f_plain @ la.kron(la.eye(dm), span_x, p)) % p
-                g_moved = (v.g_plain @ la.kron(la.eye(dn), span_y, p)) % p
-            else:
-                f_moved = (v.f_plain @ la.kron(span_x, la.eye(dn), p)) % p
-                g_moved = (v.g_plain @ la.kron(span_y, la.eye(dm), p)) % p
+            f_moved = lay.unblocks((v.f_blocks @ span_x) % p)
+            g_moved = lay.unblocks((v.g_blocks @ span_y) % p)
             f_ok = f_moved.shape[1] == 0 or not np.any(f_moved) or \
                 (span_y.shape[1] > 0 and la.solve(span_y, f_moved, p) is not None)
             if not f_ok:

@@ -10,11 +10,13 @@ Six functors in each direction of sidedness:
   right adjoint to component_a.
 * coinduce_from_b : Y |-> (Hom(M, Y), Y), mirrored.
 
-All are implemented for both sidedness conventions of tuples.  The tilde
-maps transpose the structure maps of a tuple into maps X -> Hom(M, Y) and
-Y -> Hom(N, X); they control the epi-style membership tests and the
-injective structure theory.  check_adjunction verifies the unit/counit
-bijections on concrete hom-space bases.
+Each is written once for both sides: ``morita.TupleLayout`` says which
+bimodule a structure map tensors with and how its plain coordinates are
+ordered.  The tilde maps transpose the structure maps of a tuple into maps
+X -> Hom(M, Y) and Y -> Hom(N, X) (for left tuples); they control the
+epi-style membership tests and the injective structure theory.
+check_adjunction verifies the unit/counit bijections on concrete hom-space
+bases.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .algebra import LEFT, Module, ModuleMap
+from .algebra import Module, ModuleMap
 from .memo import memo
-from .morita import DeltaModule, DeltaModuleMap, MoritaContext, delta_hom_space
+from .morita import (DeltaModule, DeltaModuleMap, MoritaContext, TupleLayout,
+                     delta_hom_space, tuple_layout)
 from .report import AlgebraMismatchError, CheckReport, Verdict
-from .tensor import HomModule, hom_over_algebra, tensor_over_algebra
+from .tensor import HomModule, hom_over_algebra
 
 
 @memo("x")
@@ -34,15 +37,10 @@ def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
     """The tuple (X, M (x) X) for left X, (X, X (x) N) for right X."""
     if x.algebra is not ctx.algebra_a:
         raise AlgebraMismatchError("module does not live over the A corner")
-    if x.side == LEFT:
-        t = tensor_over_algebra(ctx.m, x)
-        f_plain = t.projection
-        g_plain = la.zeros(x.dim, ctx.n.dim * t.dim)
-    else:
-        t = tensor_over_algebra(x, ctx.n)
-        f_plain = t.projection
-        g_plain = la.zeros(x.dim, t.dim * ctx.m.dim)
-    out = DeltaModule(ctx, x.side, x, t.module, f_plain, g_plain,
+    lay = tuple_layout(ctx, x.side)
+    t = lay.tensor(lay.f_bimodule, x)
+    out = DeltaModule(ctx, x.side, x, t.module, t.projection,
+                      la.zeros(x.dim, lay.g_bimodule.dim * t.dim),
                       name=f"ind_a[{x.describe()}]")
     out.tensor_data = t
     return out
@@ -53,15 +51,10 @@ def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     """The tuple (N (x) Y, Y) for left Y, (Y (x) M, Y) for right Y."""
     if y.algebra is not ctx.algebra_b:
         raise AlgebraMismatchError("module does not live over the B corner")
-    if y.side == LEFT:
-        t = tensor_over_algebra(ctx.n, y)
-        g_plain = t.projection
-        f_plain = la.zeros(y.dim, ctx.m.dim * t.dim)
-    else:
-        t = tensor_over_algebra(y, ctx.m)
-        g_plain = t.projection
-        f_plain = la.zeros(y.dim, t.dim * ctx.n.dim)
-    out = DeltaModule(ctx, y.side, t.module, y, f_plain, g_plain,
+    lay = tuple_layout(ctx, y.side)
+    t = lay.tensor(lay.g_bimodule, y)
+    out = DeltaModule(ctx, y.side, t.module, y,
+                      la.zeros(y.dim, lay.f_bimodule.dim * t.dim), t.projection,
                       name=f"ind_b[{y.describe()}]")
     out.tensor_data = t
     return out
@@ -73,11 +66,8 @@ def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap,
     """induce_from_a on a map: the component map plus its tensored image."""
     source = source if source is not None else induce_from_a(ctx, phi.source)
     target = target if target is not None else induce_from_a(ctx, phi.target)
-    ts, tt = source.tensor_f, target.tensor_f
-    if phi.source.side == LEFT:
-        plain = la.kron(la.eye(ctx.m.dim), phi.matrix, ctx.p)
-    else:
-        plain = la.kron(phi.matrix, la.eye(ctx.n.dim), ctx.p)
+    ts, tt, lay = source.tensor_f, target.tensor_f, source.layout
+    plain = lay.lift(lay.f_bimodule, phi.matrix)
     b = (tt.projection @ plain @ ts.section) % ctx.p
     return DeltaModuleMap(source, target, phi.matrix, b)
 
@@ -88,11 +78,8 @@ def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap,
     """induce_from_b on a map: the component map plus its tensored image."""
     source = source if source is not None else induce_from_b(ctx, phi.source)
     target = target if target is not None else induce_from_b(ctx, phi.target)
-    ts, tt = source.tensor_g, target.tensor_g
-    if phi.source.side == LEFT:
-        plain = la.kron(la.eye(ctx.n.dim), phi.matrix, ctx.p)
-    else:
-        plain = la.kron(phi.matrix, la.eye(ctx.m.dim), ctx.p)
+    ts, tt, lay = source.tensor_g, target.tensor_g, source.layout
+    plain = lay.lift(lay.g_bimodule, phi.matrix)
     a = (tt.projection @ plain @ ts.section) % ctx.p
     return DeltaModuleMap(source, target, a, phi.matrix)
 
@@ -105,22 +92,13 @@ def component_b(v: DeltaModule) -> Module:
     return v.y
 
 
-def _evaluation_plain(hom: HomModule, inner_dim: int, inner_first: bool,
-                      p: int) -> np.ndarray:
-    """Evaluation on plain tensor coordinates.
-
-    inner_first selects the index layout: (inner i, hom k) -> i * h + k when
-    True (left tuples), (hom k, inner i) -> k * inner_dim + i when False
-    (right tuples).  Column (i, k) is the value of basis map k at basis
-    vector i.
-    """
-    h = hom.dim
-    out = la.zeros(hom.target.dim, inner_dim * h)
+def _evaluation_plain(hom: HomModule, lay: TupleLayout) -> np.ndarray:
+    """Evaluation on plain tensor coordinates: in the block of bimodule
+    basis vector i, column k is the value of basis map k at i."""
+    blocks = np.zeros((hom.source.dim, hom.target.dim, hom.dim), dtype=np.int64)
     for k, mat in enumerate(hom.basis):
-        for i in range(inner_dim):
-            col = i * h + k if inner_first else k * inner_dim + i
-            out[:, col] = mat[:, i]
-    return out % p
+        blocks[:, :, k] = mat.T
+    return lay.unblocks(blocks) % hom.p
 
 
 def coinduce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
@@ -130,15 +108,11 @@ def coinduce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
     """
     if x.algebra is not ctx.algebra_a:
         raise AlgebraMismatchError("module does not live over the A corner")
-    if x.side == LEFT:
-        hom = hom_over_algebra(ctx.n, x)
-        g_plain = _evaluation_plain(hom, ctx.n.dim, True, ctx.p)
-        f_plain = la.zeros(hom.dim, ctx.m.dim * x.dim)
-    else:
-        hom = hom_over_algebra(ctx.m, x)
-        g_plain = _evaluation_plain(hom, ctx.m.dim, False, ctx.p)
-        f_plain = la.zeros(hom.dim, x.dim * ctx.n.dim)
-    out = DeltaModule(ctx, x.side, x, hom.module, f_plain, g_plain,
+    lay = tuple_layout(ctx, x.side)
+    hom = hom_over_algebra(lay.g_bimodule, x)
+    out = DeltaModule(ctx, x.side, x, hom.module,
+                      la.zeros(hom.dim, lay.f_bimodule.dim * x.dim),
+                      _evaluation_plain(hom, lay),
                       name=f"coind_a[{x.describe()}]")
     out.hom_data = hom
     return out
@@ -148,15 +122,10 @@ def coinduce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     """The tuple (Hom(M, Y), Y) for left Y, (Hom(N, Y), Y) for right Y."""
     if y.algebra is not ctx.algebra_b:
         raise AlgebraMismatchError("module does not live over the B corner")
-    if y.side == LEFT:
-        hom = hom_over_algebra(ctx.m, y)
-        f_plain = _evaluation_plain(hom, ctx.m.dim, True, ctx.p)
-        g_plain = la.zeros(hom.dim, ctx.n.dim * y.dim)
-    else:
-        hom = hom_over_algebra(ctx.n, y)
-        f_plain = _evaluation_plain(hom, ctx.n.dim, False, ctx.p)
-        g_plain = la.zeros(hom.dim, y.dim * ctx.m.dim)
-    out = DeltaModule(ctx, y.side, hom.module, y, f_plain, g_plain,
+    lay = tuple_layout(ctx, y.side)
+    hom = hom_over_algebra(lay.f_bimodule, y)
+    out = DeltaModule(ctx, y.side, hom.module, y, _evaluation_plain(hom, lay),
+                      la.zeros(hom.dim, lay.g_bimodule.dim * y.dim),
                       name=f"coind_b[{y.describe()}]")
     out.hom_data = hom
     return out
@@ -164,40 +133,60 @@ def coinduce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
 
 def tilde_f(v: DeltaModule) -> ModuleMap:
     """Transpose of f: the map x -> Hom(M, y) (left) or x -> Hom(N, y) (right)."""
-    ctx = v.context
-    dx = v.x.dim
-    if v.side == LEFT:
-        hom = hom_over_algebra(ctx.m, v.y)
-        inner = ctx.m.dim
-        cols = [np.stack([v.f_plain[:, i * dx + j] for i in range(inner)], axis=1)
-                if inner else la.zeros(v.y.dim, 0) for j in range(dx)]
-    else:
-        hom = hom_over_algebra(ctx.n, v.y)
-        inner = ctx.n.dim
-        cols = [v.f_plain[:, j * inner:(j + 1) * inner] for j in range(dx)]
-    matrix = la.zeros(hom.dim, dx)
-    for j, mat in enumerate(cols):
-        matrix[:, j] = hom.coords_of(mat)
-    return ModuleMap(v.x, hom.module, matrix)
+    hom = hom_over_algebra(v.layout.f_bimodule, v.y)
+    return ModuleMap(v.x, hom.module, _transposed(v.f_blocks, hom))
 
 
 def tilde_g(v: DeltaModule) -> ModuleMap:
     """Transpose of g: the map y -> Hom(N, x) (left) or y -> Hom(M, x) (right)."""
-    ctx = v.context
-    dy = v.y.dim
-    if v.side == LEFT:
-        hom = hom_over_algebra(ctx.n, v.x)
-        inner = ctx.n.dim
-        cols = [np.stack([v.g_plain[:, i * dy + j] for i in range(inner)], axis=1)
-                if inner else la.zeros(v.x.dim, 0) for j in range(dy)]
-    else:
-        hom = hom_over_algebra(ctx.m, v.x)
-        inner = ctx.m.dim
-        cols = [v.g_plain[:, j * inner:(j + 1) * inner] for j in range(dy)]
-    matrix = la.zeros(hom.dim, dy)
-    for j, mat in enumerate(cols):
-        matrix[:, j] = hom.coords_of(mat)
-    return ModuleMap(v.y, hom.module, matrix)
+    hom = hom_over_algebra(v.layout.g_bimodule, v.x)
+    return ModuleMap(v.y, hom.module, _transposed(v.g_blocks, hom))
+
+
+def _transposed(blocks: np.ndarray, hom: HomModule) -> np.ndarray:
+    """Matrix sending component basis vector j to the element of ``hom``
+    whose value at bimodule basis vector i is column j of block i."""
+    matrix = la.zeros(hom.dim, blocks.shape[2])
+    for j in range(blocks.shape[2]):
+        matrix[:, j] = hom.coords_of(blocks[:, :, j].T)
+    return matrix
+
+
+def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
+                    corner: str) -> DeltaModuleMap:
+    """The map ind -> v adjoint to a component map mat into v.
+
+    ``ind`` is induced from the A corner (``corner`` "a", mat into v.x) or
+    the B corner ("b", mat into v.y).  On the other component the map is
+    the structure map of v after id (x) mat.
+    """
+    lay, p = v.layout, v.p
+    if corner == "a":
+        move = lay.lift(lay.f_bimodule, mat)
+        other = (v.f_map.matrix @ v.tensor_f.projection @ move
+                 @ ind.tensor_data.section) % p
+        return DeltaModuleMap(ind, v, mat, other)
+    move = lay.lift(lay.g_bimodule, mat)
+    other = (v.g_map.matrix @ v.tensor_g.projection @ move
+             @ ind.tensor_data.section) % p
+    return DeltaModuleMap(ind, v, other, mat)
+
+
+def coinduced_adjoint(v: DeltaModule, coind: DeltaModule, mat: np.ndarray,
+                      corner: str) -> DeltaModuleMap:
+    """The map v -> coind adjoint to a component map mat out of v.
+
+    ``coind`` is co-induced from the A corner (``corner`` "a", mat out of
+    v.x) or the B corner ("b", mat out of v.y).  On the other component an
+    element goes through the structure map of v and then through mat, read
+    as an element of the hom module.
+    """
+    p = v.p
+    if corner == "a":
+        other = _transposed((mat @ v.g_blocks) % p, coind.hom_data)
+        return DeltaModuleMap(v, coind, mat, other)
+    other = _transposed((mat @ v.f_blocks) % p, coind.hom_data)
+    return DeltaModuleMap(v, coind, other, mat)
 
 
 def _maps_equal_on_basis(pairs) -> bool:
@@ -216,99 +205,40 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
     """
     from .algebra import hom_space
 
-    p = ctx.p
     name = f"adjunction-{pair}"
+    corner = pair[-1]
+    comp = component_a if corner == "a" else component_b
 
     if pair in ("induce-a", "induce-b"):
-        induce = induce_from_a if pair == "induce-a" else induce_from_b
-        comp = component_a if pair == "induce-a" else component_b
-        ind = induce(ctx, plain)
+        ind = (induce_from_a if corner == "a" else induce_from_b)(ctx, plain)
         tuple_homs = delta_hom_space(ind, v)
         plain_homs = hom_space(plain, comp(v))
-        if len(tuple_homs) != len(plain_homs):
-            return CheckReport(name, Verdict.REFUTED,
-                               f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
-
-        def forward(dm: DeltaModuleMap) -> np.ndarray:
-            return dm.a_matrix if pair == "induce-a" else dm.b_matrix
 
         def backward(mat: np.ndarray) -> DeltaModuleMap:
-            t = ind.tensor_data
-            if pair == "induce-a":
-                vt = v.tensor_f
-                if plain.side == LEFT:
-                    move = la.kron(la.eye(ctx.m.dim), mat, p)
-                else:
-                    move = la.kron(mat, la.eye(ctx.n.dim), p)
-                other = (v.f_map.matrix @ vt.projection @ move @ t.section) % p
-                return DeltaModuleMap(ind, v, mat, other)
-            vt = v.tensor_g
-            if plain.side == LEFT:
-                move = la.kron(la.eye(ctx.n.dim), mat, p)
-            else:
-                move = la.kron(mat, la.eye(ctx.m.dim), p)
-            other = (v.g_map.matrix @ vt.projection @ move @ t.section) % p
-            return DeltaModuleMap(ind, v, other, mat)
-
-        round_one = _maps_equal_on_basis(
-            (forward(backward(h.matrix)), h.matrix) for h in plain_homs)
-        round_two = all(
-            np.array_equal(backward(forward(dm)).a_matrix, dm.a_matrix)
-            and np.array_equal(backward(forward(dm)).b_matrix, dm.b_matrix)
-            for dm in tuple_homs)
+            return induced_adjoint(ind, v, mat, corner)
     elif pair in ("coinduce-a", "coinduce-b"):
-        coinduce = coinduce_from_a if pair == "coinduce-a" else coinduce_from_b
-        comp = component_a if pair == "coinduce-a" else component_b
-        coind = coinduce(ctx, plain)
-        hom_data: HomModule = coind.hom_data
+        coind = (coinduce_from_a if corner == "a" else coinduce_from_b)(ctx, plain)
         tuple_homs = delta_hom_space(v, coind)
         plain_homs = hom_space(comp(v), plain)
-        if len(tuple_homs) != len(plain_homs):
-            return CheckReport(name, Verdict.REFUTED,
-                               f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
-
-        def forward(dm: DeltaModuleMap) -> np.ndarray:
-            return dm.a_matrix if pair == "coinduce-a" else dm.b_matrix
 
         def backward(mat: np.ndarray) -> DeltaModuleMap:
-            # The other component sends an element through the structure map
-            # of v and then through mat, read as a hom-space element.
-            if pair == "coinduce-a":
-                src_dim, inner = v.y.dim, \
-                    (ctx.n.dim if v.side == LEFT else ctx.m.dim)
-                other = la.zeros(hom_data.dim, src_dim)
-                for j in range(src_dim):
-                    if v.side == LEFT:
-                        val = np.stack(
-                            [(mat @ v.g_plain[:, i * src_dim + j]) % p
-                             for i in range(inner)], axis=1) \
-                            if inner else la.zeros(plain.dim, 0)
-                    else:
-                        val = (mat @ v.g_plain[:, j * inner:(j + 1) * inner]) % p
-                    other[:, j] = hom_data.coords_of(val)
-                return DeltaModuleMap(v, coind, mat, other)
-            src_dim, inner = v.x.dim, \
-                (ctx.m.dim if v.side == LEFT else ctx.n.dim)
-            other = la.zeros(hom_data.dim, src_dim)
-            for j in range(src_dim):
-                if v.side == LEFT:
-                    val = np.stack(
-                        [(mat @ v.f_plain[:, i * src_dim + j]) % p
-                         for i in range(inner)], axis=1) \
-                        if inner else la.zeros(plain.dim, 0)
-                else:
-                    val = (mat @ v.f_plain[:, j * inner:(j + 1) * inner]) % p
-                other[:, j] = hom_data.coords_of(val)
-            return DeltaModuleMap(v, coind, other, mat)
-
-        round_one = _maps_equal_on_basis(
-            (forward(backward(h.matrix)), h.matrix) for h in plain_homs)
-        round_two = all(
-            np.array_equal(backward(forward(dm)).a_matrix, dm.a_matrix)
-            and np.array_equal(backward(forward(dm)).b_matrix, dm.b_matrix)
-            for dm in tuple_homs)
+            return coinduced_adjoint(v, coind, mat, corner)
     else:
         raise ValueError(f"unknown adjunction pair {pair!r}")
+
+    if len(tuple_homs) != len(plain_homs):
+        return CheckReport(name, Verdict.REFUTED,
+                           f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
+
+    def forward(dm: DeltaModuleMap) -> np.ndarray:
+        return dm.a_matrix if corner == "a" else dm.b_matrix
+
+    round_one = _maps_equal_on_basis(
+        (forward(backward(h.matrix)), h.matrix) for h in plain_homs)
+    round_two = all(
+        np.array_equal(backward(forward(dm)).a_matrix, dm.a_matrix)
+        and np.array_equal(backward(forward(dm)).b_matrix, dm.b_matrix)
+        for dm in tuple_homs)
 
     if round_one and round_two:
         return CheckReport(name, Verdict.PASS,

@@ -12,6 +12,9 @@ right modules are tuples (X, Y, f, g) with X right over A, Y right over B,
 f : X (x)_A N -> Y and g : Y (x)_B M -> X.  Because the bimodule products
 vanish, any pair of maps is admissible.  The maps f and g are stored on
 plain tensor coordinates and descend through the cached tensor quotients.
+``TupleLayout`` is the one place that knows, for a side, which bimodule
+each map tensors with and how its plain coordinates are ordered; every
+tuple operation here and in the functors is written once against it.
 
 ``pack`` realises a tuple as a module over the glued algebra on the basis
 [X block, Y block]; ``unpack`` recovers the tuple from the images of the
@@ -26,14 +29,15 @@ from functools import cached_property
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, RIGHT, Algebra, Bimodule, Module, ModuleMap,
+from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       block_injections, dual_module, find_invertible_combination,
                       hom_space, is_flat, is_injective, is_projective,
                       kernel_module, module_sum, quotient_module, submodule,
                       zero_module)
+from .memo import memo
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError)
-from .tensor import factor_through, tensor_over_algebra
+from .tensor import TensorModule, factor_through, tensor_over_algebra
 
 
 @dataclass(eq=False)
@@ -123,15 +127,69 @@ def build_glued_algebra(ctx: MoritaContext) -> Algebra:
                    name=f"Glued({ctx.name or 'ctx'})")
 
 
+@dataclass(frozen=True, eq=False)
+class TupleLayout:
+    """Where the structure maps of a tuple live, for one side.
+
+    A left tuple has f : M (x)_A X -> Y and g : N (x)_B Y -> X, a right
+    tuple f : X (x)_A N -> Y and g : Y (x)_B M -> X.  Plain tensor
+    coordinates follow the factor order (see tensor.py): bimodule basis
+    vector i and component basis vector j index column i * dim X + j of a
+    left f (bimodule outer) and column j * dim N + i of a right f
+    (component outer); g likewise.  Read through ``blocks``, a plain map is
+    one (rows, component) block per bimodule basis vector: the matrix by
+    which that element of the glued algebra carries one component block of
+    the packed module into the other.  Tuple operations work on the blocks.
+    """
+
+    side: str
+    f_bimodule: Bimodule    # the bimodule f tensors with
+    g_bimodule: Bimodule    # the bimodule g tensors with
+    f_corner: slice         # basis of f_bimodule inside the glued algebra
+    g_corner: slice
+
+    def order(self, bimodule_part, component_part) -> tuple:
+        """The two parts in this side's tensor factor order."""
+        if self.side == LEFT:
+            return bimodule_part, component_part
+        return component_part, bimodule_part
+
+    def tensor(self, bimodule: Bimodule, component: Module) -> TensorModule:
+        return tensor_over_algebra(*self.order(bimodule, component))
+
+    def lift(self, bimodule: Bimodule, matrix: np.ndarray) -> np.ndarray:
+        """id (x) matrix on plain tensor coordinates."""
+        return la.kron(*self.order(la.eye(bimodule.dim), matrix), bimodule.p)
+
+    def blocks(self, plain: np.ndarray, bimodule: Bimodule,
+               component_dim: int) -> np.ndarray:
+        """A plain map as blocks of shape (bimodule.dim, rows, component_dim)."""
+        bimodule_axis, component_axis = self.order(1, 2)
+        return plain.reshape(plain.shape[0],
+                             *self.order(bimodule.dim, component_dim)) \
+            .transpose(bimodule_axis, 0, component_axis)
+
+    def unblocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The plain map with the given blocks."""
+        n, rows, component_dim = blocks.shape
+        return blocks.transpose(1, *self.order(0, 2)) \
+            .reshape(rows, n * component_dim)
+
+
+@memo("ctx")
+def tuple_layout(ctx: MoritaContext, side: str) -> TupleLayout:
+    """The layout of the tuples over ``ctx`` on ``side``."""
+    _, on, om, ob = ctx.offsets
+    n_corner, m_corner = slice(on, om), slice(om, ob)
+    if side == LEFT:
+        return TupleLayout(side, ctx.m, ctx.n, m_corner, n_corner)
+    return TupleLayout(side, ctx.n, ctx.m, n_corner, m_corner)
+
+
 @dataclass(eq=False)
 class DeltaModule:
-    """A module over the glued algebra in tuple form.
-
-    For side "left": f : M (x)_A x -> y on plain coordinates (i, j) ->
-    i * x.dim + j over (M basis, x basis); g : N (x)_B y -> x likewise.
-    For side "right": f : x (x)_A N -> y on (j, i) -> j * N.dim + i over
-    (x basis, N basis); g : y (x)_B M -> x likewise.
-    """
+    """A module over the glued algebra in tuple form, laid out by
+    ``tuple_layout(context, side)``."""
 
     context: MoritaContext
     side: str
@@ -149,12 +207,9 @@ class DeltaModule:
             raise AlgebraMismatchError("y component must live over B on the declared side")
         self.f_plain = la.reduce_mod(self.f_plain, p)
         self.g_plain = la.reduce_mod(self.g_plain, p)
-        if self.side == LEFT:
-            self.tensor_f = tensor_over_algebra(ctx.m, self.x)
-            self.tensor_g = tensor_over_algebra(ctx.n, self.y)
-        else:
-            self.tensor_f = tensor_over_algebra(self.x, ctx.n)
-            self.tensor_g = tensor_over_algebra(self.y, ctx.m)
+        lay = self.layout = tuple_layout(ctx, self.side)
+        self.tensor_f = lay.tensor(lay.f_bimodule, self.x)
+        self.tensor_g = lay.tensor(lay.g_bimodule, self.y)
         fd = self.tensor_f.dims
         gd = self.tensor_g.dims
         if self.f_plain.shape != (self.y.dim, fd[0] * fd[1]):
@@ -183,6 +238,16 @@ class DeltaModule:
     def packed(self) -> Module:
         return pack(self)
 
+    @cached_property
+    def f_blocks(self) -> np.ndarray:
+        """f as one (y.dim, x.dim) block per basis vector of its bimodule."""
+        return self.layout.blocks(self.f_plain, self.layout.f_bimodule, self.x.dim)
+
+    @cached_property
+    def g_blocks(self) -> np.ndarray:
+        """g as one (x.dim, y.dim) block per basis vector of its bimodule."""
+        return self.layout.blocks(self.g_plain, self.layout.g_bimodule, self.y.dim)
+
 
 def zero_delta_module(ctx: MoritaContext, side: str) -> DeltaModule:
     x = zero_module(ctx.algebra_a, side)
@@ -208,18 +273,10 @@ class DeltaModuleMap:
         self.b_matrix = la.reduce_mod(self.b_matrix, p)
         self.a_map = ModuleMap(u.x, v.x, self.a_matrix)
         self.b_map = ModuleMap(u.y, v.y, self.b_matrix)
-        # Structure squares, compared on plain tensor coordinates.
-        if u.side == LEFT:
-            md, nd = u.context.m.dim, u.context.n.dim
-            f_move = la.kron(la.eye(md), self.a_matrix, p)
-            g_move = la.kron(la.eye(nd), self.b_matrix, p)
-        else:
-            nd, md = u.context.n.dim, u.context.m.dim
-            f_move = la.kron(self.a_matrix, la.eye(nd), p)
-            g_move = la.kron(self.b_matrix, la.eye(md), p)
-        if np.any((self.b_matrix @ u.f_plain - v.f_plain @ f_move) % p):
+        # Structure squares, compared block by block.
+        if np.any((self.b_matrix @ u.f_blocks - v.f_blocks @ self.a_matrix) % p):
             raise ValidationError("square through f does not commute")
-        if np.any((self.a_matrix @ u.g_plain - v.g_plain @ g_move) % p):
+        if np.any((self.a_matrix @ u.g_blocks - v.g_blocks @ self.b_matrix) % p):
             raise ValidationError("square through g does not commute")
 
     @property
@@ -256,33 +313,19 @@ def pack(v: DeltaModule) -> Module:
     """Realise a tuple as a module over the glued algebra.
 
     Basis order [x block, y block]; the corner elements act through the
-    structure maps.  Module construction re-validates the action law, so a
-    successful pack doubles as a consistency check on the tuple.
+    blocks of the structure maps.  Module construction re-validates the
+    action law, so a successful pack doubles as a consistency check on the
+    tuple.
     """
-    ctx = v.context
-    da, dn, dm, db = ctx.dims
-    dx, dy = v.x.dim, v.y.dim
-    d = dx + dy
+    ctx, lay = v.context, v.layout
+    da, _, _, db = ctx.dims
+    oa, _, _, ob = ctx.offsets
+    dx, d = v.x.dim, v.dim
     acts = np.zeros((ctx.delta.dim, d, d), dtype=np.int64)
-    oa, on, om, ob = ctx.offsets
-    for i in range(da):
-        acts[oa + i, :dx, :dx] = v.x.actions[i]
-    for i in range(db):
-        acts[ob + i, dx:, dx:] = v.y.actions[i]
-    if v.side == LEFT:
-        for i in range(dn):
-            acts[on + i, :dx, dx:] = v.g_plain[:, i * dy:(i + 1) * dy]
-        for i in range(dm):
-            acts[om + i, dx:, :dx] = v.f_plain[:, i * dx:(i + 1) * dx]
-    else:
-        for i in range(dn):
-            block = np.stack([v.f_plain[:, j * dn + i] for j in range(dx)], axis=1) \
-                if dx else la.zeros(dy, 0)
-            acts[on + i, dx:, :dx] = block
-        for i in range(dm):
-            block = np.stack([v.g_plain[:, j * dm + i] for j in range(dy)], axis=1) \
-                if dy else la.zeros(dx, 0)
-            acts[om + i, :dx, dx:] = block
+    acts[oa:oa + da, :dx, :dx] = v.x.actions
+    acts[ob:ob + db, dx:, dx:] = v.y.actions
+    acts[lay.f_corner, dx:, :dx] = v.f_blocks
+    acts[lay.g_corner, :dx, dx:] = v.g_blocks
     return Module(ctx.delta, v.side, d, acts, name=f"packed[{v.describe()}]")
 
 
@@ -302,106 +345,55 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     dx, dy = cols_x.shape[1], cols_y.shape[1]
     if dx + dy != module.dim:
         raise InternalCheckError("corner idempotent images do not span the module")
-
-    def restricted(cols, alg, block):
-        acts = np.zeros((alg.dim, cols.shape[1], cols.shape[1]), dtype=np.int64)
-        for i in range(alg.dim):
-            big = module.action_of(_basis_embed(ctx, block, i))
-            sol = la.solve(cols, (big @ cols) % p, p)
-            if sol is None:
-                raise InternalCheckError("corner action left its idempotent block")
-            acts[i] = sol.reshape(cols.shape[1], cols.shape[1])
-        return acts
-
-    acts_x = restricted(cols_x, ctx.algebra_a, 0)
-    acts_y = restricted(cols_y, ctx.algebra_b, 3)
-    x = Module(ctx.algebra_a, module.side, dx, acts_x, name="unpacked.x")
-    y = Module(ctx.algebra_b, module.side, dy, acts_y, name="unpacked.y")
-
-    dn, dm = ctx.n.dim, ctx.m.dim
-    if module.side == LEFT:
-        f_plain = la.zeros(dy, dm * dx)
-        for i in range(dm):
-            act = module.action_of(_basis_embed(ctx, 2, i))
-            moved = (act @ cols_x) % p
-            coords = la.solve(cols_y, moved, p)
-            if coords is None:
-                raise InternalCheckError("lower corner action missed the y block")
-            f_plain[:, i * dx:(i + 1) * dx] = coords.reshape(dy, dx)
-        g_plain = la.zeros(dx, dn * dy)
-        for i in range(dn):
-            act = module.action_of(_basis_embed(ctx, 1, i))
-            moved = (act @ cols_y) % p
-            coords = la.solve(cols_x, moved, p)
-            if coords is None:
-                raise InternalCheckError("upper corner action missed the x block")
-            g_plain[:, i * dy:(i + 1) * dy] = coords.reshape(dx, dy)
-    else:
-        f_plain = la.zeros(dy, dx * dn)
-        for i in range(dn):
-            act = module.action_of(_basis_embed(ctx, 1, i))
-            moved = (act @ cols_x) % p
-            coords = la.solve(cols_y, moved, p)
-            if coords is None:
-                raise InternalCheckError("upper corner action missed the y block")
-            coords = coords.reshape(dy, dx)
-            for j in range(dx):
-                f_plain[:, j * dn + i] = coords[:, j]
-        g_plain = la.zeros(dx, dy * dm)
-        for i in range(dm):
-            act = module.action_of(_basis_embed(ctx, 2, i))
-            moved = (act @ cols_y) % p
-            coords = la.solve(cols_x, moved, p)
-            if coords is None:
-                raise InternalCheckError("lower corner action missed the x block")
-            coords = coords.reshape(dx, dy)
-            for j in range(dy):
-                g_plain[:, j * dm + i] = coords[:, j]
-    return DeltaModule(ctx, module.side, x, y, f_plain, g_plain,
-                       name=f"unpacked[{module.describe()}]")
+    da, _, _, db = ctx.dims
+    oa, _, _, ob = ctx.offsets
+    lay = tuple_layout(ctx, module.side)
+    acts = module.actions
+    left_block = InternalCheckError("corner action left its idempotent block")
+    x = Module(ctx.algebra_a, module.side, dx,
+               _restrict(acts[oa:oa + da], cols_x, cols_x, p, left_block),
+               name="unpacked.x")
+    y = Module(ctx.algebra_b, module.side, dy,
+               _restrict(acts[ob:ob + db], cols_y, cols_y, p, left_block),
+               name="unpacked.y")
+    f_blocks = _restrict(acts[lay.f_corner], cols_x, cols_y, p, InternalCheckError(
+        "f corner action missed the y block"))
+    g_blocks = _restrict(acts[lay.g_corner], cols_y, cols_x, p, InternalCheckError(
+        "g corner action missed the x block"))
+    return DeltaModule(ctx, module.side, x, y, lay.unblocks(f_blocks),
+                       lay.unblocks(g_blocks), name=f"unpacked[{module.describe()}]")
 
 
-def _basis_embed(ctx: MoritaContext, block: int, i: int) -> np.ndarray:
-    d = ctx.delta.dim
-    out = np.zeros(d, dtype=np.int64)
-    out[ctx.offsets[block] + i] = 1
+def _restrict(blocks: np.ndarray, source: np.ndarray, target: np.ndarray,
+              p: int, error: Exception) -> np.ndarray:
+    """The blocks C_i with target @ C_i = B_i @ source, one per block B_i.
+
+    ``source`` and ``target`` are column bases; ``error`` is raised when
+    some B_i does not carry the source span into the target span.
+    """
+    out = np.zeros((len(blocks), target.shape[1], source.shape[1]), dtype=np.int64)
+    for i, block in enumerate(blocks):
+        coords = la.solve(target, (block @ source) % p, p)
+        if coords is None:
+            raise error
+        out[i] = coords
     return out
 
 
 def delta_dual(v: DeltaModule) -> DeltaModule:
     """Linear dual of a tuple, switching sides.
 
-    For a left tuple the dual structure maps evaluate through the originals:
-    f+(phi (x) n) = phi . g(n (x) -) and g+(psi (x) m) = psi . f(m (x) -);
-    symmetrically for right tuples.  Double duals are equal on the nose.
+    The dual structure maps evaluate through the originals, so their blocks
+    are the transposed blocks of the other map: for a left tuple
+    f+(phi (x) n) = phi . g(n (x) -) and g+(psi (x) m) = psi . f(m (x) -),
+    and symmetrically for right tuples.  Double duals are equal on the nose.
     """
-    ctx, p = v.context, v.p
-    dx, dy = v.x.dim, v.y.dim
-    dn, dm = ctx.n.dim, ctx.m.dim
     x_dual = dual_module(v.x)
     y_dual = dual_module(v.y)
-    if v.side == LEFT:
-        f_new = la.zeros(dy, dx * dn)
-        for i in range(dx):
-            for j in range(dn):
-                f_new[:, i * dn + j] = v.g_plain[i, j * dy:(j + 1) * dy]
-        g_new = la.zeros(dx, dy * dm)
-        for j in range(dy):
-            for i in range(dm):
-                g_new[:, j * dm + i] = v.f_plain[j, i * dx:(i + 1) * dx]
-    else:
-        f_new = la.zeros(dy, dm * dx)
-        for i in range(dm):
-            for j in range(dx):
-                f_new[:, i * dx + j] = np.array(
-                    [v.g_plain[j, l * dm + i] for l in range(dy)], dtype=np.int64)
-        g_new = la.zeros(dx, dn * dy)
-        for i in range(dn):
-            for j in range(dy):
-                g_new[:, i * dy + j] = np.array(
-                    [v.f_plain[j, l * dn + i] for l in range(dx)], dtype=np.int64)
-    other = RIGHT if v.side == LEFT else LEFT
-    return DeltaModule(ctx, other, x_dual, y_dual, f_new % p, g_new % p,
+    lay = tuple_layout(v.context, x_dual.side)
+    return DeltaModule(v.context, x_dual.side, x_dual, y_dual,
+                       lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
+                       lay.unblocks(v.f_blocks.transpose(0, 2, 1)),
                        name=f"{v.describe()}^+")
 
 
@@ -443,38 +435,19 @@ def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
         raise AlgebraMismatchError("direct sum factors disagree on context or side")
     x_sum = module_sum([t.x for t in tuples])
     y_sum = module_sum([t.y for t in tuples])
-    dn, dm = ctx.n.dim, ctx.m.dim
-    dxs, dys = x_sum.dim, y_sum.dim
-    if side == LEFT:
-        f_plain = la.zeros(dys, dm * dxs)
-        g_plain = la.zeros(dxs, dn * dys)
-        ox = oy = 0
-        for t in tuples:
-            dx, dy = t.x.dim, t.y.dim
-            for i in range(dm):
-                f_plain[oy:oy + dy, i * dxs + ox:i * dxs + ox + dx] = \
-                    t.f_plain[:, i * dx:(i + 1) * dx]
-            for i in range(dn):
-                g_plain[ox:ox + dx, i * dys + oy:i * dys + oy + dy] = \
-                    t.g_plain[:, i * dy:(i + 1) * dy]
-            ox += dx
-            oy += dy
-    else:
-        f_plain = la.zeros(dys, dxs * dn)
-        g_plain = la.zeros(dxs, dys * dm)
-        ox = oy = 0
-        for t in tuples:
-            dx, dy = t.x.dim, t.y.dim
-            for j in range(dx):
-                f_plain[oy:oy + dy, (ox + j) * dn:(ox + j + 1) * dn] = \
-                    t.f_plain[:, j * dn:(j + 1) * dn]
-            for j in range(dy):
-                g_plain[ox:ox + dx, (oy + j) * dm:(oy + j + 1) * dm] = \
-                    t.g_plain[:, j * dm:(j + 1) * dm]
-            ox += dx
-            oy += dy
+    lay = tuples[0].layout
+    f_blocks = np.zeros((lay.f_bimodule.dim, y_sum.dim, x_sum.dim), dtype=np.int64)
+    g_blocks = np.zeros((lay.g_bimodule.dim, x_sum.dim, y_sum.dim), dtype=np.int64)
+    ox = oy = 0
+    for t in tuples:
+        dx, dy = t.x.dim, t.y.dim
+        f_blocks[:, oy:oy + dy, ox:ox + dx] = t.f_blocks
+        g_blocks[:, ox:ox + dx, oy:oy + dy] = t.g_blocks
+        ox += dx
+        oy += dy
     name = "(" + " + ".join(t.describe() for t in tuples) + ")"
-    return DeltaModule(ctx, side, x_sum, y_sum, f_plain, g_plain, name=name)
+    return DeltaModule(ctx, side, x_sum, y_sum, lay.unblocks(f_blocks),
+                       lay.unblocks(g_blocks), name=name)
 
 
 def delta_direct_sum(tuples: list[DeltaModule]) \
@@ -530,52 +503,15 @@ def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
     The spans must be action-invariant and closed under the structure maps;
     violations raise ValidationError.
     """
-    ctx, p = v.context, v.p
     x_sub, incl_x = submodule(v.x, x_cols.T)
     y_sub, incl_y = submodule(v.y, y_cols.T)
     cx, cy = incl_x.matrix, incl_y.matrix
-    dxs, dys = x_sub.dim, y_sub.dim
-    dn, dm = ctx.n.dim, ctx.m.dim
-    if v.side == LEFT:
-        f_sub = la.zeros(dys, dm * dxs)
-        for i in range(dm):
-            moved = (v.f_plain[:, i * v.x.dim:(i + 1) * v.x.dim] @ cx) % p
-            coords = la.solve(cy, moved, p)
-            if coords is None:
-                raise ValidationError("f does not carry the x span into the y span")
-            f_sub[:, i * dxs:(i + 1) * dxs] = coords.reshape(dys, dxs)
-        g_sub = la.zeros(dxs, dn * dys)
-        for i in range(dn):
-            moved = (v.g_plain[:, i * v.y.dim:(i + 1) * v.y.dim] @ cy) % p
-            coords = la.solve(cx, moved, p)
-            if coords is None:
-                raise ValidationError("g does not carry the y span into the x span")
-            g_sub[:, i * dys:(i + 1) * dys] = coords.reshape(dxs, dys)
-    else:
-        f_sub = la.zeros(dys, dxs * dn)
-        for i in range(dn):
-            block = np.stack([v.f_plain[:, l * dn + i] for l in range(v.x.dim)],
-                             axis=1) if v.x.dim else la.zeros(v.y.dim, 0)
-            moved = (block @ cx) % p
-            coords = la.solve(cy, moved, p)
-            if coords is None:
-                raise ValidationError("f does not carry the x span into the y span")
-            coords = coords.reshape(dys, dxs)
-            for j in range(dxs):
-                f_sub[:, j * dn + i] = coords[:, j]
-        g_sub = la.zeros(dxs, dys * dm)
-        for i in range(dm):
-            block = np.stack([v.g_plain[:, l * dm + i] for l in range(v.y.dim)],
-                             axis=1) if v.y.dim else la.zeros(v.x.dim, 0)
-            moved = (block @ cy) % p
-            coords = la.solve(cx, moved, p)
-            if coords is None:
-                raise ValidationError("g does not carry the y span into the x span")
-            coords = coords.reshape(dxs, dys)
-            for j in range(dys):
-                g_sub[:, j * dm + i] = coords[:, j]
-    sub = DeltaModule(ctx, v.side, x_sub, y_sub, f_sub, g_sub,
-                      name=f"sub[{v.describe()}]")
+    f_sub = _restrict(v.f_blocks, cx, cy, v.p, ValidationError(
+        "f does not carry the x span into the y span"))
+    g_sub = _restrict(v.g_blocks, cy, cx, v.p, ValidationError(
+        "g does not carry the y span into the x span"))
+    sub = DeltaModule(v.context, v.side, x_sub, y_sub, v.layout.unblocks(f_sub),
+                      v.layout.unblocks(g_sub), name=f"sub[{v.describe()}]")
     return sub, DeltaModuleMap(sub, v, cx, cy)
 
 
@@ -599,28 +535,47 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
     each other); otherwise the induced maps are ill-defined and this raises
     ValidationError.
     """
-    ctx, p = v.context, v.p
+    p = v.p
     x_quot, proj_x, sx = quotient_module(v.x, x_cols)
     y_quot, proj_y, sy = quotient_module(v.y, y_cols)
     px, py = proj_x.matrix, proj_y.matrix
-    dn, dm = ctx.n.dim, ctx.m.dim
-    if v.side == LEFT:
-        f_kill = la.kron(la.eye(dm), la.reduce_mod(x_cols, p), p)
-        g_kill = la.kron(la.eye(dn), la.reduce_mod(y_cols, p), p)
-        f_new = (py @ v.f_plain @ la.kron(la.eye(dm), sx, p)) % p
-        g_new = (px @ v.g_plain @ la.kron(la.eye(dn), sy, p)) % p
-    else:
-        f_kill = la.kron(la.reduce_mod(x_cols, p), la.eye(dn), p)
-        g_kill = la.kron(la.reduce_mod(y_cols, p), la.eye(dm), p)
-        f_new = (py @ v.f_plain @ la.kron(sx, la.eye(dn), p)) % p
-        g_new = (px @ v.g_plain @ la.kron(sy, la.eye(dm), p)) % p
-    if np.any((py @ v.f_plain @ f_kill) % p):
+    if np.any((py @ v.f_blocks @ x_cols) % p):
         raise ValidationError("f does not carry the x span into the y span")
-    if np.any((px @ v.g_plain @ g_kill) % p):
+    if np.any((px @ v.g_blocks @ y_cols) % p):
         raise ValidationError("g does not carry the y span into the x span")
-    quot = DeltaModule(ctx, v.side, x_quot, y_quot, f_new, g_new,
+    quot = DeltaModule(v.context, v.side, x_quot, y_quot,
+                       v.layout.unblocks((py @ v.f_blocks @ sx) % p),
+                       v.layout.unblocks((px @ v.g_blocks @ sy) % p),
                        name=f"quot[{v.describe()}]")
     return quot, DeltaModuleMap(v, quot, px, py)
+
+
+def _splitting(source: Module, target: Module, composite, dim: int,
+               what: str) -> np.ndarray:
+    """A module map h : source -> target with composite(h) the identity of
+    dimension ``dim``.  Only called where one must exist, so its absence is
+    an internal error naming ``what``."""
+    if dim == 0:
+        return la.zeros(target.dim, source.dim)
+    p = source.p
+    homs = [h.matrix for h in hom_space(source, target)]
+    coeffs = None
+    if homs:
+        stacked = np.stack([la.vec(composite(h) % p) for h in homs], axis=1)
+        coeffs = la.solve(stacked, la.vec(la.eye(dim)), p)
+    if coeffs is None:
+        raise InternalCheckError(f"no {what} exists")
+    return np.tensordot(coeffs, np.stack(homs), axes=1) % p
+
+
+def _bijective(maps: list[DeltaModuleMap], stack) -> bool:
+    """Whether the maps, joined componentwise by ``stack`` (np.hstack for
+    maps out of the summands of a sum, np.vstack for maps into them), form
+    an isomorphism of tuples."""
+    p = maps[0].p
+    return all(m.shape[0] == m.shape[1] == la.rank(m, p)
+               for m in (stack([phi.a_matrix for phi in maps]),
+                         stack([phi.b_matrix for phi in maps])))
 
 
 def is_projective_delta(v: DeltaModule) -> bool:
@@ -629,25 +584,34 @@ def is_projective_delta(v: DeltaModule) -> bool:
     Route one packs the tuple and tests splitting of a free cover over the
     glued algebra.  Route two decomposes: the tuple is projective exactly
     when the structure-map cokernels P = x/im g and Q = y/im f are
-    projective and the tuple is isomorphic to the induced tuple of P plus
-    the co-induced-from-B tuple of Q.  Disagreement is an internal error.
+    projective and the tuple is isomorphic to the sum of the tuples induced
+    from P and from Q.  Sections s : P -> x and t : Q -> y of the
+    projections give a map from that sum to v by adjunction, with components
+    s and t.  It is onto: its image and Jv = (im g, im f) span v, and J, the
+    ideal of the two bimodule corners, squares to zero.
+    The cokernels of a sum induced from any P' and Q' are P' and Q', so if v
+    is isomorphic to one, the dimensions agree and this map is bijective.
+    Route two therefore tests the map by rank.  Disagreement is an internal
+    error.
     """
-    from .functors import induce_from_a, induce_from_b
+    from .functors import induce_from_a, induce_from_b, induced_adjoint
 
     packed_answer = is_projective(v.packed)
 
-    structural = None
-    if v.side == LEFT:
-        p_quot, _, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
-        q_quot, _, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
-        if is_projective(p_quot) and is_projective(q_quot):
-            model = delta_sum([induce_from_a(v.context, p_quot),
-                              induce_from_b(v.context, q_quot)])
-            structural = delta_is_isomorphic(v, model) is not None
-        else:
-            structural = False
+    p_quot, p_proj, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
+    q_quot, q_proj, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
+    structural = False
+    if is_projective(p_quot) and is_projective(q_quot):
+        s = _splitting(p_quot, v.x, lambda h: p_proj.matrix @ h, p_quot.dim,
+                       "section of x onto its projective cokernel")
+        t = _splitting(q_quot, v.y, lambda h: q_proj.matrix @ h, q_quot.dim,
+                       "section of y onto its projective cokernel")
+        structural = _bijective(
+            [induced_adjoint(induce_from_a(v.context, p_quot), v, s, "a"),
+             induced_adjoint(induce_from_b(v.context, q_quot), v, t, "b")],
+            np.hstack)
 
-    if structural is not None and structural != packed_answer:
+    if structural != packed_answer:
         raise InternalCheckError(
             f"projectivity routes disagree on {v.describe()}: "
             f"packed={packed_answer}, structural={structural}")
@@ -658,26 +622,35 @@ def is_injective_delta(v: DeltaModule) -> bool:
     """Injectivity of a tuple, computed two independent ways.
 
     Route one: the dual tuple packs to a projective module on the other
-    side.  Route two (left tuples): the kernels X' of the transposed f and
-    Y' of the transposed g must be injective and the tuple isomorphic to
-    the sum of the two co-induced tuples.  Disagreement is an internal error.
+    side.  Route two: the kernels X' of the transposed f and Y' of the
+    transposed g must be injective and the tuple isomorphic to the sum of
+    the two co-induced tuples.  Retractions r : x -> X' and q : y -> Y' of
+    the inclusions give a map from v to that sum by adjunction, with
+    components r and q.  (X', Y') is the annihilator of J in v, where r and
+    q are one-to-one, and every nonzero sub-tuple of v meets it because J
+    squares to zero, so the map is one-to-one.  As for projectivity, it is
+    bijective exactly when v is isomorphic to such a sum, and route two
+    tests it by rank.  Disagreement is an internal error.
     """
-    from .functors import coinduce_from_a, coinduce_from_b, tilde_f, tilde_g
+    from .functors import (coinduce_from_a, coinduce_from_b,
+                           coinduced_adjoint, tilde_f, tilde_g)
 
     packed_answer = is_injective(v.packed)
 
-    structural = None
-    if v.side == LEFT:
-        x_ker, _ = kernel_module(tilde_f(v))
-        y_ker, _ = kernel_module(tilde_g(v))
-        if is_injective(x_ker) and is_injective(y_ker):
-            model = delta_sum([coinduce_from_a(v.context, x_ker),
-                              coinduce_from_b(v.context, y_ker)])
-            structural = delta_is_isomorphic(v, model) is not None
-        else:
-            structural = False
+    x_ker, x_incl = kernel_module(tilde_f(v))
+    y_ker, y_incl = kernel_module(tilde_g(v))
+    structural = False
+    if is_injective(x_ker) and is_injective(y_ker):
+        r = _splitting(v.x, x_ker, lambda h: h @ x_incl.matrix, x_ker.dim,
+                       "retraction of x onto its injective kernel")
+        q = _splitting(v.y, y_ker, lambda h: h @ y_incl.matrix, y_ker.dim,
+                       "retraction of y onto its injective kernel")
+        structural = _bijective(
+            [coinduced_adjoint(v, coinduce_from_a(v.context, x_ker), r, "a"),
+             coinduced_adjoint(v, coinduce_from_b(v.context, y_ker), q, "b")],
+            np.vstack)
 
-    if structural is not None and structural != packed_answer:
+    if structural != packed_answer:
         raise InternalCheckError(
             f"injectivity routes disagree on {v.describe()}: "
             f"packed={packed_answer}, structural={structural}")

@@ -21,8 +21,10 @@ from moritalab.algebra import (
     is_isomorphic,
     is_projective,
     kernel_module,
+    module_generators,
     quotient_module,
 )
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.report import ValidationError
 
 P2 = FieldSpec(2)
@@ -123,6 +125,40 @@ def test_free_cover_is_epi(e2):
     free, eps = free_cover(simple)
     assert free.dim == 2
     assert la.rank(eps.matrix, 2) == simple.dim
+
+
+def greedy_generators(module):
+    """The per-vector loop module_generators replaced, kept as the reference:
+    a rank test of each basis vector against the submodule generated so far."""
+    p = module.p
+    chosen = []
+    span = la.zeros(module.dim, 0)
+    span_rank = 0
+    for j in range(module.dim):
+        e = la.eye(module.dim)[:, [j]]
+        if span_rank and la.rank(np.hstack([span, e]), p) == span_rank:
+            continue
+        chosen.append(j)
+        orbit = np.hstack([module.actions[i] @ e
+                           for i in range(module.algebra.dim)]) % p
+        span = la.image_basis(np.hstack([span, orbit]), p).T
+        span_rank = span.shape[1]
+        if span_rank == module.dim:
+            break
+    return chosen
+
+
+@pytest.mark.parametrize("p, tuple_bound", [(2, 3), (3, 2)])
+def test_module_generators_match_the_greedy_loop(fixture_over, p, tuple_bound):
+    for name in ("E0", "E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            modules = (enumerate_modules(ctx.algebra_a, side, 3)
+                       + enumerate_modules(ctx.algebra_b, side, 3)
+                       + [v.packed for v in
+                          enumerate_delta_modules(ctx, side, tuple_bound)])
+            for module in modules:
+                assert module_generators(module) == greedy_generators(module)
 
 
 def test_kernel_of_the_cover_is_the_radical(e2):

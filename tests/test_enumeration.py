@@ -6,8 +6,6 @@ is also compared, object by object, with the pairwise isomorphism dedupe it
 replaced, which is kept here as the reference.
 """
 
-from importlib import resources
-
 import numpy as np
 import pytest
 
@@ -25,13 +23,6 @@ from moritalab.enumeration import (
 from moritalab.morita import DeltaModule, delta_is_isomorphic
 from moritalab.report import BudgetExceededError, InternalCheckError
 from moritalab.tensor import tensor_over_algebra
-from moritalab.workspace import parse_workspace
-
-
-def fixture_over(name, p):
-    """A fresh context parsed from a shipped fixture with its field set to p."""
-    text = resources.files("moritalab").joinpath("data", f"{name}.txt").read_text()
-    return parse_workspace(text.replace("field 2", f"field {p}", 1)).single_context()
 
 
 def pairwise_modules(algebra, side, max_dim):
@@ -82,8 +73,8 @@ def pairwise_tuples(ctx, side, max_dim):
 
 @pytest.mark.parametrize("p", [2, 3])
 @pytest.mark.parametrize("name", ["E0", "E1", "E2"])
-def test_orbit_labelling_matches_pairwise_dedupe(name, p):
-    ctx = fixture_over(name, p)
+def test_orbit_labelling_matches_pairwise_dedupe(fixture_over, name, p):
+    ctx = fixture_over(name, p).single_context()
     for side in (LEFT, RIGHT):
         for algebra in (ctx.algebra_a, ctx.algebra_b):
             found = enumerate_modules(algebra, side, 2)

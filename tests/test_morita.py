@@ -8,6 +8,7 @@ import pytest
 from moritalab.algebra import (LEFT, RIGHT, Module, direct_sum, dual_module,
                                hom_space, module_sum)
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab import morita
 from moritalab.functors import induce_from_a
 from moritalab.morita import (
     DeltaModuleMap,
@@ -23,7 +24,7 @@ from moritalab.morita import (
     unpack,
     zero_delta_module,
 )
-from moritalab.report import ValidationError
+from moritalab.report import InternalCheckError, ValidationError
 
 
 def test_glued_dimensions(e0, e1, e2):
@@ -126,6 +127,28 @@ def test_injectivity_of_the_regular_tuple(ws_e0, ws_e1):
     # produces a radical-square-zero ring that is not self-injective
     assert is_injective_delta(ws_e0.tuples["Delta"])
     assert not is_injective_delta(ws_e1.tuples["Delta"])
+
+
+@pytest.mark.parametrize("bound", [2, 3])
+def test_both_routes_decide_right_tuples(e1, e2, bound, monkeypatch):
+    """The structural routes run on right tuples and agree with the packed
+    routes; once their final rank test is made to lie, every tuple that
+    reaches it raises."""
+    for ctx in (e1, e2):
+        tuples = enumerate_delta_modules(ctx, RIGHT, bound)
+        projective = [v for v in tuples if is_projective_delta(v)]
+        injective = [v for v in tuples if is_injective_delta(v)]
+        assert projective and injective
+        with monkeypatch.context() as patch:
+            honest = morita._bijective
+            patch.setattr(morita, "_bijective",
+                          lambda maps, stack: not honest(maps, stack))
+            for v in projective:
+                with pytest.raises(InternalCheckError, match="projectivity"):
+                    is_projective_delta(v)
+            for v in injective:
+                with pytest.raises(InternalCheckError, match="injectivity"):
+                    is_injective_delta(v)
 
 
 def test_structure_square_violation_is_rejected(e2):
