@@ -183,6 +183,28 @@ class Module:
     def describe(self) -> str:
         return self.name or f"<{self.side} module dim {self.dim} over {self.algebra.name}>"
 
+    # The surface shared with morita.DeltaModule, so class and window code
+    # is written once for modules and tuples.
+
+    @property
+    def ring(self) -> Algebra:
+        return self.algebra
+
+    def dual(self) -> "Module":
+        return dual_module(self)
+
+    def homs(self, target: "Module") -> list["ModuleMap"]:
+        return hom_space(self, target)
+
+    def isomorphism(self, other: "Module") -> "ModuleMap | None":
+        return is_isomorphic(self, other)
+
+    def plus(self, other: "Module") -> "Module":
+        return module_sum([self, other])
+
+    def cover(self) -> tuple["Module", "ModuleMap"]:
+        return free_cover(self)
+
 
 def zero_module(algebra: Algebra, side: str) -> Module:
     return Module(algebra, side, 0, np.zeros((algebra.dim, 0, 0), dtype=np.int64),
@@ -277,6 +299,14 @@ class ModuleMap:
 
     def coord_vector(self) -> np.ndarray:
         return la.vec(self.matrix)
+
+    def kernel(self) -> tuple[Module, "ModuleMap"]:
+        return kernel_module(self)
+
+    def transposed(self, source: Module, target: Module) -> "ModuleMap":
+        """The transpose, from ``source`` (a dual of this map's target) to
+        ``target`` (a dual of its source); construction re-checks it."""
+        return dual_map(self, source, target)
 
     @classmethod
     def identity(cls, module: Module) -> "ModuleMap":

@@ -3,8 +3,12 @@
 A class oracle is a named membership predicate for modules on one side of a
 ring, together with a sampler.  Oracles over a Morita context classify
 four-tuples instead of plain modules; everything downstream (duality pairs,
-perfection, the transfer harnesses) is written against the common surface so
-the same verification code runs at both levels.
+perfection, the transfer harnesses) is written against the method surface
+that modules and tuples share (``ring``, ``side``, ``dual``, ``plus``,
+``describe``), so the same verification code runs at both levels.  The few
+operations that live above a carrier's own module dispatch here:
+``universe_of``, ``extensions_of``, the member table of ``builtin_oracles``
+and ``_twist``.
 
 A duality pair couples a class on one side with a class on the other through
 the character module: membership on the left must match membership of the
@@ -28,19 +32,15 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, RIGHT, Algebra, Module, dual_module, hom_space,
-                      is_flat, is_injective, is_isomorphic, is_projective,
-                      kernel_module, module_sum, quotient_module, submodule,
-                      zero_module)
+from .algebra import (LEFT, RIGHT, is_flat, is_injective, is_projective,
+                      kernel_module, quotient_module, submodule)
 from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
                           enumerate_modules, short_exact_sequences)
 from .functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
                        induce_from_b, tilde_f, tilde_g)
 from .memo import memo
-from .morita import (DeltaModule, MoritaContext, delta_dual, delta_hom_space,
-                     delta_is_isomorphic, delta_submodule, delta_sum,
-                     is_flat_delta, is_injective_delta, is_projective_delta,
-                     unpack)
+from .morita import (DeltaModule, MoritaContext, delta_submodule, is_flat_delta,
+                     is_injective_delta, is_projective_delta)
 from .report import (AlgebraMismatchError, CheckReport, ValidationError,
                      Verdict)
 from .tensor import tor_one_dimension
@@ -58,15 +58,7 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# carrier helpers: the same ops over plain modules and over tuples
-
-
-def carrier_of(obj) -> tuple[object, str]:
-    if isinstance(obj, DeltaModule):
-        return obj.context, obj.side
-    if isinstance(obj, Module):
-        return obj.algebra, obj.side
-    raise ValidationError(f"not a module object: {obj!r}")
+# what a ring's modules are
 
 
 def universe_of(ring, side: str, bound: int) -> list:
@@ -76,52 +68,11 @@ def universe_of(ring, side: str, bound: int) -> list:
     return enumerate_modules(ring, side, bound)
 
 
-def dual_of(obj):
-    if isinstance(obj, DeltaModule):
-        return delta_dual(obj)
-    return dual_module(obj)
-
-
-def _projective(obj) -> bool:
-    if isinstance(obj, DeltaModule):
-        return is_projective_delta(obj)
-    return is_projective(obj)
-
-
-def _isomorphism(u, v):
-    if isinstance(u, DeltaModule):
-        return delta_is_isomorphic(u, v)
-    return is_isomorphic(u, v)
-
-
-def _homs(source, target):
-    if isinstance(source, DeltaModule):
-        return delta_hom_space(source, target)
-    return hom_space(source, target)
-
-
-def sum_of(u, v):
-    if isinstance(u, DeltaModule):
-        return delta_sum([u, v])
-    return module_sum([u, v])
-
-
-def regular_of(ring, side: str):
-    """The ring seen as a module over itself on the given side."""
-    if isinstance(ring, MoritaContext):
-        return unpack(ring.delta.regular_module(side), ring)
-    return ring.regular_module(side)
-
-
 def extensions_of(obj) -> list:
     """All (sub, quotient) pairs arising from submodules of the object."""
     if isinstance(obj, DeltaModule):
         return [(sub, quot) for sub, _, quot, _ in delta_short_exact_sequences(obj)]
     return [(sub, quot) for sub, _, quot, _ in short_exact_sequences(obj)]
-
-
-def _describe(obj) -> str:
-    return obj.describe()
 
 
 def _as_input(report: CheckReport) -> CheckReport:
@@ -157,8 +108,7 @@ class ClassOracle:
 
     @memo("obj")
     def contains(self, obj) -> bool:
-        ring, side = carrier_of(obj)
-        if ring is not self.ring or side != self.side:
+        if obj.ring is not self.ring or obj.side != self.side:
             raise AlgebraMismatchError(
                 f"oracle {self.name!r} got an object over the wrong ring or side")
         return bool(self.member(obj))
@@ -219,11 +169,7 @@ def _twist(obj):
 def verify_oracle(oracle: ClassOracle, bound: int) -> CheckReport:
     """Spot-check the oracle invariants on the enumerated universe."""
     clauses = []
-    if isinstance(oracle.ring, MoritaContext):
-        zero = universe_of(oracle.ring, oracle.side, 0)[0]
-    else:
-        zero = zero_module(oracle.ring, oracle.side)
-    ok = oracle.contains(zero)
+    ok = oracle.contains(universe_of(oracle.ring, oracle.side, 0)[0])
     clauses.append(CheckReport(
         "zero-module", Verdict.PASS if ok else Verdict.REFUTED,
         detail="the zero module belongs to every class used here"))
@@ -236,7 +182,7 @@ def verify_oracle(oracle: ClassOracle, bound: int) -> CheckReport:
         "isomorphism-invariance",
         Verdict.PASS if witness is None else Verdict.REFUTED,
         detail=f"membership compared against a rebased copy, bound {bound}",
-        witnesses=[] if witness is None else [{"object": _describe(witness)}]))
+        witnesses=[] if witness is None else [{"object": witness.describe()}]))
     return CheckReport.combine(f"oracle({oracle.name})", clauses)
 
 
@@ -357,7 +303,7 @@ def _verify_duality_pair(left: ClassOracle, right: ClassOracle,
     clauses = []
     witness = None
     for obj in universe_of(left.ring, left.side, bound):
-        if left.contains(obj) != right.contains(dual_of(obj)):
+        if left.contains(obj) != right.contains(obj.dual()):
             witness = obj
             break
     clauses.append(CheckReport(
@@ -365,16 +311,16 @@ def _verify_duality_pair(left: ClassOracle, right: ClassOracle,
         Verdict.PASS if witness is None else Verdict.REFUTED,
         detail=f"membership against dual membership, bound {bound}",
         witnesses=[] if witness is None else [
-            {"object": _describe(witness),
+            {"object": witness.describe(),
              "left": left.contains(witness),
-             "dual-right": right.contains(dual_of(witness))}]))
+             "dual-right": right.contains(witness.dual())}]))
 
     objs = universe_of(right.ring, right.side, bound)
     pair_witness = None
     for i, u in enumerate(objs):
         for v in objs[i:]:
             both = right.contains(u) and right.contains(v)
-            if both != right.contains(sum_of(u, v)):
+            if both != right.contains(u.plus(v)):
                 pair_witness = (u, v)
                 break
         if pair_witness:
@@ -384,8 +330,8 @@ def _verify_duality_pair(left: ClassOracle, right: ClassOracle,
         Verdict.PASS if pair_witness is None else Verdict.REFUTED,
         detail="u+v in the right class iff u and v are, over all pairs",
         witnesses=[] if pair_witness is None else [
-            {"first": _describe(pair_witness[0]),
-             "second": _describe(pair_witness[1])}]))
+            {"first": pair_witness[0].describe(),
+             "second": pair_witness[1].describe()}]))
     return CheckReport.combine(f"duality-pair({left.name} | {right.name})",
                                clauses, meta={"bound": bound})
 
@@ -404,20 +350,20 @@ def verify_perfection(spec: DualityPairSpec) -> CheckReport:
 @memo("left")
 def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
     clauses = []
-    reg = regular_of(left.ring, left.side)
+    reg = left.ring.regular_module(left.side)
     has_ring = left.contains(reg)
     clauses.append(CheckReport(
         "contains-regular",
         Verdict.PASS if has_ring else Verdict.REFUTED,
         detail="the ring as a module over itself belongs to the left class",
-        witnesses=[] if has_ring else [{"object": _describe(reg)}]))
+        witnesses=[] if has_ring else [{"object": reg.describe()}]))
 
     members = [obj for obj in universe_of(left.ring, left.side, bound)
                if left.contains(obj)]
     bad = None
     for i, u in enumerate(members):
         for v in members[i:]:
-            if not left.contains(sum_of(u, v)):
+            if not left.contains(u.plus(v)):
                 bad = (u, v)
                 break
         if bad:
@@ -428,7 +374,7 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
         detail="pairwise sums of members at the bound; arbitrary families "
                "are not finitely checkable",
         witnesses=[] if bad is None else [
-            {"first": _describe(bad[0]), "second": _describe(bad[1])}]))
+            {"first": bad[0].describe(), "second": bad[1].describe()}]))
 
     ext_bad = None
     for whole in universe_of(left.ring, left.side, bound):
@@ -444,8 +390,8 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
         Verdict.PASS if ext_bad is None else Verdict.REFUTED,
         detail="middle terms of all enumerated short exact sequences",
         witnesses=[] if ext_bad is None else [
-            {"sub": _describe(ext_bad[0]), "middle": _describe(ext_bad[1]),
-             "quotient": _describe(ext_bad[2])}]))
+            {"sub": ext_bad[0].describe(), "middle": ext_bad[1].describe(),
+             "quotient": ext_bad[2].describe()}]))
     return CheckReport.combine(f"perfection({left.name})", clauses,
                                meta={"bound": bound})
 
@@ -516,21 +462,21 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
         ("induce-b-mono", b_mods,
          lambda y: d1.contains(y) == in_mono_class(induce_from_b(ctx, y), c1, d1)),
         ("induce-a-dual-epi", a_mods,
-         lambda x: c2.contains(dual_module(x))
-         == in_epi_class(delta_dual(induce_from_a(ctx, x)), c2, d2)),
+         lambda x: c2.contains(x.dual())
+         == in_epi_class(induce_from_a(ctx, x).dual(), c2, d2)),
         ("induce-b-dual-epi", b_mods,
-         lambda y: d2.contains(dual_module(y))
-         == in_epi_class(delta_dual(induce_from_b(ctx, y)), c2, d2)),
+         lambda y: d2.contains(y.dual())
+         == in_epi_class(induce_from_b(ctx, y).dual(), c2, d2)),
         ("coinduce-a-epi", a_mods,
          lambda x: c1.contains(x) == in_epi_class(coinduce_from_a(ctx, x), c1, d1)),
         ("coinduce-b-epi", b_mods,
          lambda y: d1.contains(y) == in_epi_class(coinduce_from_b(ctx, y), c1, d1)),
         ("coinduce-a-dual-mono", a_mods,
-         lambda x: c2.contains(dual_module(x))
-         == in_mono_class(delta_dual(coinduce_from_a(ctx, x)), c2, d2)),
+         lambda x: c2.contains(x.dual())
+         == in_mono_class(coinduce_from_a(ctx, x).dual(), c2, d2)),
         ("coinduce-b-dual-mono", b_mods,
-         lambda y: d2.contains(dual_module(y))
-         == in_mono_class(delta_dual(coinduce_from_b(ctx, y)), c2, d2)),
+         lambda y: d2.contains(y.dual())
+         == in_mono_class(coinduce_from_b(ctx, y).dual(), c2, d2)),
     ]
     clauses = []
     for name, pool, check in cases:
@@ -541,7 +487,7 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
                 break
         clauses.append(CheckReport(
             name, Verdict.PASS if witness is None else Verdict.REFUTED,
-            witnesses=[] if witness is None else [{"object": _describe(witness)}]))
+            witnesses=[] if witness is None else [{"object": witness.describe()}]))
     hyp = [{"statement": "inner bimodules finite dimensional on both sides",
             "m-dim": ctx.m.dim, "n-dim": ctx.n.dim}]
     report = CheckReport.combine(
@@ -630,7 +576,7 @@ def _tor_hypothesis(ctx: MoritaContext, c1, d1, bound: int) -> CheckReport:
         Verdict.PASS if witness is None else Verdict.HYPOTHESIS_FAILURE,
         detail="first torsion of the inner bimodules against class members",
         witnesses=[] if witness is None else [
-            {"bimodule": witness[0], "object": _describe(witness[1])}])
+            {"bimodule": witness[0], "object": witness[1].describe()}])
 
 
 def check_perfect_transfer(ctx: MoritaContext, c1, c2, d1, d2,
@@ -675,7 +621,7 @@ def check_perfect_transfer(ctx: MoritaContext, c1, c2, d1, d2,
         detail="first inner bimodule in the second left class and second "
                "inner bimodule in the first left class",
         witnesses=[] if conditions else [
-            {"object": _describe(obj), "class": oracle.name}
+            {"object": obj.describe(), "class": oracle.name}
             for obj, oracle in ((m_left, d1), (n_left, c1))
             if not oracle.contains(obj)])
     comp_side = conditions and components_perfect
@@ -786,7 +732,7 @@ def check_class_agreement(left: ClassOracle, first: ClassOracle,
         else Verdict.REFUTED,
         detail=f"both right classes scanned up to the bound {bound}",
         witnesses=[] if witness is None else [
-            {"object": _describe(witness),
+            {"object": witness.describe(),
              "first": first.contains(witness),
              "second": second.contains(witness)}])
     return CheckReport(
@@ -826,7 +772,7 @@ def check_injective_structure(ctx: MoritaContext, bound: int) -> CheckReport:
         "injective-iff-epi-class",
         Verdict.PASS if witness is None else Verdict.REFUTED,
         detail=f"exhaustive over tuples with component dims up to {bound}",
-        witnesses=[] if witness is None else [{"object": _describe(witness)}])
+        witnesses=[] if witness is None else [{"object": witness.describe()}])
     if hyp.verdict is not Verdict.PASS and decision.verdict is Verdict.PASS:
         decision = CheckReport(decision.name, Verdict.HYPOTHESIS_FAILURE,
                                decision.detail)

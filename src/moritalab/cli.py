@@ -29,14 +29,7 @@ import argparse
 import json
 import sys
 
-from .algebra import (
-    LEFT,
-    RIGHT,
-    Module,
-    is_flat,
-    is_injective,
-    is_projective,
-)
+from .algebra import LEFT, RIGHT, Module
 from .classes import (
     DualityPairSpec,
     builtin_oracles,
@@ -45,7 +38,6 @@ from .classes import (
     check_duality_transfer,
     check_injective_structure,
     check_perfect_transfer,
-    dual_of,
     epi_class_oracle,
     in_component_class,
     in_epi_class,
@@ -65,7 +57,7 @@ from .gorenstein import (
     check_window_transport_backward,
     check_window_transport_forward,
 )
-from .morita import DeltaModule, delta_is_isomorphic, pack, unpack
+from .morita import DeltaModule, pack, unpack
 from .report import (BudgetExceededError, CheckReport, InternalCheckError,
                      MoritaLabError, Verdict)
 from .tensor import tensor_over_algebra
@@ -194,13 +186,9 @@ def _resolve_oracle(ws: Workspace, token: str, carrier=None, side=None):
             f"{token!r} names no workspace oracle and {kind!r} is not a "
             f"builtin kind ({', '.join(BUILTIN_KINDS)})")
     if len(parts) > 1:
-        name = parts[1]
-        if name in ws.algebras:
-            carrier = ws.algebras[name]
-        elif name in ws.contexts:
-            carrier = ws.contexts[name]
-        else:
-            raise InputError(f"unknown carrier {name!r} in oracle {token!r}")
+        carrier = ws.carrier_named(parts[1])
+        if carrier is None:
+            raise InputError(f"unknown carrier {parts[1]!r} in oracle {token!r}")
     if len(parts) > 2:
         side = parts[2]
         if side not in (LEFT, RIGHT):
@@ -240,7 +228,7 @@ def _cmd_validate(ws: Workspace, args) -> CheckReport:
 
 
 def _cmd_dual(ws: Workspace, args) -> CheckReport:
-    dual = dual_of(_object(ws, args.name))
+    dual = _object(ws, args.name).dual()
     if isinstance(dual, DeltaModule):
         detail = (f"tuple on the {dual.side} side, components "
                   f"{dual.x.dim} and {dual.y.dim}")
@@ -296,8 +284,7 @@ def _cmd_pack(ws: Workspace, args) -> CheckReport:
 def _cmd_unpack(ws: Workspace, args) -> CheckReport:
     v = _tuple_arg(ws, args.name)
     back = unpack(pack(v), v.context)
-    iso = delta_is_isomorphic(back, v)
-    ok = iso is not None
+    ok = back.isomorphism(v) is not None
     return CheckReport(
         "unpack", Verdict.PASS if ok else Verdict.REFUTED,
         detail=f"components {back.x.dim} and {back.y.dim}; round trip "
@@ -308,13 +295,8 @@ def _cmd_unpack(ws: Workspace, args) -> CheckReport:
 
 def _cmd_classify(ws: Workspace, args) -> CheckReport:
     obj = _object(ws, args.name)
-    if isinstance(obj, DeltaModule):
-        from .morita import is_flat_delta, is_injective_delta, is_projective_delta
-        tests = {"proj": is_projective_delta, "inj": is_injective_delta,
-                 "flat": is_flat_delta}
-    else:
-        tests = {"proj": is_projective, "inj": is_injective, "flat": is_flat}
-    member = tests[args.kind](obj)
+    kind = {"proj": "projective", "inj": "injective", "flat": "flat"}[args.kind]
+    member = builtin_oracles(obj.ring, obj.side)[kind].contains(obj)
     return CheckReport(
         f"classify-{args.kind}", Verdict.PASS if member else Verdict.REFUTED,
         detail=f"{args.name} is{'' if member else ' not'} {args.kind}",

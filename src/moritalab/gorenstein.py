@@ -15,6 +15,12 @@ of a cover resolution of the dual.  The splice route raises
 WindowConstructionError when some coresolution term fails to be projective;
 that is a fact about the ring, not a refutation, and is reported as such.
 
+Modules and tuples, and their maps, share one method surface (``ring``,
+``dual``, ``cover``, ``homs``, ``isomorphism``; ``matrix``, ``kernel``,
+``transposed``), so complexes, resolutions and window checks are written
+once for both.  Only the transport route and the widened flat test sample
+are tuple-only constructions.
+
 The transport harnesses check that window verdicts travel along the
 induction and restriction functors, with an adjunction dimension comparison
 at every level as an independent cross-check.  The Ding variants are the
@@ -28,27 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import (
-    LEFT,
-    Module,
-    ModuleMap,
-    dual_map,
-    free_cover,
-    hom_space,
-    is_projective,
-    kernel_module,
-    quotient_module,
-)
-from .classes import (
-    ClassOracle,
-    _as_input,
-    _homs,
-    _isomorphism,
-    _projective,
-    builtin_oracles,
-    dual_of,
-    in_mono_class,
-)
+from .algebra import LEFT, Module, ModuleMap, is_projective
+from .classes import ClassOracle, _as_input, builtin_oracles, in_mono_class
 from .enumeration import enumerate_delta_modules, enumerate_modules
 from .functors import (
     component_a,
@@ -63,11 +50,8 @@ from .morita import (
     DeltaModule,
     DeltaModuleMap,
     MoritaContext,
-    delta_dual_map,
-    delta_hom_space,
-    delta_is_isomorphic,
-    delta_kernel,
     delta_sum,
+    induced_splitting,
 )
 from .report import (
     CheckReport,
@@ -79,81 +63,6 @@ from .report import (
 from .tensor import hom_over_algebra, tensor_over_algebra
 
 DIM_CUTOFF = 8
-
-
-# ---------------------------------------------------------------------------
-# carrier dispatch
-
-def _is_tuple(obj) -> bool:
-    return isinstance(obj, DeltaModule)
-
-
-def _matrix_of(phi) -> np.ndarray:
-    return phi.packed_matrix() if isinstance(phi, DeltaModuleMap) else phi.matrix
-
-
-def _cover(obj):
-    if _is_tuple(obj):
-        return _delta_cover(obj)
-    return free_cover(obj)
-
-
-def _kernel_of(phi):
-    if isinstance(phi, DeltaModuleMap):
-        return delta_kernel(phi)
-    return kernel_module(phi)
-
-
-def _dual_map_between(phi, dual_source, dual_target):
-    if isinstance(phi, DeltaModuleMap):
-        return delta_dual_map(phi, dual_source, dual_target)
-    return dual_map(phi, dual_source, dual_target)
-
-
-def _transpose_onto(phi, source, target):
-    """Rebuild the transpose of phi between the given endpoints.
-
-    Valid when the endpoints carry the same action matrices as the double
-    duals; the map constructors re-verify equivariance.
-    """
-    if isinstance(phi, DeltaModuleMap):
-        return DeltaModuleMap(source, target,
-                              phi.a_matrix.T.copy(), phi.b_matrix.T.copy())
-    return ModuleMap(source, target, phi.matrix.T.copy())
-
-
-def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
-    """An epi onto v from a projective tuple.
-
-    The source is the sum of the inductions of component covers; its packed
-    module is a sum of principal summands of the glued algebra, so it is
-    projective with no hypothesis on the inner bimodules.
-    """
-    ctx, p = v.context, v.p
-    _, ex = free_cover(v.x)
-    _, ey = free_cover(v.y)
-    ta = induce_from_a(ctx, v.x)
-    tb = induce_from_b(ctx, v.y)
-    counit_a = DeltaModuleMap(ta, v, la.eye(v.x.dim), v.f_map.matrix)
-    counit_b = DeltaModuleMap(tb, v, v.g_map.matrix, la.eye(v.y.dim))
-    lift_a = counit_a.compose(induce_from_a_map(ctx, ex, target=ta))
-    lift_b = counit_b.compose(induce_from_b_map(ctx, ey, target=tb))
-    total = delta_sum([lift_a.source, lift_b.source])
-    eps = DeltaModuleMap(
-        total, v,
-        np.hstack([lift_a.a_matrix, lift_b.a_matrix]) % p,
-        np.hstack([lift_a.b_matrix, lift_b.b_matrix]) % p)
-    if la.rank(eps.packed_matrix(), p) != v.dim:
-        raise InternalCheckError("tuple cover failed to surject")
-    return total, eps
-
-
-def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    out = la.zeros(first.shape[0] + second.shape[0],
-                   first.shape[1] + second.shape[1])
-    out[:first.shape[0], :first.shape[1]] = first
-    out[first.shape[0]:, first.shape[1]:] = second
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +92,7 @@ class ChainComplex:
                     f"differential at position {self.lo + i} does not join its terms")
         p = self.terms[0].p
         for i in range(len(self.maps) - 1):
-            squared = (_matrix_of(self.maps[i + 1]) @ _matrix_of(self.maps[i])) % p
+            squared = (self.maps[i + 1].matrix @ self.maps[i].matrix) % p
             if np.any(squared):
                 raise ValidationError(
                     f"consecutive differentials at position {self.lo + i} "
@@ -212,10 +121,16 @@ def exactness_table(cx: ChainComplex) -> list[tuple[int, bool]]:
     p = cx.terms[0].p
     rows = []
     for pos in range(cx.lo + 1, cx.hi):
-        arriving = la.rank(_matrix_of(cx.diff(pos - 1)), p)
-        leaving = la.rank(_matrix_of(cx.diff(pos)), p)
+        arriving = la.rank(cx.diff(pos - 1).matrix, p)
+        leaving = la.rank(cx.diff(pos).matrix, p)
         rows.append((pos, arriving + leaving == cx.term(pos).dim))
     return rows
+
+
+def _projective(term) -> bool:
+    """Projectivity through the memoised builtin oracle, so a window term
+    is classified once however many checks look at it."""
+    return builtin_oracles(term.ring, term.side)["projective"].contains(term)
 
 
 def projective_resolution(x, length: int):
@@ -230,8 +145,8 @@ def projective_resolution(x, length: int):
     covers, epis, inclusions = [], [], []
     target = x
     for _ in range(length + 1):
-        cov, eps = _cover(target)
-        ker, incl = _kernel_of(eps)
+        cov, eps = target.cover()
+        ker, incl = eps.kernel()
         covers.append(cov)
         epis.append(eps)
         inclusions.append(incl)
@@ -248,12 +163,11 @@ def injective_coresolution(x, length: int):
     position-0 term.  Each term is the dual of a cover of the dual side, so
     it is injective; nothing here requires the terms to be projective.
     """
-    res, aug = projective_resolution(dual_of(x), length)
-    terms = [dual_of(t) for t in reversed(res.terms)]
-    maps = []
-    for j in range(length):
-        maps.append(_dual_map_between(res.diff(-(j + 1)), terms[j], terms[j + 1]))
-    coaug = _transpose_onto(aug, x, terms[0])
+    res, aug = projective_resolution(x.dual(), length)
+    terms = [t.dual() for t in reversed(res.terms)]
+    maps = [res.diff(-(j + 1)).transposed(terms[j], terms[j + 1])
+            for j in range(length)]
+    coaug = aug.transposed(x, terms[0])
     return ChainComplex(0, terms, maps), coaug
 
 
@@ -263,14 +177,13 @@ def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
     for n in range(cutoff + 1):
         if _projective(current):
             return n
-        _, eps = _cover(current)
-        current = _kernel_of(eps)[0]
+        current = current.cover()[1].kernel()[0]
     return None
 
 
 def injective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
     """Injective dimension through the dual; duality swaps the two kinds."""
-    return projective_dimension_within(dual_of(x), cutoff)
+    return projective_dimension_within(x.dual(), cutoff)
 
 
 def complete_resolution_window(x, w: int) -> ChainComplex:
@@ -286,8 +199,8 @@ def complete_resolution_window(x, w: int) -> ChainComplex:
     """
     if w < 1:
         raise ValidationError("window width must be at least 1")
-    if _is_tuple(x):
-        split = _tuple_splitting(x)
+    if isinstance(x, DeltaModule):
+        split = induced_splitting(x)
         if split is not None:
             try:
                 return _transported_window(x, split, w)
@@ -311,19 +224,12 @@ def _spliced_window(x, w: int) -> ChainComplex:
     return cx
 
 
-def _tuple_splitting(v: DeltaModule):
-    """The structural cokernels (x/im g, y/im f) when they rebuild v.
-
-    Returns None when the sum of their induced tuples is not isomorphic to
-    v; the transported window only makes sense for genuine sums.
-    """
-    ctx, p = v.context, v.p
-    p0 = quotient_module(v.x, la.image_basis(v.g_map.matrix, p).T)[0]
-    q0 = quotient_module(v.y, la.image_basis(v.f_map.matrix, p).T)[0]
-    candidate = delta_sum([induce_from_a(ctx, p0), induce_from_b(ctx, q0)])
-    if delta_is_isomorphic(candidate, v) is None:
-        return None
-    return p0, q0
+def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    out = la.zeros(first.shape[0] + second.shape[0],
+                   first.shape[1] + second.shape[1])
+    out[:first.shape[0], :first.shape[1]] = first
+    out[first.shape[0]:, first.shape[1]:] = second
+    return out
 
 
 def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
@@ -357,8 +263,7 @@ def _verify_window(cx: ChainComplex, x) -> None:
         if not _projective(cx.term(pos)):
             raise WindowConstructionError(
                 f"window term at position {pos} is not projective")
-    kernel = _kernel_of(cx.diff(0))[0]
-    if _isomorphism(kernel, x) is None:
+    if cx.diff(0).kernel()[0].isomorphism(x) is None:
         raise WindowConstructionError(
             "the kernel at position 0 is not the resolved object")
 
@@ -395,7 +300,7 @@ def _hom_complex_data(cx: ChainComplex, test):
     at inner positions of the original window.
     """
     p = test.p
-    bases = [_homs(t, test) for t in cx.terms]
+    bases = [t.homs(test) for t in cx.terms]
     vec_bases = [[b.coord_vector() for b in basis] for basis in bases]
     induced = []
     for i, d in enumerate(cx.maps):
@@ -436,8 +341,7 @@ def _window_report(x, cx: ChainComplex, test_class: ClassOracle,
         witnesses=[{"position": pos, "term": cx.term(pos).describe()}
                    for pos in bad_proj])
 
-    kernel = _kernel_of(cx.diff(0))[0]
-    kernel_ok = _isomorphism(kernel, x) is not None
+    kernel_ok = cx.diff(0).kernel()[0].isomorphism(x) is not None
     clause_kernel = CheckReport(
         "window-kernel-identification",
         Verdict.PASS if kernel_ok else Verdict.REFUTED,
@@ -503,8 +407,8 @@ def flat_test_oracle(obj) -> ClassOracle:
     components and their pairwise sums; all candidates are filtered through
     the flatness oracle itself, so the widening never changes the class.
     """
-    if not _is_tuple(obj):
-        return builtin_oracles(obj.algebra, obj.side)["flat"]
+    if not isinstance(obj, DeltaModule):
+        return builtin_oracles(obj.ring, obj.side)["flat"]
     return _widened_flat_oracle(obj.context, obj.side)
 
 
@@ -637,8 +541,8 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
     for test in image_verdict.test_modules:
         restricted = component_of(test)
         for i, term in enumerate(image_cx.terms):
-            glued_dim = len(delta_hom_space(term, test))
-            plain_dim = len(hom_space(cx.terms[i], restricted))
+            glued_dim = len(term.homs(test))
+            plain_dim = len(cx.terms[i].homs(restricted))
             if glued_dim != plain_dim:
                 bad_adjunction.append({
                     "position": cx.lo + i, "test": test.describe(),

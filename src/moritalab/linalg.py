@@ -54,10 +54,6 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    return (a @ b) % p
-
-
 def inv_scalar(a: int, p: int) -> int:
     """Multiplicative inverse in GF(p) via Fermat; ``a`` must be nonzero mod p."""
     a = int(a) % p

@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       block_injections, dual_module, find_invertible_combination,
-                      hom_space, is_flat, is_injective, is_projective,
+                      free_cover, hom_space, is_flat, is_injective, is_projective,
                       kernel_module, module_sum, quotient_module, submodule,
                       zero_module)
 from .memo import memo
@@ -98,6 +98,10 @@ class MoritaContext:
     @cached_property
     def idempotent_b(self) -> np.ndarray:
         return self.embed("b", self.algebra_b.unit)
+
+    def regular_module(self, side: str) -> "DeltaModule":
+        """The glued algebra as a module over itself, in tuple form."""
+        return unpack(self.delta.regular_module(side), self)
 
 
 def build_glued_algebra(ctx: MoritaContext) -> Algebra:
@@ -189,7 +193,12 @@ def tuple_layout(ctx: MoritaContext, side: str) -> TupleLayout:
 @dataclass(eq=False)
 class DeltaModule:
     """A module over the glued algebra in tuple form, laid out by
-    ``tuple_layout(context, side)``."""
+    ``tuple_layout(context, side)``.
+
+    It has the method surface of ``algebra.Module`` (``ring``, ``dual``,
+    ``homs``, ``isomorphism``, ``plus``, ``cover``), and ``DeltaModuleMap``
+    that of ``ModuleMap``, so code above the carriers is written once.
+    """
 
     context: MoritaContext
     side: str
@@ -233,6 +242,25 @@ class DeltaModule:
 
     def describe(self) -> str:
         return self.name or f"<{self.side} tuple ({self.x.dim}, {self.y.dim})>"
+
+    @property
+    def ring(self) -> MoritaContext:
+        return self.context
+
+    def dual(self) -> "DeltaModule":
+        return delta_dual(self)
+
+    def homs(self, target: "DeltaModule") -> list["DeltaModuleMap"]:
+        return delta_hom_space(self, target)
+
+    def isomorphism(self, other: "DeltaModule") -> "DeltaModuleMap | None":
+        return delta_is_isomorphic(self, other)
+
+    def plus(self, other: "DeltaModule") -> "DeltaModule":
+        return delta_sum([self, other])
+
+    def cover(self) -> tuple["DeltaModule", "DeltaModuleMap"]:
+        return _delta_cover(self)
 
     @cached_property
     def packed(self) -> Module:
@@ -297,12 +325,23 @@ class DeltaModuleMap:
     def coord_vector(self) -> np.ndarray:
         return np.concatenate([la.vec(self.a_matrix), la.vec(self.b_matrix)])
 
-    def packed_matrix(self) -> np.ndarray:
+    @property
+    def matrix(self) -> np.ndarray:
+        """The map of packed modules: a_matrix and b_matrix as blocks."""
         out = la.zeros(self.target.dim, self.source.dim)
         tx, sx = self.target.x.dim, self.source.x.dim
         out[:tx, :sx] = self.a_matrix
         out[tx:, sx:] = self.b_matrix
         return out
+
+    def kernel(self) -> tuple[DeltaModule, "DeltaModuleMap"]:
+        return delta_kernel(self)
+
+    def transposed(self, source: DeltaModule,
+                   target: DeltaModule) -> "DeltaModuleMap":
+        """The transpose, from ``source`` (a dual of this map's target) to
+        ``target`` (a dual of its source); construction re-checks it."""
+        return delta_dual_map(self, source, target)
 
     @classmethod
     def identity(cls, v: DeltaModule) -> "DeltaModuleMap":
@@ -550,21 +589,20 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
     return quot, DeltaModuleMap(v, quot, px, py)
 
 
-def _splitting(source: Module, target: Module, composite, dim: int,
-               what: str) -> np.ndarray:
+def _splitting(source: Module, target: Module, composite,
+               dim: int) -> np.ndarray | None:
     """A module map h : source -> target with composite(h) the identity of
-    dimension ``dim``.  Only called where one must exist, so its absence is
-    an internal error naming ``what``."""
+    dimension ``dim``, or None when there is none."""
     if dim == 0:
         return la.zeros(target.dim, source.dim)
     p = source.p
     homs = [h.matrix for h in hom_space(source, target)]
-    coeffs = None
-    if homs:
-        stacked = np.stack([la.vec(composite(h) % p) for h in homs], axis=1)
-        coeffs = la.solve(stacked, la.vec(la.eye(dim)), p)
+    if not homs:
+        return None
+    stacked = np.stack([la.vec(composite(h) % p) for h in homs], axis=1)
+    coeffs = la.solve(stacked, la.vec(la.eye(dim)), p)
     if coeffs is None:
-        raise InternalCheckError(f"no {what} exists")
+        return None
     return np.tensordot(coeffs, np.stack(homs), axes=1) % p
 
 
@@ -578,6 +616,64 @@ def _bijective(maps: list[DeltaModuleMap], stack) -> bool:
                          stack([phi.b_matrix for phi in maps])))
 
 
+def induced_splitting(v: DeltaModule,
+                      premise=lambda module: True) -> tuple[Module, Module] | None:
+    """The structural cokernels (P, Q) = (x/im g, y/im f) of v when v is
+    isomorphic to the sum of the tuples induced from P and from Q, else None.
+
+    None also when ``premise`` fails on P or Q; it is tested first.  For
+    an induced sum the projections x -> P and y -> Q split, so v is no such
+    sum when one has no section.  Sections s : P -> x and t : Q -> y give a
+    map from the induced sum to v by adjunction, with components s and t.
+    It is onto: its image and Jv = (im g, im f) span v, and J, the ideal of
+    the two bimodule corners, squares to zero.  The cokernels of a sum
+    induced from any P' and Q' are P' and Q', so if v is isomorphic to one,
+    the dimensions agree and this map is bijective.  Rank decides it.
+    """
+    from .functors import induce_from_a, induce_from_b, induced_adjoint
+
+    p_quot, p_proj, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
+    q_quot, q_proj, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
+    if not (premise(p_quot) and premise(q_quot)):
+        return None
+    s = _splitting(p_quot, v.x, lambda h: p_proj.matrix @ h, p_quot.dim)
+    t = _splitting(q_quot, v.y, lambda h: q_proj.matrix @ h, q_quot.dim)
+    if s is None or t is None:
+        return None
+    joined = [induced_adjoint(induce_from_a(v.context, p_quot), v, s, "a"),
+              induced_adjoint(induce_from_b(v.context, q_quot), v, t, "b")]
+    return (p_quot, q_quot) if _bijective(joined, np.hstack) else None
+
+
+def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
+    """An epi onto v from a projective tuple.
+
+    The source is the sum of the inductions of component covers; its packed
+    module is a sum of principal summands of the glued algebra, so it is
+    projective with no hypothesis on the inner bimodules.
+    """
+    from .functors import (induce_from_a, induce_from_a_map, induce_from_b,
+                           induce_from_b_map)
+
+    ctx, p = v.context, v.p
+    _, ex = free_cover(v.x)
+    _, ey = free_cover(v.y)
+    ta = induce_from_a(ctx, v.x)
+    tb = induce_from_b(ctx, v.y)
+    counit_a = DeltaModuleMap(ta, v, la.eye(v.x.dim), v.f_map.matrix)
+    counit_b = DeltaModuleMap(tb, v, v.g_map.matrix, la.eye(v.y.dim))
+    lift_a = counit_a.compose(induce_from_a_map(ctx, ex, target=ta))
+    lift_b = counit_b.compose(induce_from_b_map(ctx, ey, target=tb))
+    total = delta_sum([lift_a.source, lift_b.source])
+    eps = DeltaModuleMap(
+        total, v,
+        np.hstack([lift_a.a_matrix, lift_b.a_matrix]) % p,
+        np.hstack([lift_a.b_matrix, lift_b.b_matrix]) % p)
+    if la.rank(eps.matrix, p) != v.dim:
+        raise InternalCheckError("tuple cover failed to surject")
+    return total, eps
+
+
 def is_projective_delta(v: DeltaModule) -> bool:
     """Projectivity of a tuple, computed two independent ways.
 
@@ -585,32 +681,11 @@ def is_projective_delta(v: DeltaModule) -> bool:
     glued algebra.  Route two decomposes: the tuple is projective exactly
     when the structure-map cokernels P = x/im g and Q = y/im f are
     projective and the tuple is isomorphic to the sum of the tuples induced
-    from P and from Q.  Sections s : P -> x and t : Q -> y of the
-    projections give a map from that sum to v by adjunction, with components
-    s and t.  It is onto: its image and Jv = (im g, im f) span v, and J, the
-    ideal of the two bimodule corners, squares to zero.
-    The cokernels of a sum induced from any P' and Q' are P' and Q', so if v
-    is isomorphic to one, the dimensions agree and this map is bijective.
-    Route two therefore tests the map by rank.  Disagreement is an internal
-    error.
+    from P and from Q, which ``induced_splitting`` decides by rank.
+    Disagreement is an internal error.
     """
-    from .functors import induce_from_a, induce_from_b, induced_adjoint
-
     packed_answer = is_projective(v.packed)
-
-    p_quot, p_proj, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
-    q_quot, q_proj, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
-    structural = False
-    if is_projective(p_quot) and is_projective(q_quot):
-        s = _splitting(p_quot, v.x, lambda h: p_proj.matrix @ h, p_quot.dim,
-                       "section of x onto its projective cokernel")
-        t = _splitting(q_quot, v.y, lambda h: q_proj.matrix @ h, q_quot.dim,
-                       "section of y onto its projective cokernel")
-        structural = _bijective(
-            [induced_adjoint(induce_from_a(v.context, p_quot), v, s, "a"),
-             induced_adjoint(induce_from_b(v.context, q_quot), v, t, "b")],
-            np.hstack)
-
+    structural = induced_splitting(v, is_projective) is not None
     if structural != packed_answer:
         raise InternalCheckError(
             f"projectivity routes disagree on {v.describe()}: "
@@ -641,11 +716,9 @@ def is_injective_delta(v: DeltaModule) -> bool:
     y_ker, y_incl = kernel_module(tilde_g(v))
     structural = False
     if is_injective(x_ker) and is_injective(y_ker):
-        r = _splitting(v.x, x_ker, lambda h: h @ x_incl.matrix, x_ker.dim,
-                       "retraction of x onto its injective kernel")
-        q = _splitting(v.y, y_ker, lambda h: h @ y_incl.matrix, y_ker.dim,
-                       "retraction of y onto its injective kernel")
-        structural = _bijective(
+        r = _splitting(v.x, x_ker, lambda h: h @ x_incl.matrix, x_ker.dim)
+        q = _splitting(v.y, y_ker, lambda h: h @ y_incl.matrix, y_ker.dim)
+        structural = r is not None and q is not None and _bijective(
             [coinduced_adjoint(v, coinduce_from_a(v.context, x_ker), r, "a"),
              coinduced_adjoint(v, coinduce_from_b(v.context, y_ker), q, "b")],
             np.vstack)

@@ -36,10 +36,9 @@ from .algebra import (
     Bimodule,
     FieldSpec,
     Module,
-    is_isomorphic,
 )
 from .classes import ClassOracle, builtin_oracles
-from .morita import DeltaModule, MoritaContext, delta_is_isomorphic
+from .morita import DeltaModule, MoritaContext
 from .report import MoritaLabError, ValidationError
 
 
@@ -76,6 +75,12 @@ class Workspace:
         if name in self.tuples:
             return self.tuples[name]
         raise WorkspaceError(f"no module or tuple named {name!r}")
+
+    def carrier_named(self, name: str) -> Algebra | MoritaContext | None:
+        """The algebra or context of that name, or None."""
+        if name in self.algebras:
+            return self.algebras[name]
+        return self.contexts.get(name)
 
     def single_context(self) -> MoritaContext:
         if len(self.contexts) != 1:
@@ -327,11 +332,8 @@ def _build_block(ws: Workspace, block: _Block) -> None:
     if block.kind == "oracle":
         pairs = _pairs_map(block, multi=("member",))
         carrier_name = _need(pairs, "carrier", where)[1]
-        if carrier_name in ws.algebras:
-            carrier = ws.algebras[carrier_name]
-        elif carrier_name in ws.contexts:
-            carrier = ws.contexts[carrier_name]
-        else:
+        carrier = ws.carrier_named(carrier_name)
+        if carrier is None:
             raise WorkspaceError(
                 f"{where}: unknown carrier {carrier_name!r} (algebra or context)")
         side = _need(pairs, "side", where)[1]
@@ -369,15 +371,9 @@ def _list_oracle(name: str, carrier, side: str, members: list) -> ClassOracle:
     """Membership by isomorphism with one of the listed objects."""
 
     def member(obj) -> bool:
-        for candidate in members:
-            if isinstance(obj, DeltaModule) != isinstance(candidate, DeltaModule):
-                continue
-            iso = (delta_is_isomorphic(obj, candidate)
-                   if isinstance(obj, DeltaModule)
-                   else is_isomorphic(obj, candidate))
-            if iso is not None:
-                return True
-        return False
+        return any(candidate.ring is obj.ring
+                   and obj.isomorphism(candidate) is not None
+                   for candidate in members)
 
     return ClassOracle(f"list:{name}", carrier, side, member,
                        sampler=lambda bound: list(members))

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from moritalab.algebra import (LEFT, RIGHT, Module, direct_sum, dual_module,
-                               hom_space, module_sum)
+                               hom_space, module_sum, quotient_module)
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab import morita
-from moritalab.functors import induce_from_a
+from moritalab import linalg as la
+from moritalab.functors import induce_from_a, induce_from_b
 from moritalab.morita import (
     DeltaModuleMap,
     MoritaContext,
@@ -18,6 +19,7 @@ from moritalab.morita import (
     delta_hom_space,
     delta_is_isomorphic,
     delta_sum,
+    induced_splitting,
     is_injective_delta,
     is_projective_delta,
     pack,
@@ -161,3 +163,25 @@ def test_structure_square_violation_is_rejected(e2):
     with pytest.raises(ValidationError):
         DeltaModuleMap(ta, ta, np.eye(1, dtype=np.int64),
                        np.zeros((ta.y.dim, ta.y.dim), dtype=np.int64))
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("p", [2, 3])
+def test_induced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
+    """The section-and-rank decision agrees with scanning for an isomorphism
+    between the tuple and the sum induced from its structural cokernels."""
+    outcomes = set()
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for v in enumerate_delta_modules(ctx, side, 2):
+            p0 = quotient_module(v.x, la.image_basis(v.g_map.matrix, p).T)[0]
+            q0 = quotient_module(v.y, la.image_basis(v.f_map.matrix, p).T)[0]
+            candidate = delta_sum([induce_from_a(ctx, p0), induce_from_b(ctx, q0)])
+            scanned = delta_is_isomorphic(candidate, v) is not None
+            split = induced_splitting(v)
+            assert (split is not None) == scanned, v.describe()
+            if split is not None:
+                assert [m.actions.tolist() for m in split] \
+                    == [m.actions.tolist() for m in (p0, q0)]
+            outcomes.add(scanned)
+    assert outcomes == {True, False}
