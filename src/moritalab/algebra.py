@@ -24,12 +24,14 @@ from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
 LEFT = "left"
 RIGHT = "right"
 
-_ISO_SCAN_DEFAULT = 1 << 18
+_SCAN_BUDGET_DEFAULT = 1 << 21
 
 
-def _iso_budget() -> int:
+def scan_budget() -> int:
+    """Candidate ceiling of every exhaustive scan: module, structure-map,
+    unit and isomorphism scans alike.  MORITA_ENUM_BUDGET overrides it."""
     raw = os.environ.get("MORITA_ENUM_BUDGET")
-    return int(raw) if raw else _ISO_SCAN_DEFAULT
+    return int(raw) if raw else _SCAN_BUDGET_DEFAULT
 
 
 def validate_algebra_data(field_spec: FieldSpec, dim: int, structure: np.ndarray,
@@ -430,7 +432,7 @@ def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
     if h == 0:
         return None
     total = p ** h
-    limit = budget if budget is not None else _iso_budget()
+    limit = budget if budget is not None else scan_budget()
     if total > limit:
         raise BudgetExceededError(
             f"isomorphism scan of {total} combinations exceeds budget {limit}")

@@ -33,14 +33,15 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, is_flat, is_injective, is_projective,
-                      kernel_module, quotient_module, submodule)
+                      submodule)
 from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
                           enumerate_modules, short_exact_sequences)
-from .functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
-                       induce_from_b, tilde_f, tilde_g)
+from .functors import coinduce, induce, tilde_kernel
 from .memo import memo
-from .morita import (DeltaModule, MoritaContext, delta_submodule, is_flat_delta,
-                     is_injective_delta, is_projective_delta)
+from .morita import (CORNERS, DeltaModule, MoritaContext, by_corner,
+                     corner_parts, delta_submodule, is_flat_delta,
+                     is_injective_delta, is_projective_delta,
+                     structural_cokernel)
 from .report import (AlgebraMismatchError, CheckReport, ValidationError,
                      Verdict)
 from .tensor import tor_one_dimension
@@ -193,12 +194,11 @@ def verify_oracle(oracle: ClassOracle, bound: int) -> CheckReport:
 def _require_component_classes(v: DeltaModule, class_a: ClassOracle,
                                class_b: ClassOracle) -> None:
     ctx = v.context
-    if class_a.ring is not ctx.algebra_a or class_a.side != v.side:
-        raise AlgebraMismatchError(
-            f"{class_a.name!r} does not classify {v.side} modules over the first algebra")
-    if class_b.ring is not ctx.algebra_b or class_b.side != v.side:
-        raise AlgebraMismatchError(
-            f"{class_b.name!r} does not classify {v.side} modules over the second algebra")
+    for cls, algebra, ordinal in ((class_a, ctx.algebra_a, "first"),
+                                  (class_b, ctx.algebra_b, "second")):
+        if cls.ring is not algebra or cls.side != v.side:
+            raise AlgebraMismatchError(
+                f"{cls.name!r} does not classify {v.side} modules over the {ordinal} algebra")
 
 
 def in_component_class(v: DeltaModule, class_a: ClassOracle,
@@ -212,28 +212,18 @@ def in_mono_class(v: DeltaModule, class_a: ClassOracle,
                   class_b: ClassOracle) -> bool:
     """Structure maps injective with cokernels in the component classes."""
     _require_component_classes(v, class_a, class_b)
-    if la.rank(v.f_map.matrix, v.p) != v.tensor_f.dim:
-        return False
-    if la.rank(v.g_map.matrix, v.p) != v.tensor_g.dim:
-        return False
-    x_quot, _, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
-    y_quot, _, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
-    return class_a.contains(x_quot) and class_b.contains(y_quot)
+    parts = corner_parts(v, structural_cokernel)
+    return (parts is not None and class_a.contains(parts[0][0])
+            and class_b.contains(parts[1][0]))
 
 
 def in_epi_class(v: DeltaModule, class_a: ClassOracle,
                  class_b: ClassOracle) -> bool:
     """Transposed maps surjective with kernels in the component classes."""
     _require_component_classes(v, class_a, class_b)
-    tf = tilde_f(v)
-    if la.rank(tf.matrix, v.p) != tf.target.dim:
-        return False
-    tg = tilde_g(v)
-    if la.rank(tg.matrix, v.p) != tg.target.dim:
-        return False
-    ker_f, _ = kernel_module(tf)
-    ker_g, _ = kernel_module(tg)
-    return class_a.contains(ker_f) and class_b.contains(ker_g)
+    parts = corner_parts(v, tilde_kernel)
+    return (parts is not None and class_a.contains(parts[0][0])
+            and class_b.contains(parts[1][0]))
 
 
 @memo("ctx")
@@ -454,40 +444,29 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
     if side != LEFT:
         raise ValidationError("the functor checks run from left-module classes")
 
-    a_mods = enumerate_modules(ctx.algebra_a, LEFT, bound)
-    b_mods = enumerate_modules(ctx.algebra_b, LEFT, bound)
-    cases = [
-        ("induce-a-mono", a_mods,
-         lambda x: c1.contains(x) == in_mono_class(induce_from_a(ctx, x), c1, d1)),
-        ("induce-b-mono", b_mods,
-         lambda y: d1.contains(y) == in_mono_class(induce_from_b(ctx, y), c1, d1)),
-        ("induce-a-dual-epi", a_mods,
-         lambda x: c2.contains(x.dual())
-         == in_epi_class(induce_from_a(ctx, x).dual(), c2, d2)),
-        ("induce-b-dual-epi", b_mods,
-         lambda y: d2.contains(y.dual())
-         == in_epi_class(induce_from_b(ctx, y).dual(), c2, d2)),
-        ("coinduce-a-epi", a_mods,
-         lambda x: c1.contains(x) == in_epi_class(coinduce_from_a(ctx, x), c1, d1)),
-        ("coinduce-b-epi", b_mods,
-         lambda y: d1.contains(y) == in_epi_class(coinduce_from_b(ctx, y), c1, d1)),
-        ("coinduce-a-dual-mono", a_mods,
-         lambda x: c2.contains(x.dual())
-         == in_mono_class(coinduce_from_a(ctx, x).dual(), c2, d2)),
-        ("coinduce-b-dual-mono", b_mods,
-         lambda y: d2.contains(y.dual())
-         == in_mono_class(coinduce_from_b(ctx, y).dual(), c2, d2)),
-    ]
+    pools = [enumerate_modules(ctx.algebra_a, LEFT, bound),
+             enumerate_modules(ctx.algebra_b, LEFT, bound)]
+    # (functor, class its images are tested in, whether both sides are dualised)
+    cases = [(induce, "mono", False), (induce, "epi", True),
+             (coinduce, "epi", False), (coinduce, "mono", True)]
+    tests = {"mono": in_mono_class, "epi": in_epi_class}
     clauses = []
-    for name, pool, check in cases:
-        witness = None
-        for obj in pool:
-            if not check(obj):
-                witness = obj
-                break
-        clauses.append(CheckReport(
-            name, Verdict.PASS if witness is None else Verdict.REFUTED,
-            witnesses=[] if witness is None else [{"object": witness.describe()}]))
+    for functor, kind, dualised in cases:
+        classes = (c2, d2) if dualised else (c1, d1)
+        for corner, pool in zip(CORNERS, pools):
+            own, _ = by_corner(corner, *classes)
+            witness = None
+            for obj in pool:
+                plain, image = obj, functor(ctx, obj, corner)
+                if dualised:
+                    plain, image = plain.dual(), image.dual()
+                if own.contains(plain) != tests[kind](image, *classes):
+                    witness = obj
+                    break
+            name = f"{functor.__name__}-{corner}-{'dual-' if dualised else ''}{kind}"
+            clauses.append(CheckReport(
+                name, Verdict.PASS if witness is None else Verdict.REFUTED,
+                witnesses=[] if witness is None else [{"object": witness.describe()}]))
     hyp = [{"statement": "inner bimodules finite dimensional on both sides",
             "m-dim": ctx.m.dim, "n-dim": ctx.n.dim}]
     report = CheckReport.combine(

@@ -16,11 +16,10 @@ contract codes:
 
 `--report PATH` additionally writes the full nested report as JSON.
 
-MORITA_ENUM_BUDGET, when set, caps the candidates of every exhaustive scan.
-Unset, module scans, structure-map scans and the unit scans of End(x) in
-tuple enumeration may each take 2^21 = 2097152 candidates, and isomorphism
-scans 2^18 = 262144.  The cap applies to each scan on its own, not to a
-whole run.
+MORITA_ENUM_BUDGET, when set, caps the candidates of every exhaustive scan:
+module scans, structure-map scans, the unit scans of End(x) in tuple
+enumeration and isomorphism scans.  Unset, each may take 2^21 = 2097152
+candidates.  The cap applies to each scan on its own, not to a whole run.
 """
 
 from __future__ import annotations
@@ -46,18 +45,13 @@ from .classes import (
 )
 from .enumeration import enumerate_delta_modules, enumerate_modules
 from .fixtures import SHIPPED, load_workspace
-from .functors import (
-    coinduce_from_a,
-    coinduce_from_b,
-    induce_from_a,
-    induce_from_b,
-)
+from .functors import coinduce, induce
 from .gorenstein import (
     check_ding_transport,
     check_window_transport_backward,
     check_window_transport_forward,
 )
-from .morita import DeltaModule, pack, unpack
+from .morita import CORNERS, DeltaModule, by_corner, pack, unpack
 from .report import (BudgetExceededError, CheckReport, InternalCheckError,
                      MoritaLabError, Verdict)
 from .tensor import tensor_over_algebra
@@ -150,7 +144,7 @@ def build_parser() -> _Parser:
     sub.add_argument("--window", type=int, default=4)
     sub.add_argument("--module", default="probe.a",
                      help="plain module fed to the transport checks")
-    sub.add_argument("--functor", choices=("a", "b"), default="a")
+    sub.add_argument("--functor", choices=CORNERS, default="a")
     sub.add_argument("--c1", default=None, help="override the first A-corner class")
     sub.add_argument("--c2", default=None)
     sub.add_argument("--d1", default=None)
@@ -255,9 +249,8 @@ def _cmd_tensor(ws: Workspace, args) -> CheckReport:
 def _cmd_functor(ws: Workspace, args) -> CheckReport:
     ctx = ws.single_context()
     module = _plain_module(ws, args.name)
-    table = {"t_A": induce_from_a, "t_B": induce_from_b,
-             "h_A": coinduce_from_a, "h_B": coinduce_from_b}
-    out = table[args.which](ctx, module)
+    kind, _, corner = args.which.partition("_")
+    out = {"t": induce, "h": coinduce}[kind](ctx, module, corner.lower())
     return CheckReport(
         "functor", Verdict.PASS,
         detail=f"{args.which} of {args.name}: tuple with components "
@@ -347,7 +340,7 @@ def _theorem_3_6(ws: Workspace, ctx, args) -> CheckReport:
 
 def _theorem_4_3(ws: Workspace, ctx, args) -> CheckReport:
     module = _plain_module(ws, args.module)
-    corner = ctx.algebra_a if args.functor == "a" else ctx.algebra_b
+    corner, _ = by_corner(args.functor, ctx.algebra_a, ctx.algebra_b)
     if module.algebra is not corner:
         raise InputError(
             f"--module {args.module!r} lives over {module.algebra.name}, "
@@ -360,9 +353,8 @@ def _theorem_4_3(ws: Workspace, ctx, args) -> CheckReport:
     clauses = [forward]
     image = getattr(forward, "window_complex", None)
     if image is not None:
-        induce = induce_from_a if args.functor == "a" else induce_from_b
         backward = check_window_transport_backward(
-            ctx, induce(ctx, module), class_a, class_b, args.window,
+            ctx, induce(ctx, module, args.functor), class_a, class_b, args.window,
             args.bound, functor=args.functor, window=image)
         clauses.append(backward)
     else:

@@ -25,7 +25,6 @@ the tests) is stable across runs.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -33,21 +32,15 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
-                      field_algebra, hom_space, quotient_module, submodule)
+                      field_algebra, hom_space, quotient_module, scan_budget,
+                      submodule)
 from .memo import memo
 from .morita import (DeltaModule, DeltaModuleMap, MoritaContext, TupleLayout,
                      delta_submodule, delta_quotient, tuple_layout)
 from .report import BudgetExceededError, InternalCheckError
 from .tensor import TensorModule, tensor_map
 
-_SCAN_BUDGET_DEFAULT = 1 << 21
 _CHUNK = 1 << 13
-
-
-def scan_budget() -> int:
-    """Candidate-count ceiling for exhaustive scans; env-overridable."""
-    raw = os.environ.get("MORITA_ENUM_BUDGET")
-    return int(raw) if raw else _SCAN_BUDGET_DEFAULT
 
 
 @dataclass(eq=False)

@@ -28,8 +28,13 @@ def load_fixture(name: str) -> Workspace:
         raise WorkspaceError(
             f"no shipped fixture named {name!r}; have {', '.join(SHIPPED)}")
     if name not in _CACHE:
-        text = resources.files("moritalab").joinpath(
-            "data", f"{name}.txt").read_text()
+        path = resources.files("moritalab").joinpath("data", f"{name}.txt")
+        try:
+            text = path.read_text()
+        except OSError as err:
+            raise WorkspaceError(
+                f"shipped fixture file {path} cannot be read: "
+                f"{err.strerror or err}") from err
         _CACHE[name] = parse_workspace(text)
     return _CACHE[name]
 

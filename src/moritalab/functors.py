@@ -1,22 +1,23 @@
 """Functors between component module categories and tuple categories.
 
-Six functors in each direction of sidedness:
+Three functors for each corner, in each direction of sidedness:
 
-* induce_from_a : X |-> (X, M (x) X) with the canonical map on the second
-  component and zero structure the other way; left adjoint to component_a.
-* induce_from_b : Y |-> (N (x) Y, Y), mirrored.
-* component_a / component_b : forget down to one corner.
-* coinduce_from_a : X |-> (X, Hom(N, X)) with evaluation as structure map;
-  right adjoint to component_a.
-* coinduce_from_b : Y |-> (Hom(M, Y), Y), mirrored.
+* induce(ctx, X, "a") : X |-> (X, M (x) X) with the canonical map on the
+  second component and zero structure the other way; left adjoint to
+  component(-, "a").
+* component(v, corner) : forget down to one corner.
+* coinduce(ctx, X, "a") : X |-> (X, Hom(N, X)) with evaluation as
+  structure map; right adjoint to component(-, "a").
 
-Each is written once for both sides: ``morita.TupleLayout`` says which
-bimodule a structure map tensors with and how its plain coordinates are
-ordered.  The tilde maps transpose the structure maps of a tuple into maps
-X -> Hom(M, Y) and Y -> Hom(N, X) (for left tuples); they control the
-epi-style membership tests and the injective structure theory.
-check_adjunction verifies the unit/counit bijections on concrete hom-space
-bases.
+Each is written once for both corners, against the swap
+``morita.by_corner`` (corner "b" gives Y |-> (N (x) Y, Y) and
+(Hom(M, Y), Y)), and once for both sides, against ``morita.TupleLayout``.
+``induce_from_a``, ``coinduce_from_b``, ``component_a`` and the other
+``_a``/``_b`` names are shorthands for one corner.  ``tilde`` transposes a
+structure map into X -> Hom(M, Y) ("a") or Y -> Hom(N, X) ("b") for left
+tuples; these control the epi-style membership tests and the injective
+structure theory.  check_adjunction verifies the unit/counit bijections on
+concrete hom-space bases.
 """
 
 from __future__ import annotations
@@ -24,72 +25,60 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .algebra import Module, ModuleMap
+from .algebra import Module, ModuleMap, hom_space, kernel_module
 from .memo import memo
-from .morita import (DeltaModule, DeltaModuleMap, MoritaContext, TupleLayout,
-                     delta_hom_space, tuple_layout)
+from .morita import (CORNERS, DeltaModule, DeltaModuleMap, MoritaContext,
+                     TupleLayout, by_corner, delta_hom_space, tuple_layout)
 from .report import AlgebraMismatchError, CheckReport, Verdict
 from .tensor import HomModule, hom_over_algebra
 
 
-@memo("x")
-def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
-    """The tuple (X, M (x) X) for left X, (X, X (x) N) for right X."""
-    if x.algebra is not ctx.algebra_a:
-        raise AlgebraMismatchError("module does not live over the A corner")
-    lay = tuple_layout(ctx, x.side)
-    t = lay.tensor(lay.f_bimodule, x)
-    out = DeltaModule(ctx, x.side, x, t.module, t.projection,
-                      la.zeros(x.dim, lay.g_bimodule.dim * t.dim),
-                      name=f"ind_a[{x.describe()}]")
+def _corner_layout(ctx: MoritaContext, module: Module,
+                   corner: str) -> TupleLayout:
+    """The layout of the side of ``module``, a module over ``corner``."""
+    algebra, _ = by_corner(corner, ctx.algebra_a, ctx.algebra_b)
+    if module.algebra is not algebra:
+        raise AlgebraMismatchError(
+            f"module does not live over the {corner.upper()} corner")
+    return tuple_layout(ctx, module.side)
+
+
+@memo("module")
+def induce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
+    """The tuple induced from a module over the ``corner`` algebra.
+
+    From the A corner, X |-> (X, M (x) X) on the left and (X, X (x) N) on
+    the right, with the canonical map into the tensor component and zero
+    structure the other way; the B corner mirrors it.
+    """
+    lay = _corner_layout(ctx, module, corner)
+    own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    t = lay.tensor(own, module)
+    out = DeltaModule(ctx, module.side, *by_corner(corner, module, t.module),
+                      *by_corner(corner, t.projection,
+                                 la.zeros(module.dim, other.dim * t.dim)),
+                      name=f"ind_{corner}[{module.describe()}]")
     out.tensor_data = t
     return out
 
 
-@memo("y")
-def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
-    """The tuple (N (x) Y, Y) for left Y, (Y (x) M, Y) for right Y."""
-    if y.algebra is not ctx.algebra_b:
-        raise AlgebraMismatchError("module does not live over the B corner")
-    lay = tuple_layout(ctx, y.side)
-    t = lay.tensor(lay.g_bimodule, y)
-    out = DeltaModule(ctx, y.side, t.module, y,
-                      la.zeros(y.dim, lay.f_bimodule.dim * t.dim), t.projection,
-                      name=f"ind_b[{y.describe()}]")
-    out.tensor_data = t
-    return out
+def induce_map(ctx: MoritaContext, phi: ModuleMap, corner: str,
+               source: DeltaModule | None = None,
+               target: DeltaModule | None = None) -> DeltaModuleMap:
+    """induce on a map: the component map plus its tensored image."""
+    source = source if source is not None else induce(ctx, phi.source, corner)
+    target = target if target is not None else induce(ctx, phi.target, corner)
+    lay = source.layout
+    ts, _ = by_corner(corner, source.tensor_f, source.tensor_g)
+    tt, _ = by_corner(corner, target.tensor_f, target.tensor_g)
+    own, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    plain = lay.lift(own, phi.matrix)
+    image = (tt.projection @ plain @ ts.section) % ctx.p
+    return DeltaModuleMap(source, target, *by_corner(corner, phi.matrix, image))
 
 
-def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap,
-                      source: DeltaModule | None = None,
-                      target: DeltaModule | None = None) -> DeltaModuleMap:
-    """induce_from_a on a map: the component map plus its tensored image."""
-    source = source if source is not None else induce_from_a(ctx, phi.source)
-    target = target if target is not None else induce_from_a(ctx, phi.target)
-    ts, tt, lay = source.tensor_f, target.tensor_f, source.layout
-    plain = lay.lift(lay.f_bimodule, phi.matrix)
-    b = (tt.projection @ plain @ ts.section) % ctx.p
-    return DeltaModuleMap(source, target, phi.matrix, b)
-
-
-def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap,
-                      source: DeltaModule | None = None,
-                      target: DeltaModule | None = None) -> DeltaModuleMap:
-    """induce_from_b on a map: the component map plus its tensored image."""
-    source = source if source is not None else induce_from_b(ctx, phi.source)
-    target = target if target is not None else induce_from_b(ctx, phi.target)
-    ts, tt, lay = source.tensor_g, target.tensor_g, source.layout
-    plain = lay.lift(lay.g_bimodule, phi.matrix)
-    a = (tt.projection @ plain @ ts.section) % ctx.p
-    return DeltaModuleMap(source, target, a, phi.matrix)
-
-
-def component_a(v: DeltaModule) -> Module:
-    return v.x
-
-
-def component_b(v: DeltaModule) -> Module:
-    return v.y
+def component(v: DeltaModule, corner: str) -> Module:
+    return by_corner(corner, v.x, v.y)[0]
 
 
 def _evaluation_plain(hom: HomModule, lay: TupleLayout) -> np.ndarray:
@@ -101,46 +90,43 @@ def _evaluation_plain(hom: HomModule, lay: TupleLayout) -> np.ndarray:
     return lay.unblocks(blocks) % hom.p
 
 
-def coinduce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
-    """The tuple (X, Hom(N, X)) for left X, (X, Hom(M, X)) for right X.
+def coinduce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
+    """The tuple co-induced from a module over the ``corner`` algebra.
 
-    The structure map into X is evaluation; the other is zero.
+    From the A corner, X |-> (X, Hom(N, X)) on the left and (X, Hom(M, X))
+    on the right; the structure map into X is evaluation and the other is
+    zero.  The B corner mirrors it.
     """
-    if x.algebra is not ctx.algebra_a:
-        raise AlgebraMismatchError("module does not live over the A corner")
-    lay = tuple_layout(ctx, x.side)
-    hom = hom_over_algebra(lay.g_bimodule, x)
-    out = DeltaModule(ctx, x.side, x, hom.module,
-                      la.zeros(hom.dim, lay.f_bimodule.dim * x.dim),
-                      _evaluation_plain(hom, lay),
-                      name=f"coind_a[{x.describe()}]")
+    lay = _corner_layout(ctx, module, corner)
+    own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    hom = hom_over_algebra(other, module)
+    out = DeltaModule(ctx, module.side, *by_corner(corner, module, hom.module),
+                      *by_corner(corner, la.zeros(hom.dim, own.dim * module.dim),
+                                 _evaluation_plain(hom, lay)),
+                      name=f"coind_{corner}[{module.describe()}]")
     out.hom_data = hom
     return out
 
 
-def coinduce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
-    """The tuple (Hom(M, Y), Y) for left Y, (Hom(N, Y), Y) for right Y."""
-    if y.algebra is not ctx.algebra_b:
-        raise AlgebraMismatchError("module does not live over the B corner")
-    lay = tuple_layout(ctx, y.side)
-    hom = hom_over_algebra(lay.f_bimodule, y)
-    out = DeltaModule(ctx, y.side, hom.module, y, _evaluation_plain(hom, lay),
-                      la.zeros(hom.dim, lay.g_bimodule.dim * y.dim),
-                      name=f"coind_b[{y.describe()}]")
-    out.hom_data = hom
-    return out
+def tilde(v: DeltaModule, corner: str) -> ModuleMap:
+    """Transpose of the structure map leaving the ``corner`` component: for
+    a left tuple x -> Hom(M, y) from f ("a") and y -> Hom(N, x) from g
+    ("b"); on the right Hom(N, y) and Hom(M, x)."""
+    own, other = by_corner(corner, v.x, v.y)
+    bimodule, _ = by_corner(corner, v.layout.f_bimodule, v.layout.g_bimodule)
+    blocks, _ = by_corner(corner, v.f_blocks, v.g_blocks)
+    hom = hom_over_algebra(bimodule, other)
+    return ModuleMap(own, hom.module, _transposed(blocks, hom))
 
 
-def tilde_f(v: DeltaModule) -> ModuleMap:
-    """Transpose of f: the map x -> Hom(M, y) (left) or x -> Hom(N, y) (right)."""
-    hom = hom_over_algebra(v.layout.f_bimodule, v.y)
-    return ModuleMap(v.x, hom.module, _transposed(v.f_blocks, hom))
-
-
-def tilde_g(v: DeltaModule) -> ModuleMap:
-    """Transpose of g: the map y -> Hom(N, x) (left) or y -> Hom(M, x) (right)."""
-    hom = hom_over_algebra(v.layout.g_bimodule, v.x)
-    return ModuleMap(v.y, hom.module, _transposed(v.g_blocks, hom))
+def tilde_kernel(v: DeltaModule, corner: str) \
+        -> tuple[Module, ModuleMap] | None:
+    """The kernel of ``tilde(v, corner)`` with its inclusion, X' for "a"
+    and Y' for "b", or None when that map is not onto."""
+    t = tilde(v, corner)
+    if la.rank(t.matrix, v.p) != t.target.dim:
+        return None
+    return kernel_module(t)
 
 
 def _transposed(blocks: np.ndarray, hom: HomModule) -> np.ndarray:
@@ -156,41 +142,73 @@ def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
                     corner: str) -> DeltaModuleMap:
     """The map ind -> v adjoint to a component map mat into v.
 
-    ``ind`` is induced from the A corner (``corner`` "a", mat into v.x) or
-    the B corner ("b", mat into v.y).  On the other component the map is
-    the structure map of v after id (x) mat.
+    ``ind`` is induced from the ``corner`` algebra and mat maps into that
+    component of v.  On the other component the map is the structure map
+    of v leaving the corner, after id (x) mat.
     """
-    lay, p = v.layout, v.p
-    if corner == "a":
-        move = lay.lift(lay.f_bimodule, mat)
-        other = (v.f_map.matrix @ v.tensor_f.projection @ move
-                 @ ind.tensor_data.section) % p
-        return DeltaModuleMap(ind, v, mat, other)
-    move = lay.lift(lay.g_bimodule, mat)
-    other = (v.g_map.matrix @ v.tensor_g.projection @ move
-             @ ind.tensor_data.section) % p
-    return DeltaModuleMap(ind, v, other, mat)
+    lay = v.layout
+    leaving, _ = by_corner(corner, v.f_map, v.g_map)
+    tensor, _ = by_corner(corner, v.tensor_f, v.tensor_g)
+    bimodule, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    other = (leaving.matrix @ tensor.projection @ lay.lift(bimodule, mat)
+             @ ind.tensor_data.section) % v.p
+    return DeltaModuleMap(ind, v, *by_corner(corner, mat, other))
 
 
 def coinduced_adjoint(v: DeltaModule, coind: DeltaModule, mat: np.ndarray,
                       corner: str) -> DeltaModuleMap:
     """The map v -> coind adjoint to a component map mat out of v.
 
-    ``coind`` is co-induced from the A corner (``corner`` "a", mat out of
-    v.x) or the B corner ("b", mat out of v.y).  On the other component an
-    element goes through the structure map of v and then through mat, read
+    ``coind`` is co-induced from the ``corner`` algebra and mat maps out of
+    that component of v.  On the other component an element goes through
+    the structure map of v entering the corner and then through mat, read
     as an element of the hom module.
     """
-    p = v.p
-    if corner == "a":
-        other = _transposed((mat @ v.g_blocks) % p, coind.hom_data)
-        return DeltaModuleMap(v, coind, mat, other)
-    other = _transposed((mat @ v.f_blocks) % p, coind.hom_data)
-    return DeltaModuleMap(v, coind, other, mat)
+    _, entering = by_corner(corner, v.f_blocks, v.g_blocks)
+    other = _transposed((mat @ entering) % v.p, coind.hom_data)
+    return DeltaModuleMap(v, coind, *by_corner(corner, mat, other))
 
 
-def _maps_equal_on_basis(pairs) -> bool:
-    return all(np.array_equal(lhs, rhs) for lhs, rhs in pairs)
+def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
+    return induce(ctx, x, "a")
+
+
+def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
+    return induce(ctx, y, "b")
+
+
+def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap, source=None,
+                      target=None) -> DeltaModuleMap:
+    return induce_map(ctx, phi, "a", source, target)
+
+
+def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap, source=None,
+                      target=None) -> DeltaModuleMap:
+    return induce_map(ctx, phi, "b", source, target)
+
+
+def component_a(v: DeltaModule) -> Module:
+    return component(v, "a")
+
+
+def component_b(v: DeltaModule) -> Module:
+    return component(v, "b")
+
+
+def coinduce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
+    return coinduce(ctx, x, "a")
+
+
+def coinduce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
+    return coinduce(ctx, y, "b")
+
+
+def tilde_f(v: DeltaModule) -> ModuleMap:
+    return tilde(v, "a")
+
+
+def tilde_g(v: DeltaModule) -> ModuleMap:
+    return tilde(v, "b")
 
 
 def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
@@ -203,38 +221,36 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
     corner.  Both composites are checked to be mutually inverse linear
     bijections on whole hom-space bases, not just dimension counts.
     """
-    from .algebra import hom_space
-
     name = f"adjunction-{pair}"
-    corner = pair[-1]
-    comp = component_a if corner == "a" else component_b
+    kind, _, corner = pair.partition("-")
+    if kind not in ("induce", "coinduce") or corner not in CORNERS:
+        raise ValueError(f"unknown adjunction pair {pair!r}")
+    own = component(v, corner)
 
-    if pair in ("induce-a", "induce-b"):
-        ind = (induce_from_a if corner == "a" else induce_from_b)(ctx, plain)
+    if kind == "induce":
+        ind = induce(ctx, plain, corner)
         tuple_homs = delta_hom_space(ind, v)
-        plain_homs = hom_space(plain, comp(v))
+        plain_homs = hom_space(plain, own)
 
         def backward(mat: np.ndarray) -> DeltaModuleMap:
             return induced_adjoint(ind, v, mat, corner)
-    elif pair in ("coinduce-a", "coinduce-b"):
-        coind = (coinduce_from_a if corner == "a" else coinduce_from_b)(ctx, plain)
+    else:
+        coind = coinduce(ctx, plain, corner)
         tuple_homs = delta_hom_space(v, coind)
-        plain_homs = hom_space(comp(v), plain)
+        plain_homs = hom_space(own, plain)
 
         def backward(mat: np.ndarray) -> DeltaModuleMap:
             return coinduced_adjoint(v, coind, mat, corner)
-    else:
-        raise ValueError(f"unknown adjunction pair {pair!r}")
 
     if len(tuple_homs) != len(plain_homs):
         return CheckReport(name, Verdict.REFUTED,
                            f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
 
     def forward(dm: DeltaModuleMap) -> np.ndarray:
-        return dm.a_matrix if corner == "a" else dm.b_matrix
+        return by_corner(corner, dm.a_matrix, dm.b_matrix)[0]
 
-    round_one = _maps_equal_on_basis(
-        (forward(backward(h.matrix)), h.matrix) for h in plain_homs)
+    round_one = all(np.array_equal(forward(backward(h.matrix)), h.matrix)
+                    for h in plain_homs)
     round_two = all(
         np.array_equal(backward(forward(dm)).a_matrix, dm.a_matrix)
         and np.array_equal(backward(forward(dm)).b_matrix, dm.b_matrix)

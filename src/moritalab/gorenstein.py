@@ -24,7 +24,10 @@ are tuple-only constructions.
 The transport harnesses check that window verdicts travel along the
 induction and restriction functors, with an adjunction dimension comparison
 at every level as an independent cross-check.  The Ding variants are the
-same checks run against the flat test class.
+same checks run against the flat test class.  The harnesses take the
+corner as "a" or "b" and index their class pair with ``morita.by_corner``;
+each hypothesis row (inner projectivity, tensor base change, inner-hom
+injective dimension) is built by one row builder that all three use.
 """
 
 from __future__ import annotations
@@ -34,24 +37,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg as la
-from .algebra import LEFT, Module, ModuleMap, is_projective
+from .algebra import LEFT, RIGHT, Module, is_projective
 from .classes import ClassOracle, _as_input, builtin_oracles, in_mono_class
 from .enumeration import enumerate_delta_modules, enumerate_modules
-from .functors import (
-    component_a,
-    component_b,
-    induce_from_a,
-    induce_from_a_map,
-    induce_from_b,
-    induce_from_b_map,
-)
+from .functors import component, induce, induce_map
 from .memo import memo
 from .morita import (
+    CORNERS,
     DeltaModule,
     DeltaModuleMap,
     MoritaContext,
+    by_corner,
     delta_sum,
     induced_splitting,
+    tuple_layout,
 )
 from .report import (
     CheckReport,
@@ -60,7 +59,7 @@ from .report import (
     Verdict,
     WindowConstructionError,
 )
-from .tensor import hom_over_algebra, tensor_over_algebra
+from .tensor import hom_over_algebra
 
 DIM_CUTOFF = 8
 
@@ -232,24 +231,26 @@ def _block_diag(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
+def _induced_window(ctx: MoritaContext, cx: ChainComplex,
+                    corner: str) -> ChainComplex:
+    """The levelwise induction of a component window from ``corner``."""
+    terms = [induce(ctx, t, corner) for t in cx.terms]
+    maps = [induce_map(ctx, d, corner, source=terms[i], target=terms[i + 1])
+            for i, d in enumerate(cx.maps)]
+    return ChainComplex(cx.lo, terms, maps)
+
+
 def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
     ctx = v.context
-    p0, q0 = split
-    wa = _spliced_window(p0, w)
-    wb = _spliced_window(q0, w)
-    ta_terms = [induce_from_a(ctx, t) for t in wa.terms]
-    tb_terms = [induce_from_b(ctx, t) for t in wb.terms]
-    ta_maps = [induce_from_a_map(ctx, d, source=ta_terms[i], target=ta_terms[i + 1])
-               for i, d in enumerate(wa.maps)]
-    tb_maps = [induce_from_b_map(ctx, d, source=tb_terms[i], target=tb_terms[i + 1])
-               for i, d in enumerate(wb.maps)]
-    terms = [delta_sum([u, t]) for u, t in zip(ta_terms, tb_terms)]
+    ta, tb = [_induced_window(ctx, _spliced_window(piece, w), corner)
+              for corner, piece in zip(CORNERS, split)]
+    terms = [delta_sum([u, t]) for u, t in zip(ta.terms, tb.terms)]
     maps = []
     for i in range(len(terms) - 1):
         maps.append(DeltaModuleMap(
             terms[i], terms[i + 1],
-            _block_diag(ta_maps[i].a_matrix, tb_maps[i].a_matrix),
-            _block_diag(ta_maps[i].b_matrix, tb_maps[i].b_matrix)))
+            _block_diag(ta.maps[i].a_matrix, tb.maps[i].a_matrix),
+            _block_diag(ta.maps[i].b_matrix, tb.maps[i].b_matrix)))
     cx = ChainComplex(-w, terms, maps)
     _verify_window(cx, v)
     return cx
@@ -429,8 +430,9 @@ def _widened_flat_oracle(ctx: MoritaContext, side: str) -> ClassOracle:
 def _induced_test_pool(ctx: MoritaContext, class_a: ClassOracle,
                        class_b: ClassOracle, bound: int) -> list:
     """Inductions of sampled members of the component classes, plus sums."""
-    singles = [induce_from_a(ctx, c) for c in class_a.sample(bound)]
-    singles += [induce_from_b(ctx, d) for d in class_b.sample(bound)]
+    singles = [induce(ctx, c, corner)
+               for corner, cls in zip(CORNERS, (class_a, class_b))
+               for c in cls.sample(bound)]
     pool = list(singles)
     for i in range(len(singles)):
         for j in range(i + 1, len(singles)):
@@ -476,6 +478,54 @@ def _class_row(name: str, ok: bool, detail: str = "",
                        detail=detail, witnesses=witnesses or [])
 
 
+def _inner_projective_row(ctx: MoritaContext, side: str,
+                          detail: str = "") -> CheckReport:
+    """Hypothesis row: both inner bimodules are projective on ``side``."""
+    ok = all(is_projective(b.as_left_module if side == LEFT else b.as_right_module)
+             for b in (ctx.n, ctx.m))
+    return _class_row(f"inner-bimodules-projective-on-the-{side}", ok,
+                      detail=detail)
+
+
+def _base_change_row(name: str, ctx: MoritaContext, corner: str,
+                     classes: tuple, bound: int, detail: str) -> CheckReport:
+    """Hypothesis row: tensoring with the bimodule entering ``corner``
+    carries the sample of the other corner's class into this corner's.
+    ``classes`` holds the component classes in (A, B) order."""
+    own, other = by_corner(corner, *classes)
+    lay = tuple_layout(ctx, own.side)
+    _, inner = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    bad = []
+    for d in other.sample(bound):
+        image = lay.tensor(inner, d).module
+        if not own.contains(image):
+            bad.append({"object": d.describe(), "image": image.describe()})
+    return _class_row(name, not bad, detail=detail, witnesses=bad)
+
+
+def _hom_dimension_row(name: str, ctx: MoritaContext, corner: str,
+                       classes: tuple, bound: int, cutoff: int) -> CheckReport:
+    """Hypothesis row: Hom out of the bimodule entering ``corner`` into each
+    sampled member of this corner's class has an injective coresolution
+    that terminates within the cutoff."""
+    own, _ = by_corner(corner, *classes)
+    lay = tuple_layout(ctx, own.side)
+    _, inner = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    bad, rows = [], []
+    for c in own.sample(bound):
+        depth = injective_dimension_within(
+            hom_over_algebra(inner, c).module, cutoff)
+        rows.append({"object": c.describe(),
+                     "injective-dimension": depth if depth is not None
+                     else f"exceeds cutoff {cutoff}"})
+        if depth is None:
+            bad.append(rows[-1])
+    return CheckReport(
+        name, Verdict.PASS if not bad else Verdict.HYPOTHESIS_FAILURE,
+        detail=f"coresolution termination within cutoff {cutoff}",
+        witnesses=bad, meta={"dimensions": rows})
+
+
 def check_window_transport_forward(ctx: MoritaContext, x: Module,
                                    class_a: ClassOracle, class_b: ClassOracle,
                                    w: int, bound: int,
@@ -483,38 +533,21 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
     """Induction carries a clean component window to a clean tuple window.
 
     Builds the canonical window of x over its component algebra, applies the
-    chosen induction functor levelwise, and re-verifies the image complex:
-    terms projective over the glued ring, exact, kernel identified with the
-    induced tuple, Hom-exact against the widened mono-class sample.  An
-    adjunction dimension comparison at every level for every test tuple
-    cross-checks the Hom computations.  Hypothesis failures are reported
-    separately from conclusion failures.
+    induction functor from the ``functor`` corner levelwise, and re-verifies
+    the image complex: terms projective over the glued ring, exact, kernel
+    identified with the induced tuple, Hom-exact against the widened
+    mono-class sample.  An adjunction dimension comparison at every level
+    for every test tuple cross-checks the Hom computations.  Hypothesis
+    failures are reported separately from conclusion failures.
     """
-    if functor not in ("a", "b"):
-        raise ValidationError("functor must be 'a' or 'b'")
-    induce = induce_from_a if functor == "a" else induce_from_b
-    induce_map = induce_from_a_map if functor == "a" else induce_from_b_map
-    own_class = class_a if functor == "a" else class_b
-    other_class = class_b if functor == "a" else class_a
-    inner = ctx.n if functor == "a" else ctx.m
-    component_of = component_a if functor == "a" else component_b
-
-    hyp_rows = []
-    fg_ok = (is_projective(ctx.n.as_right_module)
-             and is_projective(ctx.m.as_right_module))
-    hyp_rows.append(_class_row(
-        "inner-bimodules-projective-on-the-right", fg_ok,
-        detail="finitely generated is automatic at finite dimension"))
-    bad_tensor = []
-    for d in other_class.sample(bound):
-        image = tensor_over_algebra(inner, d).module
-        if not own_class.contains(image):
-            bad_tensor.append({"object": d.describe(),
-                               "image": image.describe()})
-    hyp_rows.append(_class_row(
-        "inner-tensor-stays-in-component-class", not bad_tensor,
-        detail=f"checked on the class sample at bound {bound}",
-        witnesses=bad_tensor))
+    classes = (class_a, class_b)
+    own_class, _ = by_corner(functor, *classes)
+    hyp_rows = [
+        _inner_projective_row(
+            ctx, RIGHT, detail="finitely generated is automatic at finite dimension"),
+        _base_change_row(
+            "inner-tensor-stays-in-component-class", ctx, functor, classes,
+            bound, detail=f"checked on the class sample at bound {bound}")]
 
     premise = is_gorenstein_projective_window(x, own_class, w, bound)
     premise_gate = CheckReport(
@@ -528,18 +561,15 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
             meta={"functor": functor, "width": w, "bound": bound})
 
     cx = premise.window
-    terms = [induce(ctx, t) for t in cx.terms]
-    maps = [induce_map(ctx, d, source=terms[i], target=terms[i + 1])
-            for i, d in enumerate(cx.maps)]
-    image_cx = ChainComplex(cx.lo, terms, maps)
-    target = induce(ctx, x)
+    image_cx = _induced_window(ctx, cx, functor)
+    target = induce(ctx, x, functor)
 
     test_class = mono_class_test_oracle(ctx, class_a, class_b)
     image_verdict = _window_report(target, image_cx, test_class, bound)
 
     bad_adjunction = []
     for test in image_verdict.test_modules:
-        restricted = component_of(test)
+        restricted = component(test, functor)
         for i, term in enumerate(image_cx.terms):
             glued_dim = len(term.homs(test))
             plain_dim = len(cx.terms[i].homs(restricted))
@@ -575,46 +605,22 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
 
     Takes the tuple's canonical window (or a supplied one, so the check can
     run on the exact complex another harness produced), restricts it
-    levelwise to the chosen component, and re-verifies the restricted
-    complex as a window for the component of v.  The inner-hom injective
+    levelwise to the ``functor`` corner, and re-verifies the restricted
+    complex as a window for that component of v.  The inner-hom injective
     dimension hypothesis is operationalised as termination of a coresolution
     within the cutoff, and the cutoff is reported.
     """
-    if functor not in ("a", "b"):
-        raise ValidationError("functor must be 'a' or 'b'")
-    own_class = class_a if functor == "a" else class_b
-    other_class = class_b if functor == "a" else class_a
-    inner_left = ctx.n if functor == "a" else ctx.m
-    inner_right = ctx.m if functor == "a" else ctx.n
-
-    hyp_rows = []
-    proj_ok = (is_projective(ctx.n.as_left_module)
-               and is_projective(ctx.m.as_left_module))
-    hyp_rows.append(_class_row(
-        "inner-bimodules-projective-on-the-left", proj_ok))
-    bad_tensor = []
-    for c in own_class.sample(bound):
-        image = tensor_over_algebra(inner_right, c).module
-        if not other_class.contains(image):
-            bad_tensor.append({"object": c.describe(), "image": image.describe()})
-    hyp_rows.append(_class_row(
-        "inner-tensor-stays-in-component-class", not bad_tensor,
-        detail=f"checked on the class sample at bound {bound}",
-        witnesses=bad_tensor))
-    dim_rows, dim_bad = [], []
-    for c in own_class.sample(bound):
-        inner_hom = hom_over_algebra(inner_left, c).module
-        depth = injective_dimension_within(inner_hom, cutoff)
-        dim_rows.append({"object": c.describe(),
-                         "injective-dimension": depth if depth is not None
-                         else f"exceeds cutoff {cutoff}"})
-        if depth is None:
-            dim_bad.append(dim_rows[-1])
-    hyp_rows.append(CheckReport(
-        "inner-hom-injective-dimension",
-        Verdict.PASS if not dim_bad else Verdict.HYPOTHESIS_FAILURE,
-        detail=f"coresolution termination within cutoff {cutoff}",
-        witnesses=dim_bad, meta={"dimensions": dim_rows}))
+    classes = (class_a, class_b)
+    own_class, _ = by_corner(functor, *classes)
+    # The tensor hypothesis runs from this corner's class into the other's.
+    _, other_corner = by_corner(functor, *CORNERS)
+    hyp_rows = [
+        _inner_projective_row(ctx, LEFT),
+        _base_change_row(
+            "inner-tensor-stays-in-component-class", ctx, other_corner, classes,
+            bound, detail=f"checked on the class sample at bound {bound}"),
+        _hom_dimension_row("inner-hom-injective-dimension", ctx, functor,
+                           classes, bound, cutoff)]
 
     if window is None:
         window = complete_resolution_window(v, w)
@@ -630,18 +636,11 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
             "window-transport-backward", hyp_rows + [premise_gate],
             meta={"functor": functor, "width": w, "bound": bound})
 
-    if functor == "a":
-        terms = [t.x for t in window.terms]
-        maps = [ModuleMap(window.terms[i].x, window.terms[i + 1].x, d.a_matrix)
-                for i, d in enumerate(window.maps)]
-        piece = v.x
-    else:
-        terms = [t.y for t in window.terms]
-        maps = [ModuleMap(window.terms[i].y, window.terms[i + 1].y, d.b_matrix)
-                for i, d in enumerate(window.maps)]
-        piece = v.y
-    restricted = ChainComplex(window.lo, terms, maps)
-    conclusion = _window_report(piece, restricted, own_class, bound)
+    restricted = ChainComplex(
+        window.lo, [component(t, functor) for t in window.terms],
+        [by_corner(functor, d.a_map, d.b_map)[0] for d in window.maps])
+    conclusion = _window_report(component(v, functor), restricted, own_class,
+                                bound)
 
     return CheckReport.combine(
         "window-transport-backward",
@@ -664,51 +663,18 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
     than counted either way.
     """
     side = LEFT
-    flat_a = builtin_oracles(ctx.algebra_a, side)["flat"]
-    flat_b = builtin_oracles(ctx.algebra_b, side)["flat"]
+    algebras = (ctx.algebra_a, ctx.algebra_b)
+    flats = tuple(builtin_oracles(algebra, side)["flat"] for algebra in algebras)
+    ordinal = dict(zip(CORNERS, ("first", "second")))
 
-    hyp_rows = [_class_row(
-        "inner-bimodules-projective-on-the-right",
-        is_projective(ctx.n.as_right_module)
-        and is_projective(ctx.m.as_right_module))]
-
-    def base_change_row(name, inner, source_class, target_class):
-        bad = []
-        for f in source_class.sample(bound):
-            image = tensor_over_algebra(inner, f).module
-            if not target_class.contains(image):
-                bad.append({"object": f.describe(), "image": image.describe()})
-        return _class_row(name, not bad,
-                          detail=f"flat sample at bound {bound}", witnesses=bad)
-
-    hyp_rows.append(base_change_row(
-        "flat-base-change-through-first-inner", ctx.n, flat_b, flat_a))
-    hyp_rows.append(base_change_row(
-        "flat-base-change-through-second-inner", ctx.m, flat_a, flat_b))
-    hyp_rows.append(_class_row(
-        "inner-bimodules-projective-on-the-left",
-        is_projective(ctx.n.as_left_module)
-        and is_projective(ctx.m.as_left_module)))
-
-    def hom_dimension_row(name, inner, source_class):
-        bad, rows = [], []
-        for f in source_class.sample(bound):
-            depth = injective_dimension_within(
-                hom_over_algebra(inner, f).module, cutoff)
-            rows.append({"object": f.describe(),
-                         "injective-dimension": depth if depth is not None
-                         else f"exceeds cutoff {cutoff}"})
-            if depth is None:
-                bad.append(rows[-1])
-        return CheckReport(
-            name, Verdict.PASS if not bad else Verdict.HYPOTHESIS_FAILURE,
-            detail=f"coresolution termination within cutoff {cutoff}",
-            witnesses=bad, meta={"dimensions": rows})
-
-    hyp_rows.append(hom_dimension_row(
-        "inner-hom-injective-dimension-first", ctx.n, flat_a))
-    hyp_rows.append(hom_dimension_row(
-        "inner-hom-injective-dimension-second", ctx.m, flat_b))
+    hyp_rows = [_inner_projective_row(ctx, RIGHT)]
+    hyp_rows += [_base_change_row(
+        f"flat-base-change-through-{ordinal[corner]}-inner", ctx, corner, flats,
+        bound, detail=f"flat sample at bound {bound}") for corner in CORNERS]
+    hyp_rows.append(_inner_projective_row(ctx, LEFT))
+    hyp_rows += [_hom_dimension_row(
+        f"inner-hom-injective-dimension-{ordinal[corner]}", ctx, corner, flats,
+        bound, cutoff) for corner in CORNERS]
 
     skipped = []
 
@@ -723,13 +689,13 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
 
     clean_tuples = []
 
-    def induced_clause(name, universe, induce):
+    def induced_clause(corner, universe):
         bad, checked = [], 0
         for m in universe:
             component_verdict = ding_or_none(m)
             if component_verdict is None or not component_verdict.consistent:
                 continue
-            image = induce(ctx, m)
+            image = induce(ctx, m, corner)
             image_verdict = ding_or_none(image)
             if image_verdict is None:
                 continue
@@ -741,24 +707,18 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
                             "position": image_verdict.failing_position,
                             "test": image_verdict.failing_test})
         return CheckReport(
-            name, Verdict.CONSISTENT if not bad else Verdict.REFUTED,
+            f"induced-ding({corner})",
+            Verdict.CONSISTENT if not bad else Verdict.REFUTED,
             detail=f"{checked} clean component modules transported",
             witnesses=bad)
 
-    clause_a = induced_clause("induced-ding(a)",
-                              enumerate_modules(ctx.algebra_a, side, bound),
-                              induce_from_a)
-    clause_b = induced_clause("induced-ding(b)",
-                              enumerate_modules(ctx.algebra_b, side, bound),
-                              induce_from_b)
-
-    def component_clause(name, component_of):
+    def component_clause(corner):
         bad, checked = [], 0
         pool = clean_tuples + [
             v for v in enumerate_delta_modules(ctx, side, bound)
             if (verdict := ding_or_none(v)) is not None and verdict.consistent]
         for v in pool:
-            piece = component_of(v)
+            piece = component(v, corner)
             piece_verdict = ding_or_none(piece)
             if piece_verdict is None:
                 continue
@@ -769,15 +729,17 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
                             "position": piece_verdict.failing_position,
                             "test": piece_verdict.failing_test})
         return CheckReport(
-            name, Verdict.CONSISTENT if not bad else Verdict.REFUTED,
+            f"component-ding({corner})",
+            Verdict.CONSISTENT if not bad else Verdict.REFUTED,
             detail=f"{checked} clean tuples restricted",
             witnesses=bad)
 
-    clause_ua = component_clause("component-ding(a)", component_a)
-    clause_ub = component_clause("component-ding(b)", component_b)
+    clauses = [induced_clause(corner, enumerate_modules(algebra, side, bound))
+               for corner, algebra in zip(CORNERS, algebras)]
+    clauses += [component_clause(corner) for corner in CORNERS]
 
     return CheckReport.combine(
         "ding-window-transport",
-        hyp_rows + [clause_a, clause_b, clause_ua, clause_ub],
+        hyp_rows + clauses,
         detail=f"width {w}, bound {bound}",
         meta={"width": w, "bound": bound, "skipped": skipped})

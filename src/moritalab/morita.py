@@ -15,6 +15,10 @@ plain tensor coordinates and descend through the cached tensor quotients.
 ``TupleLayout`` is the one place that knows, for a side, which bimodule
 each map tensors with and how its plain coordinates are ordered; every
 tuple operation here and in the functors is written once against it.
+Likewise ``by_corner`` is the one place that swaps the A corner (x, f)
+with the B corner (y, g); corner constructions, such as the structural
+cokernels x/im g and y/im f in ``structural_cokernel``, are written once
+against it.
 
 ``pack`` realises a tuple as a module over the glued algebra on the basis
 [X block, Y block]; ``unpack`` recovers the tuple from the images of the
@@ -32,8 +36,7 @@ from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       block_injections, dual_module, find_invertible_combination,
                       free_cover, hom_space, is_flat, is_injective, is_projective,
-                      kernel_module, module_sum, quotient_module, submodule,
-                      zero_module)
+                      module_sum, quotient_module, submodule, zero_module)
 from .memo import memo
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError)
@@ -178,6 +181,22 @@ class TupleLayout:
         n, rows, component_dim = blocks.shape
         return blocks.transpose(1, *self.order(0, 2)) \
             .reshape(rows, n * component_dim)
+
+
+CORNERS = ("a", "b")
+
+
+def by_corner(corner: str, a_part, b_part) -> tuple:
+    """The pair (own, other) of ``corner`` "a" or "b", from parts given in
+    (A, B) order, such as x/y, f/g or algebra_a/algebra_b.
+
+    The glued ring is symmetric under swapping (A, N, x, f) with
+    (B, M, y, g), and this is the one place that swaps.  The swap is its own
+    inverse: ``by_corner(corner, own, other)`` is in (A, B) order.
+    """
+    if corner not in CORNERS:
+        raise ValidationError(f"corner must be 'a' or 'b', got {corner!r}")
+    return (a_part, b_part) if corner == CORNERS[0] else (b_part, a_part)
 
 
 @memo("ctx")
@@ -589,6 +608,30 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
     return quot, DeltaModuleMap(v, quot, px, py)
 
 
+def corner_parts(v: DeltaModule, part_of) -> list | None:
+    """``part_of(v, corner)`` for both corners in (A, B) order, or None as
+    soon as one of them is None."""
+    parts = []
+    for corner in CORNERS:
+        part = part_of(v, corner)
+        if part is None:
+            return None
+        parts.append(part)
+    return parts
+
+
+def structural_cokernel(v: DeltaModule, corner: str) \
+        -> tuple[Module, ModuleMap] | None:
+    """The cokernel of the structure map into the ``corner`` component,
+    x/im g for "a" and y/im f for "b", with its projection, or None when
+    that structure map is not one-to-one."""
+    _, entering = by_corner(corner, v.f_map, v.g_map)
+    image = la.image_basis(entering.matrix, v.p)
+    if image.shape[0] != entering.source.dim:
+        return None
+    return quotient_module(entering.target, image.T)[:2]
+
+
 def _splitting(source: Module, target: Module, composite,
                dim: int) -> np.ndarray | None:
     """A module map h : source -> target with composite(h) the identity of
@@ -621,28 +664,31 @@ def induced_splitting(v: DeltaModule,
     """The structural cokernels (P, Q) = (x/im g, y/im f) of v when v is
     isomorphic to the sum of the tuples induced from P and from Q, else None.
 
-    None also when ``premise`` fails on P or Q; it is tested first.  For
-    an induced sum the projections x -> P and y -> Q split, so v is no such
-    sum when one has no section.  Sections s : P -> x and t : Q -> y give a
-    map from the induced sum to v by adjunction, with components s and t.
-    It is onto: its image and Jv = (im g, im f) span v, and J, the ideal of
-    the two bimodule corners, squares to zero.  The cokernels of a sum
-    induced from any P' and Q' are P' and Q', so if v is isomorphic to one,
-    the dimensions agree and this map is bijective.  Rank decides it.
+    None also when ``premise`` fails on P or Q; it is tested before any
+    section is sought.  In an induced sum the structure maps are one-to-one
+    and the projections x -> P and y -> Q split, so v is no such sum when a
+    structure map has a kernel or a projection has no section.  Sections
+    s : P -> x and t : Q -> y give a map from the induced sum to v by
+    adjunction, with components s and t.  It is onto: its image and
+    Jv = (im g, im f) span v, and J, the ideal of the two bimodule corners,
+    squares to zero.  The cokernels of a sum induced from any P' and Q' are
+    P' and Q', so if v is isomorphic to one, the dimensions agree and this
+    map is bijective.  Rank decides it.
     """
-    from .functors import induce_from_a, induce_from_b, induced_adjoint
+    from .functors import induce, induced_adjoint
 
-    p_quot, p_proj, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
-    q_quot, q_proj, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
-    if not (premise(p_quot) and premise(q_quot)):
+    parts = corner_parts(v, structural_cokernel)
+    if parts is None or not all(premise(quot) for quot, _ in parts):
         return None
-    s = _splitting(p_quot, v.x, lambda h: p_proj.matrix @ h, p_quot.dim)
-    t = _splitting(q_quot, v.y, lambda h: q_proj.matrix @ h, q_quot.dim)
-    if s is None or t is None:
-        return None
-    joined = [induced_adjoint(induce_from_a(v.context, p_quot), v, s, "a"),
-              induced_adjoint(induce_from_b(v.context, q_quot), v, t, "b")]
-    return (p_quot, q_quot) if _bijective(joined, np.hstack) else None
+    joined = []
+    for corner, (quot, proj) in zip(CORNERS, parts):
+        section = _splitting(quot, proj.source, lambda h: proj.matrix @ h,
+                             quot.dim)
+        if section is None:
+            return None
+        joined.append(induced_adjoint(induce(v.context, quot, corner), v,
+                                      section, corner))
+    return (parts[0][0], parts[1][0]) if _bijective(joined, np.hstack) else None
 
 
 def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
@@ -652,23 +698,23 @@ def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
     module is a sum of principal summands of the glued algebra, so it is
     projective with no hypothesis on the inner bimodules.
     """
-    from .functors import (induce_from_a, induce_from_a_map, induce_from_b,
-                           induce_from_b_map)
+    from .functors import induce, induce_map
 
     ctx, p = v.context, v.p
-    _, ex = free_cover(v.x)
-    _, ey = free_cover(v.y)
-    ta = induce_from_a(ctx, v.x)
-    tb = induce_from_b(ctx, v.y)
-    counit_a = DeltaModuleMap(ta, v, la.eye(v.x.dim), v.f_map.matrix)
-    counit_b = DeltaModuleMap(tb, v, v.g_map.matrix, la.eye(v.y.dim))
-    lift_a = counit_a.compose(induce_from_a_map(ctx, ex, target=ta))
-    lift_b = counit_b.compose(induce_from_b_map(ctx, ey, target=tb))
-    total = delta_sum([lift_a.source, lift_b.source])
+    lifts = []
+    for corner in CORNERS:
+        own, _ = by_corner(corner, v.x, v.y)
+        leaving, _ = by_corner(corner, v.f_map, v.g_map)
+        _, cover = free_cover(own)
+        ind = induce(ctx, own, corner)
+        counit = DeltaModuleMap(
+            ind, v, *by_corner(corner, la.eye(own.dim), leaving.matrix))
+        lifts.append(counit.compose(induce_map(ctx, cover, corner, target=ind)))
+    total = delta_sum([lift.source for lift in lifts])
     eps = DeltaModuleMap(
         total, v,
-        np.hstack([lift_a.a_matrix, lift_b.a_matrix]) % p,
-        np.hstack([lift_a.b_matrix, lift_b.b_matrix]) % p)
+        np.hstack([lift.a_matrix for lift in lifts]) % p,
+        np.hstack([lift.b_matrix for lift in lifts]) % p)
     if la.rank(eps.matrix, p) != v.dim:
         raise InternalCheckError("tuple cover failed to surject")
     return total, eps
@@ -693,36 +739,43 @@ def is_projective_delta(v: DeltaModule) -> bool:
     return packed_answer
 
 
+def _coinduced_splitting(v: DeltaModule) -> bool:
+    """Whether v is isomorphic to the sum of the tuples co-induced from the
+    kernels X' and Y' of its transposed structure maps, both injective,
+    decided by rank as in ``is_injective_delta``."""
+    from .functors import coinduce, coinduced_adjoint, tilde_kernel
+
+    parts = corner_parts(v, tilde_kernel)
+    if parts is None or not all(is_injective(ker) for ker, _ in parts):
+        return False
+    joined = []
+    for corner, (ker, incl) in zip(CORNERS, parts):
+        retraction = _splitting(incl.target, ker, lambda h: h @ incl.matrix,
+                                ker.dim)
+        if retraction is None:
+            return False
+        joined.append(coinduced_adjoint(v, coinduce(v.context, ker, corner),
+                                        retraction, corner))
+    return _bijective(joined, np.vstack)
+
+
 def is_injective_delta(v: DeltaModule) -> bool:
     """Injectivity of a tuple, computed two independent ways.
 
     Route one: the dual tuple packs to a projective module on the other
-    side.  Route two: the kernels X' of the transposed f and Y' of the
-    transposed g must be injective and the tuple isomorphic to the sum of
-    the two co-induced tuples.  Retractions r : x -> X' and q : y -> Y' of
-    the inclusions give a map from v to that sum by adjunction, with
-    components r and q.  (X', Y') is the annihilator of J in v, where r and
-    q are one-to-one, and every nonzero sub-tuple of v meets it because J
-    squares to zero, so the map is one-to-one.  As for projectivity, it is
-    bijective exactly when v is isomorphic to such a sum, and route two
-    tests it by rank.  Disagreement is an internal error.
+    side.  Route two: the transposed structure maps must be onto, as they
+    are in a sum of co-induced tuples, their kernels X' and Y' injective,
+    and the tuple isomorphic to the sum of the two co-induced tuples.
+    Retractions r : x -> X' and q : y -> Y' of the inclusions give a map
+    from v to that sum by adjunction, with components r and q.  (X', Y')
+    is the annihilator of J in v, where r and q are one-to-one, and every
+    nonzero sub-tuple of v meets it because J squares to zero, so the map
+    is one-to-one.  As for projectivity, it is bijective exactly when v is
+    isomorphic to such a sum, and route two tests it by rank.  Disagreement
+    is an internal error.
     """
-    from .functors import (coinduce_from_a, coinduce_from_b,
-                           coinduced_adjoint, tilde_f, tilde_g)
-
     packed_answer = is_injective(v.packed)
-
-    x_ker, x_incl = kernel_module(tilde_f(v))
-    y_ker, y_incl = kernel_module(tilde_g(v))
-    structural = False
-    if is_injective(x_ker) and is_injective(y_ker):
-        r = _splitting(v.x, x_ker, lambda h: h @ x_incl.matrix, x_ker.dim)
-        q = _splitting(v.y, y_ker, lambda h: h @ y_incl.matrix, y_ker.dim)
-        structural = r is not None and q is not None and _bijective(
-            [coinduced_adjoint(v, coinduce_from_a(v.context, x_ker), r, "a"),
-             coinduced_adjoint(v, coinduce_from_b(v.context, y_ker), q, "b")],
-            np.vstack)
-
+    structural = _coinduced_splitting(v)
     if structural != packed_answer:
         raise InternalCheckError(
             f"injectivity routes disagree on {v.describe()}: "
@@ -732,13 +785,8 @@ def is_injective_delta(v: DeltaModule) -> bool:
 
 def flat_characterisation(v: DeltaModule) -> bool:
     """Monomorphism form of flatness: f and g injective with flat cokernels."""
-    f_mono = la.rank(v.f_map.matrix, v.p) == v.tensor_f.dim
-    g_mono = la.rank(v.g_map.matrix, v.p) == v.tensor_g.dim
-    if not (f_mono and g_mono):
-        return False
-    p_quot, _, _ = quotient_module(v.x, la.image_basis(v.g_map.matrix, v.p).T)
-    q_quot, _, _ = quotient_module(v.y, la.image_basis(v.f_map.matrix, v.p).T)
-    return is_flat(p_quot) and is_flat(q_quot)
+    parts = corner_parts(v, structural_cokernel)
+    return parts is not None and all(is_flat(quot) for quot, _ in parts)
 
 
 def is_flat_delta(v: DeltaModule) -> bool:

@@ -15,6 +15,7 @@ from moritalab.algebra import (
     Module,
     ModuleMap,
     dual_module,
+    find_invertible_combination,
     free_cover,
     hom_space,
     is_injective,
@@ -25,7 +26,7 @@ from moritalab.algebra import (
     quotient_module,
 )
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
-from moritalab.report import ValidationError
+from moritalab.report import BudgetExceededError, ValidationError
 
 P2 = FieldSpec(2)
 
@@ -199,3 +200,14 @@ def test_conjugated_module_is_isomorphic(g):
     twisted = Module(a, LEFT, 2, np.stack(
         [(g @ act @ ginv) % 2 for act in reg.actions]))
     assert is_isomorphic(reg, twisted) is not None
+
+
+def test_isomorphism_scans_share_the_one_default_budget(monkeypatch):
+    # Zero basis vectors never give an invertible 1 x 1 block, so the scan
+    # visits all 2^h combinations and returns None.
+    monkeypatch.delenv("MORITA_ENUM_BUDGET", raising=False)
+    shapes = [(1, 1, 0)]
+    zeros = [np.zeros(1, dtype=np.int64)] * 19
+    assert find_invertible_combination(zeros, shapes, 2) is None
+    with pytest.raises(BudgetExceededError, match="2097152"):
+        find_invertible_combination(zeros + zeros[:3], shapes, 2)

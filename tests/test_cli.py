@@ -53,6 +53,19 @@ def test_unknown_fixture_is_an_input_error(tmp_path):
     assert run(["validate", "--fixture", str(missing)]) == INPUT_ERROR
 
 
+def test_missing_shipped_data_file_is_an_input_error(tmp_path, monkeypatch, capsys):
+    # An installed tree without data/E1.txt: the loader reads from an empty
+    # directory, and the parsed copy cached by earlier tests is set aside.
+    from moritalab import fixtures
+
+    monkeypatch.setattr(fixtures.resources, "files", lambda package: tmp_path)
+    monkeypatch.delitem(fixtures._CACHE, "E1", raising=False)
+    assert run(["validate", "--fixture", "E1"]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "E1.txt" in err
+    assert "Traceback" not in err
+
+
 def test_functor_rejects_module_over_the_wrong_corner():
     assert run(["functor", "t_A", "probe.b", "--fixture", "E2"]) == INPUT_ERROR
 

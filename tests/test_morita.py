@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from moritalab.algebra import (LEFT, RIGHT, Module, direct_sum, dual_module,
-                               hom_space, module_sum, quotient_module)
+                               hom_space, is_injective, kernel_module,
+                               module_sum, quotient_module)
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab import morita
 from moritalab import linalg as la
-from moritalab.functors import induce_from_a, induce_from_b
+from moritalab.functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
+                                induce_from_b, tilde_f, tilde_g)
 from moritalab.morita import (
     DeltaModuleMap,
     MoritaContext,
@@ -183,5 +185,25 @@ def test_induced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
             if split is not None:
                 assert [m.actions.tolist() for m in split] \
                     == [m.actions.tolist() for m in (p0, q0)]
+            outcomes.add(scanned)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coinduced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
+    """The retraction-and-rank route of is_injective_delta agrees with
+    scanning for an isomorphism between the tuple and the sum co-induced
+    from the kernels of its transposed structure maps, both injective."""
+    outcomes = set()
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for v in enumerate_delta_modules(ctx, side, 2):
+            x1 = kernel_module(tilde_f(v))[0]
+            y1 = kernel_module(tilde_g(v))[0]
+            candidate = delta_sum([coinduce_from_a(ctx, x1), coinduce_from_b(ctx, y1)])
+            scanned = (is_injective(x1) and is_injective(y1)
+                       and delta_is_isomorphic(v, candidate) is not None)
+            assert morita._coinduced_splitting(v) == scanned, v.describe()
             outcomes.add(scanned)
     assert outcomes == {True, False}
