@@ -11,13 +11,14 @@ algebras.  Every object validates its defining equations at construction.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from . import linalg as la
 from .linalg import FieldSpec
+from .memo import memo
 from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
                      InternalCheckError, ValidationError, Verdict)
 
@@ -314,6 +315,16 @@ class ModuleMap:
     def identity(cls, module: Module) -> "ModuleMap":
         return cls(module, module, la.eye(module.dim))
 
+    @classmethod
+    def _intertwining(cls, source: Module, target: Module,
+                      matrix: np.ndarray) -> "ModuleMap":
+        """A map whose reduced matrix its caller has already proved to
+        intertwine the actions, such as a kernel vector of the hom system;
+        the construction check is not run again."""
+        phi = object.__new__(cls)
+        phi.source, phi.target, phi.matrix = source, target, matrix
+        return phi
+
 
 def module_sum(modules: list[Module]) -> Module:
     """Direct sum of modules, actions block-diagonal in the given order.
@@ -382,7 +393,8 @@ def hom_space(source: Module, target: Module) -> list[ModuleMap]:
                        - la.kron(target.actions[i], la.eye(m), p)) % p)
     system = np.vstack(blocks) if blocks else la.zeros(0, n * m)
     basis_rows = la.kernel_basis(system, p)
-    return [ModuleMap(source, target, row.reshape(n, m)) for row in basis_rows]
+    return [ModuleMap._intertwining(source, target, row.reshape(n, m))
+            for row in basis_rows]
 
 
 def dual_module(module: Module) -> Module:
@@ -413,13 +425,14 @@ def _conjugation_invariants(module: Module) -> tuple:
 
 
 def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
-                                budget: int | None = None):
+                                budget: int | None = None, between: tuple = ()):
     """Search the span of ``basis_vecs`` for an element whose blocks are invertible.
 
     ``shapes`` is a list of (rows, cols, offset) block descriptors into the
     coordinate vectors; an element qualifies when every square block is
     nonsingular.  Scans all p^h combinations in numeric order under a budget,
-    so the first witness found is deterministic.
+    so the first witness found is deterministic.  ``between`` holds the two
+    objects compared, if any; a budget failure names them.
 
     Returns the coefficient vector or None.
     """
@@ -434,8 +447,10 @@ def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
     total = p ** h
     limit = budget if budget is not None else scan_budget()
     if total > limit:
+        named = (f" between {between[0].describe()} and {between[1].describe()}"
+                 if between else "")
         raise BudgetExceededError(
-            f"isomorphism scan of {total} combinations exceeds budget {limit}")
+            f"isomorphism scan of {total} combinations exceeds budget {limit}{named}")
     stacked = np.stack(basis_vecs, axis=0) % p      # (h, veclen)
     chunk = 1 << 14
     for start in range(1, total, chunk):
@@ -472,7 +487,8 @@ def is_isomorphic(x: Module, y: Module) -> ModuleMap | None:
     if not homs:
         return None
     vecs = [h.coord_vector() for h in homs]
-    coeffs = find_invertible_combination(vecs, [(y.dim, x.dim, 0)], x.p)
+    coeffs = find_invertible_combination(vecs, [(y.dim, x.dim, 0)], x.p,
+                                         between=(x, y))
     if coeffs is None:
         return None
     mat = sum(int(c) * h.matrix for c, h in zip(coeffs, homs)) % x.p
@@ -563,17 +579,136 @@ def free_cover(module: Module) -> tuple[Module, ModuleMap]:
     return free, ModuleMap(free, module, eps)
 
 
+@dataclass(eq=False)
+class Radical:
+    """A nilpotent two-sided ideal J of an algebra, on an echelon basis.
+
+    ``basis`` holds one element of J per row, in reduced row echelon form,
+    so an element of J has its coordinates in the pivot columns.
+    ``left[i]`` and ``right[i]`` are the matrices of j -> b_i j and
+    j -> j b_i on J in those coordinates.  Construction checks that J is
+    closed under both and that J^dim = 0, dim that of the algebra; only
+    ``radical`` builds one, so a failure is an internal error.
+    """
+
+    algebra: Algebra
+    basis: np.ndarray       # (dim J, algebra.dim)
+    left: np.ndarray = field(init=False)    # (algebra.dim, dim J, dim J)
+    right: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        alg, p = self.algebra, self.algebra.p
+        reduced, pivots, rank = la.rref(self.basis, p)
+        self.basis = reduced[:rank]
+        self.left = self._restricted(alg.left_mult, pivots, LEFT)
+        self.right = self._restricted(alg.right_mult, pivots, RIGHT)
+        power = self.basis
+        for _ in range(alg.dim - 1):
+            products = np.einsum("ai,bj,ijk->abk", power, self.basis, alg.structure)
+            reduced, _, rank = la.rref(products.reshape(-1, alg.dim), p)
+            power = reduced[:rank]
+        if power.any():
+            raise InternalCheckError(
+                f"radical of {alg.name or '<anon>'} is not nilpotent")
+
+    def _restricted(self, mult: np.ndarray, pivots: list[int], side: str) -> np.ndarray:
+        """The multiplications ``mult`` restricted to J, in J coordinates."""
+        p, cols = self.algebra.p, self.basis.T
+        images = (mult @ cols) % p
+        coords = images[:, pivots, :]
+        if ((cols @ coords - images) % p).any():
+            raise InternalCheckError(
+                f"radical of {self.algebra.name or '<anon>'} is not a {side} ideal")
+        return coords
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+
+def _power_mod(mats: np.ndarray, exponent: int, modulus: int) -> np.ndarray:
+    """Each matrix of an integer stack raised to ``exponent``, mod ``modulus``."""
+    result = np.broadcast_to(la.eye(mats.shape[-1]), mats.shape).copy()
+    base = mats % modulus
+    while exponent:
+        if exponent & 1:
+            result = (result @ base) % modulus
+        exponent >>= 1
+        if exponent:
+            base = (base @ base) % modulus
+    return result
+
+
+@memo("alg")
+def radical(alg: Algebra) -> Radical:
+    """The Jacobson radical J of ``alg``, exact in every characteristic.
+
+    Cohen, Ivanyos and Wales, "Finding the radical of an algebra of linear
+    transformations", J. Pure Appl. Algebra 117-118 (1997), applied to the
+    left regular representation L, of degree n = dim.  Start from
+    I_(-1) = the whole algebra; for i = 0 .. floor(log_p n) let
+
+        I_i = {a in I_(i-1) : g_i(a b_k) = 0 for every basis element b_k},
+        g_i(z) = Tr(L~_z^(p^i)) / p^i mod p,
+
+    with L~_z the integer lift of L_z, powered mod p^(i+1).  Each g_i is
+    linear on I_(i-1), so each step is one kernel, and the last I_i is J.
+    Step 0 is the kernel of the trace form, which is J already when p > n
+    (Dickson); the later steps are needed when p <= n, as for the 2 x 2
+    matrices over GF(2), whose regular trace form vanishes.  Every trace of
+    step i is divisible by p^i; one that is not, or a result that is not a
+    nilpotent two-sided ideal (see ``Radical``), is an internal error.
+    """
+    p, n = alg.p, alg.dim
+    ideal = la.eye(n)
+    step = 1                                        # p^i
+    while step <= n and ideal.shape[0]:
+        modulus = step * p
+        products = np.einsum("ja,akc->jkc", ideal, alg.structure) % p
+        lifts = np.einsum("jkc,cxy->jkxy", products, alg.left_mult) % p
+        traces = np.trace(_power_mod(lifts, step, modulus), axis1=2, axis2=3) % modulus
+        if (traces % step).any():
+            raise InternalCheckError(
+                f"radical of {alg.name or '<anon>'}: a trace of step p^i = {step} "
+                f"is not divisible by {step}")
+        ideal = (la.kernel_basis((traces // step).T, p) @ ideal) % p
+        step *= p
+    return Radical(alg, ideal)
+
+
 def is_projective(module: Module) -> bool:
-    """Splitting test: does the canonical free cover admit a section?"""
-    if module.dim == 0:
+    """Projectivity by a Tor-vanishing certificate over the radical J.
+
+    For a left module M, tensoring 0 -> J -> A -> A/J -> 0 with M gives the
+    exact sequence
+
+        0 -> Tor_1(A/J, M) -> J (x)_A M -> M -> M/JM -> 0,
+
+    in which the image of J (x)_A M is JM, so Tor_1(A/J, M) = 0 exactly
+    when dim(J (x)_A M) = dim JM.  That holds exactly when M is projective.
+    A projective M has no Tor.  Conversely, let 0 -> K -> P -> M -> 0 be a
+    projective cover, so K lies in JP; tensoring it with A/J gives
+    0 -> Tor_1(A/J, M) -> K/JK -> P/JP -> M/JM -> 0 with the last map an
+    isomorphism, so Tor_1(A/J, M) = K/JK, which is 0 only when K = 0 by
+    Nakayama's lemma.  A right module uses M (x)_A J in the same way.
+
+    J (x)_A M is J (x) M modulo the relations jb (x) m - j (x) bm, the
+    images of rho_J(b) (x) I - I (x) lambda_M(b) over the basis elements b,
+    and JM is spanned by the images of the basis of J: two ranks, with no
+    free cover and no hom space.
+    """
+    rad = radical(module.algebra)
+    r, d, p = rad.dim, module.dim, module.p
+    if r * d == 0:
         return True
-    free, eps = free_cover(module)
-    sections = hom_space(module, free)
-    if not sections:
-        return False
-    composed = [la.vec((eps.matrix @ s.matrix) % module.p) for s in sections]
-    stacked = np.stack(composed, axis=1)
-    return la.solve(stacked, la.vec(la.eye(module.dim)), module.p) is not None
+    on_rad = rad.right if module.side == LEFT else rad.left
+    # The relation images are the columns of the blocks; their transposes,
+    # stacked, have the same rank.
+    relations = (np.einsum("bxy,uv->byvxu", on_rad, la.eye(d))
+                 - np.einsum("xy,buv->byvxu", la.eye(r), module.actions))
+    tensor_dim = r * d - la.rank(relations.reshape(-1, r * d), p)
+    rad_actions = np.einsum("ki,iab->kba", rad.basis, module.actions)
+    return tensor_dim == la.rank(rad_actions.reshape(-1, d), p)
 
 
 def is_injective(module: Module) -> bool:

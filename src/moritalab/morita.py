@@ -543,7 +543,7 @@ def delta_is_isomorphic(u: DeltaModule, v: DeltaModule) -> DeltaModuleMap | None
         return None
     vecs = [h.coord_vector() for h in homs]
     shapes = [(v.x.dim, u.x.dim, 0), (v.y.dim, u.y.dim, u.x.dim * u.x.dim)]
-    coeffs = find_invertible_combination(vecs, shapes, u.p)
+    coeffs = find_invertible_combination(vecs, shapes, u.p, between=(u, v))
     if coeffs is None:
         return None
     a = la.zeros(v.x.dim, u.x.dim)
@@ -723,11 +723,12 @@ def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
 def is_projective_delta(v: DeltaModule) -> bool:
     """Projectivity of a tuple, computed two independent ways.
 
-    Route one packs the tuple and tests splitting of a free cover over the
-    glued algebra.  Route two decomposes: the tuple is projective exactly
-    when the structure-map cokernels P = x/im g and Q = y/im f are
-    projective and the tuple is isomorphic to the sum of the tuples induced
-    from P and from Q, which ``induced_splitting`` decides by rank.
+    Route one packs the tuple and applies the Tor certificate of
+    ``is_projective`` over the glued algebra.  Route two decomposes: the
+    tuple is projective exactly when the structure-map cokernels
+    P = x/im g and Q = y/im f are projective and the tuple is isomorphic to
+    the sum of the tuples induced from P and from Q, which
+    ``induced_splitting`` decides by rank.
     Disagreement is an internal error.
     """
     packed_answer = is_projective(v.packed)

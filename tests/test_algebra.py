@@ -1,4 +1,4 @@
-"""Algebras, bimodules, plain modules, and the splitting-based class tests."""
+"""Algebras, bimodules, plain modules, hom spaces and the class tests."""
 
 import numpy as np
 import pytest
@@ -211,3 +211,35 @@ def test_isomorphism_scans_share_the_one_default_budget(monkeypatch):
     assert find_invertible_combination(zeros, shapes, 2) is None
     with pytest.raises(BudgetExceededError, match="2097152"):
         find_invertible_combination(zeros + zeros[:3], shapes, 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_space_basis_maps_pass_the_full_map_check(fixture_over, p):
+    # hom_space builds its basis maps without re-running the intertwining
+    # check, which the kernel of the hom system already guarantees.
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            packed = [v.packed for v in enumerate_delta_modules(ctx, side, 2)]
+            for modules in (enumerate_modules(ctx.algebra_a, side, 2),
+                            enumerate_modules(ctx.algebra_b, side, 2), packed):
+                for source in modules:
+                    for target in modules:
+                        for phi in hom_space(source, target):
+                            checked = ModuleMap(source, target, phi.matrix)
+                            assert np.array_equal(checked.matrix, phi.matrix)
+
+
+def test_an_exhausted_isomorphism_scan_names_both_modules(monkeypatch):
+    st_table = np.zeros((2, 2, 2), dtype=np.int64)
+    st_table[0, 0, 0] = st_table[0, 1, 1] = st_table[1, 0, 1] = 1
+    a = Algebra(P2, 2, st_table, np.array([1, 0], dtype=np.int64), name="D")
+    reg = a.regular_module(LEFT)
+    swap = np.array([[1, 1], [0, 1]], dtype=np.int64)
+    twisted = Module(a, LEFT, 2, np.stack([(swap @ act @ swap) % 2 for act in reg.actions]),
+                     name="twisted")
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "3")
+    with pytest.raises(BudgetExceededError,
+                       match=r"^isomorphism scan of 4 combinations exceeds budget 3 "
+                             r"between D\.regular\.left and twisted$"):
+        is_isomorphic(reg, twisted)

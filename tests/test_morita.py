@@ -28,7 +28,7 @@ from moritalab.morita import (
     unpack,
     zero_delta_module,
 )
-from moritalab.report import InternalCheckError, ValidationError
+from moritalab.report import BudgetExceededError, InternalCheckError, ValidationError
 
 
 def test_glued_dimensions(e0, e1, e2):
@@ -207,3 +207,14 @@ def test_coinduced_splitting_matches_the_isomorphism_scan(fixture_over, side, p)
             assert morita._coinduced_splitting(v) == scanned, v.describe()
             outcomes.add(scanned)
     assert outcomes == {True, False}
+
+
+def test_an_exhausted_tuple_isomorphism_scan_names_both_tuples(ws_e2, monkeypatch):
+    delta = ws_e2.tuples["Delta"]
+    copy = delta_sum([delta])          # an equal tuple, not the same object
+    assert len(delta_hom_space(delta, copy)) == 5
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "31")
+    with pytest.raises(BudgetExceededError,
+                       match=r"^isomorphism scan of 32 combinations exceeds budget 31 "
+                             r"between Delta and \(Delta\)$"):
+        delta_is_isomorphic(delta, copy)
