@@ -5,7 +5,9 @@ basis element k in the product b_i * b_j) plus the coordinates of the unit.
 A module is a list of action matrices, one per algebra basis element; for a
 left module the assignment b -> action(b) is multiplicative, for a right
 module it reverses products.  Bimodules carry commuting actions of two
-algebras.  Every object validates its defining equations at construction.
+algebras.  Every object validates its defining equations at construction,
+except a module derived from validated ones, such as a direct sum or a dual,
+whose laws follow from theirs (see ``Module._derived``).
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -168,12 +171,26 @@ class Module:
     dim: int
     actions: np.ndarray     # (algebra.dim, dim, dim)
     name: str = ""
+    # The nonzero summands of a module built by ``module_sum``, in order;
+    # tensor.py assembles the products and hom modules of a sum from theirs.
+    summands: ClassVar[tuple["Module", ...]] = ()
 
     def __post_init__(self):
         self.actions = la.reduce_mod(self.actions, self.p)
         report = validate_module_data(self.algebra, self.side, self.dim, self.actions)
         if report.verdict is not Verdict.PASS:
             raise ValidationError(f"module {self.name or '<anon>'}: {report.detail}", report)
+
+    @classmethod
+    def _derived(cls, algebra: Algebra, side: str, dim: int,
+                 actions: np.ndarray, name: str) -> "Module":
+        """A module whose reduced actions its caller has built from validated
+        modules by an operation that keeps the action laws, such as a block
+        sum or a transpose; the construction check is not run again."""
+        module = object.__new__(cls)
+        module.algebra, module.side, module.dim = algebra, side, dim
+        module.actions, module.name = actions, name
+        return module
 
     @property
     def p(self) -> int:
@@ -330,21 +347,25 @@ def module_sum(modules: list[Module]) -> Module:
     """Direct sum of modules, actions block-diagonal in the given order.
 
     Builds only the sum; ``direct_sum`` adds the injection and projection
-    witnesses for callers that use them.
+    witnesses for callers that use them.  Block-diagonal actions obey the
+    action laws because each block does, so the sum is not validated again.
+    It records its nonzero summands, from which ``tensor_over_algebra`` and
+    ``hom_over_algebra`` assemble its products and hom modules.  Those equal
+    the eliminated ones entry for entry: the relations and the hom system
+    of a sum are block-diagonal, so their echelon choices are the summands'
+    choices put in place (see tensor.py).  Zero summands contribute no
+    coordinates and are left out, so assembling makes no memo entry on them.
     """
     if not modules:
         raise ValueError("direct_sum of an empty list is ambiguous; pass a zero module")
     alg, side = modules[0].algebra, modules[0].side
     if any(m.algebra is not alg or m.side != side for m in modules):
         raise AlgebraMismatchError("direct sum factors disagree on algebra or side")
-    total = sum(m.dim for m in modules)
-    actions = np.zeros((alg.dim, total, total), dtype=np.int64)
-    offset = 0
-    for m in modules:
-        actions[:, offset:offset + m.dim, offset:offset + m.dim] = m.actions
-        offset += m.dim
+    actions = la.block_diagonal([m.actions for m in modules], alg.dim)
     name = "(" + " + ".join(m.describe() for m in modules) + ")"
-    return Module(alg, side, total, actions, name=name)
+    out = Module._derived(alg, side, actions.shape[1], actions, name)
+    out.summands = tuple(m for m in modules if m.dim)
+    return out
 
 
 def block_injections(dims: list[int]) -> list[np.ndarray]:
@@ -398,11 +419,14 @@ def hom_space(source: Module, target: Module) -> list[ModuleMap]:
 
 
 def dual_module(module: Module) -> Module:
-    """GF(p)-linear dual with the opposite side; action matrices transpose."""
+    """GF(p)-linear dual with the opposite side; action matrices transpose.
+
+    Transposing reverses products, which is exactly the action law of the
+    other side, so the dual is not validated again."""
     transposed = np.transpose(module.actions, (0, 2, 1)).copy()
     other = RIGHT if module.side == LEFT else LEFT
-    return Module(module.algebra, other, module.dim, transposed,
-                  name=f"{module.describe()}^+")
+    return Module._derived(module.algebra, other, module.dim, transposed,
+                           f"{module.describe()}^+")
 
 
 def dual_map(phi: ModuleMap, dual_source: Module | None = None,

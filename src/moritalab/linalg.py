@@ -246,6 +246,20 @@ def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a[:, None, :, None] * b[None, :, None, :]) % p).reshape(ra * rb, ca * cb)
 
 
+def block_diagonal(stacks: list[np.ndarray], count: int) -> np.ndarray:
+    """The (count, n, n) stack whose entry i is block-diagonal with the
+    blocks stacks[0][i], stacks[1][i], ... in order; each stack has shape
+    (count, d, d) and n is the sum of the d."""
+    n = sum(s.shape[1] for s in stacks)
+    out = np.zeros((count, n, n), dtype=np.int64)
+    offset = 0
+    for s in stacks:
+        d = s.shape[1]
+        out[:, offset:offset + d, offset:offset + d] = s
+        offset += d
+    return out
+
+
 def vec(m: np.ndarray) -> np.ndarray:
     """Row-major vectorisation."""
     return np.asarray(m, dtype=np.int64).reshape(-1)

@@ -9,6 +9,21 @@ computable coordinates.
 
 Index convention: the plain tensor basis is ordered (i, j) -> i * dim2 + j,
 matching numpy's kron.
+
+The product of a bimodule with a direct sum (``algebra.module_sum``) is not
+eliminated again: it is assembled from the memoised products of the
+summands, and equals the eliminated one entry for entry.  Each summand's
+plain coordinates sit in the sum's plain coordinates by an index map that
+keeps their order, and the relation space of the sum is the direct sum of
+the summands' relation spaces on those disjoint coordinate sets.  So a unit
+vector of one summand's coordinates lies in the span of the relations and
+of the unit vectors chosen before it exactly when it does so within its
+summand: the greedy section of ``linalg.quotient_data`` is the union of the
+summands' sections, sorted by plain index in the sum.  The projection is
+the unique map that kills the relations and inverts that section, so it is
+the summands' projections put in place, and the residual actions are the
+summands' actions, block-diagonal in the sorted order.  Hom modules into a
+sum are assembled in the same way (see ``hom_over_algebra``).
 """
 
 from __future__ import annotations
@@ -99,6 +114,11 @@ def tensor_over_algebra(first, second) -> TensorModule:
             f"({alg1.name!r} vs {alg2.name!r})")
     shared = alg1
     p = shared.p
+    name = f"({_describe(first)} (x) {_describe(second)})"
+    if isinstance(first, Bimodule) != isinstance(second, Bimodule):
+        axis = 1 if isinstance(first, Bimodule) else 0
+        if (first, second)[axis].summands:
+            return _assembled_tensor(first, second, shared, axis, (d1, d2), name)
     plain = d1 * d2
     if plain:
         rel_blocks = [(la.kron(rho[i], la.eye(d2), p)
@@ -123,10 +143,52 @@ def tensor_over_algebra(first, second) -> TensorModule:
 
     acts = np.stack([(projection @ amb @ section) % p for amb in ambient]) \
         .reshape(out_alg.dim, q, q)
-    name = f"({_describe(first)} (x) {_describe(second)})"
     module = Module(out_alg, out_side, q, acts, name=name)
     return TensorModule(first, second, shared, module, projection, section,
                         relations, (d1, d2))
+
+
+def _assembled_tensor(first, second, shared: Algebra, axis: int,
+                      dims: tuple[int, int], name: str) -> TensorModule:
+    """The product of a bimodule and a module sum, from its summands'.
+
+    ``axis`` is the factor that is the sum: 1 for bimodule (x) sum, 0 for
+    sum (x) bimodule.  The result equals the eliminated product entry for
+    entry (see the module docstring).
+    """
+    factors = [first, second]
+    total = factors[axis]
+    grid = np.arange(dims[0] * dims[1]).reshape(dims)
+    parts, plains, offset = [], [], 0
+    for summand in total.summands:
+        factors[axis] = summand
+        parts.append(tensor_over_algebra(*factors))
+        block = [slice(None), slice(None)]
+        block[axis] = slice(offset, offset + summand.dim)
+        plains.append(grid[tuple(block)].ravel())
+        offset += summand.dim
+    # Quotient coordinates in summand order, then sorted by the plain index
+    # of their section column.
+    chosen = np.concatenate([plain[np.nonzero(t.section.T)[1]]
+                             for t, plain in zip(parts, plains)])
+    order = np.argsort(chosen)
+    q, size = chosen.size, grid.size
+    projection = la.zeros(q, size)
+    relations = la.zeros(size, sum(t.relations.shape[1] for t in parts))
+    row = col = 0
+    for t, plain in zip(parts, plains):
+        projection[row:row + t.dim, plain] = t.projection
+        relations[plain, col:col + t.relations.shape[1]] = t.relations
+        row += t.dim
+        col += t.relations.shape[1]
+    section = la.zeros(size, q)
+    section[chosen[order], np.arange(q)] = 1
+    out_alg = parts[0].module.algebra
+    acts = la.block_diagonal([t.module.actions for t in parts], out_alg.dim)
+    module = Module._derived(out_alg, parts[0].module.side, q,
+                             acts[:, order][:, :, order], name)
+    return TensorModule(first, second, shared, module, projection[order],
+                        section, relations, dims)
 
 
 def _describe(obj) -> str:
@@ -207,6 +269,15 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     ``target.side`` selects the variant: a left module over the bimodule's
     left algebra yields a left module over its right algebra, and a right
     module over the right algebra yields a right module over the left one.
+
+    Hom into a module sum is assembled from the hom modules into the
+    summands and equals the eliminated one entry for entry.  In the
+    row-major vec F the rows of F into one summand are contiguous, and the
+    hom system is block-diagonal on those blocks, so a column is a pivot of
+    the system exactly when it is one of its summand's system: the echelon
+    kernel basis is the summands' bases, zero-padded, in order.
+    Precomposition keeps each basis map inside its block, so the residual
+    actions are the summands' actions, block-diagonal.
     """
     if target.side == LEFT:
         if target.algebra is not source.left_algebra:
@@ -220,6 +291,9 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
         inner = source.as_right_module
         residual_alg = source.left_algebra
         twist = source.left_actions
+    name = f"Hom({source.name or '<bimodule>'}, {target.describe()})"
+    if target.summands:
+        return _assembled_hom(source, target, residual_alg, name)
 
     maps = hom_space(inner, target)
     basis = [m.matrix for m in maps]
@@ -234,8 +308,24 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
             if coords is None:
                 raise InternalCheckError("hom action left the hom space")
             acts[i] = coords
-    name = f"Hom({source.name or '<bimodule>'}, {target.describe()})"
     module = Module(residual_alg, target.side, h, acts, name=name)
+    return HomModule(source, target, module, basis)
+
+
+def _assembled_hom(source: Bimodule, target: Module, residual_alg: Algebra,
+                   name: str) -> HomModule:
+    """Hom into a module sum, from the hom modules into its summands."""
+    parts = [hom_over_algebra(source, summand) for summand in target.summands]
+    basis, offset = [], 0
+    for part in parts:
+        for mat in part.basis:
+            padded = la.zeros(target.dim, source.dim)
+            padded[offset:offset + part.target.dim] = mat
+            basis.append(padded)
+        offset += part.target.dim
+    acts = la.block_diagonal([part.module.actions for part in parts],
+                             residual_alg.dim)
+    module = Module._derived(residual_alg, target.side, len(basis), acts, name)
     return HomModule(source, target, module, basis)
 
 

@@ -209,6 +209,32 @@ def test_coinduced_splitting_matches_the_isomorphism_scan(fixture_over, side, p)
     assert outcomes == {True, False}
 
 
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_coinduced_rank_test_passes_whenever_it_is_reached(fixture_over,
+                                                               monkeypatch, side, p):
+    """No tuple up to dimension 3 has onto tilde maps and injective tilde
+    kernels without being co-induced, so the rank test of the retraction
+    route is reached and never fails.  None can exist: the adjoint map from
+    v to the co-induced sum is one-to-one, and the dimensions agree because
+    x/X' is Hom(M, y) and Hom(M, Y') -> Hom(M, y) is onto, its cokernel
+    lying in Hom(M, Hom(N, x)) = Hom(N (x) M, x) = 0; the y side mirrors
+    it.  The rank test stays as the check of that argument."""
+    outcomes = []
+    bijective = morita._bijective
+
+    def recording(maps, stack):
+        outcomes.append(bijective(maps, stack))
+        return outcomes[-1]
+
+    monkeypatch.setattr(morita, "_bijective", recording)
+    for name in ("E1", "E2"):
+        for v in enumerate_delta_modules(fixture_over(name, p).single_context(),
+                                         side, 3):
+            morita._coinduced_splitting(v)
+    assert outcomes and all(outcomes)
+
+
 def test_an_exhausted_tuple_isomorphism_scan_names_both_tuples(ws_e2, monkeypatch):
     delta = ws_e2.tuples["Delta"]
     copy = delta_sum([delta])          # an equal tuple, not the same object

@@ -1,14 +1,25 @@
+import sys
+
 import numpy as np
 import pytest
 
+from moritalab import linalg as la
+from moritalab import tensor
 from moritalab.algebra import (
     LEFT,
+    RIGHT,
     Bimodule,
     FieldSpec,
     Module,
     is_isomorphic,
+    module_sum,
+    validate_module_data,
+    zero_module,
 )
-from moritalab.report import AlgebraMismatchError
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab.functors import tilde
+from moritalab.morita import CORNERS, delta_dual, delta_sum, tuple_layout
+from moritalab.report import AlgebraMismatchError, Verdict
 from moritalab.tensor import hom_over_algebra, tensor_over_algebra, tor_one_dimension
 
 
@@ -72,3 +83,108 @@ def test_tor_vanishes_over_the_semisimple_fixture(e1):
     from moritalab.enumeration import enumerate_modules
     for x in enumerate_modules(e1.algebra_a, LEFT, 2):
         assert tor_one_dimension(e1.m, x) == 0
+
+
+def _eliminated(module):
+    """An equal module that records no summands, so its products and hom
+    modules are eliminated from scratch."""
+    return Module(module.algebra, module.side, module.dim, module.actions,
+                  name=module.name)
+
+
+def _sums(algebra, side, components):
+    """Sums of every ordered pair of components, a sum with zero summands,
+    a nested sum and a free module."""
+    zero = zero_module(algebra, side)
+    first, last = components[0], components[-1]
+    return ([module_sum([u, v]) for u in components for v in components]
+            + [module_sum([zero, last, zero]), module_sum([zero]),
+               module_sum([module_sum([first, last]), first]),
+               module_sum([algebra.regular_module(side)] * 3)])
+
+
+def _regular_bimodule(algebra):
+    return Bimodule(algebra, algebra, algebra.dim, algebra.left_mult,
+                    algebra.right_mult, name=f"{algebra.name}.regular")
+
+
+def _same_span(a, b, p):
+    return la.rank(a, p) == la.rank(b, p) == la.rank(np.hstack([a, b]), p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("name", ["E0", "E1", "E2"])
+def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
+                                                             monkeypatch, name, p):
+    # The products and hom modules of a sum are assembled from its
+    # summands' and must equal the eliminated ones entry for entry.  Over
+    # the regular bimodule of k x k the section columns of a sum interleave
+    # those of its summands, so the sort by plain index is exercised.
+    ctx = fixture_over(name, p).single_context()
+
+    def refuse(*args):
+        raise AssertionError("a sum was eliminated instead of assembled")
+
+    for side in (LEFT, RIGHT):
+        lay = tuple_layout(ctx, side)
+        for algebra, tensored, hommed in (
+                (ctx.algebra_a, lay.f_bimodule, lay.g_bimodule),
+                (ctx.algebra_b, lay.g_bimodule, lay.f_bimodule)):
+            regular = _regular_bimodule(algebra)
+            pairs = [(tensored, hommed), (regular, regular)]
+            for total in _sums(algebra, side, enumerate_modules(algebra, side, 2)):
+                plain = _eliminated(total)
+                for tensored_with, hommed_from in pairs:
+                    for summand in total.summands:
+                        lay.tensor(tensored_with, summand)
+                        hom_over_algebra(hommed_from, summand)
+                    with monkeypatch.context() as patched:
+                        if total.summands:  # a sum of zero modules is eliminated
+                            patched.setattr(la, "quotient_data", refuse)
+                            patched.setattr(tensor, "hom_space", refuse)
+                        got = lay.tensor(tensored_with, total)
+                        got_hom = hom_over_algebra(hommed_from, total)
+                    want = lay.tensor(tensored_with, plain)
+                    want_hom = hom_over_algebra(hommed_from, plain)
+                    assert np.array_equal(got.projection, want.projection)
+                    assert np.array_equal(got.section, want.section)
+                    assert np.array_equal(got.module.actions, want.module.actions)
+                    assert got.module.name == want.module.name
+                    assert got.dims == want.dims
+                    assert _same_span(got.relations, want.relations, p)
+                    assert len(got_hom.basis) == len(want_hom.basis)
+                    assert all(np.array_equal(a, b)
+                               for a, b in zip(got_hom.basis, want_hom.basis))
+                    assert np.array_equal(got_hom.module.actions,
+                                          want_hom.module.actions)
+                    assert got_hom.module.name == want_hom.module.name
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
+    # Sums, duals and the assembled products and hom modules are built
+    # without re-running the module check, which their inputs already passed.
+    made, builders = [], set()
+    derived = Module._derived.__func__
+
+    def recording(cls, *args):
+        builders.add(sys._getframe(1).f_code.co_name)
+        made.append(derived(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(Module, "_derived", classmethod(recording))
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            tuples = enumerate_delta_modules(ctx, side, 2)
+            for i, u in enumerate(tuples):
+                for v in tuples[i:]:
+                    total = delta_sum([u, v])
+                    delta_dual(total)
+                    for corner in CORNERS:
+                        tilde(total, corner)
+    assert builders == {"module_sum", "dual_module", "_assembled_tensor",
+                        "_assembled_hom"}
+    for m in made:
+        report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
+        assert report.verdict is Verdict.PASS, m.name
