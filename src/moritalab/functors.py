@@ -132,10 +132,7 @@ def tilde_kernel(v: DeltaModule, corner: str) \
 def _transposed(blocks: np.ndarray, hom: HomModule) -> np.ndarray:
     """Matrix sending component basis vector j to the element of ``hom``
     whose value at bimodule basis vector i is column j of block i."""
-    matrix = la.zeros(hom.dim, blocks.shape[2])
-    for j in range(blocks.shape[2]):
-        matrix[:, j] = hom.coords_of(blocks[:, :, j].T)
-    return matrix
+    return hom.coords_of(blocks.transpose(2, 1, 0))
 
 
 def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,

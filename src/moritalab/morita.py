@@ -23,6 +23,14 @@ against it.
 ``pack`` realises a tuple as a module over the glued algebra on the basis
 [X block, Y block]; ``unpack`` recovers the tuple from the images of the
 two corner idempotents, and the round trip is exact on the nose.
+
+A tuple is checked when it is built, except the sums of ``delta_sum`` and
+the duals of ``delta_dual``: their blocks are block sums or transposes of
+the blocks of checked tuples, and the laws that make f and g descend to
+the tensor quotients as module maps are linear in the blocks, so they
+hold for the result because they hold for its inputs
+(``DeltaModule._derived``).  Such a tuple builds its tensor products and
+``f_map``/``g_map`` only when they are read, without re-checking them.
 """
 
 from __future__ import annotations
@@ -217,6 +225,13 @@ class DeltaModule:
     It has the method surface of ``algebra.Module`` (``ring``, ``dual``,
     ``homs``, ``isomorphism``, ``plus``, ``cover``), and ``DeltaModuleMap``
     that of ``ModuleMap``, so code above the carriers is written once.
+
+    Construction checks the tuple: the components live over A and B on the
+    declared side, and f and g vanish on the tensor relations and are module
+    maps.  A derived tuple (see ``_derived``), a sum or a dual built by
+    ``delta_sum`` or ``delta_dual``, is not checked again, and its tensor
+    products ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map``
+    are built on first use, since most scanned sums only read the blocks.
     """
 
     context: MoritaContext
@@ -235,9 +250,7 @@ class DeltaModule:
             raise AlgebraMismatchError("y component must live over B on the declared side")
         self.f_plain = la.reduce_mod(self.f_plain, p)
         self.g_plain = la.reduce_mod(self.g_plain, p)
-        lay = self.layout = tuple_layout(ctx, self.side)
-        self.tensor_f = lay.tensor(lay.f_bimodule, self.x)
-        self.tensor_g = lay.tensor(lay.g_bimodule, self.y)
+        self.layout = tuple_layout(ctx, self.side)
         fd = self.tensor_f.dims
         gd = self.tensor_g.dims
         if self.f_plain.shape != (self.y.dim, fd[0] * fd[1]):
@@ -250,6 +263,34 @@ class DeltaModule:
                                factor_through(self.tensor_f, self.f_plain))
         self.g_map = ModuleMap(self.tensor_g.module, self.x,
                                factor_through(self.tensor_g, self.g_plain))
+
+    @classmethod
+    def _derived(cls, context: MoritaContext, side: str, x: Module, y: Module,
+                 f_plain: np.ndarray, g_plain: np.ndarray,
+                 name: str) -> "DeltaModule":
+        """A tuple whose components and reduced structure maps its caller
+        has built from validated tuples by a block sum or a transpose; the
+        construction check is not run again.
+
+        A tuple is the same thing as a module over the glued algebra (see
+        ``pack``).  On the left, f vanishes on the relations of M (x)_A X
+        and is a map of B-modules exactly when its blocks obey
+        f(m_i a) = f_i x(a) and f(b m_i) = y(b) f_i, f_i the block of the
+        basis vector m_i of M: the action laws of the products m a and b m.
+        The right side and g are alike.  These laws are linear in the
+        blocks and hold block by block in a sum, whose relation space is the
+        direct sum of the summands' on their disjoint plain coordinates
+        (tensor.py).  For a dual they are the laws of the transposed module
+        ``dual_module(pack(v))``, since transposing reverses products.  So
+        the derived f and g descend through the tensor quotients and
+        intertwine, and ``f_map``/``g_map`` are built with neither the
+        relation check nor the module-map check.
+        """
+        v = object.__new__(cls)
+        v.context, v.side, v.x, v.y, v.name = context, side, x, y, name
+        v.f_plain, v.g_plain = f_plain, g_plain
+        v.layout = tuple_layout(context, side)
+        return v
 
     @property
     def p(self) -> int:
@@ -284,6 +325,31 @@ class DeltaModule:
     @cached_property
     def packed(self) -> Module:
         return pack(self)
+
+    @cached_property
+    def tensor_f(self) -> TensorModule:
+        """The domain of f, M (x)_A x on the left, x (x)_A N on the right."""
+        return self.layout.tensor(self.layout.f_bimodule, self.x)
+
+    @cached_property
+    def tensor_g(self) -> TensorModule:
+        """The domain of g, N (x)_B y on the left, y (x)_B M on the right."""
+        return self.layout.tensor(self.layout.g_bimodule, self.y)
+
+    # Read on derived tuples only; construction sets both on the others.
+    @cached_property
+    def f_map(self) -> ModuleMap:
+        """f on the tensor quotient, unchecked: see ``_derived``."""
+        return ModuleMap._intertwining(
+            self.tensor_f.module, self.y,
+            factor_through(self.tensor_f, self.f_plain, check=False))
+
+    @cached_property
+    def g_map(self) -> ModuleMap:
+        """g on the tensor quotient, unchecked: see ``_derived``."""
+        return ModuleMap._intertwining(
+            self.tensor_g.module, self.x,
+            factor_through(self.tensor_g, self.g_plain, check=False))
 
     @cached_property
     def f_blocks(self) -> np.ndarray:
@@ -427,15 +493,17 @@ def _restrict(blocks: np.ndarray, source: np.ndarray, target: np.ndarray,
     """The blocks C_i with target @ C_i = B_i @ source, one per block B_i.
 
     ``source`` and ``target`` are column bases; ``error`` is raised when
-    some B_i does not carry the source span into the target span.
+    some B_i does not carry the source span into the target span.  One
+    solve takes every column of every B_i @ source as a right-hand side;
+    the pivots of [target | rhs] depend only on target, so each block is
+    the one a solve of its own would give.
     """
-    out = np.zeros((len(blocks), target.shape[1], source.shape[1]), dtype=np.int64)
-    for i, block in enumerate(blocks):
-        coords = la.solve(target, (block @ source) % p, p)
-        if coords is None:
-            raise error
-        out[i] = coords
-    return out
+    n, s, (rows, t) = len(blocks), source.shape[1], target.shape
+    images = (blocks @ source) % p
+    coords = la.solve(target, images.transpose(1, 0, 2).reshape(rows, n * s), p)
+    if coords is None:
+        raise error
+    return coords.reshape(t, n, s).transpose(1, 0, 2).copy()
 
 
 def delta_dual(v: DeltaModule) -> DeltaModule:
@@ -449,10 +517,10 @@ def delta_dual(v: DeltaModule) -> DeltaModule:
     x_dual = dual_module(v.x)
     y_dual = dual_module(v.y)
     lay = tuple_layout(v.context, x_dual.side)
-    return DeltaModule(v.context, x_dual.side, x_dual, y_dual,
-                       lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
-                       lay.unblocks(v.f_blocks.transpose(0, 2, 1)),
-                       name=f"{v.describe()}^+")
+    return DeltaModule._derived(v.context, x_dual.side, x_dual, y_dual,
+                                lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
+                                lay.unblocks(v.f_blocks.transpose(0, 2, 1)),
+                                f"{v.describe()}^+")
 
 
 def delta_dual_map(phi: DeltaModuleMap, dual_source: DeltaModule | None = None,
@@ -504,8 +572,8 @@ def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
         ox += dx
         oy += dy
     name = "(" + " + ".join(t.describe() for t in tuples) + ")"
-    return DeltaModule(ctx, side, x_sum, y_sum, lay.unblocks(f_blocks),
-                       lay.unblocks(g_blocks), name=name)
+    return DeltaModule._derived(ctx, side, x_sum, y_sum, lay.unblocks(f_blocks),
+                                lay.unblocks(g_blocks), name)
 
 
 def delta_direct_sum(tuples: list[DeltaModule]) \

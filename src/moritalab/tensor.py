@@ -254,9 +254,16 @@ class HomModule:
     def dim(self) -> int:
         return self.module.dim
 
-    def coords_of(self, matrix: np.ndarray) -> np.ndarray:
-        vecs = [la.vec(m) for m in self.basis]
-        coords = la.coords_in_span(vecs, la.vec(la.reduce_mod(matrix, self.p)), self.p)
+    def coords_of(self, matrices: np.ndarray) -> np.ndarray:
+        """The coordinates of a stack of matrices (k, target.dim,
+        source.dim) on the basis, one column each, from one solve with every
+        matrix as a right-hand side.  The basis is independent, so each
+        column is that matrix's unique coordinate vector."""
+        k, size = matrices.shape[0], self.target.dim * self.source.dim
+        stacked = la.zeros(size, len(self.basis))
+        for i, m in enumerate(self.basis):
+            stacked[:, i] = la.vec(m)
+        coords = la.solve(stacked, matrices.reshape(k, size).T, self.p)
         if coords is None:
             raise ValidationError("matrix is not a module map in this hom space")
         return coords
@@ -301,13 +308,14 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     p = target.p
     acts = np.zeros((residual_alg.dim, h, h), dtype=np.int64)
     if h:
-        stacked = np.stack([la.vec(m) for m in basis], axis=1)
-        for i in range(residual_alg.dim):
-            moved = np.stack([la.vec((mat @ twist[i]) % p) for mat in basis], axis=1)
-            coords = la.solve(stacked, moved, p)
-            if coords is None:
-                raise InternalCheckError("hom action left the hom space")
-            acts[i] = coords
+        # One solve: column (i, k) is basis map k precomposed with twist i.
+        mats = np.stack(basis)
+        moved = np.einsum("kab,ibc->acik", mats, twist) % p
+        coords = la.solve(mats.reshape(h, -1).T,
+                          moved.reshape(-1, residual_alg.dim * h), p)
+        if coords is None:
+            raise InternalCheckError("hom action left the hom space")
+        acts = coords.reshape(h, residual_alg.dim, h).transpose(1, 0, 2).copy()
     module = Module(residual_alg, target.side, h, acts, name=name)
     return HomModule(source, target, module, basis)
 

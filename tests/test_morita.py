@@ -1,13 +1,14 @@
 """Glued rings, tuple modules, and the pack/unpack dictionary."""
 
 import itertools
+import sys
 
 import numpy as np
 import pytest
 
-from moritalab.algebra import (LEFT, RIGHT, Module, direct_sum, dual_module,
-                               hom_space, is_injective, kernel_module,
-                               module_sum, quotient_module)
+from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, direct_sum,
+                               dual_module, hom_space, is_injective,
+                               kernel_module, module_sum, quotient_module)
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab import morita
 from moritalab import linalg as la
@@ -244,3 +245,63 @@ def test_an_exhausted_tuple_isomorphism_scan_names_both_tuples(ws_e2, monkeypatc
                        match=r"^isomorphism scan of 32 combinations exceeds budget 31 "
                              r"between Delta and \(Delta\)$"):
         delta_is_isomorphic(delta, copy)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
+    # Sums and duals skip the tuple check and build their tensor products
+    # and structure maps on first use, unchecked.  Each must equal the
+    # fully checked tuple on the same data.
+    made, builders = [], set()
+    derived = morita.DeltaModule._derived.__func__
+
+    def recording(cls, *args):
+        builders.add(sys._getframe(1).f_code.co_name)
+        made.append(derived(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(morita.DeltaModule, "_derived", classmethod(recording))
+    for name in ("E0", "E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            tuples = enumerate_delta_modules(ctx, side, 2)
+            for i, u in enumerate(tuples):
+                delta_dual(u)
+                for v in tuples[i:]:
+                    delta_dual(delta_sum([u, v]))
+    assert builders == {"delta_sum", "delta_dual"}
+    for v in made:
+        for structure_map in (v.f_map, v.g_map):
+            ModuleMap(structure_map.source, structure_map.target,
+                      structure_map.matrix)
+        checked = morita.DeltaModule(v.context, v.side, v.x, v.y, v.f_plain,
+                                     v.g_plain, name=v.name)
+        assert v.tensor_f is checked.tensor_f
+        assert v.tensor_g is checked.tensor_g
+        assert v.f_map.source is checked.f_map.source
+        assert v.g_map.source is checked.g_map.source
+        assert np.array_equal(v.f_map.matrix, checked.f_map.matrix)
+        assert np.array_equal(v.g_map.matrix, checked.g_map.matrix)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_sub_tuples_restrict_every_structure_block(e1, e2, side):
+    # One solve restricts all blocks of a structure map; a span that one
+    # nonzero block leaves is refused, and the whole tuple restricts to
+    # itself.
+    refused = 0
+    for ctx in (e1, e2):
+        for v in enumerate_delta_modules(ctx, side, 2):
+            whole_x, whole_y = la.eye(v.x.dim), la.eye(v.y.dim)
+            sub = morita.delta_submodule(v, whole_x, whole_y)[0]
+            assert np.array_equal(sub.f_plain, v.f_plain)
+            assert np.array_equal(sub.g_plain, v.g_plain)
+            if v.f_plain.any():
+                with pytest.raises(ValidationError, match="^f does not carry"):
+                    morita.delta_submodule(v, whole_x, la.zeros(v.y.dim, 0))
+                refused += 1
+            if v.g_plain.any():
+                with pytest.raises(ValidationError, match="^g does not carry"):
+                    morita.delta_submodule(v, la.zeros(v.x.dim, 0), whole_y)
+                refused += 1
+    assert refused
