@@ -361,7 +361,7 @@ def module_sum(modules: list[Module]) -> Module:
     alg, side = modules[0].algebra, modules[0].side
     if any(m.algebra is not alg or m.side != side for m in modules):
         raise AlgebraMismatchError("direct sum factors disagree on algebra or side")
-    actions = la.block_diagonal([m.actions for m in modules], alg.dim)
+    actions = la.block_diagonal([m.actions for m in modules])
     name = "(" + " + ".join(m.describe() for m in modules) + ")"
     out = Module._derived(alg, side, actions.shape[1], actions, name)
     out.summands = tuple(m for m in modules if m.dim)

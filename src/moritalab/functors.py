@@ -28,7 +28,8 @@ from . import linalg as la
 from .algebra import Module, ModuleMap, hom_space, kernel_module
 from .memo import memo
 from .morita import (CORNERS, DeltaModule, DeltaModuleMap, MoritaContext,
-                     TupleLayout, by_corner, delta_hom_space, tuple_layout)
+                     TupleLayout, by_corner, delta_hom_space, summand_arrays,
+                     tuple_layout)
 from .report import AlgebraMismatchError, CheckReport, Verdict
 from .tensor import HomModule, hom_over_algebra
 
@@ -119,14 +120,46 @@ def tilde(v: DeltaModule, corner: str) -> ModuleMap:
     return ModuleMap(own, hom.module, _transposed(blocks, hom))
 
 
-def tilde_kernel(v: DeltaModule, corner: str) \
-        -> tuple[Module, ModuleMap] | None:
-    """The kernel of ``tilde(v, corner)`` with its inclusion, X' for "a"
-    and Y' for "b", or None when that map is not onto."""
+@memo("v")
+def _tilde_kernel_arrays(v: DeltaModule, corner: str) \
+        -> tuple[np.ndarray, np.ndarray] | None:
+    """The actions and inclusion of ``tilde_kernel(v, corner)``."""
+    if v.summands:
+        return summand_arrays(v, corner, _tilde_kernel_arrays)
     t = tilde(v, corner)
     if la.rank(t.matrix, v.p) != t.target.dim:
         return None
-    return kernel_module(t)
+    ker, incl = kernel_module(t)
+    return ker.actions, incl.matrix
+
+
+def tilde_kernel(v: DeltaModule, corner: str) \
+        -> tuple[Module, ModuleMap] | None:
+    """The kernel of ``tilde(v, corner)`` with its inclusion, X' for "a"
+    and Y' for "b", or None when that map is not onto.
+
+    As in ``morita.structural_cokernel``, the arrays are memoised on v, each
+    call returns a new module and map on them, and a sum is assembled from
+    its summands' results, equal entry for entry to the eliminated one.
+    The hom module into a sum of components is assembled from the hom
+    modules into the summands (tensor.py), so tilde of a sum is the
+    summands' tilde matrices, block-diagonal in order: it is onto exactly
+    when every summand's is, rank being additive over blocks.  The reduced
+    echelon form of a block-diagonal matrix is the summands' reduced forms,
+    block-diagonal, so its pivot and free columns are theirs put in place,
+    and the echelon kernel basis of ``linalg.kernel_basis``, one vector per
+    free column in order, is the summands' bases, block-diagonal.  The
+    inclusion is that basis, and the actions on the kernel, solved against
+    it, are the summands' actions, block-diagonal.
+    """
+    arrays = _tilde_kernel_arrays(v, corner)
+    if arrays is None:
+        return None
+    actions, inclusion = arrays
+    own = component(v, corner)
+    sub = Module._derived(own.algebra, own.side, inclusion.shape[1], actions,
+                          f"sub[{own.describe()}]")
+    return sub, ModuleMap._intertwining(sub, own, inclusion)
 
 
 def _transposed(blocks: np.ndarray, hom: HomModule) -> np.ndarray:

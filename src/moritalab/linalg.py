@@ -246,17 +246,24 @@ def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((a[:, None, :, None] * b[None, :, None, :]) % p).reshape(ra * rb, ca * cb)
 
 
-def block_diagonal(stacks: list[np.ndarray], count: int) -> np.ndarray:
-    """The (count, n, n) stack whose entry i is block-diagonal with the
-    blocks stacks[0][i], stacks[1][i], ... in order; each stack has shape
-    (count, d, d) and n is the sum of the d."""
-    n = sum(s.shape[1] for s in stacks)
-    out = np.zeros((count, n, n), dtype=np.int64)
-    offset = 0
-    for s in stacks:
-        d = s.shape[1]
-        out[:, offset:offset + d, offset:offset + d] = s
-        offset += d
+def block_diagonal(blocks: list[np.ndarray]) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks`` in order, or the stack of them.
+
+    Each block has shape (..., r, c) with one shared leading shape, such as
+    a single matrix or a (count, r, c) stack; the result has shape
+    (..., sum r, sum c) and puts block k at row and column offsets the sums
+    of the r and c before it.  Blocks may be rectangular or empty.
+    """
+    lead = blocks[0].shape[:-2]
+    rows = sum(b.shape[-2] for b in blocks)
+    cols = sum(b.shape[-1] for b in blocks)
+    out = np.zeros(lead + (rows, cols), dtype=np.int64)
+    r = c = 0
+    for b in blocks:
+        dr, dc = b.shape[-2:]
+        out[..., r:r + dr, c:c + dc] = b
+        r += dr
+        c += dc
     return out
 
 

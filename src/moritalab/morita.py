@@ -31,12 +31,20 @@ the tensor quotients as module maps are linear in the blocks, so they
 hold for the result because they hold for its inputs
 (``DeltaModule._derived``).  Such a tuple builds its tensor products and
 ``f_map``/``g_map`` only when they are read, without re-checking them.
+
+A sum built by ``delta_sum`` also records its nonzero summands
+(``DeltaModule.summands``); no other tuple does.  Its structural cokernels
+(``structural_cokernel``) and the kernels of its transposed structure maps
+(``functors.tilde_kernel``) are assembled from its summands' memoised ones,
+equal entry for entry to the eliminated ones, and its structure maps are
+not built for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -110,8 +118,10 @@ class MoritaContext:
     def idempotent_b(self) -> np.ndarray:
         return self.embed("b", self.algebra_b.unit)
 
+    @memo("self")
     def regular_module(self, side: str) -> "DeltaModule":
-        """The glued algebra as a module over itself, in tuple form."""
+        """The glued algebra as a module over itself, in tuple form, built
+        once per side."""
         return unpack(self.delta.regular_module(side), self)
 
 
@@ -232,6 +242,11 @@ class DeltaModule:
     ``delta_sum`` or ``delta_dual``, is not checked again, and its tensor
     products ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map``
     are built on first use, since most scanned sums only read the blocks.
+
+    A sum built by ``delta_sum`` records its nonzero summands in order, as
+    ``algebra.module_sum`` does; every other tuple, a dual included, records
+    none.  ``structural_cokernel`` and ``functors.tilde_kernel`` assemble the
+    results of a sum from its summands'.
     """
 
     context: MoritaContext
@@ -241,6 +256,7 @@ class DeltaModule:
     f_plain: np.ndarray
     g_plain: np.ndarray
     name: str = ""
+    summands: ClassVar[tuple["DeltaModule", ...]] = ()
 
     def __post_init__(self):
         ctx, p = self.context, self.context.p
@@ -552,7 +568,9 @@ def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
     """Componentwise direct sum of tuples, blocks in the given order.
 
     Builds only the sum; ``delta_direct_sum`` adds the injection and
-    projection witnesses for callers that use them.
+    projection witnesses for callers that use them.  The sum records its
+    nonzero summands, from which its structural cokernels and tilde kernels
+    are assembled.
     """
     if not tuples:
         raise ValueError("direct sum of an empty list is ambiguous; pass a zero tuple")
@@ -562,18 +580,13 @@ def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
     x_sum = module_sum([t.x for t in tuples])
     y_sum = module_sum([t.y for t in tuples])
     lay = tuples[0].layout
-    f_blocks = np.zeros((lay.f_bimodule.dim, y_sum.dim, x_sum.dim), dtype=np.int64)
-    g_blocks = np.zeros((lay.g_bimodule.dim, x_sum.dim, y_sum.dim), dtype=np.int64)
-    ox = oy = 0
-    for t in tuples:
-        dx, dy = t.x.dim, t.y.dim
-        f_blocks[:, oy:oy + dy, ox:ox + dx] = t.f_blocks
-        g_blocks[:, ox:ox + dx, oy:oy + dy] = t.g_blocks
-        ox += dx
-        oy += dy
+    f_blocks = la.block_diagonal([t.f_blocks for t in tuples])
+    g_blocks = la.block_diagonal([t.g_blocks for t in tuples])
     name = "(" + " + ".join(t.describe() for t in tuples) + ")"
-    return DeltaModule._derived(ctx, side, x_sum, y_sum, lay.unblocks(f_blocks),
-                                lay.unblocks(g_blocks), name)
+    out = DeltaModule._derived(ctx, side, x_sum, y_sum, lay.unblocks(f_blocks),
+                               lay.unblocks(g_blocks), name)
+    out.summands = tuple(t for t in tuples if t.dim)
+    return out
 
 
 def delta_direct_sum(tuples: list[DeltaModule]) \
@@ -688,16 +701,67 @@ def corner_parts(v: DeltaModule, part_of) -> list | None:
     return parts
 
 
-def structural_cokernel(v: DeltaModule, corner: str) \
-        -> tuple[Module, ModuleMap] | None:
-    """The cokernel of the structure map into the ``corner`` component,
-    x/im g for "a" and y/im f for "b", with its projection, or None when
-    that structure map is not one-to-one."""
+def summand_arrays(v: DeltaModule, corner: str, arrays_of) -> tuple | None:
+    """The (actions, matrix) pair of a sum, from ``arrays_of(summand,
+    corner)`` of its summands: None as soon as one summand gives None, else
+    both block-diagonal with the summands' blocks in order."""
+    parts = []
+    for summand in v.summands:
+        part = arrays_of(summand, corner)
+        if part is None:
+            return None
+        parts.append(part)
+    return (la.block_diagonal([actions for actions, _ in parts]),
+            la.block_diagonal([matrix for _, matrix in parts]))
+
+
+@memo("v")
+def _cokernel_arrays(v: DeltaModule, corner: str) \
+        -> tuple[np.ndarray, np.ndarray] | None:
+    """The actions and projection of ``structural_cokernel(v, corner)``."""
+    if v.summands:
+        return summand_arrays(v, corner, _cokernel_arrays)
     _, entering = by_corner(corner, v.f_map, v.g_map)
     image = la.image_basis(entering.matrix, v.p)
     if image.shape[0] != entering.source.dim:
         return None
-    return quotient_module(entering.target, image.T)[:2]
+    quot, proj, _ = quotient_module(entering.target, image.T)
+    return quot.actions, proj.matrix
+
+
+def structural_cokernel(v: DeltaModule, corner: str) \
+        -> tuple[Module, ModuleMap] | None:
+    """The cokernel of the structure map into the ``corner`` component,
+    x/im g for "a" and y/im f for "b", with its projection, or None when
+    that structure map is not one-to-one.
+
+    The actions and the projection are memoised on v; each call returns a
+    new module and map on them, so nothing memoised on a returned module
+    outlives it.  A tuple that records no summands eliminates the image of
+    its structure map.  A sum is assembled from its summands' results,
+    equal entry for entry to the eliminated one, without building its
+    structure maps.  Its structure map is block-diagonal up to the order of
+    its tensor coordinates, and rank is additive over blocks, so it is
+    one-to-one exactly when every summand's is.  The projection of
+    ``linalg.quotient_data`` is the rows of E below the rank in
+    rref([m | I]) = E [m | I]; they are in reduced echelon form and span
+    the left null space of m, so the projection is the reduced echelon
+    basis of the annihilator of im m and depends only on that span.  For
+    the sum the span is the direct sum of the summands' spans, its
+    annihilator is the direct sum of theirs, and the block-diagonal matrix
+    of their reduced echelon bases is in reduced echelon form: the
+    projection is the summands' projections, block-diagonal in order.  The
+    quotient actions P A S equal the induced actions, which P determines
+    (P A = A' P and P S = I), so they are the summands', block-diagonal.
+    """
+    arrays = _cokernel_arrays(v, corner)
+    if arrays is None:
+        return None
+    actions, projection = arrays
+    own, _ = by_corner(corner, v.x, v.y)
+    quot = Module._derived(own.algebra, own.side, projection.shape[0], actions,
+                           f"quot[{own.describe()}]")
+    return quot, ModuleMap._intertwining(own, quot, projection)
 
 
 def _splitting(source: Module, target: Module, composite,

@@ -184,7 +184,7 @@ def _assembled_tensor(first, second, shared: Algebra, axis: int,
     section = la.zeros(size, q)
     section[chosen[order], np.arange(q)] = 1
     out_alg = parts[0].module.algebra
-    acts = la.block_diagonal([t.module.actions for t in parts], out_alg.dim)
+    acts = la.block_diagonal([t.module.actions for t in parts])
     module = Module._derived(out_alg, parts[0].module.side, q,
                              acts[:, order][:, :, order], name)
     return TensorModule(first, second, shared, module, projection[order],
@@ -331,8 +331,7 @@ def _assembled_hom(source: Bimodule, target: Module, residual_alg: Algebra,
             padded[offset:offset + part.target.dim] = mat
             basis.append(padded)
         offset += part.target.dim
-    acts = la.block_diagonal([part.module.actions for part in parts],
-                             residual_alg.dim)
+    acts = la.block_diagonal([part.module.actions for part in parts])
     module = Module._derived(residual_alg, target.side, len(basis), acts, name)
     return HomModule(source, target, module, basis)
 

@@ -6,12 +6,15 @@ machinery has to splice resolutions with coresolutions without losing
 exactness.
 """
 
+import json
+
 import numpy as np
 import pytest
 
+from moritalab import gorenstein
 from moritalab.algebra import LEFT, Module
 from moritalab.classes import builtin_oracles
-from moritalab.enumeration import enumerate_delta_modules
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
 from moritalab.gorenstein import (
     check_ding_transport,
@@ -182,3 +185,97 @@ def test_ding_transport_smoke(e1):
     for expected in ("induced-ding(a)", "induced-ding(b)",
                      "component-ding(a)", "component-ding(b)"):
         assert expected in names
+
+
+def _windows(ctx):
+    """The width-4 windows of the left modules over both corners and the
+    left tuples of dimension at most 1, where one can be built."""
+    objects = (enumerate_modules(ctx.algebra_a, LEFT, 1)
+               + enumerate_modules(ctx.algebra_b, LEFT, 1)
+               + [v for v in enumerate_delta_modules(ctx, LEFT, 1) if v.dim <= 1])
+    out = []
+    for x in objects:
+        try:
+            out.append((x, complete_resolution_window(x, 4)))
+        except WindowConstructionError:
+            pass
+    return out
+
+
+def _fields(verdict):
+    return (verdict.consistent, verdict.exactness, verdict.hom_exactness,
+            verdict.failing_position, verdict.failing_test, verdict.homology,
+            [t.describe() for t in verdict.test_modules],
+            json.dumps(verdict.report.to_dict(), sort_keys=True))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_the_regular_certificate_changes_no_window_verdict(fixture_over,
+                                                            monkeypatch, name, p):
+    # Hom(window, R) exact certifies every projective test at once; the
+    # per-test path builds every test's complex.  Gorenstein windows test
+    # against the projectives, Ding windows against the (widened) flat
+    # sample, and a window against the class of all objects must still name
+    # its first failing test.
+    ctx = fixture_over(name, p).single_context()
+    windows = _windows(ctx)
+    assert windows
+    refuted = 0
+    for bound in (1, 2):
+        for i, (x, cx) in enumerate(windows):
+            classes = [builtin_oracles(x.ring, x.side)["projective"],
+                       flat_test_oracle(x)]
+            if i < 3:
+                classes.append(builtin_oracles(x.ring, x.side)["all"])
+            for test_class in classes:
+                certified = gorenstein._window_report(x, cx, test_class, bound)
+                with monkeypatch.context() as patched:
+                    patched.setattr(gorenstein, "_regular_hom_exact",
+                                    lambda cx: False)
+                    per_test = gorenstein._window_report(x, cx, test_class, bound)
+                assert _fields(certified) == _fields(per_test)
+                refuted += certified.failing_test is not None
+    # Over E1 every module of the corners is projective, so nothing fails.
+    assert refuted or name == "E1"
+
+
+def _counting_hom_complexes(monkeypatch, sample, mutate):
+    """Record the test of every Hom complex built; with ``mutate``, the
+    complex against a test outside ``sample``, the regular module, reads
+    homology one more at every position."""
+    real = gorenstein._hom_complex_data
+    seen = []
+
+    def counted(cx, test):
+        bases, homology = real(cx, test)
+        seen.append(test)
+        if mutate and not any(test is t for t in sample):
+            homology = [(pos, h + 1) for pos, h in homology]
+        return bases, homology
+
+    monkeypatch.setattr(gorenstein, "_hom_complex_data", counted)
+    return seen
+
+
+@pytest.mark.parametrize("carrier", ["module", "tuple"])
+def test_a_dirty_regular_complex_falls_back_to_every_test(e2, monkeypatch,
+                                                         carrier):
+    x = simple(e2) if carrier == "module" else induce_from_a(e2, simple(e2))
+    cx = complete_resolution_window(x, 4)
+    projective = builtin_oracles(x.ring, x.side)["projective"]
+    tests = projective.sample(2)
+    assert tests
+    clean = gorenstein._window_report(x, cx, projective, 2)
+    assert clean.consistent
+
+    seen = _counting_hom_complexes(monkeypatch, tests, mutate=False)
+    assert _fields(gorenstein._window_report(x, cx, projective, 2)) \
+        == _fields(clean)
+    assert len(seen) == 1 and not any(seen[0] is t for t in tests)
+
+    seen = _counting_hom_complexes(monkeypatch, tests, mutate=True)
+    assert _fields(gorenstein._window_report(x, cx, projective, 2)) \
+        == _fields(clean)
+    assert len(seen) == 1 + len(tests)
+    assert all(a is b for a, b in zip(seen[1:], tests))

@@ -120,6 +120,26 @@ def test_nonsingular_mask_edge_shapes():
     assert la.nonsingular_mask(mats, 5).tolist() == [True, False, False]
 
 
+def test_block_diagonal_places_rectangular_and_empty_blocks():
+    rng = np.random.default_rng(7)
+    shapes = [(2, 3), (0, 2), (1, 0), (3, 1), (0, 0)]
+    blocks = [rng.integers(1, 5, shape) for shape in shapes]
+    out = la.block_diagonal(blocks)
+    assert out.shape == (6, 6) and out.dtype == np.int64
+    r = c = 0
+    for b in blocks:
+        rows, cols = b.shape
+        assert np.array_equal(out[r:r + rows, c:c + cols], b)
+        out[r:r + rows, c:c + cols] = 0
+        r, c = r + rows, c + cols
+    assert not out.any()
+    stacks = [rng.integers(1, 5, (4,) + shape) for shape in shapes]
+    stacked = la.block_diagonal(stacks)
+    assert stacked.shape == (4, 6, 6)
+    for i in range(4):
+        assert np.array_equal(stacked[i], la.block_diagonal([s[i] for s in stacks]))
+
+
 def greedy_quotient_reference(m, p):
     """The cokernel data as a greedy complement: one rank test per candidate
     basis vector, then an inverse of the completed basis."""
