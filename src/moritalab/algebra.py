@@ -510,13 +510,24 @@ def is_isomorphic(x: Module, y: Module) -> ModuleMap | None:
     homs = hom_space(x, y)
     if not homs:
         return None
-    vecs = [h.coord_vector() for h in homs]
-    coeffs = find_invertible_combination(vecs, [(y.dim, x.dim, 0)], x.p,
-                                         between=(x, y))
+    mat = _invertible_in_span(homs, x.p, (x, y))
+    return None if mat is None else ModuleMap(x, y, mat)
+
+
+def _invertible_in_span(maps: list, p: int, between: tuple) -> np.ndarray | None:
+    """The first invertible matrix in the span of the maps' matrices, in the
+    scan order of ``find_invertible_combination``, or None.
+
+    The isomorphism scan of modules and of tuples; a tuple map's matrix is
+    block diagonal, so it is invertible exactly when both its blocks are.
+    """
+    mats = [phi.matrix for phi in maps]
+    rows, cols = mats[0].shape
+    coeffs = find_invertible_combination([la.vec(m) for m in mats],
+                                         [(rows, cols, 0)], p, between=between)
     if coeffs is None:
         return None
-    mat = sum(int(c) * h.matrix for c, h in zip(coeffs, homs)) % x.p
-    return ModuleMap(x, y, mat)
+    return np.tensordot(coeffs, np.stack(mats), axes=1) % p
 
 
 def submodule(module: Module, basis_rows: np.ndarray) -> tuple[Module, ModuleMap]:

@@ -28,6 +28,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .algebra import LEFT, RIGHT, Module
 from .classes import (
     DualityPairSpec,
@@ -276,8 +278,9 @@ def _cmd_pack(ws: Workspace, args) -> CheckReport:
 
 def _cmd_unpack(ws: Workspace, args) -> CheckReport:
     v = _tuple_arg(ws, args.name)
-    back = unpack(pack(v), v.context)
-    ok = back.isomorphism(v) is not None
+    packed = pack(v)
+    back = unpack(packed, v.context)
+    ok = np.array_equal(pack(back).actions, packed.actions)
     return CheckReport(
         "unpack", Verdict.PASS if ok else Verdict.REFUTED,
         detail=f"components {back.x.dim} and {back.y.dim}; round trip "

@@ -14,12 +14,22 @@ induced pieces) or by the generic splice of a cover resolution with the dual
 of a cover resolution of the dual.  The splice route raises
 WindowConstructionError when some coresolution term fails to be projective;
 that is a fact about the ring, not a refutation, and is reported as such.
+A spliced window that then fails its own re-verification is a defect of the
+program and raises InternalCheckError.
+
+A window around x carries its coaugmentation c : x -> T^0, the map that
+identifies x with the kernel leaving position 0.  Every construction keeps
+it: the splice stores the coresolution's, induction induces it, restriction
+takes its corner component, and transport composes the sum of the pieces'
+with the inverse of the splitting isomorphism.  The kernel is identified by
+rank, with no isomorphism scan: c is a module map with d^0 c = 0 and
+rank c = dim x = dim T^0 - rank d^0, so c is one-to-one onto ker d^0.
 
 Modules and tuples, and their maps, share one method surface (``ring``,
-``dual``, ``cover``, ``homs``, ``isomorphism``; ``matrix``, ``kernel``,
-``transposed``), so complexes, resolutions and window checks are written
-once for both.  Only the transport route and the widened flat test sample
-are tuple-only constructions.
+``dual``, ``cover``, ``homs``; ``matrix``, ``kernel``, ``transposed``), so
+complexes, resolutions and window checks are written once for both.  Only
+the transport route and the widened flat test sample are tuple-only
+constructions.
 
 The transport harnesses check that window verdicts travel along the
 induction and restriction functors, with an adjunction dimension comparison
@@ -49,7 +59,7 @@ from .morita import (
     MoritaContext,
     by_corner,
     delta_sum,
-    induced_splitting,
+    induced_isomorphism,
     tuple_layout,
 )
 from .report import (
@@ -73,12 +83,15 @@ class ChainComplex:
 
     terms[i] sits at position lo + i and maps[i] joins terms[i] to
     terms[i + 1].  Consecutive maps must compose to zero and map endpoints
-    must be the stored term objects themselves.
+    must be the stored term objects themselves.  A window around an object
+    x also holds its coaugmentation, the map from x into the term at
+    position 0; other complexes hold None.
     """
 
     lo: int
     terms: list
     maps: list
+    coaugmentation: object = None
 
     def __post_init__(self):
         if not self.terms:
@@ -96,6 +109,10 @@ class ChainComplex:
                 raise ValidationError(
                     f"consecutive differentials at position {self.lo + i} "
                     "do not compose to zero")
+        if (self.coaugmentation is not None
+                and self.coaugmentation.target is not self.term(0)):
+            raise ValidationError(
+                "the coaugmentation does not land in the term at position 0")
 
     @property
     def hi(self) -> int:
@@ -159,15 +176,16 @@ def injective_coresolution(x, length: int):
     """Coresolution through the dual, as (window, coaugmentation).
 
     Terms occupy positions 0 .. length; the coaugmentation embeds x into the
-    position-0 term.  Each term is the dual of a cover of the dual side, so
-    it is injective; nothing here requires the terms to be projective.
+    position-0 term, and the window carries it too.  Each term is the dual
+    of a cover of the dual side, so it is injective; nothing here requires
+    the terms to be projective.
     """
     res, aug = projective_resolution(x.dual(), length)
     terms = [t.dual() for t in reversed(res.terms)]
     maps = [res.diff(-(j + 1)).transposed(terms[j], terms[j + 1])
             for j in range(length)]
     coaug = aug.transposed(x, terms[0])
-    return ChainComplex(0, terms, maps), coaug
+    return ChainComplex(0, terms, maps, coaug), coaug
 
 
 def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
@@ -199,7 +217,7 @@ def complete_resolution_window(x, w: int) -> ChainComplex:
     if w < 1:
         raise ValidationError("window width must be at least 1")
     if isinstance(x, DeltaModule):
-        split = induced_splitting(x)
+        split = induced_isomorphism(x)
         if split is not None:
             try:
                 return _transported_window(x, split, w)
@@ -209,6 +227,12 @@ def complete_resolution_window(x, w: int) -> ChainComplex:
 
 
 def _spliced_window(x, w: int) -> ChainComplex:
+    """The splice of a cover resolution and the dualised coresolution.
+
+    Its resolution terms are covers, its coresolution terms are checked
+    projective here, and it is exact with kernel im(coaugmentation) by
+    construction, so failing the re-verification is a defect.
+    """
     res, aug = projective_resolution(x, w - 1)
     cores, coaug = injective_coresolution(x, w)
     for pos, term in enumerate(cores.terms):
@@ -218,8 +242,8 @@ def _spliced_window(x, w: int) -> ChainComplex:
                 f"position {pos} ({term.describe()}) is not projective")
     junction = coaug.compose(aug)
     cx = ChainComplex(-w, res.terms + cores.terms,
-                      res.maps + [junction] + cores.maps)
-    _verify_window(cx, x)
+                      res.maps + [junction] + cores.maps, coaug)
+    _verify_window(cx, x, InternalCheckError)
     return cx
 
 
@@ -229,36 +253,79 @@ def _induced_window(ctx: MoritaContext, cx: ChainComplex,
     terms = [induce(ctx, t, corner) for t in cx.terms]
     maps = [induce_map(ctx, d, corner, source=terms[i], target=terms[i + 1])
             for i, d in enumerate(cx.maps)]
-    return ChainComplex(cx.lo, terms, maps)
+    coaug = cx.coaugmentation
+    if coaug is not None:
+        coaug = induce_map(ctx, coaug, corner, target=terms[-cx.lo])
+    return ChainComplex(cx.lo, terms, maps, coaug)
+
+
+def _block_sum(first, second) -> list[np.ndarray]:
+    """The component matrices of the sum of two tuple maps."""
+    return [la.block_diagonal([first.a_matrix, second.a_matrix]),
+            la.block_diagonal([first.b_matrix, second.b_matrix])]
 
 
 def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
-    ctx = v.context
+    """The sum of the windows induced from the pieces of ``split``, the
+    value of ``induced_isomorphism`` on v.  Its coaugmentation is the sum
+    of theirs after the inverse of the isomorphism from their sum to v."""
+    ctx, p = v.context, v.p
+    pieces, joined = split
     ta, tb = [_induced_window(ctx, _spliced_window(piece, w), corner)
-              for corner, piece in zip(CORNERS, split)]
+              for corner, piece in zip(CORNERS, pieces)]
     terms = [delta_sum([u, t]) for u, t in zip(ta.terms, tb.terms)]
-    maps = []
-    for i in range(len(terms) - 1):
-        maps.append(DeltaModuleMap(
-            terms[i], terms[i + 1],
-            la.block_diagonal([ta.maps[i].a_matrix, tb.maps[i].a_matrix]),
-            la.block_diagonal([ta.maps[i].b_matrix, tb.maps[i].b_matrix])))
-    cx = ChainComplex(-w, terms, maps)
-    _verify_window(cx, v)
+    maps = [DeltaModuleMap(terms[i], terms[i + 1], *_block_sum(d, e))
+            for i, (d, e) in enumerate(zip(ta.maps, tb.maps))]
+    inverses = [la.inverse(np.hstack([phi.a_matrix for phi in joined]), p),
+                la.inverse(np.hstack([phi.b_matrix for phi in joined]), p)]
+    coaug = DeltaModuleMap(v, terms[w], *[
+        (block @ inverse) % p for block, inverse in
+        zip(_block_sum(ta.coaugmentation, tb.coaugmentation), inverses)])
+    cx = ChainComplex(-w, terms, maps, coaug)
+    _verify_window(cx, v, WindowConstructionError)
     return cx
 
 
-def _verify_window(cx: ChainComplex, x) -> None:
-    for pos, ok in exactness_table(cx):
-        if not ok:
-            raise WindowConstructionError(f"window is not exact at position {pos}")
-    for pos in cx.positions():
-        if not _projective(cx.term(pos)):
-            raise WindowConstructionError(
-                f"window term at position {pos} is not projective")
-    if cx.diff(0).kernel()[0].isomorphism(x) is None:
-        raise WindowConstructionError(
-            "the kernel at position 0 is not the resolved object")
+def _structural_clauses(cx: ChainComplex, x) -> tuple[list, list[CheckReport]]:
+    """The exactness table of cx and the three clauses that make it a
+    window around x: exact at every inner position, projective terms, and
+    the kernel leaving position 0 identified with x by its coaugmentation
+    c, a module map with d^0 c = 0 and rank c = dim x = dim T^0 - rank d^0.
+    """
+    exact_rows = exactness_table(cx)
+    bad_exact = [pos for pos, ok in exact_rows if not ok]
+    clause_exact = CheckReport(
+        "window-exactness",
+        Verdict.PASS if not bad_exact else Verdict.REFUTED,
+        detail=f"rank identities at positions {cx.lo + 1}..{cx.hi - 1}",
+        witnesses=[{"position": pos} for pos in bad_exact])
+
+    bad_proj = [pos for pos in cx.positions() if not _projective(cx.term(pos))]
+    clause_proj = CheckReport(
+        "window-terms-projective",
+        Verdict.PASS if not bad_proj else Verdict.REFUTED,
+        witnesses=[{"position": pos, "term": cx.term(pos).describe()}
+                   for pos in bad_proj])
+
+    coaug, d0 = cx.coaugmentation, cx.diff(0)
+    p = cx.terms[0].p
+    kernel_ok = (coaug is not None and coaug.source is x
+                 and not np.any((d0.matrix @ coaug.matrix) % p)
+                 and la.rank(coaug.matrix, p) == x.dim
+                 == cx.term(0).dim - la.rank(d0.matrix, p))
+    clause_kernel = CheckReport(
+        "window-kernel-identification",
+        Verdict.PASS if kernel_ok else Verdict.REFUTED,
+        detail="the kernel leaving position 0 is isomorphic to the checked object")
+    return exact_rows, [clause_exact, clause_proj, clause_kernel]
+
+
+def _verify_window(cx: ChainComplex, x, error: type) -> None:
+    """Raise ``error`` naming the first structural clause cx fails."""
+    for clause in _structural_clauses(cx, x)[1]:
+        if clause.verdict is not Verdict.PASS:
+            raise error(f"window around {x.describe()} fails {clause.name}"
+                        + (f" at {clause.witnesses}" if clause.witnesses else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -337,26 +404,8 @@ def _window_report(x, cx: ChainComplex, test_class: ClassOracle,
     first failing test as before.
     """
     width = cx.hi
-    exact_rows = exactness_table(cx)
+    exact_rows, structural = _structural_clauses(cx, x)
     bad_exact = [pos for pos, ok in exact_rows if not ok]
-    clause_exact = CheckReport(
-        "window-exactness",
-        Verdict.PASS if not bad_exact else Verdict.REFUTED,
-        detail=f"rank identities at positions {cx.lo + 1}..{cx.hi - 1}",
-        witnesses=[{"position": pos} for pos in bad_exact])
-
-    bad_proj = [pos for pos in cx.positions() if not _projective(cx.term(pos))]
-    clause_proj = CheckReport(
-        "window-terms-projective",
-        Verdict.PASS if not bad_proj else Verdict.REFUTED,
-        witnesses=[{"position": pos, "term": cx.term(pos).describe()}
-                   for pos in bad_proj])
-
-    kernel_ok = cx.diff(0).kernel()[0].isomorphism(x) is not None
-    clause_kernel = CheckReport(
-        "window-kernel-identification",
-        Verdict.PASS if kernel_ok else Verdict.REFUTED,
-        detail="the kernel leaving position 0 is isomorphic to the checked object")
 
     tests = test_class.sample(bound)
     hom_rows = []
@@ -387,7 +436,7 @@ def _window_report(x, cx: ChainComplex, test_class: ClassOracle,
 
     report = CheckReport.combine(
         f"window[{x.describe()}]",
-        [clause_exact, clause_proj, clause_kernel, clause_hom],
+        structural + [clause_hom],
         detail=f"width {width}, test class {test_class.name}",
         meta={"width": width, "dims": cx.dims(), "tests": len(tests)})
     consistent = report.verdict in (Verdict.PASS, Verdict.CONSISTENT)
@@ -439,16 +488,20 @@ def _widened_flat_oracle(ctx: MoritaContext, side: str) -> ClassOracle:
     flat_b = builtin_oracles(ctx.algebra_b, side)["flat"]
 
     def sample(bound: int) -> list:
-        pool = _induced_test_pool(ctx, flat_a, flat_b, bound)
-        pool.extend(enumerate_delta_modules(ctx, side, bound))
+        pool = (_induced_test_pool(ctx, flat_a, flat_b, bound)
+                + enumerate_delta_modules(ctx, side, bound))
         return [v for v in pool if base.contains(v)]
 
     return ClassOracle(base.name + "/widened", ctx, side, base.member, sample)
 
 
+@memo("ctx")
 def _induced_test_pool(ctx: MoritaContext, class_a: ClassOracle,
                        class_b: ClassOracle, bound: int) -> list:
-    """Inductions of sampled members of the component classes, plus sums."""
+    """Inductions of sampled members of the component classes, plus sums.
+
+    Memoised, so repeated samples return the same sums and the membership
+    and projectivity memos on them hit; callers must not extend it."""
     singles = [induce(ctx, c, corner)
                for corner, cls in zip(CORNERS, (class_a, class_b))
                for c in cls.sample(bound)]
@@ -475,8 +528,8 @@ def mono_class_test_oracle(ctx: MoritaContext, class_a: ClassOracle,
         return in_mono_class(v, class_a, class_b)
 
     def sample(bound: int) -> list:
-        pool = _induced_test_pool(ctx, class_a, class_b, bound)
-        pool.extend(enumerate_delta_modules(ctx, side, bound))
+        pool = (_induced_test_pool(ctx, class_a, class_b, bound)
+                + enumerate_delta_modules(ctx, side, bound))
         return [v for v in pool if member(v)]
 
     name = f"mono-class[{class_a.name}, {class_b.name}]/widened"
@@ -523,25 +576,24 @@ def _base_change_row(name: str, ctx: MoritaContext, corner: str,
 
 
 def _hom_dimension_row(name: str, ctx: MoritaContext, corner: str,
-                       classes: tuple, bound: int, cutoff: int) -> CheckReport:
+                       classes: tuple, bound: int) -> CheckReport:
     """Hypothesis row: Hom out of the bimodule entering ``corner`` into each
     sampled member of this corner's class has an injective coresolution
-    that terminates within the cutoff."""
+    that terminates within DIM_CUTOFF."""
     own, _ = by_corner(corner, *classes)
     lay = tuple_layout(ctx, own.side)
     _, inner = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     bad, rows = [], []
     for c in own.sample(bound):
-        depth = injective_dimension_within(
-            hom_over_algebra(inner, c).module, cutoff)
+        depth = injective_dimension_within(hom_over_algebra(inner, c).module)
         rows.append({"object": c.describe(),
                      "injective-dimension": depth if depth is not None
-                     else f"exceeds cutoff {cutoff}"})
+                     else f"exceeds cutoff {DIM_CUTOFF}"})
         if depth is None:
             bad.append(rows[-1])
     return CheckReport(
         name, Verdict.PASS if not bad else Verdict.HYPOTHESIS_FAILURE,
-        detail=f"coresolution termination within cutoff {cutoff}",
+        detail=f"coresolution termination within cutoff {DIM_CUTOFF}",
         witnesses=bad, meta={"dimensions": rows})
 
 
@@ -617,17 +669,15 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
 def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
                                     class_a: ClassOracle, class_b: ClassOracle,
                                     w: int, bound: int,
-                                    functor: str = "a",
-                                    cutoff: int = DIM_CUTOFF,
-                                    window: ChainComplex | None = None) -> CheckReport:
+                                    functor: str = "a", *,
+                                    window: ChainComplex) -> CheckReport:
     """Restriction carries a clean tuple window back to a component window.
 
-    Takes the tuple's canonical window (or a supplied one, so the check can
-    run on the exact complex another harness produced), restricts it
-    levelwise to the ``functor`` corner, and re-verifies the restricted
-    complex as a window for that component of v.  The inner-hom injective
-    dimension hypothesis is operationalised as termination of a coresolution
-    within the cutoff, and the cutoff is reported.
+    Takes a window around v, such as the exact complex the forward harness
+    produced, restricts it levelwise to the ``functor`` corner, and
+    re-verifies the restricted complex as a window for that component of v.
+    The inner-hom injective dimension hypothesis is operationalised as
+    termination of a coresolution within DIM_CUTOFF, which is reported.
     """
     classes = (class_a, class_b)
     own_class, _ = by_corner(functor, *classes)
@@ -639,10 +689,8 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
             "inner-tensor-stays-in-component-class", ctx, other_corner, classes,
             bound, detail=f"checked on the class sample at bound {bound}"),
         _hom_dimension_row("inner-hom-injective-dimension", ctx, functor,
-                           classes, bound, cutoff)]
+                           classes, bound)]
 
-    if window is None:
-        window = complete_resolution_window(v, w)
     tuple_class = mono_class_test_oracle(ctx, class_a, class_b)
     premise = _window_report(v, window, tuple_class, bound)
     premise_gate = CheckReport(
@@ -655,9 +703,14 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
             "window-transport-backward", hyp_rows + [premise_gate],
             meta={"functor": functor, "width": w, "bound": bound})
 
+    def corner_map(d):
+        return by_corner(functor, d.a_map, d.b_map)[0]
+
+    coaug = window.coaugmentation
     restricted = ChainComplex(
         window.lo, [component(t, functor) for t in window.terms],
-        [by_corner(functor, d.a_map, d.b_map)[0] for d in window.maps])
+        [corner_map(d) for d in window.maps],
+        None if coaug is None else corner_map(coaug))
     conclusion = _window_report(component(v, functor), restricted, own_class,
                                 bound)
 
@@ -665,13 +718,12 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
         "window-transport-backward",
         hyp_rows + [premise_gate] + list(conclusion.report.clauses),
         detail=f"restriction u_{functor}, width {w}, bound {bound}, "
-               f"cutoff {cutoff}",
+               f"cutoff {DIM_CUTOFF}",
         meta={"functor": functor, "width": w, "bound": bound,
               "restricted-dims": restricted.dims()})
 
 
-def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
-                         cutoff: int = DIM_CUTOFF) -> CheckReport:
+def check_ding_transport(ctx: MoritaContext, w: int, bound: int) -> CheckReport:
     """Ding window verdicts travel along induction and restriction.
 
     Four clause groups: inductions of flat-clean component modules stay
@@ -693,7 +745,7 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int,
     hyp_rows.append(_inner_projective_row(ctx, LEFT))
     hyp_rows += [_hom_dimension_row(
         f"inner-hom-injective-dimension-{ordinal[corner]}", ctx, corner, flats,
-        bound, cutoff) for corner in CORNERS]
+        bound) for corner in CORNERS]
 
     skipped = []
 

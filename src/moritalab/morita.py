@@ -50,7 +50,7 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
-                      block_injections, dual_module, find_invertible_combination,
+                      _invertible_in_span, block_injections, dual_module,
                       free_cover, hom_space, is_flat, is_injective, is_projective,
                       module_sum, quotient_module, submodule, zero_module)
 from .memo import memo
@@ -608,8 +608,8 @@ def delta_direct_sum(tuples: list[DeltaModule]) \
 def delta_is_isomorphic(u: DeltaModule, v: DeltaModule) -> DeltaModuleMap | None:
     """An isomorphism of tuples if one exists, else None.
 
-    Scans the tuple hom space for an element with both component blocks
-    invertible; component dimensions must match exactly.
+    Scans the tuple hom space, as maps of packed modules, for an invertible
+    element; component dimensions must match exactly.
     """
     if u.context is not v.context or u.side != v.side:
         return None
@@ -622,17 +622,11 @@ def delta_is_isomorphic(u: DeltaModule, v: DeltaModule) -> DeltaModuleMap | None
         if u.dim == 0:
             return DeltaModuleMap(u, v, la.zeros(0, 0), la.zeros(0, 0))
         return None
-    vecs = [h.coord_vector() for h in homs]
-    shapes = [(v.x.dim, u.x.dim, 0), (v.y.dim, u.y.dim, u.x.dim * u.x.dim)]
-    coeffs = find_invertible_combination(vecs, shapes, u.p, between=(u, v))
-    if coeffs is None:
+    mat = _invertible_in_span(homs, u.p, (u, v))
+    if mat is None:
         return None
-    a = la.zeros(v.x.dim, u.x.dim)
-    b = la.zeros(v.y.dim, u.y.dim)
-    for c, h in zip(coeffs, homs):
-        a = (a + int(c) * h.a_matrix) % u.p
-        b = (b + int(c) * h.b_matrix) % u.p
-    return DeltaModuleMap(u, v, a, b)
+    dx = u.x.dim
+    return DeltaModuleMap(u, v, mat[:dx, :dx], mat[dx:, dx:])
 
 
 def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
@@ -793,8 +787,17 @@ def _bijective(maps: list[DeltaModuleMap], stack) -> bool:
 
 def induced_splitting(v: DeltaModule,
                       premise=lambda module: True) -> tuple[Module, Module] | None:
+    """The pair (P, Q) of ``induced_isomorphism``, or None."""
+    found = induced_isomorphism(v, premise)
+    return None if found is None else found[0]
+
+
+def induced_isomorphism(v: DeltaModule, premise=lambda module: True) \
+        -> tuple[tuple[Module, Module], list[DeltaModuleMap]] | None:
     """The structural cokernels (P, Q) = (x/im g, y/im f) of v when v is
-    isomorphic to the sum of the tuples induced from P and from Q, else None.
+    isomorphic to the sum of the tuples induced from P and from Q, together
+    with the maps ind P -> v and ind Q -> v that jointly are an isomorphism
+    from that sum; else None.
 
     None also when ``premise`` fails on P or Q; it is tested before any
     section is sought.  In an induced sum the structure maps are one-to-one
@@ -820,7 +823,9 @@ def induced_splitting(v: DeltaModule,
             return None
         joined.append(induced_adjoint(induce(v.context, quot, corner), v,
                                       section, corner))
-    return (parts[0][0], parts[1][0]) if _bijective(joined, np.hstack) else None
+    if not _bijective(joined, np.hstack):
+        return None
+    return (parts[0][0], parts[1][0]), joined
 
 
 def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:

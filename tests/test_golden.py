@@ -8,11 +8,14 @@ After a deliberate output change, regenerate the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
+import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from moritalab.cli import run
+from moritalab.fixtures import SHIPPED
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = [(name, int(code), argv) for name, code, *argv in
@@ -27,6 +30,33 @@ def test_golden_output(name, code, argv, tmp_path, capsys):
     assert (got, err) == (code, "")
     assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
     assert report.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
+def test_golden_commands_reach_no_isomorphism_scan(name, code, argv, tmp_path,
+                                                   capsys, monkeypatch):
+    """Windows identify their kernel by rank and ``unpack`` compares the
+    round trip exactly, so no golden command scans for an isomorphism.  Each
+    runs on a fresh copy of its workspace file, whose objects carry no
+    results memoised by earlier tests."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an isomorphism scan was reached")
+
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("moritalab")
+                and hasattr(module, "find_invertible_combination")):
+            monkeypatch.setattr(module, "find_invertible_combination", refuse)
+    argv = list(argv)
+    at = argv.index("--fixture") + 1
+    assert argv[at] in SHIPPED
+    copy = tmp_path / f"{argv[at]}.txt"
+    copy.write_text(resources.files("moritalab").joinpath(
+        "data", f"{argv[at]}.txt").read_text())
+    argv[at] = str(copy)
+    got = run(argv)
+    out, err = capsys.readouterr()
+    assert (got, err) == (code, "")
+    assert out.encode() == (GOLDEN / f"{name}.stdout").read_bytes()
 
 
 if __name__ == "__main__":

@@ -6,16 +6,17 @@ machinery has to splice resolutions with coresolutions without losing
 exactness.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from moritalab import gorenstein
-from moritalab.algebra import LEFT, Module
+from moritalab.algebra import LEFT, RIGHT, Module, ModuleMap
 from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
-from moritalab.functors import induce_from_a
+from moritalab.functors import induce, induce_from_a
 from moritalab.gorenstein import (
     check_ding_transport,
     check_window_transport_backward,
@@ -30,7 +31,8 @@ from moritalab.gorenstein import (
     projective_dimension_within,
     projective_resolution,
 )
-from moritalab.report import Verdict, WindowConstructionError
+from moritalab.report import (InternalCheckError, ValidationError, Verdict,
+                              WindowConstructionError)
 
 from moritalab import linalg as la
 
@@ -279,3 +281,123 @@ def test_a_dirty_regular_complex_falls_back_to_every_test(e2, monkeypatch,
         == _fields(clean)
     assert len(seen) == 1 + len(tests)
     assert all(a is b for a, b in zip(seen[1:], tests))
+
+
+def _kernel_clause(cx, x):
+    return next(c for c in gorenstein._structural_clauses(cx, x)[1]
+                if c.name == "window-kernel-identification")
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_the_rank_certificate_agrees_with_the_isomorphism_scan(fixture_over,
+                                                               name, p):
+    """Every buildable width-4 window identifies its kernel through its
+    coaugmentation, and the isomorphism scan, kept as the reference,
+    agrees: on both sides, for the modules of both corners up to dimension
+    2 and their induced windows, and for the tuples up to dimension 2 (up
+    to 1 over E1, whose tuple windows are the slow ones)."""
+    ctx = fixture_over(name, p).single_context()
+    tuple_bound = 1 if name == "E1" else 2
+    count = 0
+    for side in (LEFT, RIGHT):
+        objects = [(x, corner) for corner, algebra
+                   in zip("ab", (ctx.algebra_a, ctx.algebra_b))
+                   for x in enumerate_modules(algebra, side, 2)]
+        objects += [(v, None)
+                    for v in enumerate_delta_modules(ctx, side, tuple_bound)]
+        for x, corner in objects:
+            try:
+                cx = complete_resolution_window(x, 4)
+            except WindowConstructionError:
+                continue
+            windows = [(x, cx)]
+            if corner is not None:
+                windows.append((induce(ctx, x, corner),
+                                gorenstein._induced_window(ctx, cx, corner)))
+            for obj, window in windows:
+                certified = _kernel_clause(window, obj).verdict is Verdict.PASS
+                scanned = window.diff(0).kernel()[0].isomorphism(obj) is not None
+                assert certified and scanned, obj.describe()
+                count += 1
+    assert count >= 40
+
+
+def test_a_bad_coaugmentation_refutes_the_kernel_identification(e1, e2):
+    """A coaugmentation that is not one-to-one, that leaves ker d^0, or that
+    starts at another object refutes the kernel clause, in the report and in
+    the re-verification; one that misses the term at position 0 is refused."""
+    for x in enumerate_modules(e1.algebra_a, LEFT, 2):
+        window = complete_resolution_window(x, 2)
+        h = next((h for h in x.homs(window.term(0))
+                  if not window.diff(0).compose(h).is_zero()), None)
+        if h is not None:
+            break
+    assert h is not None
+    # one-to-one, as the coaugmentation is, but no longer into ker d^0
+    shifted = ModuleMap(x, window.term(0), window.coaugmentation.matrix + h.matrix)
+    assert la.rank(shifted.matrix, 2) == x.dim
+    k = simple(e2)
+    cx = complete_resolution_window(k, 4)
+    assert _kernel_clause(cx, k).verdict is Verdict.PASS
+    twin = Module(k.algebra, k.side, k.dim, k.actions, name="k")
+    zero = ModuleMap(k, cx.term(0), np.zeros((cx.term(0).dim, 1), dtype=np.int64))
+    projective = builtin_oracles(e2.algebra_a, LEFT)["projective"]
+    for obj, bad in ((k, dataclasses.replace(cx, coaugmentation=zero)),
+                     (x, dataclasses.replace(window, coaugmentation=shifted)),
+                     (twin, cx)):
+        assert _kernel_clause(bad, obj).verdict is Verdict.REFUTED
+        with pytest.raises(WindowConstructionError,
+                           match="fails window-kernel-identification"):
+            gorenstein._verify_window(bad, obj, WindowConstructionError)
+        if obj.ring is projective.ring:
+            report = gorenstein._window_report(obj, bad, projective, 1).report
+            assert report.verdict is Verdict.REFUTED
+    with pytest.raises(ValidationError, match="position 0"):
+        dataclasses.replace(cx, coaugmentation=ModuleMap(
+            k, cx.term(1), np.zeros((cx.term(1).dim, 1), dtype=np.int64)))
+
+
+def test_a_spliced_window_that_fails_its_reverification_is_a_defect(
+        e2, monkeypatch):
+    """The splice is exact with projective terms and kernel im(coaug) by
+    construction, so a failed re-verification is an internal error, not a
+    missing window; the transported route still falls back to the splice."""
+    monkeypatch.setattr(gorenstein, "exactness_table",
+                        lambda cx: [(cx.lo + 1, False)])
+    for x in (simple(e2), induce_from_a(e2, simple(e2))):
+        with pytest.raises(InternalCheckError, match="window-exactness"):
+            complete_resolution_window(x, 4)
+
+
+def test_a_failed_transport_falls_back_to_the_splice(e2, monkeypatch):
+    """A transported window that fails its re-verification raises
+    WindowConstructionError and sends the tuple to the splice.  The induced
+    simple of E2 has no spliced window, so the splice's fact surfaces."""
+    ta = induce_from_a(e2, simple(e2))
+    verify = gorenstein._verify_window
+
+    def transport_fails(cx, x, error):
+        if error is WindowConstructionError:
+            raise error("refused")
+        verify(cx, x, error)
+
+    monkeypatch.setattr(gorenstein, "_verify_window", transport_fails)
+    with pytest.raises(WindowConstructionError,
+                       match="no projective coresolution"):
+        complete_resolution_window(ta, 4)
+
+
+@pytest.mark.parametrize("carrier", ["flat", "mono"])
+def test_repeated_test_samples_return_the_same_tuples(e2, carrier):
+    """The induced test pool is memoised, so a window's tests are the same
+    objects at every sample and their membership memos hit."""
+    if carrier == "flat":
+        oracle = flat_test_oracle(induce_from_a(e2, simple(e2)))
+    else:
+        flats = [builtin_oracles(algebra, LEFT)["flat"]
+                 for algebra in (e2.algebra_a, e2.algebra_b)]
+        oracle = gorenstein.mono_class_test_oracle(e2, *flats)
+    first, second = oracle.sample(2), oracle.sample(2)
+    assert first and len(first) == len(second)
+    assert all(u is v for u, v in zip(first, second))

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, direct_sum,
-                               dual_module, hom_space, is_injective,
-                               kernel_module, module_sum, quotient_module)
+                               dual_module, find_invertible_combination,
+                               hom_space, is_injective, kernel_module,
+                               module_sum, quotient_module)
+from moritalab.classes import _twist
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab import morita
 from moritalab import linalg as la
@@ -245,6 +247,57 @@ def test_an_exhausted_tuple_isomorphism_scan_names_both_tuples(ws_e2, monkeypatc
                        match=r"^isomorphism scan of 32 combinations exceeds budget 31 "
                              r"between Delta and \(Delta\)$"):
         delta_is_isomorphic(delta, copy)
+
+
+def _two_block_scan(u, v, homs):
+    """The reference: the first combination of ``homs`` whose two component
+    blocks are both invertible, as (a_matrix, b_matrix), or None."""
+    vecs = [h.coord_vector() for h in homs]
+    shapes = [(v.x.dim, u.x.dim, 0), (v.y.dim, u.y.dim, u.x.dim * u.x.dim)]
+    coeffs = find_invertible_combination(vecs, shapes, u.p)
+    if coeffs is None:
+        return None
+    return tuple(sum(int(c) * block for c, block in zip(coeffs, blocks)) % u.p
+                 for blocks in ([h.a_matrix for h in homs],
+                                [h.b_matrix for h in homs]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_tuple_isomorphisms_equal_the_two_block_scan(fixture_over, monkeypatch,
+                                                     name, p):
+    """The packed-matrix scan of delta_is_isomorphic returns the map the
+    scan over both component blocks returns: a block-diagonal matrix is
+    invertible exactly when both blocks are, so the first hit is the same.
+    Pairs of enumerated tuples and of a tuple with a twisted copy of each,
+    on both sides, at bound 2."""
+    seen = []
+
+    def recording(u, v):
+        seen.append(delta_hom_space(u, v))
+        return seen[-1]
+
+    monkeypatch.setattr(morita, "delta_hom_space", recording)
+    ctx = fixture_over(name, p).single_context()
+    found = 0
+    for side in (LEFT, RIGHT):
+        tuples = [v for v in enumerate_delta_modules(ctx, side, 2) if v.dim]
+        pool = tuples + [_twist(v) for v in tuples]
+        for u in tuples:
+            for v in pool:
+                if v is u or (u.x.dim, u.y.dim) != (v.x.dim, v.y.dim):
+                    continue
+                seen.clear()
+                got = delta_is_isomorphic(u, v)
+                want = _two_block_scan(u, v, seen[0]) if seen[0] else None
+                if want is None:
+                    assert got is None, (u.describe(), v.describe())
+                else:
+                    assert got is not None, (u.describe(), v.describe())
+                    assert np.array_equal(got.a_matrix, want[0])
+                    assert np.array_equal(got.b_matrix, want[1])
+                    found += 1
+    assert found
 
 
 @pytest.mark.parametrize("p", [2, 3])
