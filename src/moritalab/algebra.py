@@ -186,7 +186,18 @@ class Module:
                  actions: np.ndarray, name: str) -> "Module":
         """A module whose reduced actions its caller has built from validated
         modules by an operation that keeps the action laws, such as a block
-        sum or a transpose; the construction check is not run again."""
+        sum, a transpose, a restriction or a projection; the construction
+        check is not run again.
+
+        Restriction (``submodule``): on an invariant span with a column
+        basis C, action A_i restricts to the unique D_i with C D_i = A_i C.
+        Since C is one-to-one, C D_i D_j = A_i A_j C and C D(1) = C give
+        the module laws for the D_i.  Projection (``quotient_module``): with
+        P the projection onto the quotient by an invariant span and S a
+        section, I - S P lands in that span, so P A_i = A'_i P for
+        A'_i = P A_i S, and since P is onto, the laws of the A_i pass to the
+        A'_i.  In both cases C and P intertwine.
+        """
         module = object.__new__(cls)
         module.algebra, module.side, module.dim = algebra, side, dim
         module.actions, module.name = actions, name
@@ -533,42 +544,37 @@ def _invertible_in_span(maps: list, p: int, between: tuple) -> np.ndarray | None
 def submodule(module: Module, basis_rows: np.ndarray) -> tuple[Module, ModuleMap]:
     """Submodule spanned by the given row vectors, with its inclusion.
 
-    The rows must span an action-invariant subspace; a non-invariant span
-    raises ValidationError.
+    The rows must be linearly independent, and a span that is not
+    action-invariant raises ValidationError.  Neither the submodule nor the
+    inclusion is checked again (see ``Module._derived``).
     """
     p = module.p
-    basis_rows = la.reduce_mod(basis_rows, p)
-    k = basis_rows.shape[0]
-    cols = basis_rows.T
-    acts = np.zeros((module.algebra.dim, k, k), dtype=np.int64)
-    for i in range(module.algebra.dim):
-        sol = la.solve(cols, (module.actions[i] @ cols) % p, p) if k else la.zeros(0, 0)
-        if sol is None:
-            raise ValidationError(f"span is not invariant under basis element {i}")
-        acts[i] = sol
-    sub = Module(module.algebra, module.side, k, acts,
-                 name=f"sub[{module.describe()}]")
-    return sub, ModuleMap(sub, module, cols)
+    cols = la.reduce_mod(basis_rows, p).T
+    acts = la.restrict(module.actions, cols, cols, p)
+    if acts is None:
+        raise ValidationError(f"span is not invariant in {module.describe()}")
+    sub = Module._derived(module.algebra, module.side, cols.shape[1], acts,
+                          f"sub[{module.describe()}]")
+    return sub, ModuleMap._intertwining(sub, module, cols)
 
 
 def quotient_module(module: Module, image_of: np.ndarray) -> tuple[Module, ModuleMap, np.ndarray]:
     """Quotient of ``module`` by the column space of ``image_of``.
 
-    The column space must be a submodule.  Returns (quotient, projection map,
-    section matrix); the section satisfies projection @ section = identity.
+    The column space must be a submodule, or this raises ValidationError.
+    Returns (quotient, projection map, section matrix); the section
+    satisfies projection @ section = identity.  Neither the quotient nor
+    the projection is checked again (see ``Module._derived``).
     """
     p = module.p
     projection, section, q, _ = la.quotient_data(image_of, p)
-    acts = np.stack([(projection @ module.actions[i] @ section) % p
-                     for i in range(module.algebra.dim)]).reshape(module.algebra.dim, q, q)
-    quot = Module(module.algebra, module.side, q, acts,
-                  name=f"quot[{module.describe()}]")
-    proj_map = ModuleMap(module, quot, projection)
-    # Well-definedness: the projection must kill the action images of the kernel.
-    for i in range(module.algebra.dim):
-        if np.any((projection @ module.actions[i] @ image_of) % p):
-            raise ValidationError(f"column space is not invariant under basis element {i}")
-    return quot, proj_map, section
+    if np.any((projection @ module.actions @ image_of) % p):
+        raise ValidationError(
+            f"column space is not invariant in {module.describe()}")
+    acts = (projection @ module.actions @ section) % p
+    quot = Module._derived(module.algebra, module.side, q, acts,
+                           f"quot[{module.describe()}]")
+    return quot, ModuleMap._intertwining(module, quot, projection), section
 
 
 def kernel_module(phi: ModuleMap) -> tuple[Module, ModuleMap]:

@@ -455,25 +455,8 @@ def invariant_subspaces(module: Module) -> list[np.ndarray]:
     Subspaces are enumerated through their reduced-row-echelon row bases, one
     representative per subspace, then filtered by invariance.
     """
-    p = module.p
-    d = module.dim
-    out = []
-    for cols in _rref_patterns(d, p):
-        span = cols  # (d, r) column basis
-        good = True
-        for i in range(module.algebra.dim):
-            moved = (module.actions[i] @ span) % p
-            if span.shape[1] == 0:
-                if np.any(moved):
-                    good = False
-                    break
-                continue
-            if la.solve(span, moved, p) is None:
-                good = False
-                break
-        if good:
-            out.append(span)
-    return out
+    return [span for span in _rref_patterns(module.dim, module.p)
+            if la.restrict(module.actions, span, span, module.p) is not None]
 
 
 def _rref_patterns(d: int, p: int):
@@ -507,22 +490,13 @@ def short_exact_sequences(module: Module) \
 
 
 def delta_invariant_pairs(v: DeltaModule) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Column-basis pairs (in x, in y) spanning sub-tuples of v."""
-    p, lay = v.p, v.layout
-    out = []
-    for span_x in invariant_subspaces(v.x):
-        for span_y in invariant_subspaces(v.y):
-            f_moved = lay.unblocks((v.f_blocks @ span_x) % p)
-            g_moved = lay.unblocks((v.g_blocks @ span_y) % p)
-            f_ok = f_moved.shape[1] == 0 or not np.any(f_moved) or \
-                (span_y.shape[1] > 0 and la.solve(span_y, f_moved, p) is not None)
-            if not f_ok:
-                continue
-            g_ok = g_moved.shape[1] == 0 or not np.any(g_moved) or \
-                (span_x.shape[1] > 0 and la.solve(span_x, g_moved, p) is not None)
-            if g_ok:
-                out.append((span_x, span_y))
-    return out
+    """Column-basis pairs (in x, in y) spanning sub-tuples of v: invariant
+    spans that f and g carry into each other."""
+    p, y_spans = v.p, invariant_subspaces(v.y)
+    return [(span_x, span_y) for span_x in invariant_subspaces(v.x)
+            for span_y in y_spans
+            if la.restrict(v.f_blocks, span_x, span_y, p) is not None
+            and la.restrict(v.g_blocks, span_y, span_x, p) is not None]
 
 
 def delta_short_exact_sequences(v: DeltaModule) \

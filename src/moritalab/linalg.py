@@ -152,6 +152,25 @@ def solve(m: np.ndarray, rhs: np.ndarray, p: int) -> np.ndarray | None:
     return x[:, 0] if vector_rhs else x
 
 
+def restrict(blocks: np.ndarray, source: np.ndarray, target: np.ndarray,
+             p: int) -> np.ndarray | None:
+    """The blocks C_i with target @ C_i = B_i @ source, one per block B_i of
+    the (n, rows, cols) stack, or None when some B_i does not carry the
+    column span of ``source`` into that of ``target`` (an empty span takes
+    only zero images).  With source = target, it tests invariance.
+
+    One solve takes every column of every B_i @ source as a right-hand side;
+    the pivots of [target | rhs] depend only on target, so each block is the
+    one a solve of its own would give.
+    """
+    n, s, (rows, t) = len(blocks), source.shape[1], target.shape
+    images = (blocks @ source) % p
+    coords = solve(target, images.transpose(1, 0, 2).reshape(rows, n * s), p)
+    if coords is None:
+        return None
+    return coords.reshape(t, n, s).transpose(1, 0, 2).copy()
+
+
 def inverse(m: np.ndarray, p: int) -> np.ndarray | None:
     m = reduce_mod(m, p)
     if m.shape[0] != m.shape[1]:

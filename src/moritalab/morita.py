@@ -24,13 +24,15 @@ against it.
 [X block, Y block]; ``unpack`` recovers the tuple from the images of the
 two corner idempotents, and the round trip is exact on the nose.
 
-A tuple is checked when it is built, except the sums of ``delta_sum`` and
-the duals of ``delta_dual``: their blocks are block sums or transposes of
-the blocks of checked tuples, and the laws that make f and g descend to
-the tensor quotients as module maps are linear in the blocks, so they
-hold for the result because they hold for its inputs
-(``DeltaModule._derived``).  Such a tuple builds its tensor products and
-``f_map``/``g_map`` only when they are read, without re-checking them.
+A tuple is checked when it is built, except the sums of ``delta_sum``, the
+duals of ``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the
+kernels of ``delta_kernel``) and the quotients of ``delta_quotient``: their
+blocks are block sums, transposes, restrictions to a closed span pair or
+projections to its quotient of the blocks of checked tuples, and the laws
+that make f and g descend to the tensor quotients as module maps hold for
+the result because they hold for its input (``DeltaModule._derived``).
+Such a tuple builds its tensor products and ``f_map``/``g_map`` only when
+they are read, without re-checking them.
 
 A sum built by ``delta_sum`` also records its nonzero summands
 (``DeltaModule.summands``); no other tuple does.  Its structural cokernels
@@ -238,10 +240,11 @@ class DeltaModule:
 
     Construction checks the tuple: the components live over A and B on the
     declared side, and f and g vanish on the tensor relations and are module
-    maps.  A derived tuple (see ``_derived``), a sum or a dual built by
-    ``delta_sum`` or ``delta_dual``, is not checked again, and its tensor
-    products ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map``
-    are built on first use, since most scanned sums only read the blocks.
+    maps.  A derived tuple (see ``_derived``), a sum, dual, sub-tuple or
+    quotient built by ``delta_sum``, ``delta_dual``, ``delta_submodule`` or
+    ``delta_quotient``, is not checked again, and its tensor products
+    ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map`` are
+    built on first use, since most scanned tuples only read the blocks.
 
     A sum built by ``delta_sum`` records its nonzero summands in order, as
     ``algebra.module_sum`` does; every other tuple, a dual included, records
@@ -285,8 +288,9 @@ class DeltaModule:
                  f_plain: np.ndarray, g_plain: np.ndarray,
                  name: str) -> "DeltaModule":
         """A tuple whose components and reduced structure maps its caller
-        has built from validated tuples by a block sum or a transpose; the
-        construction check is not run again.
+        has built from validated tuples by a block sum, a transpose, a
+        restriction to a closed span pair or a projection to its quotient;
+        the construction check is not run again.
 
         A tuple is the same thing as a module over the glued algebra (see
         ``pack``).  On the left, f vanishes on the relations of M (x)_A X
@@ -297,8 +301,15 @@ class DeltaModule:
         blocks and hold block by block in a sum, whose relation space is the
         direct sum of the summands' on their disjoint plain coordinates
         (tensor.py).  For a dual they are the laws of the transposed module
-        ``dual_module(pack(v))``, since transposing reverses products.  So
-        the derived f and g descend through the tensor quotients and
+        ``dual_module(pack(v))``, since transposing reverses products.  A
+        pair of spans (X', Y'), invariant in x and y and carried into each
+        other by f and g, is exactly a submodule of ``pack(v)``: every
+        element of the glued algebra acts by blocks that keep X' + Y'.  The
+        sub-tuple of ``delta_submodule`` packs to that submodule, its blocks
+        the restricted actions, and the tuple of ``delta_quotient`` packs to
+        the quotient by it, its blocks the projected actions; both obey the
+        action laws for the reasons given in ``Module._derived``.  So the
+        derived f and g descend through the tensor quotients and
         intertwine, and ``f_map``/``g_map`` are built with neither the
         relation check nor the module-map check.
         """
@@ -489,37 +500,17 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     oa, _, _, ob = ctx.offsets
     lay = tuple_layout(ctx, module.side)
     acts = module.actions
-    left_block = InternalCheckError("corner action left its idempotent block")
-    x = Module(ctx.algebra_a, module.side, dx,
-               _restrict(acts[oa:oa + da], cols_x, cols_x, p, left_block),
-               name="unpacked.x")
-    y = Module(ctx.algebra_b, module.side, dy,
-               _restrict(acts[ob:ob + db], cols_y, cols_y, p, left_block),
-               name="unpacked.y")
-    f_blocks = _restrict(acts[lay.f_corner], cols_x, cols_y, p, InternalCheckError(
-        "f corner action missed the y block"))
-    g_blocks = _restrict(acts[lay.g_corner], cols_y, cols_x, p, InternalCheckError(
-        "g corner action missed the x block"))
+    restricted = [la.restrict(acts[oa:oa + da], cols_x, cols_x, p),
+                  la.restrict(acts[ob:ob + db], cols_y, cols_y, p),
+                  la.restrict(acts[lay.f_corner], cols_x, cols_y, p),
+                  la.restrict(acts[lay.g_corner], cols_y, cols_x, p)]
+    if any(blocks is None for blocks in restricted):
+        raise InternalCheckError("an action does not keep the corner blocks")
+    x_acts, y_acts, f_blocks, g_blocks = restricted
+    x = Module(ctx.algebra_a, module.side, dx, x_acts, name="unpacked.x")
+    y = Module(ctx.algebra_b, module.side, dy, y_acts, name="unpacked.y")
     return DeltaModule(ctx, module.side, x, y, lay.unblocks(f_blocks),
                        lay.unblocks(g_blocks), name=f"unpacked[{module.describe()}]")
-
-
-def _restrict(blocks: np.ndarray, source: np.ndarray, target: np.ndarray,
-              p: int, error: Exception) -> np.ndarray:
-    """The blocks C_i with target @ C_i = B_i @ source, one per block B_i.
-
-    ``source`` and ``target`` are column bases; ``error`` is raised when
-    some B_i does not carry the source span into the target span.  One
-    solve takes every column of every B_i @ source as a right-hand side;
-    the pivots of [target | rhs] depend only on target, so each block is
-    the one a solve of its own would give.
-    """
-    n, s, (rows, t) = len(blocks), source.shape[1], target.shape
-    images = (blocks @ source) % p
-    coords = la.solve(target, images.transpose(1, 0, 2).reshape(rows, n * s), p)
-    if coords is None:
-        raise error
-    return coords.reshape(t, n, s).transpose(1, 0, 2).copy()
 
 
 def delta_dual(v: DeltaModule) -> DeltaModule:
@@ -633,18 +624,22 @@ def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
         -> tuple[DeltaModule, DeltaModuleMap]:
     """The sub-tuple spanned by the given component columns, with inclusion.
 
-    The spans must be action-invariant and closed under the structure maps;
-    violations raise ValidationError.
+    The columns of each component must be linearly independent, and the
+    spans action-invariant and closed under the structure maps; violations
+    raise ValidationError.  The sub-tuple is derived (see ``_derived``).
     """
     x_sub, incl_x = submodule(v.x, x_cols.T)
     y_sub, incl_y = submodule(v.y, y_cols.T)
     cx, cy = incl_x.matrix, incl_y.matrix
-    f_sub = _restrict(v.f_blocks, cx, cy, v.p, ValidationError(
-        "f does not carry the x span into the y span"))
-    g_sub = _restrict(v.g_blocks, cy, cx, v.p, ValidationError(
-        "g does not carry the y span into the x span"))
-    sub = DeltaModule(v.context, v.side, x_sub, y_sub, v.layout.unblocks(f_sub),
-                      v.layout.unblocks(g_sub), name=f"sub[{v.describe()}]")
+    f_sub = la.restrict(v.f_blocks, cx, cy, v.p)
+    if f_sub is None:
+        raise ValidationError("f does not carry the x span into the y span")
+    g_sub = la.restrict(v.g_blocks, cy, cx, v.p)
+    if g_sub is None:
+        raise ValidationError("g does not carry the y span into the x span")
+    sub = DeltaModule._derived(v.context, v.side, x_sub, y_sub,
+                               v.layout.unblocks(f_sub),
+                               v.layout.unblocks(g_sub), f"sub[{v.describe()}]")
     return sub, DeltaModuleMap(sub, v, cx, cy)
 
 
@@ -666,7 +661,7 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
 
     The spans must form a sub-tuple (the structure maps must carry them into
     each other); otherwise the induced maps are ill-defined and this raises
-    ValidationError.
+    ValidationError.  The quotient is derived (see ``_derived``).
     """
     p = v.p
     x_quot, proj_x, sx = quotient_module(v.x, x_cols)
@@ -676,10 +671,10 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
         raise ValidationError("f does not carry the x span into the y span")
     if np.any((px @ v.g_blocks @ y_cols) % p):
         raise ValidationError("g does not carry the y span into the x span")
-    quot = DeltaModule(v.context, v.side, x_quot, y_quot,
-                       v.layout.unblocks((py @ v.f_blocks @ sx) % p),
-                       v.layout.unblocks((px @ v.g_blocks @ sy) % p),
-                       name=f"quot[{v.describe()}]")
+    quot = DeltaModule._derived(v.context, v.side, x_quot, y_quot,
+                                v.layout.unblocks((py @ v.f_blocks @ sx) % p),
+                                v.layout.unblocks((px @ v.g_blocks @ sy) % p),
+                                f"quot[{v.describe()}]")
     return quot, DeltaModuleMap(v, quot, px, py)
 
 
@@ -785,13 +780,6 @@ def _bijective(maps: list[DeltaModuleMap], stack) -> bool:
                          stack([phi.b_matrix for phi in maps])))
 
 
-def induced_splitting(v: DeltaModule,
-                      premise=lambda module: True) -> tuple[Module, Module] | None:
-    """The pair (P, Q) of ``induced_isomorphism``, or None."""
-    found = induced_isomorphism(v, premise)
-    return None if found is None else found[0]
-
-
 def induced_isomorphism(v: DeltaModule, premise=lambda module: True) \
         -> tuple[tuple[Module, Module], list[DeltaModuleMap]] | None:
     """The structural cokernels (P, Q) = (x/im g, y/im f) of v when v is
@@ -865,11 +853,11 @@ def is_projective_delta(v: DeltaModule) -> bool:
     tuple is projective exactly when the structure-map cokernels
     P = x/im g and Q = y/im f are projective and the tuple is isomorphic to
     the sum of the tuples induced from P and from Q, which
-    ``induced_splitting`` decides by rank.
+    ``induced_isomorphism`` decides by rank.
     Disagreement is an internal error.
     """
     packed_answer = is_projective(v.packed)
-    structural = induced_splitting(v, is_projective) is not None
+    structural = induced_isomorphism(v, is_projective) is not None
     if structural != packed_answer:
         raise InternalCheckError(
             f"projectivity routes disagree on {v.describe()}: "

@@ -1,5 +1,7 @@
 """Algebras, bimodules, plain modules, hom spaces and the class tests."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,8 +26,10 @@ from moritalab.algebra import (
     kernel_module,
     module_generators,
     quotient_module,
+    submodule,
 )
-from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab.enumeration import (_rref_patterns, enumerate_delta_modules,
+                                   enumerate_modules)
 from moritalab.report import BudgetExceededError, ValidationError
 
 P2 = FieldSpec(2)
@@ -178,6 +182,36 @@ def test_quotient_by_radical(e2):
     quot, proj, section = quotient_module(reg, rad)
     assert quot.dim == 1
     assert np.array_equal((proj.matrix @ section) % 2, np.eye(1, dtype=np.int64))
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_non_invariant_spans_are_refused_naming_the_module(e1, e2, side):
+    """Every subspace of every module up to dimension 2 over the corners and
+    the glued algebras of E1 and E2: ``submodule`` and ``quotient_module``
+    accept the invariant ones, decided here by rank, and refuse the others
+    with errors that name the module."""
+    refused = 0
+    for ctx in (e1, e2):
+        modules = [v.packed for v in enumerate_delta_modules(ctx, side, 2)] + [
+            m for algebra in (ctx.algebra_a, ctx.algebra_b)
+            for m in enumerate_modules(algebra, side, 2)]
+        for module in modules:
+            name = re.escape(module.describe())
+            for span in _rref_patterns(module.dim, module.p):
+                r = span.shape[1]
+                if all(la.rank(np.hstack([span, action @ span]), 2) == r
+                       for action in module.actions):
+                    assert submodule(module, span.T)[0].dim == r
+                    assert quotient_module(module, span)[0].dim == module.dim - r
+                    continue
+                refused += 1
+                with pytest.raises(ValidationError,
+                                   match=f"^span is not invariant in {name}$"):
+                    submodule(module, span.T)
+                with pytest.raises(ValidationError, match="^column space is not "
+                                                          f"invariant in {name}$"):
+                    quotient_module(module, span)
+    assert refused
 
 
 def invertibles(dim):

@@ -66,6 +66,20 @@ def test_missing_shipped_data_file_is_an_input_error(tmp_path, monkeypatch, caps
     assert "Traceback" not in err
 
 
+def test_a_tuple_whose_f_misses_the_tensor_relations_is_an_input_error(
+        tmp_path, capsys):
+    # In E1, M is killed by the first idempotent of A on the right, which
+    # fixes the first basis vector of Delta.x; so f must vanish on it.
+    text = resources.files("moritalab").joinpath("data", "E1.txt").read_text()
+    bad = text.replace("f 0 1 0 ; 0 0 0 ; 0 0 0", "f 1 1 0 ; 0 0 0 ; 0 0 0")
+    assert bad != text
+    path = tmp_path / "bad_f.txt"
+    path.write_text(bad)
+    assert run(["validate", "--fixture", str(path)]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "tensor relations" in err
+
+
 def test_functor_rejects_module_over_the_wrong_corner():
     assert run(["functor", "t_A", "probe.b", "--fixture", "E2"]) == INPUT_ERROR
 

@@ -11,7 +11,10 @@ from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, direct_sum,
                                hom_space, is_injective, kernel_module,
                                module_sum, quotient_module)
 from moritalab.classes import _twist
-from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab.enumeration import (delta_invariant_pairs,
+                                   delta_short_exact_sequences,
+                                   enumerate_delta_modules, enumerate_modules,
+                                   invariant_subspaces)
 from moritalab import morita
 from moritalab import linalg as la
 from moritalab.functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
@@ -24,7 +27,7 @@ from moritalab.morita import (
     delta_hom_space,
     delta_is_isomorphic,
     delta_sum,
-    induced_splitting,
+    induced_isomorphism,
     is_injective_delta,
     is_projective_delta,
     pack,
@@ -183,10 +186,10 @@ def test_induced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
             q0 = quotient_module(v.y, la.image_basis(v.f_map.matrix, p).T)[0]
             candidate = delta_sum([induce_from_a(ctx, p0), induce_from_b(ctx, q0)])
             scanned = delta_is_isomorphic(candidate, v) is not None
-            split = induced_splitting(v)
-            assert (split is not None) == scanned, v.describe()
-            if split is not None:
-                assert [m.actions.tolist() for m in split] \
+            found = induced_isomorphism(v)
+            assert (found is not None) == scanned, v.describe()
+            if found is not None:
+                assert [m.actions.tolist() for m in found[0]] \
                     == [m.actions.tolist() for m in (p0, q0)]
             outcomes.add(scanned)
     assert outcomes == {True, False}
@@ -300,11 +303,30 @@ def test_tuple_isomorphisms_equal_the_two_block_scan(fixture_over, monkeypatch,
     assert found
 
 
+def _closed_span_pairs(v):
+    """The invariant span pairs that f and g carry into each other, decided
+    one plain column at a time: the reference for ``delta_invariant_pairs``."""
+    def carried(plain, span):
+        return all(la.solve(span, column, v.p) is not None
+                   for column in plain.T)
+
+    lay = v.layout
+    return [(sx, sy) for sx in invariant_subspaces(v.x)
+            for sy in invariant_subspaces(v.y)
+            if carried(lay.unblocks((v.f_blocks @ sx) % v.p), sy)
+            and carried(lay.unblocks((v.g_blocks @ sy) % v.p), sx)]
+
+
+def _listed(pairs):
+    return [(sx.tolist(), sy.tolist()) for sx, sy in pairs]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
-    # Sums and duals skip the tuple check and build their tensor products
-    # and structure maps on first use, unchecked.  Each must equal the
-    # fully checked tuple on the same data.
+    # Sums, duals, sub-tuples (kernels among them) and quotients skip the
+    # tuple check and build their tensor products and structure maps on
+    # first use, unchecked.  Each must equal the fully checked tuple on the
+    # same data.
     made, builders = [], set()
     derived = morita.DeltaModule._derived.__func__
 
@@ -320,9 +342,14 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
             tuples = enumerate_delta_modules(ctx, side, 2)
             for i, u in enumerate(tuples):
                 delta_dual(u)
+                delta_short_exact_sequences(u)
+                u.cover()[1].kernel()
+                assert _listed(delta_invariant_pairs(u)) \
+                    == _listed(_closed_span_pairs(u))
                 for v in tuples[i:]:
                     delta_dual(delta_sum([u, v]))
-    assert builders == {"delta_sum", "delta_dual"}
+    assert builders == {"delta_sum", "delta_dual", "delta_submodule",
+                        "delta_quotient"}
     for v in made:
         for structure_map in (v.f_map, v.g_map):
             ModuleMap(structure_map.source, structure_map.target,
@@ -335,6 +362,37 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
         assert v.g_map.source is checked.g_map.source
         assert np.array_equal(v.f_map.matrix, checked.f_map.matrix)
         assert np.array_equal(v.g_map.matrix, checked.g_map.matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tuples_are_accepted_exactly_when_they_pack_to_modules(fixture_over, p):
+    """Three random pairs of structure maps on every pair of components up
+    to dimension 2: the tuple check accepts exactly the candidates whose
+    packed actions obey the module laws of the glued algebra."""
+    rng = np.random.default_rng(p)
+    outcomes = set()
+    for name in ("E0", "E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            lay = morita.tuple_layout(ctx, side)
+            for x, y, _ in itertools.product(
+                    enumerate_modules(ctx.algebra_a, side, 2),
+                    enumerate_modules(ctx.algebra_b, side, 2), range(3)):
+                f = rng.integers(0, p, (y.dim, lay.f_bimodule.dim * x.dim))
+                g = rng.integers(0, p, (x.dim, lay.g_bimodule.dim * y.dim))
+                try:
+                    pack(morita.DeltaModule._derived(ctx, side, x, y, f, g, "c"))
+                    packs = True
+                except ValidationError:
+                    packs = False
+                try:
+                    morita.DeltaModule(ctx, side, x, y, f, g)
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == packs, (name, side, x.describe(), y.describe())
+                outcomes.add(accepted)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("side", [LEFT, RIGHT])

@@ -16,7 +16,10 @@ from moritalab.algebra import (
     validate_module_data,
     zero_module,
 )
-from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
+from moritalab.enumeration import (delta_short_exact_sequences,
+                                   enumerate_delta_modules, enumerate_modules,
+                                   invariant_subspaces, short_exact_sequences,
+                                   _rref_patterns)
 from moritalab.functors import tilde
 from moritalab.morita import (CORNERS, by_corner, delta_dual, delta_sum,
                               tuple_layout)
@@ -161,12 +164,21 @@ def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
                     assert got_hom.module.name == want_hom.module.name
 
 
+def _invariant_spans(module):
+    """The subspaces kept by one solve per basis element of the algebra:
+    the reference for ``invariant_subspaces``."""
+    p = module.p
+    return [span for span in _rref_patterns(module.dim, p)
+            if all(la.solve(span, (action @ span) % p, p) is not None
+                   for action in module.actions)]
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
-    # Sums, duals and the assembled products and hom modules are built
-    # without re-running the module check, which their inputs already passed.
-    # A sum builds the products of its structure maps on first use, so each
-    # sum's f_map and g_map are read.
+    # Sums, duals, submodules, quotients and the assembled products and hom
+    # modules are built without re-running the module check, which their
+    # inputs already passed.  A sum builds the products of its structure
+    # maps on first use, so each sum's f_map and g_map are read.
     made, builders = [], set()
     derived = Module._derived.__func__
 
@@ -180,7 +192,15 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
         ctx = fixture_over(name, p).single_context()
         for side in (LEFT, RIGHT):
             tuples = enumerate_delta_modules(ctx, side, 2)
+            for module in [u.packed for u in tuples] + [
+                    m for algebra in (ctx.algebra_a, ctx.algebra_b)
+                    for m in enumerate_modules(algebra, side, 2)]:
+                short_exact_sequences(module)
+                assert [s.tolist() for s in invariant_subspaces(module)] \
+                    == [s.tolist() for s in _invariant_spans(module)]
             for i, u in enumerate(tuples):
+                delta_short_exact_sequences(u)
+                u.cover()[1].kernel()
                 for v in tuples[i:]:
                     total = delta_sum([u, v])
                     total.f_map, total.g_map
@@ -188,7 +208,7 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
                     for corner in CORNERS:
                         tilde(total, corner)
     assert builders == {"module_sum", "dual_module", "_assembled_tensor",
-                        "_assembled_hom"}
+                        "_assembled_hom", "submodule", "quotient_module"}
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
