@@ -51,31 +51,44 @@ def induce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
     From the A corner, X |-> (X, M (x) X) on the left and (X, X (x) N) on
     the right, with the canonical map into the tensor component and zero
     structure the other way; the B corner mirrors it.
+
+    The tuple is derived (``DeltaModule._derived``).  The canonical map is
+    the projection of plain tensor coordinates onto the product, which
+    vanishes on the relations by construction and intertwines, since the
+    product's actions are the ones the projection induces; the zero map
+    obeys every law.
     """
     lay = _corner_layout(ctx, module, corner)
     own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     t = lay.tensor(own, module)
-    out = DeltaModule(ctx, module.side, *by_corner(corner, module, t.module),
-                      *by_corner(corner, t.projection,
-                                 la.zeros(module.dim, other.dim * t.dim)),
-                      name=f"ind_{corner}[{module.describe()}]")
+    out = DeltaModule._derived(ctx, module.side,
+                               *by_corner(corner, module, t.module),
+                               *by_corner(corner, t.projection,
+                                          la.zeros(module.dim, other.dim * t.dim)),
+                               f"ind_{corner}[{module.describe()}]")
     out.tensor_data = t
     return out
 
 
-def induce_map(ctx: MoritaContext, phi: ModuleMap, corner: str,
-               source: DeltaModule | None = None,
-               target: DeltaModule | None = None) -> DeltaModuleMap:
-    """induce on a map: the component map plus its tensored image."""
-    source = source if source is not None else induce(ctx, phi.source, corner)
-    target = target if target is not None else induce(ctx, phi.target, corner)
+def induce_map(ctx: MoritaContext, phi: ModuleMap, corner: str) -> DeltaModuleMap:
+    """induce on a map: the component map plus its tensored image, between
+    the (memoised) induced tuples of its source and target.
+
+    Not checked again (``DeltaModuleMap._intertwining``): id (x) phi of a
+    module map carries relations into relations and intertwines, so it
+    descends to a module map of the products that commutes with their
+    canonical projections, and the other structure maps are zero.
+    """
+    source = induce(ctx, phi.source, corner)
+    target = induce(ctx, phi.target, corner)
     lay = source.layout
     ts, _ = by_corner(corner, source.tensor_f, source.tensor_g)
     tt, _ = by_corner(corner, target.tensor_f, target.tensor_g)
     own, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     plain = lay.lift(own, phi.matrix)
     image = (tt.projection @ plain @ ts.section) % ctx.p
-    return DeltaModuleMap(source, target, *by_corner(corner, phi.matrix, image))
+    return DeltaModuleMap._intertwining(source, target,
+                                        *by_corner(corner, phi.matrix, image))
 
 
 def component(v: DeltaModule, corner: str) -> Module:
@@ -91,20 +104,30 @@ def _evaluation_plain(hom: HomModule, lay: TupleLayout) -> np.ndarray:
     return lay.unblocks(blocks) % hom.p
 
 
+@memo("module")
 def coinduce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
     """The tuple co-induced from a module over the ``corner`` algebra.
 
     From the A corner, X |-> (X, Hom(N, X)) on the left and (X, Hom(M, X))
     on the right; the structure map into X is evaluation and the other is
     zero.  The B corner mirrors it.
+
+    The tuple is derived (``DeltaModule._derived``).  Each basis map phi of
+    the hom module is a module map, so evaluation n (x) phi |-> phi(n) is
+    one; and the hom module's action is precomposition with the bimodule's
+    other action, (b phi)(n) = phi(n b) on the left, so evaluation vanishes
+    on the relations n b (x) phi - n (x) b phi.  The zero map obeys every
+    law.
     """
     lay = _corner_layout(ctx, module, corner)
     own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     hom = hom_over_algebra(other, module)
-    out = DeltaModule(ctx, module.side, *by_corner(corner, module, hom.module),
-                      *by_corner(corner, la.zeros(hom.dim, own.dim * module.dim),
-                                 _evaluation_plain(hom, lay)),
-                      name=f"coind_{corner}[{module.describe()}]")
+    out = DeltaModule._derived(ctx, module.side,
+                               *by_corner(corner, module, hom.module),
+                               *by_corner(corner,
+                                          la.zeros(hom.dim, own.dim * module.dim),
+                                          _evaluation_plain(hom, lay)),
+                               f"coind_{corner}[{module.describe()}]")
     out.hom_data = hom
     return out
 
@@ -172,9 +195,15 @@ def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
                     corner: str) -> DeltaModuleMap:
     """The map ind -> v adjoint to a component map mat into v.
 
-    ``ind`` is induced from the ``corner`` algebra and mat maps into that
-    component of v.  On the other component the map is the structure map
-    of v leaving the corner, after id (x) mat.
+    ``ind`` is induced from the ``corner`` algebra and mat, a module map,
+    maps into that component of v.  On the other component the map is the
+    structure map of v leaving the corner, after id (x) mat.
+
+    Not checked again (``DeltaModuleMap._intertwining``): both components
+    are module maps, the square through the leaving structure maps holds by
+    this definition, and the other square is zero on both sides, since the
+    structure map of v entering the corner kills the image of the leaving
+    one (the two bimodule corners multiply to zero in the glued algebra).
     """
     lay = v.layout
     leaving, _ = by_corner(corner, v.f_map, v.g_map)
@@ -182,21 +211,27 @@ def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
     bimodule, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     other = (leaving.matrix @ tensor.projection @ lay.lift(bimodule, mat)
              @ ind.tensor_data.section) % v.p
-    return DeltaModuleMap(ind, v, *by_corner(corner, mat, other))
+    return DeltaModuleMap._intertwining(ind, v, *by_corner(corner, mat, other))
 
 
 def coinduced_adjoint(v: DeltaModule, coind: DeltaModule, mat: np.ndarray,
                       corner: str) -> DeltaModuleMap:
     """The map v -> coind adjoint to a component map mat out of v.
 
-    ``coind`` is co-induced from the ``corner`` algebra and mat maps out of
-    that component of v.  On the other component an element goes through
-    the structure map of v entering the corner and then through mat, read
-    as an element of the hom module.
+    ``coind`` is co-induced from the ``corner`` algebra and mat, a module
+    map, maps out of that component of v.  On the other component an
+    element goes through the structure map of v entering the corner and
+    then through mat, read as an element of the hom module.
+
+    Not checked again (``DeltaModuleMap._intertwining``): the other
+    component is a module map because the hom module's action is
+    precomposition, the square through evaluation holds by this
+    definition, and the other square is zero on both sides, since the
+    entering structure map of v kills the image of the leaving one.
     """
     _, entering = by_corner(corner, v.f_blocks, v.g_blocks)
     other = _transposed((mat @ entering) % v.p, coind.hom_data)
-    return DeltaModuleMap(v, coind, *by_corner(corner, mat, other))
+    return DeltaModuleMap._intertwining(v, coind, *by_corner(corner, mat, other))
 
 
 def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
@@ -207,14 +242,12 @@ def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     return induce(ctx, y, "b")
 
 
-def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap, source=None,
-                      target=None) -> DeltaModuleMap:
-    return induce_map(ctx, phi, "a", source, target)
+def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap) -> DeltaModuleMap:
+    return induce_map(ctx, phi, "a")
 
 
-def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap, source=None,
-                      target=None) -> DeltaModuleMap:
-    return induce_map(ctx, phi, "b", source, target)
+def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap) -> DeltaModuleMap:
+    return induce_map(ctx, phi, "b")
 
 
 def component_a(v: DeltaModule) -> Module:
@@ -250,6 +283,13 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
     v -> coinduce_from_a plain.  The b variants mirror through the other
     corner.  Both composites are checked to be mutually inverse linear
     bijections on whole hom-space bases, not just dimension counts.
+
+    ``backward`` builds its tuple maps unchecked, and the verdict does not
+    depend on a check of them.  ``backward`` is linear; the second round
+    shows backward . forward = id on the tuple hom basis, so forward is
+    one-to-one on the tuple homs; the two hom spaces have equal dimension,
+    so forward is a bijection onto the plain homs with inverse backward,
+    and backward lands in the tuple homs.
     """
     name = f"adjunction-{pair}"
     kind, _, corner = pair.partition("-")
@@ -281,10 +321,12 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
 
     round_one = all(np.array_equal(forward(backward(h.matrix)), h.matrix)
                     for h in plain_homs)
-    round_two = all(
-        np.array_equal(backward(forward(dm)).a_matrix, dm.a_matrix)
-        and np.array_equal(backward(forward(dm)).b_matrix, dm.b_matrix)
-        for dm in tuple_homs)
+    def restored(dm: DeltaModuleMap) -> bool:
+        back = backward(forward(dm))
+        return (np.array_equal(back.a_matrix, dm.a_matrix)
+                and np.array_equal(back.b_matrix, dm.b_matrix))
+
+    round_two = all(restored(dm) for dm in tuple_homs)
 
     if round_one and round_two:
         return CheckReport(name, Verdict.PASS,

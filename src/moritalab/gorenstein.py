@@ -251,11 +251,10 @@ def _induced_window(ctx: MoritaContext, cx: ChainComplex,
                     corner: str) -> ChainComplex:
     """The levelwise induction of a component window from ``corner``."""
     terms = [induce(ctx, t, corner) for t in cx.terms]
-    maps = [induce_map(ctx, d, corner, source=terms[i], target=terms[i + 1])
-            for i, d in enumerate(cx.maps)]
+    maps = [induce_map(ctx, d, corner) for d in cx.maps]
     coaug = cx.coaugmentation
     if coaug is not None:
-        coaug = induce_map(ctx, coaug, corner, target=terms[-cx.lo])
+        coaug = induce_map(ctx, coaug, corner)
     return ChainComplex(cx.lo, terms, maps, coaug)
 
 

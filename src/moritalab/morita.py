@@ -26,13 +26,21 @@ two corner idempotents, and the round trip is exact on the nose.
 
 A tuple is checked when it is built, except the sums of ``delta_sum``, the
 duals of ``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the
-kernels of ``delta_kernel``) and the quotients of ``delta_quotient``: their
-blocks are block sums, transposes, restrictions to a closed span pair or
-projections to its quotient of the blocks of checked tuples, and the laws
-that make f and g descend to the tensor quotients as module maps hold for
-the result because they hold for its input (``DeltaModule._derived``).
-Such a tuple builds its tensor products and ``f_map``/``g_map`` only when
-they are read, without re-checking them.
+kernels of ``delta_kernel``), the quotients of ``delta_quotient``, the
+tuples of ``unpack`` and the induced and co-induced tuples of
+``functors.induce`` and ``functors.coinduce``: their blocks are block sums,
+transposes, restrictions to a closed span pair or projections to its
+quotient of the blocks of checked tuples or modules, or canonical
+projections and evaluations, and the laws that make f and g descend to the
+tensor quotients as module maps hold for the result because they hold for
+its input (``DeltaModule._derived``).  Such a tuple builds its tensor
+products and ``f_map``/``g_map`` only when they are read, without
+re-checking them.  Likewise a tuple map is checked when it is built, except
+where its construction proves it (``DeltaModuleMap._intertwining``): hom
+bases and their combinations, sum witnesses, inclusions and projections of
+sub-tuples and quotients, composites, covers and the maps of the induction
+and co-induction functors.  ``pack``, ``delta_dual_map`` and the public
+constructors still check.
 
 A sum built by ``delta_sum`` also records its nonzero summands
 (``DeltaModule.summands``); no other tuple does.  Its structural cokernels
@@ -240,11 +248,14 @@ class DeltaModule:
 
     Construction checks the tuple: the components live over A and B on the
     declared side, and f and g vanish on the tensor relations and are module
-    maps.  A derived tuple (see ``_derived``), a sum, dual, sub-tuple or
-    quotient built by ``delta_sum``, ``delta_dual``, ``delta_submodule`` or
-    ``delta_quotient``, is not checked again, and its tensor products
-    ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map`` are
-    built on first use, since most scanned tuples only read the blocks.
+    maps.  A derived tuple (see ``_derived``), a sum, dual, sub-tuple,
+    quotient, unpacked, induced or co-induced tuple built by ``delta_sum``,
+    ``delta_dual``, ``delta_submodule``, ``delta_quotient``, ``unpack``,
+    ``functors.induce`` or ``functors.coinduce``, is not checked again, and
+    its tensor products ``tensor_f``/``tensor_g`` and structure maps
+    ``f_map``/``g_map`` are built on first use, since most scanned tuples
+    only read the blocks.  Maps between tuples are derived in the same way
+    where their construction proves them (``DeltaModuleMap._intertwining``).
 
     A sum built by ``delta_sum`` records its nonzero summands in order, as
     ``algebra.module_sum`` does; every other tuple, a dual included, records
@@ -289,8 +300,10 @@ class DeltaModule:
                  name: str) -> "DeltaModule":
         """A tuple whose components and reduced structure maps its caller
         has built from validated tuples by a block sum, a transpose, a
-        restriction to a closed span pair or a projection to its quotient;
-        the construction check is not run again.
+        restriction to a closed span pair or a projection to its quotient,
+        or by ``unpack``, ``functors.induce`` or ``functors.coinduce``, each
+        of which gives its own proof; the construction check is not run
+        again.
 
         A tuple is the same thing as a module over the glued algebra (see
         ``pack``).  On the left, f vanishes on the relations of M (x)_A X
@@ -397,7 +410,13 @@ def zero_delta_module(ctx: MoritaContext, side: str) -> DeltaModule:
 
 @dataclass(eq=False)
 class DeltaModuleMap:
-    """A map of tuples: component maps making both structure squares commute."""
+    """A map of tuples: component maps making both structure squares commute.
+
+    Construction checks the map: both components are module maps and both
+    squares commute.  A map whose construction proves that (see
+    ``_intertwining``) is not checked again, and its component maps
+    ``a_map``/``b_map`` are built on first use.
+    """
 
     source: DeltaModule
     target: DeltaModule
@@ -419,17 +438,51 @@ class DeltaModuleMap:
         if np.any((self.a_matrix @ u.g_blocks - v.g_blocks @ self.b_matrix) % p):
             raise ValidationError("square through g does not commute")
 
+    @classmethod
+    def _intertwining(cls, source: DeltaModule, target: DeltaModule,
+                      a_matrix: np.ndarray,
+                      b_matrix: np.ndarray) -> "DeltaModuleMap":
+        """A map whose reduced component matrices its caller has already
+        proved to be a tuple map, as ``ModuleMap._intertwining`` does for
+        module maps; the construction check is not run again.
+
+        A tuple map is the same thing as a map of packed modules that keeps
+        the x and y blocks (see ``pack``), so the proofs are those of module
+        maps: a hom-space vector of the packed modules, a linear combination
+        of such vectors, a block injection or projection of a sum, the
+        inclusion of a restriction to a closed span pair or the projection
+        to its quotient, and a composite of tuple maps, whose squares paste.
+        """
+        phi = object.__new__(cls)
+        phi.source, phi.target = source, target
+        phi.a_matrix, phi.b_matrix = a_matrix, b_matrix
+        return phi
+
+    # Read on derived maps only; construction sets both on the others.
+    @cached_property
+    def a_map(self) -> ModuleMap:
+        """The x component, unchecked: see ``_intertwining``."""
+        return ModuleMap._intertwining(self.source.x, self.target.x,
+                                       self.a_matrix)
+
+    @cached_property
+    def b_map(self) -> ModuleMap:
+        """The y component, unchecked: see ``_intertwining``."""
+        return ModuleMap._intertwining(self.source.y, self.target.y,
+                                       self.b_matrix)
+
     @property
     def p(self) -> int:
         return self.source.p
 
     def compose(self, other: "DeltaModuleMap") -> "DeltaModuleMap":
-        """self after other."""
+        """self after other, unchecked: the squares of the two maps paste."""
         if other.target is not self.source:
             raise AlgebraMismatchError("composition endpoints do not match")
-        return DeltaModuleMap(other.source, self.target,
-                              (self.a_matrix @ other.a_matrix) % self.p,
-                              (self.b_matrix @ other.b_matrix) % self.p)
+        return DeltaModuleMap._intertwining(
+            other.source, self.target,
+            (self.a_matrix @ other.a_matrix) % self.p,
+            (self.b_matrix @ other.b_matrix) % self.p)
 
     def is_zero(self) -> bool:
         return not (np.any(self.a_matrix) or np.any(self.b_matrix))
@@ -457,7 +510,7 @@ class DeltaModuleMap:
 
     @classmethod
     def identity(cls, v: DeltaModule) -> "DeltaModuleMap":
-        return cls(v, v, la.eye(v.x.dim), la.eye(v.y.dim))
+        return cls._intertwining(v, v, la.eye(v.x.dim), la.eye(v.y.dim))
 
 
 def pack(v: DeltaModule) -> Module:
@@ -485,6 +538,15 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
 
     The components are the images of the corner idempotents; the structure
     maps are read off from the corner element actions in those coordinates.
+    Nothing is checked again.  The column bases of the two images together
+    are a basis of the module, and every action keeps both spans, so in that
+    basis each action of the glued algebra is block-diagonal on the corners
+    and carries the corner blocks into each other: the restricted actions.
+    Those are the actions of the module in a new basis, which obey the
+    module laws because the module's do; the A and B corners restrict to
+    modules x and y (see ``Module._derived``, e_a acting as the identity on
+    its image), and the tuple packs to the module in the new basis, so it
+    passes the tuple check (see ``DeltaModule._derived``).
     """
     if module.algebra is not ctx.delta:
         raise AlgebraMismatchError("module does not live over this context's glued algebra")
@@ -507,10 +569,11 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     if any(blocks is None for blocks in restricted):
         raise InternalCheckError("an action does not keep the corner blocks")
     x_acts, y_acts, f_blocks, g_blocks = restricted
-    x = Module(ctx.algebra_a, module.side, dx, x_acts, name="unpacked.x")
-    y = Module(ctx.algebra_b, module.side, dy, y_acts, name="unpacked.y")
-    return DeltaModule(ctx, module.side, x, y, lay.unblocks(f_blocks),
-                       lay.unblocks(g_blocks), name=f"unpacked[{module.describe()}]")
+    x = Module._derived(ctx.algebra_a, module.side, dx, x_acts, "unpacked.x")
+    y = Module._derived(ctx.algebra_b, module.side, dy, y_acts, "unpacked.y")
+    return DeltaModule._derived(ctx, module.side, x, y, lay.unblocks(f_blocks),
+                                lay.unblocks(g_blocks),
+                                f"unpacked[{module.describe()}]")
 
 
 def delta_dual(v: DeltaModule) -> DeltaModule:
@@ -543,7 +606,8 @@ def delta_hom_space(u: DeltaModule, v: DeltaModule) -> list[DeltaModuleMap]:
 
     Computed as the hom space of the packed modules; every map over the
     glued algebra preserves the idempotent blocks, so each basis element
-    splits into component blocks (asserted, not assumed).
+    splits into component blocks (asserted, not assumed).  A map of packed
+    modules that keeps the blocks is a tuple map, so none is checked again.
     """
     maps = hom_space(u.packed, v.packed)
     out = []
@@ -551,7 +615,8 @@ def delta_hom_space(u: DeltaModule, v: DeltaModule) -> list[DeltaModuleMap]:
     for mp in maps:
         if np.any(mp.matrix[:tx, sx:]) or np.any(mp.matrix[tx:, :sx]):
             raise InternalCheckError("glued-algebra map does not preserve the blocks")
-        out.append(DeltaModuleMap(u, v, mp.matrix[:tx, :sx], mp.matrix[tx:, sx:]))
+        out.append(DeltaModuleMap._intertwining(
+            u, v, mp.matrix[:tx, :sx], mp.matrix[tx:, sx:]))
     return out
 
 
@@ -584,15 +649,17 @@ def delta_direct_sum(tuples: list[DeltaModule]) \
         -> tuple[DeltaModule, list[DeltaModuleMap], list[DeltaModuleMap]]:
     """Componentwise direct sum with injection and projection tuple maps.
 
-    Callers that discard the witnesses use ``delta_sum``.
+    Callers that discard the witnesses use ``delta_sum``.  The witnesses
+    are the block injections and projections of the packed sum, which keep
+    the x and y blocks, so they are not checked again.
     """
     total = delta_sum(tuples)
     x_inj = block_injections([t.x.dim for t in tuples])
     y_inj = block_injections([t.y.dim for t in tuples])
     injections, projections = [], []
     for t, xi, yi in zip(tuples, x_inj, y_inj):
-        injections.append(DeltaModuleMap(t, total, xi, yi))
-        projections.append(DeltaModuleMap(total, t, xi.T, yi.T))
+        injections.append(DeltaModuleMap._intertwining(t, total, xi, yi))
+        projections.append(DeltaModuleMap._intertwining(total, t, xi.T, yi.T))
     return total, injections, projections
 
 
@@ -600,7 +667,8 @@ def delta_is_isomorphic(u: DeltaModule, v: DeltaModule) -> DeltaModuleMap | None
     """An isomorphism of tuples if one exists, else None.
 
     Scans the tuple hom space, as maps of packed modules, for an invertible
-    element; component dimensions must match exactly.
+    element; component dimensions must match exactly.  The tuple maps form
+    a linear space, so the element found is one and is not checked again.
     """
     if u.context is not v.context or u.side != v.side:
         return None
@@ -611,13 +679,14 @@ def delta_is_isomorphic(u: DeltaModule, v: DeltaModule) -> DeltaModuleMap | None
     homs = delta_hom_space(u, v)
     if not homs:
         if u.dim == 0:
-            return DeltaModuleMap(u, v, la.zeros(0, 0), la.zeros(0, 0))
+            return DeltaModuleMap._intertwining(u, v, la.zeros(0, 0),
+                                                la.zeros(0, 0))
         return None
     mat = _invertible_in_span(homs, u.p, (u, v))
     if mat is None:
         return None
     dx = u.x.dim
-    return DeltaModuleMap(u, v, mat[:dx, :dx], mat[dx:, dx:])
+    return DeltaModuleMap._intertwining(u, v, mat[:dx, :dx], mat[dx:, dx:])
 
 
 def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
@@ -626,7 +695,10 @@ def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
 
     The columns of each component must be linearly independent, and the
     spans action-invariant and closed under the structure maps; violations
-    raise ValidationError.  The sub-tuple is derived (see ``_derived``).
+    raise ValidationError.  The sub-tuple is derived (see ``_derived``),
+    and so is its inclusion: the restricted blocks C_i obey
+    incl C_i = B_i incl for every action and structure block B_i, which are
+    the module-map laws and both squares.
     """
     x_sub, incl_x = submodule(v.x, x_cols.T)
     y_sub, incl_y = submodule(v.y, y_cols.T)
@@ -640,7 +712,7 @@ def delta_submodule(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
     sub = DeltaModule._derived(v.context, v.side, x_sub, y_sub,
                                v.layout.unblocks(f_sub),
                                v.layout.unblocks(g_sub), f"sub[{v.describe()}]")
-    return sub, DeltaModuleMap(sub, v, cx, cy)
+    return sub, DeltaModuleMap._intertwining(sub, v, cx, cy)
 
 
 def delta_kernel(phi: DeltaModuleMap) -> tuple[DeltaModule, DeltaModuleMap]:
@@ -661,7 +733,11 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
 
     The spans must form a sub-tuple (the structure maps must carry them into
     each other); otherwise the induced maps are ill-defined and this raises
-    ValidationError.  The quotient is derived (see ``_derived``).
+    ValidationError.  The quotient is derived (see ``_derived``), and so
+    is its projection: the projected blocks P B_i S obey
+    (P B_i S) P = P B_i for every action and structure block B_i, since
+    I - S P lands in the spans, which are the module-map laws and both
+    squares.
     """
     p = v.p
     x_quot, proj_x, sx = quotient_module(v.x, x_cols)
@@ -675,7 +751,7 @@ def delta_quotient(v: DeltaModule, x_cols: np.ndarray, y_cols: np.ndarray) \
                                 v.layout.unblocks((py @ v.f_blocks @ sx) % p),
                                 v.layout.unblocks((px @ v.g_blocks @ sy) % p),
                                 f"quot[{v.describe()}]")
-    return quot, DeltaModuleMap(v, quot, px, py)
+    return quot, DeltaModuleMap._intertwining(v, quot, px, py)
 
 
 def corner_parts(v: DeltaModule, part_of) -> list | None:
@@ -821,22 +897,24 @@ def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
 
     The source is the sum of the inductions of component covers; its packed
     module is a sum of principal summands of the glued algebra, so it is
-    projective with no hypothesis on the inner bimodules.
+    projective with no hypothesis on the inner bimodules.  No map is checked
+    again: the counit ind(own) -> v is the adjoint of the identity of own,
+    each lift is a composite of tuple maps, and a map out of a sum whose
+    restrictions to the summands are tuple maps is one.  The rank test of
+    surjectivity stays.
     """
-    from .functors import induce, induce_map
+    from .functors import induce, induce_map, induced_adjoint
 
     ctx, p = v.context, v.p
     lifts = []
     for corner in CORNERS:
         own, _ = by_corner(corner, v.x, v.y)
-        leaving, _ = by_corner(corner, v.f_map, v.g_map)
         _, cover = free_cover(own)
-        ind = induce(ctx, own, corner)
-        counit = DeltaModuleMap(
-            ind, v, *by_corner(corner, la.eye(own.dim), leaving.matrix))
-        lifts.append(counit.compose(induce_map(ctx, cover, corner, target=ind)))
+        counit = induced_adjoint(induce(ctx, own, corner), v, la.eye(own.dim),
+                                 corner)
+        lifts.append(counit.compose(induce_map(ctx, cover, corner)))
     total = delta_sum([lift.source for lift in lifts])
-    eps = DeltaModuleMap(
+    eps = DeltaModuleMap._intertwining(
         total, v,
         np.hstack([lift.a_matrix for lift in lifts]) % p,
         np.hstack([lift.b_matrix for lift in lifts]) % p)

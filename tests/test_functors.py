@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from moritalab import functors
 from moritalab.algebra import LEFT, Module
 from moritalab.enumeration import enumerate_delta_modules
 from moritalab.functors import (
@@ -15,7 +16,8 @@ from moritalab.functors import (
     tilde_f,
     tilde_g,
 )
-from moritalab.morita import is_projective_delta
+from moritalab.morita import (CORNERS, DeltaModuleMap, by_corner,
+                              delta_hom_space, is_projective_delta)
 from moritalab.report import AlgebraMismatchError, Verdict
 
 
@@ -96,3 +98,38 @@ def test_adjunctions_hold_on_the_semisimple_fixture(e1):
         for pair in ("induce-a", "coinduce-a"):
             report = check_adjunction(e1, k, v, pair)
             assert report.verdict is Verdict.PASS, report.detail
+
+
+@pytest.mark.parametrize("kind", ["induce", "coinduce"])
+def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
+    # The adjoint maps are built unchecked, so an adjoint that is wrong
+    # outside the corner must be caught by the round trip itself.
+    right = getattr(functors, f"{kind}d_adjoint")
+
+    def zero_outside_the_corner(*args):
+        phi, corner = right(*args), args[-1]
+        own, other = by_corner(corner, phi.a_matrix, phi.b_matrix)
+        return DeltaModuleMap._intertwining(
+            phi.source, phi.target, *by_corner(corner, own, 0 * other))
+
+    caught = 0
+    for corner in CORNERS:
+        algebra, _ = by_corner(corner, e2.algebra_a, e2.algebra_b)
+        plain = algebra.regular_module(LEFT)
+        made = getattr(functors, kind)(e2, plain, corner)
+        pair = f"{kind}-{corner}"
+        for v in enumerate_delta_modules(e2, LEFT, 2):
+            ends = (made, v) if kind == "induce" else (v, made)
+            homs = delta_hom_space(*ends)
+            if not any(by_corner(corner, h.a_matrix, h.b_matrix)[1].any()
+                       for h in homs):
+                continue
+            assert check_adjunction(e2, plain, v, pair).verdict is Verdict.PASS
+            with monkeypatch.context() as patch:
+                patch.setattr(functors, f"{kind}d_adjoint",
+                              zero_outside_the_corner)
+                report = check_adjunction(e2, plain, v, pair)
+            assert report.verdict is Verdict.REFUTED
+            assert report.detail == "composites are not mutually inverse"
+            caught += 1
+    assert caught

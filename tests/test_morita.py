@@ -17,9 +17,12 @@ from moritalab.enumeration import (delta_invariant_pairs,
                                    invariant_subspaces)
 from moritalab import morita
 from moritalab import linalg as la
-from moritalab.functors import (coinduce_from_a, coinduce_from_b, induce_from_a,
-                                induce_from_b, tilde_f, tilde_g)
+from moritalab.functors import (check_adjunction, coinduce, coinduce_from_a,
+                                coinduce_from_b, component, induce,
+                                induce_from_a, induce_from_b, induce_map,
+                                tilde_f, tilde_g)
 from moritalab.morita import (
+    CORNERS,
     DeltaModuleMap,
     MoritaContext,
     delta_direct_sum,
@@ -34,7 +37,8 @@ from moritalab.morita import (
     unpack,
     zero_delta_module,
 )
-from moritalab.report import BudgetExceededError, InternalCheckError, ValidationError
+from moritalab.report import (BudgetExceededError, InternalCheckError,
+                             ValidationError, Verdict)
 
 
 def test_glued_dimensions(e0, e1, e2):
@@ -323,10 +327,10 @@ def _listed(pairs):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
-    # Sums, duals, sub-tuples (kernels among them) and quotients skip the
-    # tuple check and build their tensor products and structure maps on
-    # first use, unchecked.  Each must equal the fully checked tuple on the
-    # same data.
+    # Sums, duals, sub-tuples (kernels among them), quotients, unpacked,
+    # induced and co-induced tuples skip the tuple check and build their
+    # tensor products and structure maps on first use, unchecked.  Each must
+    # equal the fully checked tuple on the same data, on checked components.
     made, builders = [], set()
     derived = morita.DeltaModule._derived.__func__
 
@@ -341,7 +345,13 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
         for side in (LEFT, RIGHT):
             tuples = enumerate_delta_modules(ctx, side, 2)
             for i, u in enumerate(tuples):
-                delta_dual(u)
+                dual = delta_dual(u)
+                # The dual's components are fresh objects, so the memos of
+                # induce and coinduce on them do not hit.
+                for corner in CORNERS:
+                    induce(ctx, component(dual, corner), corner)
+                    coinduce(ctx, component(dual, corner), corner)
+                unpack(u.packed, ctx)
                 delta_short_exact_sequences(u)
                 u.cover()[1].kernel()
                 assert _listed(delta_invariant_pairs(u)) \
@@ -349,8 +359,10 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
                 for v in tuples[i:]:
                     delta_dual(delta_sum([u, v]))
     assert builders == {"delta_sum", "delta_dual", "delta_submodule",
-                        "delta_quotient"}
+                        "delta_quotient", "unpack", "induce", "coinduce"}
     for v in made:
+        for comp in (v.x, v.y):
+            Module(comp.algebra, comp.side, comp.dim, comp.actions)
         for structure_map in (v.f_map, v.g_map):
             ModuleMap(structure_map.source, structure_map.target,
                       structure_map.matrix)
@@ -362,6 +374,58 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
         assert v.g_map.source is checked.g_map.source
         assert np.array_equal(v.f_map.matrix, checked.f_map.matrix)
         assert np.array_equal(v.g_map.matrix, checked.g_map.matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
+                                                    p):
+    # Hom bases and their combinations, sum witnesses, the maps of short
+    # exact sequences, covers, composites and the maps of the induction and
+    # co-induction functors skip the map check.  Each must pass it.
+    made, builders = [], set()
+    intertwining = DeltaModuleMap._intertwining.__func__
+
+    def recording(cls, *args):
+        builders.add(sys._getframe(1).f_code.co_name)
+        made.append(intertwining(cls, *args))
+        return made[-1]
+
+    monkeypatch.setattr(DeltaModuleMap, "_intertwining", classmethod(recording))
+    for name in ("E0", "E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            regular = dict(zip(CORNERS, (ctx.algebra_a.regular_module(side),
+                                         ctx.algebra_b.regular_module(side))))
+            tuples = enumerate_delta_modules(ctx, side, 2)
+            for i, u in enumerate(tuples):
+                delta_short_exact_sequences(u)
+                u.cover()
+                induced_isomorphism(u)
+                morita._coinduced_splitting(u)
+                delta_is_isomorphic(u, u)
+                delta_is_isomorphic(u, delta_sum([u]))
+                for corner in CORNERS:
+                    for kind in ("induce", "coinduce"):
+                        report = check_adjunction(ctx, regular[corner], u,
+                                                  f"{kind}-{corner}")
+                        assert report.verdict is Verdict.PASS, report.detail
+                    for phi in hom_space(regular[corner], component(u, corner)):
+                        induce_map(ctx, phi, corner)
+                for v in tuples[i:]:
+                    delta_hom_space(u, v)
+                    delta_direct_sum([u, v])
+    assert builders == {"delta_hom_space", "delta_direct_sum",
+                        "delta_submodule", "delta_quotient", "compose",
+                        "_delta_cover", "induce_map", "induced_adjoint",
+                        "coinduced_adjoint", "delta_is_isomorphic", "identity"}
+    for phi in made:
+        checked = DeltaModuleMap(phi.source, phi.target, phi.a_matrix,
+                                 phi.b_matrix)
+        for derived, full in ((phi.a_map, checked.a_map),
+                              (phi.b_map, checked.b_map)):
+            assert derived.source is full.source
+            assert derived.target is full.target
+            assert np.array_equal(derived.matrix, full.matrix)
 
 
 @pytest.mark.parametrize("p", [2, 3])
