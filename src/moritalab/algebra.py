@@ -23,7 +23,8 @@ from . import linalg as la
 from .linalg import FieldSpec
 from .memo import memo
 from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
-                     InternalCheckError, ValidationError, Verdict)
+                     InternalCheckError, MoritaLabError, ValidationError,
+                     Verdict)
 
 LEFT = "left"
 RIGHT = "right"
@@ -33,9 +34,19 @@ _SCAN_BUDGET_DEFAULT = 1 << 21
 
 def scan_budget() -> int:
     """Candidate ceiling of every exhaustive scan: module, structure-map,
-    unit and isomorphism scans alike.  MORITA_ENUM_BUDGET overrides it."""
+    unit and isomorphism scans alike.  MORITA_ENUM_BUDGET overrides it with
+    a nonnegative integer; any other value is an input error."""
     raw = os.environ.get("MORITA_ENUM_BUDGET")
-    return int(raw) if raw else _SCAN_BUDGET_DEFAULT
+    if not raw:
+        return _SCAN_BUDGET_DEFAULT
+    try:
+        budget = int(raw)
+    except ValueError:
+        budget = -1
+    if budget < 0:
+        raise MoritaLabError(
+            f"MORITA_ENUM_BUDGET must be a nonnegative integer, got {raw!r}")
+    return budget
 
 
 def validate_algebra_data(field_spec: FieldSpec, dim: int, structure: np.ndarray,
@@ -148,12 +159,12 @@ def validate_module_data(algebra: Algebra, side: str, dim: int,
         return CheckReport("validate-module", Verdict.REFUTED, "unit does not act as identity")
     # For b_i b_j = sum_k c[i][j][k] b_k the operator law reads
     # act(b_i) act(b_j) = sum_k c ... on the left, reversed on the right.
-    if side == LEFT:
-        products = np.einsum("iab,jbc->ijac", actions, actions) % p
-    else:
-        products = np.einsum("jab,ibc->ijac", actions, actions) % p
+    first, second = actions[:, None], actions[None, :]
+    if side != LEFT:
+        first, second = second, first
+    products = (first @ second) % p
     expected = np.einsum("ijk,kab->ijab", algebra.structure, actions) % p
-    failed = (products - expected) % p
+    failed = products != expected
     if failed.any():
         i, j = (int(v) for v in np.argwhere(failed)[0][:2])
         return CheckReport("validate-module", Verdict.REFUTED,
@@ -357,9 +368,8 @@ class ModuleMap:
 def module_sum(modules: list[Module]) -> Module:
     """Direct sum of modules, actions block-diagonal in the given order.
 
-    Builds only the sum; ``direct_sum`` adds the injection and projection
-    witnesses for callers that use them.  Block-diagonal actions obey the
-    action laws because each block does, so the sum is not validated again.
+    Block-diagonal actions obey the action laws because each block does, so
+    the sum is not validated again.
     It records its nonzero summands, from which ``tensor_over_algebra`` and
     ``hom_over_algebra`` assemble its products and hom modules.  Those equal
     the eliminated ones entry for entry: the relations and the hom system
@@ -368,7 +378,7 @@ def module_sum(modules: list[Module]) -> Module:
     coordinates and are left out, so assembling makes no memo entry on them.
     """
     if not modules:
-        raise ValueError("direct_sum of an empty list is ambiguous; pass a zero module")
+        raise ValueError("direct sum of an empty list is ambiguous; pass a zero module")
     alg, side = modules[0].algebra, modules[0].side
     if any(m.algebra is not alg or m.side != side for m in modules):
         raise AlgebraMismatchError("direct sum factors disagree on algebra or side")
@@ -389,21 +399,6 @@ def block_injections(dims: list[int]) -> list[np.ndarray]:
         out.append(inj)
         offset += d
     return out
-
-
-def direct_sum(modules: list[Module]) -> tuple[Module, list[ModuleMap], list[ModuleMap]]:
-    """Direct sum with injection and projection witnesses.
-
-    Returns (sum module, injections, projections) with proj[i] o inj[i] = id
-    and the actions block-diagonal in the given order.  Callers that discard
-    the witnesses use ``module_sum``.
-    """
-    total_module = module_sum(modules)
-    injections, projections = [], []
-    for m, inj in zip(modules, block_injections([m.dim for m in modules])):
-        injections.append(ModuleMap(m, total_module, inj))
-        projections.append(ModuleMap(total_module, m, inj.T))
-    return total_module, injections, projections
 
 
 def hom_space(source: Module, target: Module) -> list[ModuleMap]:

@@ -61,13 +61,11 @@ def induce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
     lay = _corner_layout(ctx, module, corner)
     own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     t = lay.tensor(own, module)
-    out = DeltaModule._derived(ctx, module.side,
-                               *by_corner(corner, module, t.module),
-                               *by_corner(corner, t.projection,
-                                          la.zeros(module.dim, other.dim * t.dim)),
-                               f"ind_{corner}[{module.describe()}]")
-    out.tensor_data = t
-    return out
+    return DeltaModule._derived(ctx, module.side,
+                                *by_corner(corner, module, t.module),
+                                *by_corner(corner, t.projection,
+                                           la.zeros(module.dim, other.dim * t.dim)),
+                                f"ind_{corner}[{module.describe()}]")
 
 
 def induce_map(ctx: MoritaContext, phi: ModuleMap, corner: str) -> DeltaModuleMap:
@@ -82,9 +80,8 @@ def induce_map(ctx: MoritaContext, phi: ModuleMap, corner: str) -> DeltaModuleMa
     source = induce(ctx, phi.source, corner)
     target = induce(ctx, phi.target, corner)
     lay = source.layout
-    ts, _ = by_corner(corner, source.tensor_f, source.tensor_g)
-    tt, _ = by_corner(corner, target.tensor_f, target.tensor_g)
     own, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    ts, tt = lay.tensor(own, phi.source), lay.tensor(own, phi.target)
     plain = lay.lift(own, phi.matrix)
     image = (tt.projection @ plain @ ts.section) % ctx.p
     return DeltaModuleMap._intertwining(source, target,
@@ -122,14 +119,12 @@ def coinduce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
     lay = _corner_layout(ctx, module, corner)
     own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
     hom = hom_over_algebra(other, module)
-    out = DeltaModule._derived(ctx, module.side,
-                               *by_corner(corner, module, hom.module),
-                               *by_corner(corner,
-                                          la.zeros(hom.dim, own.dim * module.dim),
-                                          _evaluation_plain(hom, lay)),
-                               f"coind_{corner}[{module.describe()}]")
-    out.hom_data = hom
-    return out
+    return DeltaModule._derived(ctx, module.side,
+                                *by_corner(corner, module, hom.module),
+                                *by_corner(corner,
+                                           la.zeros(hom.dim, own.dim * module.dim),
+                                           _evaluation_plain(hom, lay)),
+                                f"coind_{corner}[{module.describe()}]")
 
 
 def tilde(v: DeltaModule, corner: str) -> ModuleMap:
@@ -197,7 +192,10 @@ def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
 
     ``ind`` is induced from the ``corner`` algebra and mat, a module map,
     maps into that component of v.  On the other component the map is the
-    structure map of v leaving the corner, after id (x) mat.
+    structure map of v leaving the corner, after id (x) mat.  It is
+    computed on plain tensor coordinates, read through the section of the
+    induced product: the plain structure map vanishes on the relations, so
+    it equals its descended map after the projection.
 
     Not checked again (``DeltaModuleMap._intertwining``): both components
     are module maps, the square through the leaving structure maps holds by
@@ -206,11 +204,10 @@ def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,
     one (the two bimodule corners multiply to zero in the glued algebra).
     """
     lay = v.layout
-    leaving, _ = by_corner(corner, v.f_map, v.g_map)
-    tensor, _ = by_corner(corner, v.tensor_f, v.tensor_g)
     bimodule, _ = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
-    other = (leaving.matrix @ tensor.projection @ lay.lift(bimodule, mat)
-             @ ind.tensor_data.section) % v.p
+    leaving, _ = by_corner(corner, v.f_plain, v.g_plain)
+    induced = lay.tensor(bimodule, component(ind, corner))
+    other = (leaving @ lay.lift(bimodule, mat) @ induced.section) % v.p
     return DeltaModuleMap._intertwining(ind, v, *by_corner(corner, mat, other))
 
 
@@ -230,7 +227,10 @@ def coinduced_adjoint(v: DeltaModule, coind: DeltaModule, mat: np.ndarray,
     entering structure map of v kills the image of the leaving one.
     """
     _, entering = by_corner(corner, v.f_blocks, v.g_blocks)
-    other = _transposed((mat @ entering) % v.p, coind.hom_data)
+    _, hommed_from = by_corner(corner, coind.layout.f_bimodule,
+                               coind.layout.g_bimodule)
+    hom = hom_over_algebra(hommed_from, component(coind, corner))
+    other = _transposed((mat @ entering) % v.p, hom)
     return DeltaModuleMap._intertwining(v, coind, *by_corner(corner, mat, other))
 
 
@@ -244,10 +244,6 @@ def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
 
 def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap) -> DeltaModuleMap:
     return induce_map(ctx, phi, "a")
-
-
-def induce_from_b_map(ctx: MoritaContext, phi: ModuleMap) -> DeltaModuleMap:
-    return induce_map(ctx, phi, "b")
 
 
 def component_a(v: DeltaModule) -> Module:

@@ -248,12 +248,6 @@ def quotient_data(m: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray, int, n
     return projection, section, t - r, m[:, image_cols]
 
 
-def cokernel(m: np.ndarray, p: int) -> tuple[np.ndarray, int]:
-    """Cokernel of m: the projection k^t -> k^t/im(m) and the quotient dimension."""
-    projection, _, q, _ = quotient_data(m, p)
-    return projection, q
-
-
 def kron(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Kronecker product reduced mod p; index (i, j) -> i * cols(b) + j.
 

@@ -14,8 +14,10 @@ The key is every other argument, bound through the signature, so defaults
 and keywords do not matter: ``f(a, b)`` and ``f(a, b, budget=None)`` share
 one entry.  Integers and strings compare by value, every other argument by
 identity, and an argument that compares by value in any other way is
-refused.  The entry holds the arguments it is keyed by, so their identities
-stay valid while it lives.  A call that raises stores nothing.
+refused.  Only a miss is tested for such arguments: a hit's key equals a
+stored key, which passed the test.  The entry holds the arguments it is
+keyed by, so their identities stay valid while it lives.  A call that
+raises stores nothing.
 """
 
 from __future__ import annotations
@@ -44,18 +46,21 @@ def memo(owner):
                 args = bound.args
             at = fixed if fixed is not None else index[owner(*args)]
             key = args[:at] + args[at + 1:]
-            for value in key:
-                if (type(value).__eq__ is not object.__eq__
-                        and not isinstance(value, _BY_VALUE)):
-                    raise TypeError(
-                        f"{fn.__qualname__} cannot be memoised on a "
-                        f"{type(value).__name__}, which compares by value")
             entries = vars(args[at])
             table = entries.get(slot)
             if table is None:
                 table = entries[slot] = {}
-            result = table.get(key, _MISSING)
+            try:
+                result = table.get(key, _MISSING)
+            except TypeError:   # unhashable, so refused below
+                result = _MISSING
             if result is _MISSING:
+                for value in key:
+                    if (type(value).__eq__ is not object.__eq__
+                            and not isinstance(value, _BY_VALUE)):
+                        raise TypeError(
+                            f"{fn.__qualname__} cannot be memoised on a "
+                            f"{type(value).__name__}, which compares by value")
                 result = table[key] = fn(*args)
             return result
 

@@ -24,23 +24,26 @@ against it.
 [X block, Y block]; ``unpack`` recovers the tuple from the images of the
 two corner idempotents, and the round trip is exact on the nose.
 
-A tuple is checked when it is built, except the sums of ``delta_sum``, the
-duals of ``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the
-kernels of ``delta_kernel``), the quotients of ``delta_quotient``, the
-tuples of ``unpack`` and the induced and co-induced tuples of
-``functors.induce`` and ``functors.coinduce``: their blocks are block sums,
-transposes, restrictions to a closed span pair or projections to its
-quotient of the blocks of checked tuples or modules, or canonical
-projections and evaluations, and the laws that make f and g descend to the
-tensor quotients as module maps hold for the result because they hold for
-its input (``DeltaModule._derived``).  Such a tuple builds its tensor
-products and ``f_map``/``g_map`` only when they are read, without
-re-checking them.  Likewise a tuple map is checked when it is built, except
-where its construction proves it (``DeltaModuleMap._intertwining``): hom
-bases and their combinations, sum witnesses, inclusions and projections of
-sub-tuples and quotients, composites, covers and the maps of the induction
-and co-induction functors.  ``pack``, ``delta_dual_map`` and the public
-constructors still check.
+A tuple is the same thing as a module over the glued algebra, and a tuple
+map the same thing as a map of packed modules that keeps the two blocks,
+so each is checked as what it packs to.  The ``DeltaModule`` constructor
+checks the module laws of the packed actions, which hold exactly when f
+and g descend through the tensor relations to module maps; the
+``DeltaModuleMap`` constructor checks one ``ModuleMap`` between the packed
+modules, which intertwines exactly when both components are module maps
+and both structure squares commute.  Every other tuple is derived
+(``DeltaModule._derived``): the sums of ``delta_sum``, the duals of
+``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the kernels
+of ``delta_kernel``), the quotients of ``delta_quotient``, the tuples of
+``unpack`` and the induced and co-induced tuples of ``functors.induce``
+and ``functors.coinduce`` pack to modules derived from checked ones.
+Every other map (``DeltaModuleMap._intertwining``) packs to a map that its
+construction proves: hom bases and their combinations, sum witnesses,
+inclusions and projections of sub-tuples and quotients, composites,
+covers and the maps of the induction and co-induction functors.  So every
+tuple that exists packs to a module, and ``pack`` builds it unchecked;
+tensor products and ``f_map``/``g_map`` are built on first read, with no
+check.
 
 A sum built by ``delta_sum`` also records its nonzero summands
 (``DeltaModule.summands``); no other tuple does.  Its structural cokernels
@@ -62,11 +65,12 @@ from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       _invertible_in_span, block_injections, dual_module,
                       free_cover, hom_space, is_flat, is_injective, is_projective,
-                      module_sum, quotient_module, submodule, zero_module)
+                      module_sum, quotient_module, submodule,
+                      validate_module_data, zero_module)
 from .memo import memo
 from .report import (AlgebraMismatchError, InternalCheckError,
-                     ValidationError)
-from .tensor import TensorModule, factor_through, tensor_over_algebra
+                     ValidationError, Verdict)
+from .tensor import TensorModule, tensor_over_algebra
 
 
 @dataclass(eq=False)
@@ -246,16 +250,24 @@ class DeltaModule:
     ``homs``, ``isomorphism``, ``plus``, ``cover``), and ``DeltaModuleMap``
     that of ``ModuleMap``, so code above the carriers is written once.
 
-    Construction checks the tuple: the components live over A and B on the
-    declared side, and f and g vanish on the tensor relations and are module
-    maps.  A derived tuple (see ``_derived``), a sum, dual, sub-tuple,
-    quotient, unpacked, induced or co-induced tuple built by ``delta_sum``,
-    ``delta_dual``, ``delta_submodule``, ``delta_quotient``, ``unpack``,
-    ``functors.induce`` or ``functors.coinduce``, is not checked again, and
-    its tensor products ``tensor_f``/``tensor_g`` and structure maps
-    ``f_map``/``g_map`` are built on first use, since most scanned tuples
-    only read the blocks.  Maps between tuples are derived in the same way
-    where their construction proves them (``DeltaModuleMap._intertwining``).
+    Construction checks the tuple as the module it packs to: the components
+    live over A and B on the declared side, f and g have the shapes of their
+    plain tensor domains, and the packed actions obey the module laws of the
+    glued algebra, which they do exactly when f and g descend through the
+    tensor relations to module maps.  On the left, f does so exactly when its
+    blocks obey f(m_i a) = f_i x(a) and f(b m_i) = y(b) f_i, f_i the block
+    of the basis vector m_i of M: the action laws of the products m a and
+    b m.  The right side and g are alike, and the laws of the products of the
+    two bimodule corners, which vanish, then follow.  The tuple keeps its
+    packed module.  A derived tuple (see ``_derived``), a sum, dual,
+    sub-tuple, quotient, unpacked, induced or co-induced tuple built by
+    ``delta_sum``, ``delta_dual``, ``delta_submodule``, ``delta_quotient``,
+    ``unpack``, ``functors.induce`` or ``functors.coinduce``, is not checked
+    again.  The tensor products ``tensor_f``/``tensor_g`` and structure maps
+    ``f_map``/``g_map`` of every tuple are built on first use, since most
+    scanned tuples only read the blocks.  Maps between tuples are derived in
+    the same way where their construction proves them
+    (``DeltaModuleMap._intertwining``).
 
     A sum built by ``delta_sum`` records its nonzero summands in order, as
     ``algebra.module_sum`` does; every other tuple, a dual included, records
@@ -280,51 +292,57 @@ class DeltaModule:
             raise AlgebraMismatchError("y component must live over B on the declared side")
         self.f_plain = la.reduce_mod(self.f_plain, p)
         self.g_plain = la.reduce_mod(self.g_plain, p)
-        self.layout = tuple_layout(ctx, self.side)
-        fd = self.tensor_f.dims
-        gd = self.tensor_g.dims
-        if self.f_plain.shape != (self.y.dim, fd[0] * fd[1]):
+        self.layout = lay = tuple_layout(ctx, self.side)
+        for label, plain, rows, bimodule, component in (
+                ("f", self.f_plain, self.y.dim, lay.f_bimodule, self.x),
+                ("g", self.g_plain, self.x.dim, lay.g_bimodule, self.y)):
+            shape = (rows, bimodule.dim * component.dim)
+            if plain.shape != shape:
+                raise ValidationError(
+                    f"{label} must have shape {shape}, got {plain.shape}")
+        packed = pack(self)
+        report = validate_module_data(ctx.delta, self.side, self.dim,
+                                      packed.actions)
+        if report.verdict is not Verdict.PASS:
+            # (x, y, f, 0) packs to a module exactly when f descends; when
+            # it does, g is the structure map that does not.
+            f_alone = packed.actions.copy()
+            f_alone[lay.g_corner] = 0
+            f_report = validate_module_data(ctx.delta, self.side, self.dim,
+                                            f_alone)
+            label, report = (("f", f_report) if f_report.verdict is not Verdict.PASS
+                             else ("g", report))
+            i, j = report.witnesses[0]["pair"]
             raise ValidationError(
-                f"f must have shape {(self.y.dim, fd[0] * fd[1])}, got {self.f_plain.shape}")
-        if self.g_plain.shape != (self.x.dim, gd[0] * gd[1]):
-            raise ValidationError(
-                f"g must have shape {(self.x.dim, gd[0] * gd[1])}, got {self.g_plain.shape}")
-        self.f_map = ModuleMap(self.tensor_f.module, self.y,
-                               factor_through(self.tensor_f, self.f_plain))
-        self.g_map = ModuleMap(self.tensor_g.module, self.x,
-                               factor_through(self.tensor_g, self.g_plain))
+                f"tuple {self.describe()}: {label} does not descend through "
+                f"the tensor relations to a module map (glued basis pair "
+                f"({i}, {j}))", report)
+        self.packed = packed
 
     @classmethod
     def _derived(cls, context: MoritaContext, side: str, x: Module, y: Module,
                  f_plain: np.ndarray, g_plain: np.ndarray,
                  name: str) -> "DeltaModule":
-        """A tuple whose components and reduced structure maps its caller
-        has built from validated tuples by a block sum, a transpose, a
-        restriction to a closed span pair or a projection to its quotient,
-        or by ``unpack``, ``functors.induce`` or ``functors.coinduce``, each
-        of which gives its own proof; the construction check is not run
-        again.
+        """A tuple that its caller has built to pack to a module derived
+        from checked ones, so the construction check, the module check of
+        the packed actions, is not run again.
 
-        A tuple is the same thing as a module over the glued algebra (see
-        ``pack``).  On the left, f vanishes on the relations of M (x)_A X
-        and is a map of B-modules exactly when its blocks obey
-        f(m_i a) = f_i x(a) and f(b m_i) = y(b) f_i, f_i the block of the
-        basis vector m_i of M: the action laws of the products m a and b m.
-        The right side and g are alike.  These laws are linear in the
-        blocks and hold block by block in a sum, whose relation space is the
-        direct sum of the summands' on their disjoint plain coordinates
-        (tensor.py).  For a dual they are the laws of the transposed module
-        ``dual_module(pack(v))``, since transposing reverses products.  A
-        pair of spans (X', Y'), invariant in x and y and carried into each
-        other by f and g, is exactly a submodule of ``pack(v)``: every
-        element of the glued algebra acts by blocks that keep X' + Y'.  The
-        sub-tuple of ``delta_submodule`` packs to that submodule, its blocks
-        the restricted actions, and the tuple of ``delta_quotient`` packs to
-        the quotient by it, its blocks the projected actions; both obey the
-        action laws for the reasons given in ``Module._derived``.  So the
-        derived f and g descend through the tensor quotients and
-        intertwine, and ``f_map``/``g_map`` are built with neither the
-        relation check nor the module-map check.
+        The packed module of a sum of ``delta_sum`` is the block sum of the
+        summands' packed modules in the basis order [x blocks, y blocks], a
+        permutation of theirs; that of a dual of ``delta_dual`` is the
+        transposed module ``dual_module(pack(v))``, since transposing
+        reverses products.  A pair of spans (X', Y'), invariant in x and y
+        and carried into each other by f and g, is exactly a submodule of
+        ``pack(v)``: every element of the glued algebra acts by blocks that
+        keep X' + Y'.  The sub-tuple of ``delta_submodule`` packs to that
+        submodule, its blocks the restricted actions, and the tuple of
+        ``delta_quotient`` packs to the quotient by it, its blocks the
+        projected actions (see ``Module._derived`` for both).  The tuple of
+        ``unpack`` packs to its module in a new basis, and
+        ``functors.induce`` and ``functors.coinduce`` prove that their
+        canonical projection and evaluation descend to module maps.  Since
+        the result packs to a module, f and g descend through the tensor
+        quotients to module maps, and ``f_map``/``g_map`` need no check.
         """
         v = object.__new__(cls)
         v.context, v.side, v.x, v.y, v.name = context, side, x, y, name
@@ -364,6 +382,8 @@ class DeltaModule:
 
     @cached_property
     def packed(self) -> Module:
+        """The module over the glued algebra; a checked tuple keeps the one
+        its construction checked."""
         return pack(self)
 
     @cached_property
@@ -376,20 +396,21 @@ class DeltaModule:
         """The domain of g, N (x)_B y on the left, y (x)_B M on the right."""
         return self.layout.tensor(self.layout.g_bimodule, self.y)
 
-    # Read on derived tuples only; construction sets both on the others.
     @cached_property
     def f_map(self) -> ModuleMap:
-        """f on the tensor quotient, unchecked: see ``_derived``."""
+        """f on the tensor quotient, through the section; unchecked, since
+        the tuple packs to a module."""
         return ModuleMap._intertwining(
             self.tensor_f.module, self.y,
-            factor_through(self.tensor_f, self.f_plain, check=False))
+            (self.f_plain @ self.tensor_f.section) % self.p)
 
     @cached_property
     def g_map(self) -> ModuleMap:
-        """g on the tensor quotient, unchecked: see ``_derived``."""
+        """g on the tensor quotient, through the section; unchecked, since
+        the tuple packs to a module."""
         return ModuleMap._intertwining(
             self.tensor_g.module, self.x,
-            factor_through(self.tensor_g, self.g_plain, check=False))
+            (self.g_plain @ self.tensor_g.section) % self.p)
 
     @cached_property
     def f_blocks(self) -> np.ndarray:
@@ -412,10 +433,13 @@ def zero_delta_module(ctx: MoritaContext, side: str) -> DeltaModule:
 class DeltaModuleMap:
     """A map of tuples: component maps making both structure squares commute.
 
-    Construction checks the map: both components are module maps and both
-    squares commute.  A map whose construction proves that (see
-    ``_intertwining``) is not checked again, and its component maps
-    ``a_map``/``b_map`` are built on first use.
+    Construction checks the map as the map of packed modules it is: the
+    endpoints share context and side, the components have the shapes of
+    their endpoints, and the block matrix ``matrix`` is a ``ModuleMap``
+    between the packed modules, which it is exactly when both components
+    are module maps and both squares commute.  A map whose construction
+    proves that (see ``_intertwining``) is not checked again.  The
+    component maps ``a_map``/``b_map`` are built on first use.
     """
 
     source: DeltaModule
@@ -430,44 +454,42 @@ class DeltaModuleMap:
         p = u.p
         self.a_matrix = la.reduce_mod(self.a_matrix, p)
         self.b_matrix = la.reduce_mod(self.b_matrix, p)
-        self.a_map = ModuleMap(u.x, v.x, self.a_matrix)
-        self.b_map = ModuleMap(u.y, v.y, self.b_matrix)
-        # Structure squares, compared block by block.
-        if np.any((self.b_matrix @ u.f_blocks - v.f_blocks @ self.a_matrix) % p):
-            raise ValidationError("square through f does not commute")
-        if np.any((self.a_matrix @ u.g_blocks - v.g_blocks @ self.b_matrix) % p):
-            raise ValidationError("square through g does not commute")
+        for label, matrix, shape in (("a", self.a_matrix, (v.x.dim, u.x.dim)),
+                                     ("b", self.b_matrix, (v.y.dim, u.y.dim))):
+            if matrix.shape != shape:
+                raise ValidationError(
+                    f"{label} matrix shape {matrix.shape} != {shape}")
+        ModuleMap(u.packed, v.packed, self.matrix)
 
     @classmethod
     def _intertwining(cls, source: DeltaModule, target: DeltaModule,
                       a_matrix: np.ndarray,
                       b_matrix: np.ndarray) -> "DeltaModuleMap":
-        """A map whose reduced component matrices its caller has already
-        proved to be a tuple map, as ``ModuleMap._intertwining`` does for
-        module maps; the construction check is not run again.
+        """A map that its caller has built to pack to a map of packed
+        modules its construction proves, as ``ModuleMap._intertwining``
+        does for module maps; the construction check, the ``ModuleMap``
+        check of the packed map, is not run again.
 
-        A tuple map is the same thing as a map of packed modules that keeps
-        the x and y blocks (see ``pack``), so the proofs are those of module
-        maps: a hom-space vector of the packed modules, a linear combination
-        of such vectors, a block injection or projection of a sum, the
-        inclusion of a restriction to a closed span pair or the projection
-        to its quotient, and a composite of tuple maps, whose squares paste.
+        The proofs are those of module maps: a hom-space vector of the
+        packed modules, a linear combination of such vectors, a block
+        injection or projection of a sum, the inclusion of a restriction to
+        a closed span pair or the projection to its quotient, and a
+        composite of tuple maps, whose packed maps compose.
         """
         phi = object.__new__(cls)
         phi.source, phi.target = source, target
         phi.a_matrix, phi.b_matrix = a_matrix, b_matrix
         return phi
 
-    # Read on derived maps only; construction sets both on the others.
     @cached_property
     def a_map(self) -> ModuleMap:
-        """The x component, unchecked: see ``_intertwining``."""
+        """The x component, unchecked, since the packed map is a module map."""
         return ModuleMap._intertwining(self.source.x, self.target.x,
                                        self.a_matrix)
 
     @cached_property
     def b_map(self) -> ModuleMap:
-        """The y component, unchecked: see ``_intertwining``."""
+        """The y component, unchecked, since the packed map is a module map."""
         return ModuleMap._intertwining(self.source.y, self.target.y,
                                        self.b_matrix)
 
@@ -517,9 +539,10 @@ def pack(v: DeltaModule) -> Module:
     """Realise a tuple as a module over the glued algebra.
 
     Basis order [x block, y block]; the corner elements act through the
-    blocks of the structure maps.  Module construction re-validates the
-    action law, so a successful pack doubles as a consistency check on the
-    tuple.
+    blocks of the structure maps.  Every tuple packs to a module: a checked
+    tuple passed the module check on these actions, and a derived one packs
+    to a module derived from checked ones (see ``DeltaModule._derived``),
+    so the module is built without the check.
     """
     ctx, lay = v.context, v.layout
     da, _, _, db = ctx.dims
@@ -530,7 +553,7 @@ def pack(v: DeltaModule) -> Module:
     acts[ob:ob + db, dx:, dx:] = v.y.actions
     acts[lay.f_corner, dx:, :dx] = v.f_blocks
     acts[lay.g_corner, :dx, dx:] = v.g_blocks
-    return Module(ctx.delta, v.side, d, acts, name=f"packed[{v.describe()}]")
+    return Module._derived(ctx.delta, v.side, d, acts, f"packed[{v.describe()}]")
 
 
 def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
@@ -545,8 +568,8 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     Those are the actions of the module in a new basis, which obey the
     module laws because the module's do; the A and B corners restrict to
     modules x and y (see ``Module._derived``, e_a acting as the identity on
-    its image), and the tuple packs to the module in the new basis, so it
-    passes the tuple check (see ``DeltaModule._derived``).
+    its image), and the tuple packs to the module in the new basis (see
+    ``DeltaModule._derived``).
     """
     if module.algebra is not ctx.delta:
         raise AlgebraMismatchError("module does not live over this context's glued algebra")

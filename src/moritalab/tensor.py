@@ -197,24 +197,6 @@ def _describe(obj) -> str:
     return obj.describe()
 
 
-def factor_through(tm: TensorModule, plain: np.ndarray, check: bool = True) -> np.ndarray:
-    """Push a map defined on plain tensor coordinates down to the quotient.
-
-    ``plain`` has shape (target_dim, dim1 * dim2) and must vanish on the
-    relation space; the induced matrix has shape (target_dim, tm.dim).
-    """
-    p = tm.p
-    plain = la.reduce_mod(plain, p)
-    if plain.shape[1] != tm.dims[0] * tm.dims[1]:
-        raise ValidationError(
-            f"plain map has {plain.shape[1]} columns, ambient space has "
-            f"{tm.dims[0] * tm.dims[1]}")
-    induced = (plain @ tm.section) % p
-    if check and np.any((induced @ tm.projection - plain) % p):
-        raise ValidationError("plain map does not vanish on the tensor relations")
-    return induced
-
-
 def tensor_map(tm_source: TensorModule, tm_target: TensorModule,
                first_matrix: np.ndarray, second_matrix: np.ndarray) -> ModuleMap:
     """The induced map between tensor products from maps of both factors.

@@ -132,6 +132,15 @@ def test_exhausted_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", value)
+    assert run(["enumerate", "--fixture", "E1"]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MORITA_ENUM_BUDGET" in err
+    assert "Traceback" not in err
+
+
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
     def disagree(ws, args):
         raise InternalCheckError("two routes disagree")

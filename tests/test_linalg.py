@@ -68,7 +68,7 @@ def test_solve_reports_inconsistency():
 @given(m=matrices(2))
 def test_image_and_cokernel_dimensions(m):
     image = la.image_basis(m, 2)
-    projection, q = la.cokernel(m, 2)
+    projection, _, q, _ = la.quotient_data(m, 2)
     assert image.shape[0] == la.rank(m, 2)
     assert q == m.shape[0] - la.rank(m, 2)
     assert projection.shape == (q, m.shape[0])

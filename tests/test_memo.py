@@ -72,3 +72,17 @@ def test_arguments_that_compare_by_value_are_refused():
     with pytest.raises(TypeError):
         probe(FieldSpec(2), Box())
     assert not calls
+
+
+def test_a_miss_refuses_arguments_that_compare_by_value_on_a_full_table():
+    # Only a miss is tested, so the refusal must also come when the
+    # owner's table already holds entries, for hashable and unhashable
+    # arguments alike.
+    probe, calls = counted_probe()
+    box = Box()
+    first = probe("t", box)
+    for value in (FieldSpec(2), [1]):
+        with pytest.raises(TypeError, match="compares by value"):
+            probe(value, box)
+    assert probe("t", box) is first
+    assert calls == ["t"]

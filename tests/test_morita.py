@@ -6,10 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, direct_sum,
-                               dual_module, find_invertible_combination,
-                               hom_space, is_injective, kernel_module,
-                               module_sum, quotient_module)
+from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, dual_module,
+                               find_invertible_combination, hom_space,
+                               is_injective, kernel_module, quotient_module)
 from moritalab.classes import _twist
 from moritalab.enumeration import (delta_invariant_pairs,
                                    delta_short_exact_sequences,
@@ -122,12 +121,6 @@ def test_sums_without_witnesses_match_the_witnessed_sums(e1, e2, side):
             for comp in ("x", "y"):
                 assert np.array_equal(getattr(got, comp).actions,
                                       getattr(want, comp).actions)
-        for alg in (ctx.algebra_a, ctx.algebra_b):
-            modules = enumerate_modules(alg, side, 1)
-            for u, v in itertools.product(modules, repeat=2):
-                got, want = module_sum([u, v]), direct_sum([u, v])[0]
-                assert got.name == want.name
-                assert np.array_equal(got.actions, want.actions)
 
 
 def test_regular_tuple_is_projective(ws_e0, ws_e1, ws_e2):
@@ -428,11 +421,27 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
             assert np.array_equal(derived.matrix, full.matrix)
 
 
+def _descends(plain, tensor, target):
+    """The law a structure map obeys, checked on the tensor quotient: it
+    vanishes on the relations and, through the section, is a module map
+    into ``target``."""
+    p = tensor.p
+    induced = (plain @ tensor.section) % p
+    if np.any((induced @ tensor.projection - plain) % p):
+        return False
+    try:
+        ModuleMap(tensor.module, target, induced)
+    except ValidationError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("p", [2, 3])
 def test_tuples_are_accepted_exactly_when_they_pack_to_modules(fixture_over, p):
     """Three random pairs of structure maps on every pair of components up
-    to dimension 2: the tuple check accepts exactly the candidates whose
-    packed actions obey the module laws of the glued algebra."""
+    to dimension 2: the tuple check, the module laws of the packed actions,
+    accepts exactly the candidates whose f and g descend through the tensor
+    relations to module maps."""
     rng = np.random.default_rng(p)
     outcomes = set()
     for name in ("E0", "E1", "E2"):
@@ -444,17 +453,48 @@ def test_tuples_are_accepted_exactly_when_they_pack_to_modules(fixture_over, p):
                     enumerate_modules(ctx.algebra_b, side, 2), range(3)):
                 f = rng.integers(0, p, (y.dim, lay.f_bimodule.dim * x.dim))
                 g = rng.integers(0, p, (x.dim, lay.g_bimodule.dim * y.dim))
-                try:
-                    pack(morita.DeltaModule._derived(ctx, side, x, y, f, g, "c"))
-                    packs = True
-                except ValidationError:
-                    packs = False
+                lawful = (_descends(f, lay.tensor(lay.f_bimodule, x), y)
+                          and _descends(g, lay.tensor(lay.g_bimodule, y), x))
                 try:
                     morita.DeltaModule(ctx, side, x, y, f, g)
                     accepted = True
                 except ValidationError:
                     accepted = False
-                assert accepted == packs, (name, side, x.describe(), y.describe())
+                assert accepted == lawful, (name, side, x.describe(), y.describe())
+                outcomes.add(accepted)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_tuple_maps_are_accepted_exactly_when_their_squares_commute(
+        fixture_over, p):
+    """Random component matrices between random pairs of bound-2 tuples:
+    the map check, one ``ModuleMap`` of the packed modules, accepts exactly
+    the pairs whose components are module maps and make both structure
+    squares commute."""
+    rng = np.random.default_rng(p)
+    outcomes = set()
+    for name in ("E0", "E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            tuples = enumerate_delta_modules(ctx, side, 2)
+            for _ in range(60):
+                u, v = (tuples[i] for i in rng.integers(0, len(tuples), 2))
+                a = rng.integers(0, p, (v.x.dim, u.x.dim))
+                b = rng.integers(0, p, (v.y.dim, u.y.dim))
+                try:
+                    ModuleMap(u.x, v.x, a)
+                    ModuleMap(u.y, v.y, b)
+                    lawful = not (np.any((b @ u.f_blocks - v.f_blocks @ a) % p)
+                                  or np.any((a @ u.g_blocks - v.g_blocks @ b) % p))
+                except ValidationError:
+                    lawful = False
+                try:
+                    DeltaModuleMap(u, v, a, b)
+                    accepted = True
+                except ValidationError:
+                    accepted = False
+                assert accepted == lawful, (name, side, u.describe(), v.describe())
                 outcomes.add(accepted)
     assert outcomes == {True, False}
 

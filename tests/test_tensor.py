@@ -175,10 +175,11 @@ def _invariant_spans(module):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
-    # Sums, duals, submodules, quotients and the assembled products and hom
-    # modules are built without re-running the module check, which their
-    # inputs already passed.  A sum builds the products of its structure
-    # maps on first use, so each sum's f_map and g_map are read.
+    # Sums, duals, submodules, quotients, the assembled products and hom
+    # modules, and packed tuples are built without re-running the module
+    # check, which their inputs already passed.  A sum builds the products
+    # of its structure maps on first use, so each sum's f_map and g_map are
+    # read, and the packed modules of sums and their duals are read.
     made, builders = [], set()
     derived = Module._derived.__func__
 
@@ -204,11 +205,12 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
                 for v in tuples[i:]:
                     total = delta_sum([u, v])
                     total.f_map, total.g_map
-                    delta_dual(total)
+                    total.packed, delta_dual(total).packed
                     for corner in CORNERS:
                         tilde(total, corner)
     assert builders == {"module_sum", "dual_module", "_assembled_tensor",
-                        "_assembled_hom", "submodule", "quotient_module"}
+                        "_assembled_hom", "submodule", "quotient_module",
+                        "pack"}
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
