@@ -331,10 +331,12 @@ class ModuleMap:
         return self.source.p
 
     def compose(self, other: "ModuleMap") -> "ModuleMap":
-        """self after other."""
+        """self after other; a composite of intertwining maps intertwines, so
+        it is not checked again."""
         if other.target is not self.source:
             raise AlgebraMismatchError("composition endpoints do not match")
-        return ModuleMap(other.source, self.target, (self.matrix @ other.matrix) % self.p)
+        return ModuleMap._intertwining(other.source, self.target,
+                                       (self.matrix @ other.matrix) % self.p)
 
     def is_zero(self) -> bool:
         return not np.any(self.matrix)
@@ -409,19 +411,28 @@ def hom_space(source: Module, target: Module) -> list[ModuleMap]:
     """
     if source.algebra is not target.algebra or source.side != target.side:
         raise AlgebraMismatchError("hom endpoints disagree on algebra or side")
-    p = source.p
     n, m = target.dim, source.dim
     if n * m == 0:
         return []
-    blocks = []
-    for i in range(source.algebra.dim):
-        # vec(F @ src) = (I (x) src^T) vec F ; vec(tgt @ F) = (tgt (x) I) vec F
-        blocks.append((la.kron(la.eye(n), source.actions[i].T, p)
-                       - la.kron(target.actions[i], la.eye(m), p)) % p)
-    system = np.vstack(blocks) if blocks else la.zeros(0, n * m)
-    basis_rows = la.kernel_basis(system, p)
+    basis_rows = la.kernel_basis(hom_system(source, target), source.p)
     return [ModuleMap._intertwining(source, target, row.reshape(n, m))
             for row in basis_rows]
+
+
+def hom_system(source: Module, target: Module) -> np.ndarray:
+    """The intertwining system of ``hom_space``: the blocks
+    I (x) src_i^T - tgt_i (x) I for every algebra basis element i, stacked
+    in order, built in one broadcast.
+
+    vec(F @ src) = (I (x) src^T) vec F and vec(tgt @ F) = (tgt (x) I) vec F
+    for the row-major vec of F: block i, entry ((a, b), (c, d)), is
+    [a = c] src_i[d, b] - tgt_i[a, c] [b = d].
+    """
+    k, n, m = source.algebra.dim, target.dim, source.dim
+    src_t = source.actions.transpose(0, 2, 1)
+    first = la.eye(n)[None, :, None, :, None] * src_t[:, None, :, None, :]
+    second = target.actions[:, :, None, :, None] * la.eye(m)[None, None, :, None, :]
+    return ((first - second) % source.p).reshape(k * n * m, n * m)
 
 
 def dual_module(module: Module) -> Module:
@@ -600,19 +611,20 @@ def free_cover(module: Module) -> tuple[Module, ModuleMap]:
     """A surjection from a free module onto ``module``.
 
     One free summand per generator; the counit sends the basis element b of
-    copy i to b acting on generator i.
+    copy i to b acting on generator i.  It intertwines by construction (the
+    image of a b is a b acting on the generator), so it is not checked.
     """
-    alg, p = module.algebra, module.p
+    alg = module.algebra
     gens = module_generators(module)
     if not gens:
         free = zero_module(alg, module.side)
-        return free, ModuleMap(free, module, la.zeros(module.dim, 0))
+        return free, ModuleMap._intertwining(free, module, la.zeros(module.dim, 0))
     free = module_sum([alg.regular_module(module.side)] * len(gens))
     eps = la.zeros(module.dim, free.dim)
     for i, g in enumerate(gens):
         for l in range(alg.dim):
             eps[:, i * alg.dim + l] = module.actions[l][:, g]
-    return free, ModuleMap(free, module, eps)
+    return free, ModuleMap._intertwining(free, module, eps)
 
 
 @dataclass(eq=False)

@@ -8,6 +8,25 @@ of dimensions m and n sits at index i*n + j, matching ``numpy.kron``.
 
 Pivots are always the first nonzero entry in column order, so every reduced
 form, kernel basis, and quotient projection is deterministic.
+
+Every elimination is one ``rref``, which works on packed rows.  A row
+becomes one Python integer with one fixed-width digit per column, column 0
+lowest.  A row operation x + (p - d) b leaves digits below p^2, and one
+digit-wise reduction mod p,
+
+    x - p * (((x * M) >> s) & low),   M = ceil(2^s / p),  2^s > p^3,
+
+brings each digit back into 0..p-1.  The digit width w is the smallest of
+8, 16, 32 and 64 bits that holds M times the largest digit, so the digits'
+products with M do not overlap; since 2^s > p^3, (x * M) >> s holds the
+quotient of each digit by p in that digit's low w - s bits, and ``low``
+keeps exactly those.  A row operation is thus a few big-integer operations,
+with no loop over entries, in every characteristic.
+
+Fields are bounded: FieldSpec refuses p >= FIELD_BOUND = 2^15.  Below it
+every product of two residues, and every dot product of up to 2^33 terms,
+is exact in int64, and M times the largest digit takes at most 60 bits, so
+every digit fits a 64-bit one.
 """
 
 from __future__ import annotations
@@ -16,7 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .report import MoritaLabError
+from .report import MoritaLabError, ValidationError
+
+FIELD_BOUND = 1 << 15
 
 
 def _is_prime(n: int) -> bool:
@@ -32,13 +53,18 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FieldSpec:
-    """Prime field GF(p); elements are canonical residues 0..p-1."""
+    """Prime field GF(p), p < FIELD_BOUND; elements are canonical residues
+    0..p-1."""
 
     p: int
 
     def __post_init__(self):
         if not _is_prime(self.p):
-            raise ValueError(f"field order must be prime, got {self.p}")
+            raise ValidationError(f"field order must be prime, got {self.p}")
+        if self.p >= FIELD_BOUND:
+            raise ValidationError(
+                f"field order must be below 2^15 = {FIELD_BOUND}, where int64 "
+                f"arithmetic over GF(p) is exact, got {self.p}")
 
 
 def reduce_mod(a, p: int) -> np.ndarray:
@@ -54,45 +80,63 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.int64)
 
 
-def inv_scalar(a: int, p: int) -> int:
-    """Multiplicative inverse in GF(p) via Fermat; ``a`` must be nonzero mod p."""
-    a = int(a) % p
-    if a == 0:
-        raise ZeroDivisionError("0 has no inverse")
-    return pow(a, p - 2, p)
-
-
 def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
-    """Reduced row echelon form over GF(p).
+    """Reduced row echelon form over GF(p), on packed rows.
+
+    Each nonzero row, packed as in the module docstring, is inserted into a
+    fully reduced echelon basis keyed by pivot column: it is cleared at
+    every pivot of the basis, scaled to a leading 1 (its pivot is its lowest
+    nonzero digit), and then cleared from every basis row.  The reduced
+    echelon form of a row space is unique, so the basis sorted by pivot is
+    the reduced matrix.
 
     Args:
         m: integer matrix, any shape including zero rows or columns.
-        p: prime modulus.
+        p: prime modulus below FIELD_BOUND.
 
     Returns:
         (reduced matrix, pivot column indices, rank).
     """
-    r = reduce_mod(m, p).copy()
+    if p >= FIELD_BOUND:
+        raise ValidationError(f"rref: GF({p}) is beyond the field bound 2^15")
+    r = reduce_mod(m, p)
     rows, cols = r.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(cols):
-        if row >= rows:
-            break
-        nz = np.nonzero(r[row:, col])[0]
-        if nz.size == 0:
+    s = (p ** 3).bit_length()
+    mult = -(-(1 << s) // p)
+    top = (p * (p - 1) * mult).bit_length()   # bits of M times the largest digit
+    nbytes = 1 if top <= 8 else 2 if top <= 16 else 4 if top <= 32 else 8
+    w, width, dtype = 8 * nbytes, nbytes * cols, f"<u{nbytes}"
+    digit = (1 << w) - 1
+    low = ((1 << (w * cols)) - 1) // digit * ((1 << (w - s)) - 1)
+    packed = r.astype(dtype).tobytes()
+    basis: dict[int, int] = {}
+    for i in range(rows):
+        x = int.from_bytes(packed[i * width:(i + 1) * width], "little")
+        if not x:
             continue
-        pivot_row = row + int(nz[0])
-        if pivot_row != row:
-            r[[row, pivot_row]] = r[[pivot_row, row]]
-        r[row] = (r[row] * inv_scalar(r[row, col], p)) % p
-        other = np.nonzero(r[:, col])[0]
-        other = other[other != row]
-        if other.size:
-            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
-        pivots.append(col)
-        row += 1
-    return r, pivots, len(pivots)
+        for c, b in basis.items():
+            d = (x >> (w * c)) & digit
+            if d:
+                x += (p - d) * b
+                x -= p * (((x * mult) >> s) & low)
+        if not x:
+            continue
+        c = ((x & -x).bit_length() - 1) // w
+        d = (x >> (w * c)) & digit
+        if d != 1:
+            x *= pow(d, p - 2, p)
+            x -= p * (((x * mult) >> s) & low)
+        for k, b in basis.items():
+            e = (b >> (w * c)) & digit
+            if e:
+                b += (p - e) * x
+                basis[k] = b - p * (((b * mult) >> s) & low)
+        basis[c] = x
+    pivots = sorted(basis)
+    out = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
+    out += bytes(width * (rows - len(pivots)))
+    reduced = np.frombuffer(out, dtype=dtype).reshape(rows, cols).astype(np.int64)
+    return reduced, pivots, len(pivots)
 
 
 def rank(m: np.ndarray, p: int) -> int:
@@ -105,15 +149,13 @@ def kernel_basis(m: np.ndarray, p: int) -> np.ndarray:
     The basis is in the standard echelon parameterisation: one vector per
     free column, deterministic given the matrix.  Shape (nullity, cols).
     """
-    m = reduce_mod(m, p)
-    cols = m.shape[1]
     r, pivots, rk = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = zeros(len(free), cols)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for row_idx, pc in enumerate(pivots):
-            basis[k, pc] = (-int(r[row_idx, fc])) % p
+    cols = r.shape[1]
+    free = np.ones(cols, dtype=bool)
+    free[pivots] = False
+    basis = zeros(cols - rk, cols)
+    basis[:, free] = eye(cols - rk)
+    basis[:, pivots] = (-r[:rk, free]).T % p
     return basis
 
 

@@ -1,6 +1,7 @@
 """Algebras, bimodules, plain modules, hom spaces and the class tests."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from moritalab.algebra import (
     find_invertible_combination,
     free_cover,
     hom_space,
+    hom_system,
     is_injective,
     is_isomorphic,
     is_projective,
@@ -30,6 +32,7 @@ from moritalab.algebra import (
 )
 from moritalab.enumeration import (_rref_patterns, enumerate_delta_modules,
                                    enumerate_modules)
+from moritalab.gorenstein import projective_resolution
 from moritalab.report import BudgetExceededError, ValidationError
 
 P2 = FieldSpec(2)
@@ -262,6 +265,69 @@ def test_hom_space_basis_maps_pass_the_full_map_check(fixture_over, p):
                         for phi in hom_space(source, target):
                             checked = ModuleMap(source, target, phi.matrix)
                             assert np.array_equal(checked.matrix, phi.matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_hom_system_is_the_stack_of_kron_blocks(fixture_over, p):
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            packed = [v.packed for v in enumerate_delta_modules(ctx, side, 2)]
+            for modules in (enumerate_modules(ctx.algebra_a, side, 2),
+                            enumerate_modules(ctx.algebra_b, side, 2),
+                            packed[::4]):
+                for source in modules:
+                    for target in modules:
+                        n, m = target.dim, source.dim
+                        want = np.vstack([
+                            (la.kron(la.eye(n), s.T, p) - la.kron(t, la.eye(m), p)) % p
+                            for s, t in zip(source.actions, target.actions)])
+                        got = hom_system(source, target)
+                        assert got.dtype == np.int64
+                        assert got.shape == want.shape
+                        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_composites_and_cover_maps_pass_the_full_map_check(fixture_over,
+                                                           monkeypatch, p):
+    # Composites of module maps and the counits of free covers are built
+    # without the intertwining check, which their construction proves: a
+    # composite of intertwining maps intertwines, and a counit sends each
+    # free basis element to an element acted on.  Each must pass the check.
+    made, builders = [], set()
+    intertwining = ModuleMap._intertwining.__func__
+
+    def recording(cls, *args):
+        builder = sys._getframe(1).f_code.co_name
+        if builder in ("compose", "free_cover"):
+            builders.add(builder)
+            made.append(intertwining(cls, *args))
+            return made[-1]
+        return intertwining(cls, *args)
+
+    monkeypatch.setattr(ModuleMap, "_intertwining", classmethod(recording))
+    for name in ("E1", "E2"):
+        ctx = fixture_over(name, p).single_context()
+        for side in (LEFT, RIGHT):
+            plain = (enumerate_modules(ctx.algebra_a, side, 2)
+                     + enumerate_modules(ctx.algebra_b, side, 2))
+            packed = [v.packed for v in enumerate_delta_modules(ctx, side, 2)]
+            for module in plain:
+                projective_resolution(module, 2)
+            for module in packed:
+                projective_resolution(module, 1)
+            for source in plain:
+                for target in plain:
+                    if source.algebra is not target.algebra:
+                        continue
+                    for phi in hom_space(source, target):
+                        for psi in hom_space(target, source):
+                            psi.compose(phi)
+    assert builders == {"compose", "free_cover"}
+    for phi in made:
+        checked = ModuleMap(phi.source, phi.target, phi.matrix)
+        assert np.array_equal(checked.matrix, phi.matrix)
 
 
 def test_an_exhausted_isomorphism_scan_names_both_modules(monkeypatch):

@@ -80,6 +80,16 @@ def test_a_tuple_whose_f_misses_the_tensor_relations_is_an_input_error(
     assert err.startswith("input error: ") and "tensor relations" in err
 
 
+def test_fields_at_or_above_the_bound_are_input_errors(tmp_path, capsys):
+    # Below 2^15 every product and dot product of residues is exact in
+    # int64; 32749 is the largest prime below it, 32771 the next prime.
+    assert run(["validate", "--fixture", fixture_file(tmp_path, "E1", 32749)]) == PASS
+    assert run(["validate", "--fixture", fixture_file(tmp_path, "E1", 32771)]) == INPUT_ERROR
+    assert "field order must be below 2^15 = 32768" in capsys.readouterr().err
+    assert run(["validate", "--fixture", fixture_file(tmp_path, "E1", 4)]) == INPUT_ERROR
+    assert "field order must be prime, got 4" in capsys.readouterr().err
+
+
 def test_functor_rejects_module_over_the_wrong_corner():
     assert run(["functor", "t_A", "probe.b", "--fixture", "E2"]) == INPUT_ERROR
 

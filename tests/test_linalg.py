@@ -2,6 +2,8 @@
 
 The rank-nullity scan over every 2x2 and 2x3 matrix on GF(2) is part of the
 acceptance contract; the rest are property checks on random small matrices.
+The packed-row ``rref`` is checked against the column-by-column elimination
+it replaced, kept here as the reference.
 """
 
 import itertools
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 
 from moritalab import linalg as la
 from moritalab.algebra import LEFT, RIGHT, Bimodule
+from moritalab.report import ValidationError
 from moritalab.tensor import tensor_over_algebra
 
 
@@ -36,6 +39,79 @@ def matrices(p, max_dim=4):
     return dims.flatmap(lambda r: dims.flatmap(lambda c: st.lists(
         st.integers(0, p - 1), min_size=r * c, max_size=r * c).map(
         lambda entries: np.array(entries, dtype=np.int64).reshape(r, c))))
+
+
+def column_rref(m, p):
+    """Gauss-Jordan elimination one pivot column at a time, with numpy row
+    operations: the reference for ``la.rref``."""
+    r = la.reduce_mod(m, p).copy()
+    rows, cols = r.shape
+    pivots = []
+    row = 0
+    for col in range(cols):
+        if row >= rows:
+            break
+        nz = np.nonzero(r[row:, col])[0]
+        if nz.size == 0:
+            continue
+        pivot_row = row + int(nz[0])
+        if pivot_row != row:
+            r[[row, pivot_row]] = r[[pivot_row, row]]
+        r[row] = (r[row] * pow(int(r[row, col]), p - 2, p)) % p
+        other = np.nonzero(r[:, col])[0]
+        other = other[other != row]
+        if other.size:
+            r[other] = (r[other] - np.outer(r[other, col], r[row])) % p
+        pivots.append(col)
+        row += 1
+    return r, pivots, len(pivots)
+
+
+LARGEST_PRIME = 32749
+
+
+def test_the_field_bound_admits_primes_up_to_32749():
+    la.FieldSpec(LARGEST_PRIME)
+    for q in range(LARGEST_PRIME + 1, la.FIELD_BOUND + 4):
+        with pytest.raises(ValidationError):
+            la.FieldSpec(q)
+    with pytest.raises(ValidationError, match=r"below 2\^15 = 32768"):
+        la.FieldSpec(32771)
+    with pytest.raises(ValidationError, match=r"beyond the field bound"):
+        la.rref(la.eye(2), 32771)
+
+
+@st.composite
+def reduction_inputs(draw):
+    """(p, m): a matrix of rank at most k over GF(p), tall, wide or square,
+    with unreduced and negative entries and some rows zeroed."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251, LARGEST_PRIME]))
+    rows, cols = draw(st.sampled_from([(40, 8), (6, 40), (10, 10)]))
+    rows, cols = draw(st.integers(0, rows)), draw(st.integers(0, cols))
+    k = draw(st.integers(0, min(rows, cols)))
+
+    def entries(r, c, lo, hi):
+        return np.array(draw(st.lists(st.integers(lo, hi), min_size=r * c,
+                                      max_size=r * c)), dtype=np.int64).reshape(r, c)
+
+    m = entries(rows, k, 0, p - 1) @ entries(k, cols, 0, p - 1)
+    m += p * entries(rows, cols, -2, 2)
+    zeroed = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    m[np.array(zeroed, dtype=bool)] = 0
+    return p, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=reduction_inputs())
+def test_rref_matches_column_elimination(case):
+    p, m = case
+    reduced, pivots, rk = la.rref(m, p)
+    want, want_pivots, want_rk = column_rref(m, p)
+    assert (pivots, rk) == (want_pivots, want_rk)
+    assert reduced.dtype == want.dtype == np.int64
+    assert reduced.shape == want.shape == m.shape
+    assert reduced.flags.writeable
+    assert np.array_equal(reduced, want)
 
 
 @settings(max_examples=60, deadline=None)
