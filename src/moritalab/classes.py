@@ -16,7 +16,10 @@ dual on the right, and the right class must be closed under summands and
 finite sums.  The harnesses at the bottom of this file check that the tuple
 classes built from component classes form duality pairs exactly when the
 component classes do, and that perfection and completeness transfer the same
-way.
+way.  Their closure clauses share one walk over each universe's pairs,
+``_closure_witnesses``: a pair's sum is built once and every right class
+over that universe is asked about it, so no sum is built twice and only one
+is alive at a time.
 
 Verdict discipline: clauses that quantify over modules up to the requested
 bound and are fully decided there report "pass"; clauses that sample an
@@ -282,48 +285,93 @@ def verify_duality_pair(spec: DualityPairSpec) -> CheckReport:
     Both clauses quantify over the enumerated universes up to the bound and
     are fully decided there, so they report pass or refuted.  The closure
     clause checks each unordered pair biconditionally: sum in the class iff
-    both summands are, which covers finite sums and summands at once.
+    both summands are, which covers finite sums and summands at once.  Its
+    pairs are scanned by ``_closure_witnesses``, the scan every harness
+    shares, for this one right class; the transfer harnesses ask it once per
+    universe for all the right classes they report on.
     """
-    return _verify_duality_pair(spec.left, spec.right, spec.bound)
+    return _duality_pair_reports([spec])[0]
+
+
+def _duality_pair_reports(specs: list[DualityPairSpec]) -> list[CheckReport]:
+    """The duality-pair report of each spec: the character clauses in spec
+    order, then one closure scan for all the right classes that share a
+    universe, in the order they first appear."""
+    characters = [_character_clause(spec.left, spec.right, spec.bound)
+                  for spec in specs]
+    universes: dict = {}
+    for spec in specs:
+        right = spec.right
+        universes.setdefault((right.ring, right.side, spec.bound),
+                             {})[right] = None
+    witnesses = {}
+    for (ring, side, bound), classes in universes.items():
+        found = _closure_witnesses(ring, side, bound, *classes)
+        witnesses.update(((cls, bound), pair)
+                         for cls, pair in zip(classes, found))
+    return [_duality_pair_report(spec, character,
+                                 witnesses[spec.right, spec.bound])
+            for spec, character in zip(specs, characters)]
+
+
+def _duality_pair_report(spec: DualityPairSpec, character: CheckReport,
+                         pair_witness) -> CheckReport:
+    closure = CheckReport(
+        "sum-and-summand-closure",
+        Verdict.PASS if pair_witness is None else Verdict.REFUTED,
+        detail="u+v in the right class iff u and v are, over all pairs",
+        witnesses=[] if pair_witness is None else [
+            {"first": pair_witness[0].describe(),
+             "second": pair_witness[1].describe()}])
+    return CheckReport.combine(f"duality-pair({spec.name})",
+                               [character, closure], meta={"bound": spec.bound})
 
 
 @memo("left")
-def _verify_duality_pair(left: ClassOracle, right: ClassOracle,
-                         bound: int) -> CheckReport:
-    clauses = []
+def _character_clause(left: ClassOracle, right: ClassOracle,
+                      bound: int) -> CheckReport:
     witness = None
     for obj in universe_of(left.ring, left.side, bound):
         if left.contains(obj) != right.contains(obj.dual()):
             witness = obj
             break
-    clauses.append(CheckReport(
+    return CheckReport(
         "character-biconditional",
         Verdict.PASS if witness is None else Verdict.REFUTED,
         detail=f"membership against dual membership, bound {bound}",
         witnesses=[] if witness is None else [
             {"object": witness.describe(),
              "left": left.contains(witness),
-             "dual-right": right.contains(witness.dual())}]))
+             "dual-right": right.contains(witness.dual())}])
 
-    objs = universe_of(right.ring, right.side, bound)
-    pair_witness = None
-    for i, u in enumerate(objs):
-        for v in objs[i:]:
-            both = right.contains(u) and right.contains(v)
-            if both != right.contains(u.plus(v)):
-                pair_witness = (u, v)
-                break
-        if pair_witness:
+
+@memo("ring")
+def _closure_witnesses(ring, side: str, bound: int,
+                       *classes: ClassOracle) -> tuple:
+    """For each class, the first pair (u, v) of the universe, u at or before
+    v, where "u + v is in the class" and "u and v both are" disagree; None
+    if there is none.
+
+    One walk over the pairs serves every class.  Each pair's sum is built
+    once, while some class has no witness yet, and every such class is asked
+    about it in the order given, with the short-circuit of a scan of its own:
+    a class evaluates exactly what that scan would and finds the same pair.
+    Only the current pair's sum is alive.
+    """
+    objs = universe_of(ring, side, bound)
+    pairs = ((u, v) for i, u in enumerate(objs) for v in objs[i:])
+    witnesses: dict = {}
+    pending = list(classes)
+    for u, v in pairs:
+        if not pending:
             break
-    clauses.append(CheckReport(
-        "sum-and-summand-closure",
-        Verdict.PASS if pair_witness is None else Verdict.REFUTED,
-        detail="u+v in the right class iff u and v are, over all pairs",
-        witnesses=[] if pair_witness is None else [
-            {"first": pair_witness[0].describe(),
-             "second": pair_witness[1].describe()}]))
-    return CheckReport.combine(f"duality-pair({left.name} | {right.name})",
-                               clauses, meta={"bound": bound})
+        total = u.plus(v)
+        for cls in pending:
+            if (cls.contains(u) and cls.contains(v)) != cls.contains(total):
+                witnesses[cls] = (u, v)
+        del total
+        pending = [cls for cls in pending if cls not in witnesses]
+    return tuple(witnesses.get(cls) for cls in classes)
 
 
 def verify_perfection(spec: DualityPairSpec) -> CheckReport:
@@ -368,9 +416,10 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
 
     ext_bad = None
     for whole in universe_of(left.ring, left.side, bound):
+        if left.contains(whole):   # a member is the middle term of no witness
+            continue
         for sub, quot in extensions_of(whole):
-            if left.contains(sub) and left.contains(quot) \
-                    and not left.contains(whole):
+            if left.contains(sub) and left.contains(quot):
                 ext_bad = (sub, whole, quot)
                 break
         if ext_bad:
@@ -387,23 +436,43 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
 
 
 def check_perfect_pair(spec: DualityPairSpec) -> CheckReport:
-    return CheckReport.combine(
-        f"perfect({spec.name})",
-        [verify_duality_pair(spec), verify_perfection(spec)])
+    return _perfect_pairs([spec])[0]
+
+
+def _perfect_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
+    """The perfection report of each spec, its pair verified with one
+    closure scan per universe."""
+    return [CheckReport.combine(f"perfect({spec.name})",
+                                [duality, verify_perfection(spec)])
+            for spec, duality in zip(specs, _duality_pair_reports(specs))]
 
 
 def check_symmetric_pair(spec: DualityPairSpec) -> CheckReport:
     """Both orientations of the pair verify."""
-    return CheckReport.combine(
-        f"symmetric({spec.name})",
-        [verify_duality_pair(spec), verify_duality_pair(spec.swapped())])
+    forward, backward = _duality_pair_reports([spec, spec.swapped()])
+    return _symmetric_pair(spec, forward, backward)
+
+
+def _symmetric_pair(spec: DualityPairSpec, forward: CheckReport,
+                    backward: CheckReport) -> CheckReport:
+    return CheckReport.combine(f"symmetric({spec.name})", [forward, backward])
 
 
 def check_complete_pair(spec: DualityPairSpec) -> CheckReport:
     """Symmetric and perfect at once."""
-    return CheckReport.combine(
-        f"complete({spec.name})",
-        [check_symmetric_pair(spec), verify_perfection(spec)])
+    return _complete_pairs([spec])[0]
+
+
+def _complete_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
+    """The completeness report of each spec, both orientations of all of
+    them verified with one closure scan per universe."""
+    reports = _duality_pair_reports(specs + [spec.swapped() for spec in specs])
+    return [CheckReport.combine(
+                f"complete({spec.name})",
+                [_symmetric_pair(spec, forward, backward),
+                 verify_perfection(spec)])
+            for spec, forward, backward in zip(specs, reports,
+                                               reports[len(specs):])]
 
 
 # ---------------------------------------------------------------------------
@@ -477,16 +546,21 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
     return report
 
 
-def _tuple_pair_specs(ctx, c1, c2, d1, d2, bound):
-    return {
-        "mono-epi": DualityPairSpec(mono_class_oracle(ctx, c1, d1),
-                                    epi_class_oracle(ctx, c2, d2), bound),
-        "componentwise": DualityPairSpec(component_class_oracle(ctx, c1, d1),
-                                         component_class_oracle(ctx, c2, d2),
-                                         bound),
-        "epi-mono": DualityPairSpec(epi_class_oracle(ctx, c1, d1),
-                                    mono_class_oracle(ctx, c2, d2), bound),
-    }
+def _transfer_specs(ctx, c1, c2, d1, d2, bound) -> list[DualityPairSpec]:
+    """The pairs the transfer harnesses compare, always in this order, so
+    that harnesses over the same classes share their closure scans: the two
+    component pairs, then the mono/epi, componentwise and epi/mono tuple
+    pairs."""
+    return [
+        DualityPairSpec(c1, c2, bound),
+        DualityPairSpec(d1, d2, bound),
+        DualityPairSpec(mono_class_oracle(ctx, c1, d1),
+                        epi_class_oracle(ctx, c2, d2), bound),
+        DualityPairSpec(component_class_oracle(ctx, c1, d1),
+                        component_class_oracle(ctx, c2, d2), bound),
+        DualityPairSpec(epi_class_oracle(ctx, c1, d1),
+                        mono_class_oracle(ctx, c2, d2), bound),
+    ]
 
 
 def check_duality_transfer(ctx: MoritaContext, c1, c2, d1, d2,
@@ -499,12 +573,8 @@ def check_duality_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     values; the pair reports themselves are attached as inputs.
     """
     _component_quad(ctx, c1, c2, d1, d2)
-    specs = _tuple_pair_specs(ctx, c1, c2, d1, d2, bound)
-    r_a = verify_duality_pair(DualityPairSpec(c1, c2, bound))
-    r_b = verify_duality_pair(DualityPairSpec(d1, d2, bound))
-    r_mono_epi = verify_duality_pair(specs["mono-epi"])
-    r_comp = verify_duality_pair(specs["componentwise"])
-    r_epi_mono = verify_duality_pair(specs["epi-mono"])
+    r_a, r_b, r_mono_epi, r_comp, r_epi_mono = _duality_pair_reports(
+        _transfer_specs(ctx, c1, c2, d1, d2, bound))
 
     statements = {
         "components": _holds(r_a) and _holds(r_b),
@@ -570,13 +640,10 @@ def check_perfect_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     consistent-up-to-bound.
     """
     _component_quad(ctx, c1, c2, d1, d2)
-    specs = _tuple_pair_specs(ctx, c1, c2, d1, d2, bound)
     tor = _tor_hypothesis(ctx, c1, d1, bound)
 
-    perfect_a = check_perfect_pair(DualityPairSpec(c1, c2, bound))
-    perfect_b = check_perfect_pair(DualityPairSpec(d1, d2, bound))
-    perfect_mono_epi = check_perfect_pair(specs["mono-epi"])
-    perfect_comp = check_perfect_pair(specs["componentwise"])
+    perfect_a, perfect_b, perfect_mono_epi, perfect_comp = _perfect_pairs(
+        _transfer_specs(ctx, c1, c2, d1, d2, bound)[:4])
     components_perfect = _holds(perfect_a) and _holds(perfect_b)
 
     if tor.verdict is Verdict.PASS:
@@ -632,7 +699,6 @@ def check_complete_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     trades that for membership of the bimodules in the left classes.
     """
     _component_quad(ctx, c1, c2, d1, d2)
-    specs = _tuple_pair_specs(ctx, c1, c2, d1, d2, bound)
 
     n_right_proj = is_projective(ctx.n.as_right_module)
     m_right_proj = is_projective(ctx.m.as_right_module)
@@ -643,10 +709,8 @@ def check_complete_transfer(ctx: MoritaContext, c1, c2, d1, d2,
         detail=f"second-inner right projective: {n_right_proj}, "
                f"first-inner right projective: {m_right_proj}")
 
-    complete_a = check_complete_pair(DualityPairSpec(c1, c2, bound))
-    complete_b = check_complete_pair(DualityPairSpec(d1, d2, bound))
-    complete_mono_epi = check_complete_pair(specs["mono-epi"])
-    complete_comp = check_complete_pair(specs["componentwise"])
+    complete_a, complete_b, complete_mono_epi, complete_comp = _complete_pairs(
+        _transfer_specs(ctx, c1, c2, d1, d2, bound)[:4])
     components_complete = _holds(complete_a) and _holds(complete_b)
 
     if hyp.verdict is Verdict.PASS:
@@ -690,10 +754,9 @@ def check_class_agreement(left: ClassOracle, first: ClassOracle,
     completeness check the verdict degrades to hypothesis-failure instead of
     pass, but a genuine disagreement is still reported as refuted.
     """
-    spec_first = DualityPairSpec(left, first, bound)
-    spec_second = DualityPairSpec(left, second, bound)
-    complete_first = check_complete_pair(spec_first)
-    complete_second = check_complete_pair(spec_second)
+    complete_first, complete_second = _complete_pairs(
+        [DualityPairSpec(left, first, bound),
+         DualityPairSpec(left, second, bound)])
 
     witness = None
     for obj in universe_of(first.ring, first.side, bound):

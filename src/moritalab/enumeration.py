@@ -439,9 +439,11 @@ def _unit_generators(module: Module, limit: int) -> list[np.ndarray]:
         right.append(step)
         frontier, moves = members, [step]
         while frontier.size:
-            reached = np.unique(np.concatenate(
+            reached = np.sort(np.concatenate(
                 [move(frontier[s:s + _CHUNK]) for move in moves
                  for s in range(0, frontier.size, _CHUNK)]))
+            # dedupe by hand: np.unique imports numpy.ma on first use
+            reached = reached[np.append(True, reached[1:] != reached[:-1])]
             frontier = reached[~in_group[reached]]
             in_group[frontier] = True
             members = np.concatenate([members, frontier])

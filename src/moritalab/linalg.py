@@ -101,6 +101,8 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
         raise ValidationError(f"rref: GF({p}) is beyond the field bound 2^15")
     r = reduce_mod(m, p)
     rows, cols = r.shape
+    if not rows or not cols:
+        return r, [], 0
     s = (p ** 3).bit_length()
     mult = -(-(1 << s) // p)
     top = (p * (p - 1) * mult).bit_length()   # bits of M times the largest digit

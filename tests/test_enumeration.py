@@ -11,11 +11,15 @@ import pytest
 
 from moritalab import linalg as la
 from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, field_algebra,
-                               hom_space, is_isomorphic, module_sum)
+                               hom_space, is_isomorphic, module_sum,
+                               scan_budget)
 from moritalab.enumeration import (
+    _CHUNK,
     _coords,
+    _linear_move,
     _orbit_minima,
     _structures_of_dim,
+    _unit_generators,
     enumerate_delta_modules,
     enumerate_modules,
     short_exact_sequences,
@@ -102,6 +106,61 @@ def test_orbit_minima_of_small_groups():
     assert _orbit_minima(12, [shift]).tolist() == [0, 1, 2, 3]
     # <shift, swap> joins each orbit {c, c+4, c+8} with its partner under c ^ 1
     assert _orbit_minima(12, [shift, swap]).tolist() == [0, 2]
+
+
+def unique_unit_generators(module):
+    """The greedy generating set of Aut(module), its frontier deduped with
+    ``np.unique``."""
+    if module.dim == 0:
+        return []
+    p = module.p
+    basis = [h.matrix for h in hom_space(module, module)]
+    e = len(basis)
+    stacked = np.stack(basis)
+    mats = np.tensordot(la.digits(np.arange(p ** e), p, e), stacked, axes=1) % p
+    is_unit = la.nonsingular_mask(mats, p)
+    powers = p ** np.arange(e, dtype=np.int64)
+    identity = int(_coords(basis, [la.eye(module.dim)], p, "End")[:, 0] @ powers)
+    in_group = np.zeros(p ** e, dtype=bool)
+    in_group[identity] = True
+    members = np.array([identity], dtype=np.int64)
+    gens, right = [], []
+    for code in np.flatnonzero(is_unit):
+        if members.size == int(is_unit.sum()):
+            break
+        if in_group[code]:
+            continue
+        unit = mats[code]
+        gens.append(unit)
+        step = _linear_move(
+            _coords(basis, [(b @ unit) % p for b in basis], p, "End"), p)
+        right.append(step)
+        frontier, moves = members, [step]
+        while frontier.size:
+            reached = np.unique(np.concatenate(
+                [move(frontier[s:s + _CHUNK]) for move in moves
+                 for s in range(0, frontier.size, _CHUNK)]))
+            frontier = reached[~in_group[reached]]
+            in_group[frontier] = True
+            members = np.concatenate([members, frontier])
+            moves = right
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_unit_generators_match_the_np_unique_frontier(fixture_over, name, p):
+    ctx = fixture_over(name, p).single_context()
+    modules = [Module(field_algebra(ctx.algebra_a.field), LEFT, d,
+                      la.eye(d)[None]) for d in (1, 2)]
+    for side in (LEFT, RIGHT):
+        for algebra in (ctx.algebra_a, ctx.algebra_b):
+            modules += enumerate_modules(algebra, side, 2)
+    for module in modules:
+        found = _unit_generators(module, scan_budget())
+        reference = unique_unit_generators(module)
+        assert len(found) == len(reference)
+        assert all(np.array_equal(g, r) for g, r in zip(found, reference))
 
 
 def test_a_map_leaving_its_hom_space_is_an_internal_error():
