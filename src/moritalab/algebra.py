@@ -143,6 +143,29 @@ def field_algebra(field_spec: FieldSpec) -> Algebra:
     return _FIELD_ALGEBRAS[field_spec.p]
 
 
+def _law_defects(actions: np.ndarray, structure: np.ndarray, side: str,
+                 p: int, rows: list[int] | None = None) -> np.ndarray:
+    """Defects of the action law on a stack of action tensors.
+
+    For b_i b_j = sum_k c[i][j][k] b_k the operator law reads
+    act(b_i) act(b_j) = sum_k c[i][j][k] act(b_k) on the left, with the
+    composition order reversed on the right.  ``actions`` has shape
+    (n, algebra.dim, d, d); the result, of shape (n, len(rows), algebra.dim,
+    d, d), is the difference of the two sides mod p at each pair (i, j), so
+    a candidate satisfies the law where its slice is zero.  ``rows``
+    restricts i to the given basis indices; None checks all pairs.
+    """
+    sub = actions if rows is None else actions[:, rows]
+    st = structure if rows is None else structure[rows]
+    if side == LEFT:
+        products = np.matmul(sub[:, :, None], actions[:, None, :])
+    else:
+        products = np.matmul(actions[:, None, :], sub[:, :, None])
+    n, dim, d, _ = actions.shape
+    expected = np.matmul(st.reshape(-1, dim), actions.reshape(n, dim, d * d))
+    return (products - expected.reshape(products.shape)) % p
+
+
 def validate_module_data(algebra: Algebra, side: str, dim: int,
                          actions: np.ndarray) -> CheckReport:
     """Check the unit law and multiplicativity of an action assignment."""
@@ -157,14 +180,7 @@ def validate_module_data(algebra: Algebra, side: str, dim: int,
     unit_action = np.einsum("i,ijk->jk", algebra.unit, actions) % p
     if not np.array_equal(unit_action, la.eye(dim)):
         return CheckReport("validate-module", Verdict.REFUTED, "unit does not act as identity")
-    # For b_i b_j = sum_k c[i][j][k] b_k the operator law reads
-    # act(b_i) act(b_j) = sum_k c ... on the left, reversed on the right.
-    first, second = actions[:, None], actions[None, :]
-    if side != LEFT:
-        first, second = second, first
-    products = (first @ second) % p
-    expected = np.einsum("ijk,kab->ijab", algebra.structure, actions) % p
-    failed = products != expected
+    failed = _law_defects(actions[None], algebra.structure, side, p)[0] != 0
     if failed.any():
         i, j = (int(v) for v in np.argwhere(failed)[0][:2])
         return CheckReport("validate-module", Verdict.REFUTED,

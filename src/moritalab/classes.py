@@ -16,10 +16,11 @@ dual on the right, and the right class must be closed under summands and
 finite sums.  The harnesses at the bottom of this file check that the tuple
 classes built from component classes form duality pairs exactly when the
 component classes do, and that perfection and completeness transfer the same
-way.  Their closure clauses share one walk over each universe's pairs,
-``_closure_witnesses``: a pair's sum is built once and every right class
-over that universe is asked about it, so no sum is built twice and only one
-is alive at a time.
+way; the last two are one body, ``_relative_transfer``, given the hypothesis
+row, the pair reporter and the wording that tell them apart.  Their closure
+clauses share one walk over each universe's pairs, ``_closure_witnesses``: a
+pair's sum is built once and every right class over that universe is asked
+about it, so no sum is built twice and only one is alive at a time.
 
 Verdict discipline: clauses that quantify over modules up to the requested
 bound and are fully decided there report "pass"; clauses that sample an
@@ -54,7 +55,6 @@ __all__ = [
     "in_component_class", "in_mono_class", "in_epi_class",
     "component_class_oracle", "mono_class_oracle", "epi_class_oracle",
     "verify_duality_pair", "verify_perfection", "check_perfect_pair",
-    "check_symmetric_pair", "check_complete_pair",
     "check_functor_membership", "check_duality_transfer",
     "check_perfect_transfer", "check_complete_transfer",
     "check_class_agreement", "check_injective_structure",
@@ -447,29 +447,15 @@ def _perfect_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
             for spec, duality in zip(specs, _duality_pair_reports(specs))]
 
 
-def check_symmetric_pair(spec: DualityPairSpec) -> CheckReport:
-    """Both orientations of the pair verify."""
-    forward, backward = _duality_pair_reports([spec, spec.swapped()])
-    return _symmetric_pair(spec, forward, backward)
-
-
-def _symmetric_pair(spec: DualityPairSpec, forward: CheckReport,
-                    backward: CheckReport) -> CheckReport:
-    return CheckReport.combine(f"symmetric({spec.name})", [forward, backward])
-
-
-def check_complete_pair(spec: DualityPairSpec) -> CheckReport:
-    """Symmetric and perfect at once."""
-    return _complete_pairs([spec])[0]
-
-
 def _complete_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
-    """The completeness report of each spec, both orientations of all of
-    them verified with one closure scan per universe."""
+    """The completeness report of each spec (symmetric and perfect at once),
+    both orientations of all of them verified with one closure scan per
+    universe."""
     reports = _duality_pair_reports(specs + [spec.swapped() for spec in specs])
     return [CheckReport.combine(
                 f"complete({spec.name})",
-                [_symmetric_pair(spec, forward, backward),
+                [CheckReport.combine(f"symmetric({spec.name})",
+                                     [forward, backward]),
                  verify_perfection(spec)])
             for spec, forward, backward in zip(specs, reports,
                                                reports[len(specs):])]
@@ -628,122 +614,103 @@ def _tor_hypothesis(ctx: MoritaContext, c1, d1, bound: int) -> CheckReport:
             {"bimodule": witness[0], "object": witness[1].describe()}])
 
 
+def _inner_projectivity(ctx: MoritaContext, note: str = "") -> CheckReport:
+    """Both inner bimodules finitely generated projective on the right."""
+    n_right_proj = is_projective(ctx.n.as_right_module)
+    m_right_proj = is_projective(ctx.m.as_right_module)
+    return CheckReport(
+        "inner-bimodules-projective",
+        Verdict.PASS if (n_right_proj and m_right_proj)
+        else Verdict.HYPOTHESIS_FAILURE,
+        detail=f"second-inner right projective: {n_right_proj}, "
+               f"first-inner right projective: {m_right_proj}{note}")
+
+
+def _equivalence(name: str, tuple_side: bool, component_side: bool,
+                 note: str = "") -> CheckReport:
+    return CheckReport(
+        name, Verdict.CONSISTENT if tuple_side == component_side
+        else Verdict.REFUTED,
+        detail=f"tuple-side={tuple_side}, component-side={component_side}{note}")
+
+
+def _relative_transfer(ctx: MoritaContext, c1, c2, d1, d2, bound: int,
+                       hypothesis: CheckReport, pairs, words: tuple[str, str, str],
+                       membership_row: bool) -> CheckReport:
+    """The body both relative transfer harnesses share.
+
+    ``pairs`` reports the first four transfer pairs as relative (perfect or
+    complete) pairs; ``hypothesis`` is the premise of the mono/epi
+    equivalence, built by the caller before any pair report; ``words`` names
+    the property, its noun and the premise.  The componentwise equivalence
+    trades the premise for membership of the inner bimodules in the left
+    classes, which ``membership_row`` shows as an input row.
+    """
+    kind, noun, premise = words
+    r_a, r_b, r_mono_epi, r_comp = pairs(
+        _transfer_specs(ctx, c1, c2, d1, d2, bound)[:4])
+    components = _holds(r_a) and _holds(r_b)
+    name = f"{kind}-equivalence(mono-epi)"
+    eq_mono = (_equivalence(name, _holds(r_mono_epi), components)
+               if hypothesis.verdict is Verdict.PASS else CheckReport(
+                   name, Verdict.HYPOTHESIS_FAILURE, detail=f"{premise} "
+                   "hypothesis failed; equivalence not guaranteed"))
+
+    m_left, n_left = ctx.m.as_left_module, ctx.n.as_left_module
+    conditions = d1.contains(m_left) and c1.contains(n_left)
+    inputs = [_as_input(r) for r in (r_a, r_b, r_mono_epi, r_comp)]
+    if membership_row:
+        inputs.append(CheckReport(
+            "input:bimodule-membership",
+            Verdict.PASS if conditions else Verdict.REFUTED,
+            detail="first inner bimodule in the second left class and second "
+                   "inner bimodule in the first left class",
+            witnesses=[] if conditions else [
+                {"object": obj.describe(), "class": oracle.name}
+                for obj, oracle in ((m_left, d1), (n_left, c1))
+                if not oracle.contains(obj)]))
+    eq_comp = _equivalence(f"{kind}-equivalence(componentwise)",
+                           _holds(r_comp), conditions and components,
+                           f" (membership conditions {conditions})")
+
+    report = CheckReport.combine(
+        f"{kind}-transfer", [hypothesis, eq_mono, eq_comp],
+        detail=f"{noun} equivalences at bound {bound}", meta={"bound": bound})
+    report.clauses[:0] = inputs
+    return report
+
+
 def check_perfect_transfer(ctx: MoritaContext, c1, c2, d1, d2,
                            bound: int) -> CheckReport:
     """Perfection transfers between component pairs and tuple pairs.
 
-    Two equivalences are decided: the mono/epi pair is perfect iff both
-    component pairs are (under the torsion-vanishing hypothesis), and the
-    componentwise pair is perfect iff additionally both inner bimodules
-    belong to the left component classes.  Perfection involves closure under
-    arbitrary direct sums, so the equivalences never report better than
-    consistent-up-to-bound.
+    Two equivalences are decided by ``_relative_transfer``: the mono/epi
+    pair is perfect iff both component pairs are (under the
+    torsion-vanishing hypothesis), and the componentwise pair is perfect iff
+    additionally both inner bimodules belong to the left component classes,
+    a condition shown as its own input row.  Perfection involves closure
+    under arbitrary direct sums, so the equivalences never report better
+    than consistent-up-to-bound.
     """
     _component_quad(ctx, c1, c2, d1, d2)
-    tor = _tor_hypothesis(ctx, c1, d1, bound)
-
-    perfect_a, perfect_b, perfect_mono_epi, perfect_comp = _perfect_pairs(
-        _transfer_specs(ctx, c1, c2, d1, d2, bound)[:4])
-    components_perfect = _holds(perfect_a) and _holds(perfect_b)
-
-    if tor.verdict is Verdict.PASS:
-        agree = _holds(perfect_mono_epi) == components_perfect
-        eq_mono = CheckReport(
-            "perfect-equivalence(mono-epi)",
-            Verdict.CONSISTENT if agree else Verdict.REFUTED,
-            detail=f"tuple-side={_holds(perfect_mono_epi)}, "
-                   f"component-side={components_perfect}")
-    else:
-        eq_mono = CheckReport(
-            "perfect-equivalence(mono-epi)", Verdict.HYPOTHESIS_FAILURE,
-            detail="torsion hypothesis failed; equivalence not guaranteed")
-
-    m_left = ctx.m.as_left_module
-    n_left = ctx.n.as_left_module
-    conditions = d1.contains(m_left) and c1.contains(n_left)
-    condition_row = CheckReport(
-        "input:bimodule-membership",
-        Verdict.PASS if conditions else Verdict.REFUTED,
-        detail="first inner bimodule in the second left class and second "
-               "inner bimodule in the first left class",
-        witnesses=[] if conditions else [
-            {"object": obj.describe(), "class": oracle.name}
-            for obj, oracle in ((m_left, d1), (n_left, c1))
-            if not oracle.contains(obj)])
-    comp_side = conditions and components_perfect
-    agree2 = _holds(perfect_comp) == comp_side
-    eq_comp = CheckReport(
-        "perfect-equivalence(componentwise)",
-        Verdict.CONSISTENT if agree2 else Verdict.REFUTED,
-        detail=f"tuple-side={_holds(perfect_comp)}, component-side={comp_side} "
-               f"(membership conditions {conditions})")
-
-    decision = [tor, eq_mono, eq_comp]
-    folded = CheckReport.combine("perfect-transfer", decision)
-    return CheckReport(
-        name="perfect-transfer",
-        verdict=folded.verdict,
-        detail=f"perfection equivalences at bound {bound}",
-        clauses=[_as_input(perfect_a), _as_input(perfect_b),
-                 _as_input(perfect_mono_epi), _as_input(perfect_comp),
-                 condition_row, tor, eq_mono, eq_comp],
-        meta={"bound": bound})
+    return _relative_transfer(
+        ctx, c1, c2, d1, d2, bound, _tor_hypothesis(ctx, c1, d1, bound),
+        _perfect_pairs, ("perfect", "perfection", "torsion"), True)
 
 
 def check_complete_transfer(ctx: MoritaContext, c1, c2, d1, d2,
                             bound: int) -> CheckReport:
     """Completeness transfers like perfection, under projectivity hypotheses.
 
-    The mono/epi equivalence needs both inner bimodules finitely generated
-    projective on their one-sided ring; the componentwise equivalence again
-    trades that for membership of the bimodules in the left classes.
+    The body of ``check_perfect_transfer`` decides it on complete pairs: the
+    mono/epi equivalence needs both inner bimodules finitely generated
+    projective on their one-sided ring; the componentwise equivalence trades
+    that for the membership conditions, which show no row of their own.
     """
     _component_quad(ctx, c1, c2, d1, d2)
-
-    n_right_proj = is_projective(ctx.n.as_right_module)
-    m_right_proj = is_projective(ctx.m.as_right_module)
-    hyp = CheckReport(
-        "inner-bimodules-projective",
-        Verdict.PASS if (n_right_proj and m_right_proj)
-        else Verdict.HYPOTHESIS_FAILURE,
-        detail=f"second-inner right projective: {n_right_proj}, "
-               f"first-inner right projective: {m_right_proj}")
-
-    complete_a, complete_b, complete_mono_epi, complete_comp = _complete_pairs(
-        _transfer_specs(ctx, c1, c2, d1, d2, bound)[:4])
-    components_complete = _holds(complete_a) and _holds(complete_b)
-
-    if hyp.verdict is Verdict.PASS:
-        agree = _holds(complete_mono_epi) == components_complete
-        eq_mono = CheckReport(
-            "complete-equivalence(mono-epi)",
-            Verdict.CONSISTENT if agree else Verdict.REFUTED,
-            detail=f"tuple-side={_holds(complete_mono_epi)}, "
-                   f"component-side={components_complete}")
-    else:
-        eq_mono = CheckReport(
-            "complete-equivalence(mono-epi)", Verdict.HYPOTHESIS_FAILURE,
-            detail="projectivity hypothesis failed; equivalence not guaranteed")
-
-    conditions = d1.contains(ctx.m.as_left_module) \
-        and c1.contains(ctx.n.as_left_module)
-    comp_side = conditions and components_complete
-    agree2 = _holds(complete_comp) == comp_side
-    eq_comp = CheckReport(
-        "complete-equivalence(componentwise)",
-        Verdict.CONSISTENT if agree2 else Verdict.REFUTED,
-        detail=f"tuple-side={_holds(complete_comp)}, component-side={comp_side} "
-               f"(membership conditions {conditions})")
-
-    folded = CheckReport.combine("complete-transfer", [hyp, eq_mono, eq_comp])
-    return CheckReport(
-        name="complete-transfer",
-        verdict=folded.verdict,
-        detail=f"completeness equivalences at bound {bound}",
-        clauses=[_as_input(complete_a), _as_input(complete_b),
-                 _as_input(complete_mono_epi), _as_input(complete_comp),
-                 hyp, eq_mono, eq_comp],
-        meta={"bound": bound})
+    return _relative_transfer(
+        ctx, c1, c2, d1, d2, bound, _inner_projectivity(ctx),
+        _complete_pairs, ("complete", "completeness", "projectivity"), False)
 
 
 def check_class_agreement(left: ClassOracle, first: ClassOracle,
@@ -794,15 +761,8 @@ def check_injective_structure(ctx: MoritaContext, bound: int) -> CheckReport:
     against epi-class membership with injective component classes on the
     opposite side of the base ring.
     """
-    n_right_proj = is_projective(ctx.n.as_right_module)
-    m_right_proj = is_projective(ctx.m.as_right_module)
-    hyp = CheckReport(
-        "inner-bimodules-projective",
-        Verdict.PASS if (n_right_proj and m_right_proj)
-        else Verdict.HYPOTHESIS_FAILURE,
-        detail=f"second-inner right projective: {n_right_proj}, "
-               f"first-inner right projective: {m_right_proj}; coherence is "
-               "automatic at finite dimension")
+    hyp = _inner_projectivity(
+        ctx, "; coherence is automatic at finite dimension")
     class_a = builtin_oracles(ctx.algebra_a, RIGHT)["fp-injective"]
     class_b = builtin_oracles(ctx.algebra_b, RIGHT)["fp-injective"]
     witness = None

@@ -31,7 +31,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
+from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap, _law_defects,
                       field_algebra, hom_space, quotient_module, scan_budget,
                       submodule)
 from .memo import memo
@@ -155,30 +155,13 @@ def _structures_of_dim(algebra: Algebra, side: str, d: int,
         # The unit law holds by construction (the empty word is the unit), so
         # only the multiplication law filters.  One row of it prunes cheaply
         # before the full quadratic check.
-        keep = _law_mask(actions, structure, side, p, rows=[0])
-        actions, idx = actions[keep], idx[keep]
-        keep = _law_mask(actions, structure, side, p)
-        found.append(actions[keep])
-        found_codes.append(idx[keep])
+        for rows in ([0], None):
+            defects = _law_defects(actions, structure, side, p, rows)
+            keep = ~defects.any(axis=(1, 2, 3, 4))
+            actions, idx = actions[keep], idx[keep]
+        found.append(actions)
+        found_codes.append(idx)
     return np.concatenate(found_codes), np.concatenate(found)
-
-
-def _law_mask(actions: np.ndarray, structure: np.ndarray, side: str, p: int,
-              rows: list[int] | None = None) -> np.ndarray:
-    """Mask of candidates satisfying act(b_i) act(b_j) = act(b_i b_j).
-
-    ``rows`` restricts i to the given basis indices; None checks all pairs.
-    For right modules the composition order is reversed.
-    """
-    sub = actions if rows is None else actions[:, rows]
-    st = structure if rows is None else structure[rows]
-    if side == LEFT:
-        products = np.matmul(sub[:, :, None], actions[:, None, :])
-    else:
-        products = np.matmul(actions[:, None, :], sub[:, :, None])
-    expected = np.transpose(
-        np.tensordot(st, actions, axes=([2], [1])), (2, 0, 1, 3, 4))
-    return ~np.any((products - expected) % p, axis=(1, 2, 3, 4))
 
 
 def _orbit_minima(size: int, moves) -> np.ndarray:

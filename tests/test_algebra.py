@@ -29,6 +29,7 @@ from moritalab.algebra import (
     module_generators,
     quotient_module,
     submodule,
+    validate_module_data,
 )
 from moritalab.enumeration import (_rref_patterns, enumerate_delta_modules,
                                    enumerate_modules)
@@ -64,6 +65,43 @@ def test_invalid_right_action_is_rejected(e2):
     with pytest.raises(ValidationError, match="action law fails"):
         Bimodule(k, a, 2, scalar, np.stack([np.eye(2, dtype=np.int64), swap]),
                  name="broken")
+
+
+def reference_law_failure(algebra, side, actions):
+    """The first basis pair failing the action law, found by the einsum the
+    module check ran before it shared the enumeration's law kernel."""
+    p = algebra.p
+    first, second = actions[:, None], actions[None, :]
+    if side != LEFT:
+        first, second = second, first
+    products = (first @ second) % p
+    expected = np.einsum("ijk,kab->ijab", algebra.structure, actions) % p
+    failed = np.argwhere(products != expected)
+    return None if failed.size == 0 else [int(v) for v in failed[0][:2]]
+
+
+@pytest.mark.parametrize("name,p", [("E1", 2), ("E2", 2), ("E2", 3)])
+def test_module_check_names_the_first_failing_pair(fixture_over, name, p):
+    """Random action tensors with the unit acting as the identity reach the
+    law check, which must report the same first failing pair as the old
+    einsum, on both sides."""
+    ctx = fixture_over(name, p).single_context()
+    rng = np.random.default_rng(0)
+    for algebra in (ctx.algebra_a, ctx.algebra_b):
+        i = int(np.flatnonzero(algebra.unit)[0])
+        inverse = pow(int(algebra.unit[i]), -1, p)
+        for side in (LEFT, RIGHT):
+            for d in (1, 2, 3):
+                for _ in range(20):
+                    actions = rng.integers(0, p, (algebra.dim, d, d))
+                    others = (np.einsum("i,ijk->jk", algebra.unit, actions)
+                              - algebra.unit[i] * actions[i])
+                    actions[i] = inverse * (np.eye(d, dtype=np.int64)
+                                            - others) % p
+                    report = validate_module_data(algebra, side, d, actions)
+                    pair = reference_law_failure(algebra, side, actions)
+                    assert report.witnesses == (
+                        [] if pair is None else [{"pair": pair}])
 
 
 def test_noncommuting_actions_are_rejected(e1):

@@ -6,17 +6,19 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from moritalab import morita
+from moritalab import classes, morita
 from moritalab.algebra import LEFT, RIGHT, Module
 from moritalab.classes import (
     ClassOracle,
     DualityPairSpec,
     _closure_witnesses,
     builtin_oracles,
+    check_complete_transfer,
     check_duality_transfer,
     check_functor_membership,
     check_injective_structure,
     check_perfect_pair,
+    check_perfect_transfer,
     in_component_class,
     in_epi_class,
     in_mono_class,
@@ -27,7 +29,7 @@ from moritalab.classes import (
 from moritalab.enumeration import enumerate_modules
 from moritalab.functors import induce_from_a
 from moritalab.morita import DeltaModule
-from moritalab.report import ValidationError, Verdict
+from moritalab.report import CheckReport, ValidationError, Verdict
 from moritalab.workspace import parse_workspace
 
 
@@ -202,3 +204,30 @@ def test_the_transfer_builds_each_pair_sum_once_and_keeps_none(monkeypatch):
     n = len(universe_of(ctx, RIGHT, 2))
     assert report.verdict is Verdict.PASS
     assert (n, len(built)) == (57, 57 * 58 // 2)
+
+
+@pytest.mark.parametrize("at,row", [(2, "mono-epi"), (3, "componentwise")])
+def test_a_refuted_tuple_pair_refutes_its_equivalence(e1, monkeypatch, at, row):
+    """The refuted side of either equivalence is reachable only through a
+    wrong pair report.  On E1 both hypotheses and both membership conditions
+    hold, so forcing the mono/epi report, then the componentwise report, to
+    refuted must refute the matching equivalence row and the harness, and
+    leave the other row consistent."""
+    quad = [builtin_oracles(algebra, side)[kind]
+            for algebra in (e1.algebra_a, e1.algebra_b)
+            for side, kind in ((LEFT, "flat"), (RIGHT, "fp-injective"))]
+    other = {"mono-epi": "componentwise", "componentwise": "mono-epi"}[row]
+    for harness, reporter, kind in (
+            (check_perfect_transfer, "_perfect_pairs", "perfect"),
+            (check_complete_transfer, "_complete_pairs", "complete")):
+        def broken(specs, real=getattr(classes, reporter)):
+            reports = real(specs)
+            reports[at] = CheckReport(reports[at].name, Verdict.REFUTED)
+            return reports
+
+        monkeypatch.setattr(classes, reporter, broken)
+        report = harness(e1, *quad, 1)
+        rows = {clause.name: clause.verdict for clause in report.clauses}
+        assert report.verdict is Verdict.REFUTED
+        assert rows[f"{kind}-equivalence({row})"] is Verdict.REFUTED
+        assert rows[f"{kind}-equivalence({other})"] is Verdict.CONSISTENT

@@ -2,10 +2,14 @@
 
 ``tests/golden/commands.txt`` lists one case a line: a name, the exit code
 and the arguments.  Each case stores the printed table (``<name>.stdout``)
-and the ``--report`` JSON document (``<name>.json``) next to it.  The CI
-packaging check runs the same list through an installed ``morita-lab``.
-After a deliberate output change, regenerate the files with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+and the ``--report`` JSON document (``<name>.json``) next to it.  A case's
+``--fixture`` names a shipped fixture or a test-only workspace file by its
+path from the repository root (``tests/workspaces/``); every case runs from
+the repository root, so that path and the ``"fixture"`` string of the
+report match.  The CI packaging check runs the same list through an
+installed ``morita-lab``.  After a deliberate output change, regenerate the
+files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
+diff.
 """
 
 import sys
@@ -17,13 +21,15 @@ import pytest
 from moritalab.cli import run
 from moritalab.fixtures import SHIPPED
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 CASES = [(name, int(code), argv) for name, code, *argv in
          (line.split() for line in (GOLDEN / "commands.txt").read_text().splitlines())]
 
 
 @pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden_output(name, code, argv, tmp_path, capsys):
+def test_golden_output(name, code, argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
     report = tmp_path / "report.json"
     got = run(argv + ["--report", str(report)])
     out, err = capsys.readouterr()
@@ -38,7 +44,8 @@ def test_golden_commands_reach_no_isomorphism_scan(name, code, argv, tmp_path,
     """Windows identify their kernel by rank and ``unpack`` compares the
     round trip exactly, so no golden command scans for an isomorphism.  Each
     runs on a fresh copy of its workspace file, whose objects carry no
-    results memoised by earlier tests."""
+    results memoised by earlier tests; a test-only workspace is parsed anew
+    from its file on every run."""
     def refuse(*args, **kwargs):
         raise AssertionError("an isomorphism scan was reached")
 
@@ -46,13 +53,16 @@ def test_golden_commands_reach_no_isomorphism_scan(name, code, argv, tmp_path,
         if (module.__name__.startswith("moritalab")
                 and hasattr(module, "find_invertible_combination")):
             monkeypatch.setattr(module, "find_invertible_combination", refuse)
+    monkeypatch.chdir(ROOT)
     argv = list(argv)
     at = argv.index("--fixture") + 1
-    assert argv[at] in SHIPPED
-    copy = tmp_path / f"{argv[at]}.txt"
-    copy.write_text(resources.files("moritalab").joinpath(
-        "data", f"{argv[at]}.txt").read_text())
-    argv[at] = str(copy)
+    if argv[at] in SHIPPED:
+        copy = tmp_path / f"{argv[at]}.txt"
+        copy.write_text(resources.files("moritalab").joinpath(
+            "data", f"{argv[at]}.txt").read_text())
+        argv[at] = str(copy)
+    else:
+        assert argv[at].startswith("tests/workspaces/")
     got = run(argv)
     out, err = capsys.readouterr()
     assert (got, err) == (code, "")
@@ -62,7 +72,9 @@ def test_golden_commands_reach_no_isomorphism_scan(name, code, argv, tmp_path,
 if __name__ == "__main__":
     import contextlib
     import io
+    import os
 
+    os.chdir(ROOT)
     for name, code, argv in CASES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
