@@ -199,7 +199,7 @@ class Module:
     actions: np.ndarray     # (algebra.dim, dim, dim)
     name: str = ""
     # The nonzero summands of a module built by ``module_sum``, in order;
-    # tensor.py assembles the products and hom modules of a sum from theirs.
+    # tensor.py assembles the products of a sum from theirs.
     summands: ClassVar[tuple["Module", ...]] = ()
 
     def __post_init__(self):
@@ -248,7 +248,9 @@ class Module:
     def ring(self) -> Algebra:
         return self.algebra
 
+    @cached_property
     def dual(self) -> "Module":
+        """The GF(p)-linear dual, built once by ``dual_module``."""
         return dual_module(self)
 
     def homs(self, target: "Module") -> list["ModuleMap"]:
@@ -363,10 +365,15 @@ class ModuleMap:
     def kernel(self) -> tuple[Module, "ModuleMap"]:
         return kernel_module(self)
 
-    def transposed(self, source: Module, target: Module) -> "ModuleMap":
-        """The transpose, from ``source`` (a dual of this map's target) to
-        ``target`` (a dual of its source); construction re-checks it."""
-        return dual_map(self, source, target)
+    @cached_property
+    def dual(self) -> "ModuleMap":
+        """The transpose, from ``target.dual`` to ``source.dual``; its dual
+        is this map.  Unchecked: transposing phi A = B phi gives
+        A^T phi^T = phi^T B^T, the intertwining law of the dual actions."""
+        dual = ModuleMap._intertwining(self.target.dual, self.source.dual,
+                                       self.matrix.T.copy())
+        dual.dual = self
+        return dual
 
     @classmethod
     def identity(cls, module: Module) -> "ModuleMap":
@@ -388,12 +395,12 @@ def module_sum(modules: list[Module]) -> Module:
 
     Block-diagonal actions obey the action laws because each block does, so
     the sum is not validated again.
-    It records its nonzero summands, from which ``tensor_over_algebra`` and
-    ``hom_over_algebra`` assemble its products and hom modules.  Those equal
-    the eliminated ones entry for entry: the relations and the hom system
-    of a sum are block-diagonal, so their echelon choices are the summands'
-    choices put in place (see tensor.py).  Zero summands contribute no
-    coordinates and are left out, so assembling makes no memo entry on them.
+    It records its nonzero summands, from which ``tensor_over_algebra``
+    assembles its products.  Those equal the eliminated ones entry for
+    entry: the relations of a sum are block-diagonal, so their echelon
+    choices are the summands' choices put in place (see tensor.py).  Zero
+    summands contribute no coordinates and are left out, so assembling makes
+    no memo entry on them.
     """
     if not modules:
         raise ValueError("direct sum of an empty list is ambiguous; pass a zero module")
@@ -455,19 +462,15 @@ def dual_module(module: Module) -> Module:
     """GF(p)-linear dual with the opposite side; action matrices transpose.
 
     Transposing reverses products, which is exactly the action law of the
-    other side, so the dual is not validated again."""
-    transposed = np.transpose(module.actions, (0, 2, 1)).copy()
-    other = RIGHT if module.side == LEFT else LEFT
-    return Module._derived(module.algebra, other, module.dim, transposed,
-                           f"{module.describe()}^+")
-
-
-def dual_map(phi: ModuleMap, dual_source: Module | None = None,
-             dual_target: Module | None = None) -> ModuleMap:
-    """The transpose map between the duals, contravariantly."""
-    ds = dual_source if dual_source is not None else dual_module(phi.target)
-    dt = dual_target if dual_target is not None else dual_module(phi.source)
-    return ModuleMap(ds, dt, phi.matrix.T.copy())
+    other side, so the dual is not validated again.  It is built once and
+    kept as ``module.dual``, with ``module`` as the dual's dual."""
+    if "dual" not in vars(module):
+        transposed = np.transpose(module.actions, (0, 2, 1)).copy()
+        other = RIGHT if module.side == LEFT else LEFT
+        module.dual = Module._derived(module.algebra, other, module.dim,
+                                      transposed, f"{module.describe()}^+")
+        module.dual.dual = module
+    return module.dual
 
 
 def _conjugation_invariants(module: Module) -> tuple:
@@ -777,7 +780,7 @@ def is_projective(module: Module) -> bool:
 
 def is_injective(module: Module) -> bool:
     """A module is injective exactly when its dual is projective on the other side."""
-    return is_projective(dual_module(module))
+    return is_projective(module.dual)
 
 
 def is_flat(module: Module) -> bool:

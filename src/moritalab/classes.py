@@ -332,7 +332,7 @@ def _character_clause(left: ClassOracle, right: ClassOracle,
                       bound: int) -> CheckReport:
     witness = None
     for obj in universe_of(left.ring, left.side, bound):
-        if left.contains(obj) != right.contains(obj.dual()):
+        if left.contains(obj) != right.contains(obj.dual):
             witness = obj
             break
     return CheckReport(
@@ -342,7 +342,7 @@ def _character_clause(left: ClassOracle, right: ClassOracle,
         witnesses=[] if witness is None else [
             {"object": witness.describe(),
              "left": left.contains(witness),
-             "dual-right": right.contains(witness.dual())}])
+             "dual-right": right.contains(witness.dual)}])
 
 
 @memo("ring")
@@ -514,7 +514,7 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
             for obj in pool:
                 plain, image = obj, functor(ctx, obj, corner)
                 if dualised:
-                    plain, image = plain.dual(), image.dual()
+                    plain, image = plain.dual, image.dual
                 if own.contains(plain) != tests[kind](image, *classes):
                     witness = obj
                     break

@@ -224,7 +224,7 @@ def _cmd_validate(ws: Workspace, args) -> CheckReport:
 
 
 def _cmd_dual(ws: Workspace, args) -> CheckReport:
-    dual = _object(ws, args.name).dual()
+    dual = _object(ws, args.name).dual
     if isinstance(dual, DeltaModule):
         detail = (f"tuple on the {dual.side} side, components "
                   f"{dual.x.dim} and {dual.y.dim}")

@@ -159,11 +159,17 @@ def tilde_kernel(v: DeltaModule, corner: str) \
     As in ``morita.structural_cokernel``, the arrays are memoised on v, each
     call returns a new module and map on them, and a sum is assembled from
     its summands' results, equal entry for entry to the eliminated one.
-    The hom module into a sum of components is assembled from the hom
-    modules into the summands (tensor.py), so tilde of a sum is the
-    summands' tilde matrices, block-diagonal in order: it is onto exactly
-    when every summand's is, rank being additive over blocks.  The reduced
-    echelon form of a block-diagonal matrix is the summands' reduced forms,
+    The hom module into a sum of components has the summands' hom modules
+    as blocks: in the row-major vec F the rows of F into one summand are
+    contiguous, and the hom system is block-diagonal on those blocks, so a
+    column is a pivot of the system exactly when it is one of its summand's
+    system, and the echelon kernel basis is the summands' bases,
+    zero-padded, in order; precomposition keeps each basis map inside its
+    block, so the residual actions are the summands' actions,
+    block-diagonal.  Hence tilde of a sum is the summands' tilde matrices,
+    block-diagonal in order: it is onto exactly when every summand's is,
+    rank being additive over blocks.  The reduced echelon form of a
+    block-diagonal matrix is the summands' reduced forms,
     block-diagonal, so its pivot and free columns are theirs put in place,
     and the echelon kernel basis of ``linalg.kernel_basis``, one vector per
     free column in order, is the summands' bases, block-diagonal.  The

@@ -25,11 +25,12 @@ with the inverse of the splitting isomorphism.  The kernel is identified by
 rank, with no isomorphism scan: c is a module map with d^0 c = 0 and
 rank c = dim x = dim T^0 - rank d^0, so c is one-to-one onto ker d^0.
 
-Modules and tuples, and their maps, share one method surface (``ring``,
-``dual``, ``cover``, ``homs``; ``matrix``, ``kernel``, ``transposed``), so
-complexes, resolutions and window checks are written once for both.  Only
-the transport route and the widened flat test sample are tuple-only
-constructions.
+Modules and tuples, and their maps, share one surface (``ring``, ``dual``,
+``cover``, ``homs``; ``matrix``, ``kernel``, ``dual``), so complexes,
+resolutions and window checks are written once for both.  ``dual`` is an
+attribute, built once and self-inverse: the dual of an object's dual is the
+object itself.  Only the transport route and the widened flat test sample
+are tuple-only constructions.
 
 The transport harnesses check that window verdicts travel along the
 induction and restriction functors, with an adjunction dimension comparison
@@ -175,17 +176,18 @@ def projective_resolution(x, length: int):
 def injective_coresolution(x, length: int):
     """Coresolution through the dual, as (window, coaugmentation).
 
-    Terms occupy positions 0 .. length; the coaugmentation embeds x into the
-    position-0 term, and the window carries it too.  Each term is the dual
-    of a cover of the dual side, so it is injective; nothing here requires
-    the terms to be projective.
+    The resolution of ``x.dual`` with every term and map replaced by its
+    dual.  Terms occupy positions 0 .. length; the coaugmentation, the dual
+    of the augmentation, embeds x into the position-0 term (its source is
+    x itself, the dual of ``x.dual``), and the window carries it too.  Each
+    term is the dual of a cover of the dual side, so it is injective;
+    nothing here requires the terms to be projective.  The transposed maps
+    are not checked (see ``ModuleMap.dual``).
     """
-    res, aug = projective_resolution(x.dual(), length)
-    terms = [t.dual() for t in reversed(res.terms)]
-    maps = [res.diff(-(j + 1)).transposed(terms[j], terms[j + 1])
-            for j in range(length)]
-    coaug = aug.transposed(x, terms[0])
-    return ChainComplex(0, terms, maps, coaug), coaug
+    res, aug = projective_resolution(x.dual, length)
+    terms = [t.dual for t in reversed(res.terms)]
+    maps = [d.dual for d in reversed(res.maps)]
+    return ChainComplex(0, terms, maps, aug.dual), aug.dual
 
 
 def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
@@ -200,7 +202,7 @@ def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
 
 def injective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
     """Injective dimension through the dual; duality swaps the two kinds."""
-    return projective_dimension_within(x.dual(), cutoff)
+    return projective_dimension_within(x.dual, cutoff)
 
 
 def complete_resolution_window(x, w: int) -> ChainComplex:
@@ -267,17 +269,22 @@ def _block_sum(first, second) -> list[np.ndarray]:
 def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
     """The sum of the windows induced from the pieces of ``split``, the
     value of ``induced_isomorphism`` on v.  Its coaugmentation is the sum
-    of theirs after the inverse of the isomorphism from their sum to v."""
+    of theirs after the inverse of the isomorphism from their sum to v.
+
+    No map is checked again: a block sum of tuple maps is a tuple map, and
+    the coaugmentation is a composite of tuple maps with the inverse of the
+    tuple isomorphism ``joined``, itself a tuple map."""
     ctx, p = v.context, v.p
     pieces, joined = split
     ta, tb = [_induced_window(ctx, _spliced_window(piece, w), corner)
               for corner, piece in zip(CORNERS, pieces)]
     terms = [delta_sum([u, t]) for u, t in zip(ta.terms, tb.terms)]
-    maps = [DeltaModuleMap(terms[i], terms[i + 1], *_block_sum(d, e))
+    maps = [DeltaModuleMap._intertwining(terms[i], terms[i + 1],
+                                         *_block_sum(d, e))
             for i, (d, e) in enumerate(zip(ta.maps, tb.maps))]
     inverses = [la.inverse(np.hstack([phi.a_matrix for phi in joined]), p),
                 la.inverse(np.hstack([phi.b_matrix for phi in joined]), p)]
-    coaug = DeltaModuleMap(v, terms[w], *[
+    coaug = DeltaModuleMap._intertwining(v, terms[w], *[
         (block @ inverse) % p for block, inverse in
         zip(_block_sum(ta.coaugmentation, tb.coaugmentation), inverses)])
     cx = ChainComplex(-w, terms, maps, coaug)

@@ -63,8 +63,8 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
-                      _invertible_in_span, block_injections, dual_module,
-                      free_cover, hom_space, is_flat, is_injective, is_projective,
+                      _invertible_in_span, block_injections, free_cover,
+                      hom_space, is_flat, is_injective, is_projective,
                       module_sum, quotient_module, submodule,
                       validate_module_data, zero_module)
 from .memo import memo
@@ -330,9 +330,9 @@ class DeltaModule:
         The packed module of a sum of ``delta_sum`` is the block sum of the
         summands' packed modules in the basis order [x blocks, y blocks], a
         permutation of theirs; that of a dual of ``delta_dual`` is the
-        transposed module ``dual_module(pack(v))``, since transposing
-        reverses products.  A pair of spans (X', Y'), invariant in x and y
-        and carried into each other by f and g, is exactly a submodule of
+        transposed module ``pack(v).dual``, since transposing reverses
+        products.  A pair of spans (X', Y'), invariant in x and y and
+        carried into each other by f and g, is exactly a submodule of
         ``pack(v)``: every element of the glued algebra acts by blocks that
         keep X' + Y'.  The sub-tuple of ``delta_submodule`` packs to that
         submodule, its blocks the restricted actions, and the tuple of
@@ -365,7 +365,9 @@ class DeltaModule:
     def ring(self) -> MoritaContext:
         return self.context
 
+    @cached_property
     def dual(self) -> "DeltaModule":
+        """The dual tuple, built once by ``delta_dual``."""
         return delta_dual(self)
 
     def homs(self, target: "DeltaModule") -> list["DeltaModuleMap"]:
@@ -524,11 +526,17 @@ class DeltaModuleMap:
     def kernel(self) -> tuple[DeltaModule, "DeltaModuleMap"]:
         return delta_kernel(self)
 
-    def transposed(self, source: DeltaModule,
-                   target: DeltaModule) -> "DeltaModuleMap":
-        """The transpose, from ``source`` (a dual of this map's target) to
-        ``target`` (a dual of its source); construction re-checks it."""
-        return delta_dual_map(self, source, target)
+    @cached_property
+    def dual(self) -> "DeltaModuleMap":
+        """The transpose, from ``target.dual`` to ``source.dual``; its dual
+        is this map.  Unchecked: it packs to the transpose of the packed
+        map, taken between the packed duals (see ``DeltaModule._derived``),
+        which intertwines as ``ModuleMap.dual`` does."""
+        dual = DeltaModuleMap._intertwining(
+            self.target.dual, self.source.dual, self.a_matrix.T.copy(),
+            self.b_matrix.T.copy())
+        dual.dual = self
+        return dual
 
     @classmethod
     def identity(cls, v: DeltaModule) -> "DeltaModuleMap":
@@ -605,23 +613,20 @@ def delta_dual(v: DeltaModule) -> DeltaModule:
     The dual structure maps evaluate through the originals, so their blocks
     are the transposed blocks of the other map: for a left tuple
     f+(phi (x) n) = phi . g(n (x) -) and g+(psi (x) m) = psi . f(m (x) -),
-    and symmetrically for right tuples.  Double duals are equal on the nose.
+    and symmetrically for right tuples.  The components are ``v.x.dual``
+    and ``v.y.dual``, so tuples that share a component share its dual.  The
+    dual is built once and kept as ``v.dual``, with v as the dual's dual:
+    the dual of the dual is the tuple itself.
     """
-    x_dual = dual_module(v.x)
-    y_dual = dual_module(v.y)
-    lay = tuple_layout(v.context, x_dual.side)
-    return DeltaModule._derived(v.context, x_dual.side, x_dual, y_dual,
-                                lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
-                                lay.unblocks(v.f_blocks.transpose(0, 2, 1)),
-                                f"{v.describe()}^+")
-
-
-def delta_dual_map(phi: DeltaModuleMap, dual_source: DeltaModule | None = None,
-                   dual_target: DeltaModule | None = None) -> DeltaModuleMap:
-    """Transpose of a tuple map between the duals, contravariantly."""
-    ds = dual_source if dual_source is not None else delta_dual(phi.target)
-    dt = dual_target if dual_target is not None else delta_dual(phi.source)
-    return DeltaModuleMap(ds, dt, phi.a_matrix.T.copy(), phi.b_matrix.T.copy())
+    if "dual" not in vars(v):
+        x_dual, y_dual = v.x.dual, v.y.dual
+        lay = tuple_layout(v.context, x_dual.side)
+        v.dual = DeltaModule._derived(
+            v.context, x_dual.side, x_dual, y_dual,
+            lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
+            lay.unblocks(v.f_blocks.transpose(0, 2, 1)), f"{v.describe()}^+")
+        v.dual.dual = v
+    return v.dual
 
 
 def delta_hom_space(u: DeltaModule, v: DeltaModule) -> list[DeltaModuleMap]:
@@ -946,6 +951,18 @@ def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
     return total, eps
 
 
+def _agreed(property_name: str, v: DeltaModule, packed_answer: bool,
+            structural_answer: bool) -> bool:
+    """The packed route's answer for v when the structural route gives the
+    same; a disagreement is an internal error naming the property.  The
+    callers evaluate the packed route first."""
+    if structural_answer != packed_answer:
+        raise InternalCheckError(
+            f"{property_name} routes disagree on {v.describe()}: "
+            f"packed={packed_answer}, structural={structural_answer}")
+    return packed_answer
+
+
 def is_projective_delta(v: DeltaModule) -> bool:
     """Projectivity of a tuple, computed two independent ways.
 
@@ -957,13 +974,8 @@ def is_projective_delta(v: DeltaModule) -> bool:
     ``induced_isomorphism`` decides by rank.
     Disagreement is an internal error.
     """
-    packed_answer = is_projective(v.packed)
-    structural = induced_isomorphism(v, is_projective) is not None
-    if structural != packed_answer:
-        raise InternalCheckError(
-            f"projectivity routes disagree on {v.describe()}: "
-            f"packed={packed_answer}, structural={structural}")
-    return packed_answer
+    return _agreed("projectivity", v, is_projective(v.packed),
+                   induced_isomorphism(v, is_projective) is not None)
 
 
 def _coinduced_splitting(v: DeltaModule) -> bool:
@@ -1001,13 +1013,8 @@ def is_injective_delta(v: DeltaModule) -> bool:
     isomorphic to such a sum, and route two tests it by rank.  Disagreement
     is an internal error.
     """
-    packed_answer = is_injective(v.packed)
-    structural = _coinduced_splitting(v)
-    if structural != packed_answer:
-        raise InternalCheckError(
-            f"injectivity routes disagree on {v.describe()}: "
-            f"packed={packed_answer}, structural={structural}")
-    return packed_answer
+    return _agreed("injectivity", v, is_injective(v.packed),
+                   _coinduced_splitting(v))
 
 
 def flat_characterisation(v: DeltaModule) -> bool:
@@ -1024,10 +1031,5 @@ def is_flat_delta(v: DeltaModule) -> bool:
     (f and g injective with flat cokernels) must agree unconditionally;
     a disagreement is an internal error.
     """
-    packed_answer = is_projective(v.packed)
-    structural = flat_characterisation(v)
-    if structural != packed_answer:
-        raise InternalCheckError(
-            f"flatness routes disagree on {v.describe()}: "
-            f"packed={packed_answer}, structural={structural}")
-    return packed_answer
+    return _agreed("flatness", v, is_projective(v.packed),
+                   flat_characterisation(v))

@@ -4,8 +4,7 @@ The tensor product of a right structure and a left structure over a shared
 algebra is realised as an explicit quotient of the plain GF(p) tensor space:
 relations are the columns of rho_first(b) (x) I - I (x) lambda_second(b) over
 the shared basis.  Each product keeps its projection and section so maps can
-be defined on plain tensors and pushed down, and so pure tensors have
-computable coordinates.
+be defined on plain tensors and pushed down.
 
 Index convention: the plain tensor basis is ordered (i, j) -> i * dim2 + j,
 matching numpy's kron.
@@ -22,8 +21,7 @@ summand: the greedy section of ``linalg.quotient_data`` is the union of the
 summands' sections, sorted by plain index in the sum.  The projection is
 the unique map that kills the relations and inverts that section, so it is
 the summands' projections put in place, and the residual actions are the
-summands' actions, block-diagonal in the sorted order.  Hom modules into a
-sum are assembled in the same way (see ``hom_over_algebra``).
+summands' actions, block-diagonal in the sorted order.
 """
 
 from __future__ import annotations
@@ -59,13 +57,6 @@ class TensorModule:
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    def pure(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Coordinates of the pure tensor u (x) v."""
-        d1, d2 = self.dims
-        u = la.reduce_mod(np.asarray(u).reshape(d1), self.p)
-        v = la.reduce_mod(np.asarray(v).reshape(d2), self.p)
-        return (self.projection @ np.kron(u, v)) % self.p
 
 
 def _right_action_of(obj) -> tuple[Algebra, np.ndarray, int]:
@@ -258,15 +249,6 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
     ``target.side`` selects the variant: a left module over the bimodule's
     left algebra yields a left module over its right algebra, and a right
     module over the right algebra yields a right module over the left one.
-
-    Hom into a module sum is assembled from the hom modules into the
-    summands and equals the eliminated one entry for entry.  In the
-    row-major vec F the rows of F into one summand are contiguous, and the
-    hom system is block-diagonal on those blocks, so a column is a pivot of
-    the system exactly when it is one of its summand's system: the echelon
-    kernel basis is the summands' bases, zero-padded, in order.
-    Precomposition keeps each basis map inside its block, so the residual
-    actions are the summands' actions, block-diagonal.
     """
     if target.side == LEFT:
         if target.algebra is not source.left_algebra:
@@ -281,9 +263,6 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
         residual_alg = source.left_algebra
         twist = source.left_actions
     name = f"Hom({source.name or '<bimodule>'}, {target.describe()})"
-    if target.summands:
-        return _assembled_hom(source, target, residual_alg, name)
-
     maps = hom_space(inner, target)
     basis = [m.matrix for m in maps]
     h = len(basis)
@@ -299,22 +278,6 @@ def hom_over_algebra(source: Bimodule, target: Module) -> HomModule:
             raise InternalCheckError("hom action left the hom space")
         acts = coords.reshape(h, residual_alg.dim, h).transpose(1, 0, 2).copy()
     module = Module(residual_alg, target.side, h, acts, name=name)
-    return HomModule(source, target, module, basis)
-
-
-def _assembled_hom(source: Bimodule, target: Module, residual_alg: Algebra,
-                   name: str) -> HomModule:
-    """Hom into a module sum, from the hom modules into its summands."""
-    parts = [hom_over_algebra(source, summand) for summand in target.summands]
-    basis, offset = [], 0
-    for part in parts:
-        for mat in part.basis:
-            padded = la.zeros(target.dim, source.dim)
-            padded[offset:offset + part.target.dim] = mat
-            basis.append(padded)
-        offset += part.target.dim
-    acts = la.block_diagonal([part.module.actions for part in parts])
-    module = Module._derived(residual_alg, target.side, len(basis), acts, name)
     return HomModule(source, target, module, basis)
 
 

@@ -1,5 +1,6 @@
 """Class oracles and the duality-pair machinery on its own."""
 
+import sys
 import weakref
 from importlib import resources
 
@@ -204,6 +205,29 @@ def test_the_transfer_builds_each_pair_sum_once_and_keeps_none(monkeypatch):
     n = len(universe_of(ctx, RIGHT, 2))
     assert report.verdict is Verdict.PASS
     assert (n, len(built)) == (57, 57 * 58 // 2)
+
+
+def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):
+    """Theorem 3.3's three tuple pairs scan the same left tuples in their
+    character clauses.  A tuple keeps its dual, so each of the 57 is dualised
+    once for all three scans.  A fresh copy of E1 carries no duals."""
+    ctx = parse_workspace(resources.files("moritalab").joinpath(
+        "data", "E1.txt").read_text()).single_context()
+    quad = [builtin_oracles(algebra, side)[kind]
+            for algebra in (ctx.algebra_a, ctx.algebra_b)
+            for side, kind in ((LEFT, "flat"), (RIGHT, "injective"))]
+    built = []
+    derived = DeltaModule._derived.__func__
+
+    def recording(cls, *args):
+        if sys._getframe(1).f_code.co_name == "delta_dual":
+            built.append(args[-1])
+        return derived(cls, *args)
+
+    monkeypatch.setattr(DeltaModule, "_derived", classmethod(recording))
+    report = check_duality_transfer(ctx, *quad, 2)
+    assert report.verdict is Verdict.PASS
+    assert len(universe_of(ctx, LEFT, 2)) == len(built) == len(set(built)) == 57
 
 
 @pytest.mark.parametrize("at,row", [(2, "mono-epi"), (3, "componentwise")])

@@ -14,6 +14,7 @@ import pytest
 
 from moritalab import gorenstein
 from moritalab.algebra import LEFT, RIGHT, Module, ModuleMap
+from moritalab.morita import DeltaModuleMap, induced_isomorphism
 from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce, induce_from_a
@@ -58,6 +59,60 @@ def test_coresolution_mirrors_the_resolution(e2):
     assert cores.lo == 0 and cores.hi == 3
     assert cores.dims() == [2, 2, 2, 2]
     assert la.rank(coaug.matrix, 2) == 1
+
+
+def _rebuilt(phi):
+    """phi through its checked constructor, which raises unless it
+    intertwines."""
+    if isinstance(phi, DeltaModuleMap):
+        return DeltaModuleMap(phi.source, phi.target, phi.a_matrix,
+                              phi.b_matrix)
+    return ModuleMap(phi.source, phi.target, phi.matrix)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_coresolution_maps_pass_the_full_map_check(fixture_over, name, p):
+    """The coresolution is the dualised resolution of the dual: its maps are
+    unchecked transposes, each of which must pass the full map check, and
+    its coaugmentation starts at the object itself.  Modules of both corners
+    up to dimension 2 and tuples up to dimension 2, on both sides."""
+    ctx = fixture_over(name, p).single_context()
+    count = 0
+    for side in (LEFT, RIGHT):
+        objects = [x for algebra in (ctx.algebra_a, ctx.algebra_b)
+                   for x in enumerate_modules(algebra, side, 2)]
+        objects += enumerate_delta_modules(ctx, side, 2)
+        for x in objects:
+            cores, coaug = injective_coresolution(x, 2)
+            assert coaug.source is x and cores.coaugmentation is coaug
+            for phi in cores.maps + [coaug]:
+                _rebuilt(phi)
+                count += 1
+    assert count
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_transported_window_maps_pass_the_full_map_check(fixture_over, name,
+                                                         p):
+    """The differentials and coaugmentation of a transported window are
+    built unchecked from tuple maps; each must pass the full tuple-map
+    check.  Every left tuple up to dimension 2 whose transport succeeds."""
+    ctx = fixture_over(name, p).single_context()
+    count = 0
+    for v in enumerate_delta_modules(ctx, LEFT, 2):
+        split = induced_isomorphism(v)
+        if split is None:
+            continue
+        try:
+            cx = gorenstein._transported_window(v, split, 2)
+        except WindowConstructionError:
+            continue
+        for phi in cx.maps + [cx.coaugmentation]:
+            _rebuilt(phi)
+        count += 1
+    assert count
 
 
 def test_projective_dimensions(e1, e2):

@@ -11,6 +11,7 @@ from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
 from moritalab.memo import memo
+from moritalab.morita import DeltaModule
 from moritalab.tensor import hom_over_algebra, tensor_over_algebra
 
 
@@ -27,6 +28,23 @@ def test_entries_are_freed_with_their_owner(e2):
     del x
     gc.collect()
     assert alive() is None
+
+
+def test_duals_are_freed_with_their_owner(e2):
+    """An object and its dual refer to each other; the cycle dies with its
+    owner, for a module, a tuple and a tuple map."""
+    template = enumerate_delta_modules(e2, LEFT, 2)[-1]
+    x, y = (Module(m.algebra, LEFT, m.dim, m.actions.copy(), name="throwaway")
+            for m in (template.x, template.y))
+    v = DeltaModule(e2, LEFT, x, y, template.f_plain, template.g_plain,
+                    name="throwaway")
+    phi = v.homs(v)[0]
+    assert x.dual.dual is x and v.dual.dual is v
+    assert phi.dual.dual is phi
+    alive = [weakref.ref(obj) for obj in (x, x.dual, v, v.dual, phi.dual)]
+    del x, y, v, phi
+    gc.collect()
+    assert all(ref() is None for ref in alive)
 
 
 def test_defaults_and_keywords_share_an_entry(e2):

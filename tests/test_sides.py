@@ -8,12 +8,14 @@ GF(p), p in {2, 3, 5}: at bound 2 for p = 2 and 3, at bound 1 for p = 5.
 import numpy as np
 import pytest
 
-from moritalab.algebra import LEFT, RIGHT, dual_module, module_sum
+from moritalab.algebra import (LEFT, RIGHT, ModuleMap, dual_module, hom_space,
+                               module_sum)
 from moritalab.enumeration import (delta_short_exact_sequences,
-                                   enumerate_delta_modules, invariant_subspaces)
+                                   enumerate_delta_modules, enumerate_modules,
+                                   invariant_subspaces)
 from moritalab.functors import check_adjunction
-from moritalab.morita import (delta_direct_sum, delta_dual, delta_sum, pack,
-                              unpack)
+from moritalab.morita import (DeltaModuleMap, delta_direct_sum, delta_dual,
+                              delta_hom_space, delta_sum, pack, unpack)
 from moritalab.report import Verdict
 from moritalab.workspace import (Workspace, emit_workspace, parse_workspace,
                                  workspaces_equal)
@@ -51,6 +53,48 @@ def test_double_dual_on_the_nose(fixture_over, side, p):
             dual = delta_dual(v)
             assert dual.side != side
             assert_same_tuple(delta_dual(dual), v)
+
+
+def test_the_dual_is_one_object_and_self_inverse(fixture_over, side, p):
+    """Every entry point gives the one dual an object keeps, and the dual of
+    the dual is the object itself, for modules over both corners and for
+    tuples.  Tuples that share a component share its dual."""
+    for ctx, tuples in enumerated(fixture_over, side, p):
+        modules = [m for algebra in (ctx.algebra_a, ctx.algebra_b)
+                   for m in enumerate_modules(algebra, side, BOUND[p])]
+        for m in modules:
+            assert dual_module(m) is m.dual
+            assert m.dual.dual is m and m.dual.side != side
+        for v in tuples:
+            assert delta_dual(v) is v.dual
+            assert v.dual.dual is v
+            assert v.dual.x is v.x.dual and v.dual.y is v.y.dual
+
+
+def test_map_duals_transpose_between_the_duals(fixture_over, side, p):
+    """A map's dual runs from its target's dual to its source's dual with the
+    transposed matrix, passes the full map check, and has the map as its
+    dual: hom bases of modules over both corners and of tuples."""
+    for ctx, tuples in enumerated(fixture_over, side, p):
+        maps = []
+        for algebra in (ctx.algebra_a, ctx.algebra_b):
+            modules = enumerate_modules(algebra, side, BOUND[p])
+            maps += [phi for u, v in zip(modules, reversed(modules))
+                     for phi in hom_space(u, v)]
+        maps += [phi for u, v in zip(tuples, reversed(tuples))
+                 for phi in delta_hom_space(u, v)]
+        assert maps
+        for phi in maps:
+            dual = phi.dual
+            assert dual.source is phi.target.dual
+            assert dual.target is phi.source.dual
+            assert np.array_equal(dual.matrix, phi.matrix.T)
+            assert dual.dual is phi
+            if isinstance(phi, DeltaModuleMap):
+                DeltaModuleMap(dual.source, dual.target, dual.a_matrix,
+                               dual.b_matrix)
+            else:
+                ModuleMap(dual.source, dual.target, dual.matrix)
 
 
 def test_dual_commutes_with_pack(fixture_over, side, p):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moritalab import linalg as la
-from moritalab import tensor
 from moritalab.algebra import (
     LEFT,
     RIGHT,
@@ -90,8 +89,8 @@ def test_tor_vanishes_over_the_semisimple_fixture(e1):
 
 
 def _eliminated(module):
-    """An equal module that records no summands, so its products and hom
-    modules are eliminated from scratch."""
+    """An equal module that records no summands, so its products are
+    eliminated from scratch."""
     return Module(module.algebra, module.side, module.dim, module.actions,
                   name=module.name)
 
@@ -120,10 +119,10 @@ def _same_span(a, b, p):
 @pytest.mark.parametrize("name", ["E0", "E1", "E2"])
 def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
                                                              monkeypatch, name, p):
-    # The products and hom modules of a sum are assembled from its
-    # summands' and must equal the eliminated ones entry for entry.  Over
-    # the regular bimodule of k x k the section columns of a sum interleave
-    # those of its summands, so the sort by plain index is exercised.
+    # The products of a sum are assembled from its summands' and must
+    # equal the eliminated ones entry for entry.  Over the regular bimodule
+    # of k x k the section columns of a sum interleave those of its
+    # summands, so the sort by plain index is exercised.
     ctx = fixture_over(name, p).single_context()
 
     def refuse(*args):
@@ -131,37 +130,24 @@ def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
 
     for side in (LEFT, RIGHT):
         lay = tuple_layout(ctx, side)
-        for algebra, tensored, hommed in (
-                (ctx.algebra_a, lay.f_bimodule, lay.g_bimodule),
-                (ctx.algebra_b, lay.g_bimodule, lay.f_bimodule)):
-            regular = _regular_bimodule(algebra)
-            pairs = [(tensored, hommed), (regular, regular)]
+        for algebra, tensored in ((ctx.algebra_a, lay.f_bimodule),
+                                  (ctx.algebra_b, lay.g_bimodule)):
             for total in _sums(algebra, side, enumerate_modules(algebra, side, 2)):
                 plain = _eliminated(total)
-                for tensored_with, hommed_from in pairs:
+                for tensored_with in (tensored, _regular_bimodule(algebra)):
                     for summand in total.summands:
                         lay.tensor(tensored_with, summand)
-                        hom_over_algebra(hommed_from, summand)
                     with monkeypatch.context() as patched:
                         if total.summands:  # a sum of zero modules is eliminated
                             patched.setattr(la, "quotient_data", refuse)
-                            patched.setattr(tensor, "hom_space", refuse)
                         got = lay.tensor(tensored_with, total)
-                        got_hom = hom_over_algebra(hommed_from, total)
                     want = lay.tensor(tensored_with, plain)
-                    want_hom = hom_over_algebra(hommed_from, plain)
                     assert np.array_equal(got.projection, want.projection)
                     assert np.array_equal(got.section, want.section)
                     assert np.array_equal(got.module.actions, want.module.actions)
                     assert got.module.name == want.module.name
                     assert got.dims == want.dims
                     assert _same_span(got.relations, want.relations, p)
-                    assert len(got_hom.basis) == len(want_hom.basis)
-                    assert all(np.array_equal(a, b)
-                               for a, b in zip(got_hom.basis, want_hom.basis))
-                    assert np.array_equal(got_hom.module.actions,
-                                          want_hom.module.actions)
-                    assert got_hom.module.name == want_hom.module.name
 
 
 def _invariant_spans(module):
@@ -175,11 +161,11 @@ def _invariant_spans(module):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
-    # Sums, duals, submodules, quotients, the assembled products and hom
-    # modules, and packed tuples are built without re-running the module
-    # check, which their inputs already passed.  A sum builds the products
-    # of its structure maps on first use, so each sum's f_map and g_map are
-    # read, and the packed modules of sums and their duals are read.
+    # Sums, duals, submodules, quotients, the assembled products and packed
+    # tuples are built without re-running the module check, which their
+    # inputs already passed.  A sum builds the products of its structure
+    # maps on first use, so each sum's f_map and g_map are read, and the
+    # packed modules of sums and their duals are read.
     made, builders = [], set()
     derived = Module._derived.__func__
 
@@ -209,8 +195,7 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
                     for corner in CORNERS:
                         tilde(total, corner)
     assert builders == {"module_sum", "dual_module", "_assembled_tensor",
-                        "_assembled_hom", "submodule", "quotient_module",
-                        "pack"}
+                        "submodule", "quotient_module", "pack"}
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
