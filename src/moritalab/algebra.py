@@ -122,7 +122,9 @@ class Algebra:
         """Product of two elements given in coordinates."""
         return np.einsum("i,j,ijk->k", u % self.p, v % self.p, self.structure) % self.p
 
+    @memo("self")
     def regular_module(self, side: str = LEFT) -> "Module":
+        """The algebra as a module over itself, built once per side."""
         actions = self.left_mult if side == LEFT else self.right_mult
         return Module(self, side, self.dim, actions.copy(),
                       name=f"{self.name or 'A'}.regular.{side}")

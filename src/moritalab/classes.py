@@ -17,10 +17,12 @@ finite sums.  The harnesses at the bottom of this file check that the tuple
 classes built from component classes form duality pairs exactly when the
 component classes do, and that perfection and completeness transfer the same
 way; the last two are one body, ``_relative_transfer``, given the hypothesis
-row, the pair reporter and the wording that tell them apart.  Their closure
-clauses share one walk over each universe's pairs, ``_closure_witnesses``: a
-pair's sum is built once and every right class over that universe is asked
-about it, so no sum is built twice and only one is alive at a time.
+row, the pair reporter and the wording that tell them apart.  Every clause
+about sums of two objects, closure of a right class and direct-sum closure
+of a left class alike, reads one walk over each universe's pairs,
+``_closure_witnesses``: a pair's sum is built once and every class over that
+universe is asked about it, so no sum is built twice and only one is alive
+at a time.
 
 Verdict discipline: clauses that quantify over modules up to the requested
 bound and are fully decided there report "pass"; clauses that sample an
@@ -288,27 +290,29 @@ def verify_duality_pair(spec: DualityPairSpec) -> CheckReport:
     both summands are, which covers finite sums and summands at once.  Its
     pairs are scanned by ``_closure_witnesses``, the scan every harness
     shares, for this one right class; the transfer harnesses ask it once per
-    universe for all the right classes they report on.
+    universe for all the classes they report on.
     """
     return _duality_pair_reports([spec])[0]
 
 
-def _duality_pair_reports(specs: list[DualityPairSpec]) -> list[CheckReport]:
+def _duality_pair_reports(specs: list[DualityPairSpec],
+                          perfect: bool = False) -> list[CheckReport]:
     """The duality-pair report of each spec: the character clauses in spec
-    order, then one closure scan for all the right classes that share a
-    universe, in the order they first appear."""
+    order, then one pair walk per universe for all the right classes over
+    it, and with ``perfect`` all the left classes too, whose sum witnesses
+    the perfection clauses then read."""
     characters = [_character_clause(spec.left, spec.right, spec.bound)
                   for spec in specs]
     universes: dict = {}
     for spec in specs:
-        right = spec.right
-        universes.setdefault((right.ring, right.side, spec.bound),
-                             {})[right] = None
+        for cls in (spec.right, spec.left) if perfect else (spec.right,):
+            universes.setdefault((cls.ring, cls.side, spec.bound),
+                                 {})[cls] = None
     witnesses = {}
     for (ring, side, bound), classes in universes.items():
-        found = _closure_witnesses(ring, side, bound, *classes)
-        witnesses.update(((cls, bound), pair)
-                         for cls, pair in zip(classes, found))
+        found = _closure_witnesses(ring, side, bound, tuple(classes))
+        witnesses.update(((cls, bound), closure)
+                         for cls, (closure, _) in zip(classes, found))
     return [_duality_pair_report(spec, character,
                                  witnesses[spec.right, spec.bound])
             for spec, character in zip(specs, characters)]
@@ -345,42 +349,54 @@ def _character_clause(left: ClassOracle, right: ClassOracle,
              "dual-right": right.contains(witness.dual)}])
 
 
-@memo("ring")
-def _closure_witnesses(ring, side: str, bound: int,
-                       *classes: ClassOracle) -> tuple:
-    """For each class, the first pair (u, v) of the universe, u at or before
-    v, where "u + v is in the class" and "u and v both are" disagree; None
-    if there is none.
+@memo("classes", each=True)
+def _closure_witnesses(ring, side: str, bound: int, classes: tuple) -> tuple:
+    """For each class, two pairs (u, v) of the universe, u at or before v,
+    or None where there is none: the closure witness, the first pair where
+    "u + v is in the class" and "u and v both are" disagree, and the sum
+    witness, the first pair of members whose sum is not in the class.
 
-    One walk over the pairs serves every class.  Each pair's sum is built
-    once, while some class has no witness yet, and every such class is asked
-    about it in the order given, with the short-circuit of a scan of its own:
-    a class evaluates exactly what that scan would and finds the same pair.
+    One walk over the pairs serves every class, and each class keeps its
+    result, so a later walk over the same universe serves only the classes
+    that have none yet.  A pair's sum is built once, when some class still
+    looking needs it, and every such class is asked about it in the order
+    given.  A class stops looking once it has its sum witness, which comes
+    at or after its closure witness; until then it evaluates what a scan of
+    its own for the witnesses it lacks would, and finds the same pairs.
     Only the current pair's sum is alive.
     """
     objs = universe_of(ring, side, bound)
     pairs = ((u, v) for i, u in enumerate(objs) for v in objs[i:])
-    witnesses: dict = {}
+    closure: dict = {}
+    sums: dict = {}
     pending = list(classes)
     for u, v in pairs:
         if not pending:
             break
-        total = u.plus(v)
+        total = None
         for cls in pending:
-            if (cls.contains(u) and cls.contains(v)) != cls.contains(total):
-                witnesses[cls] = (u, v)
+            both = cls.contains(u) and cls.contains(v)
+            if not both and cls in closure:
+                continue        # only members make a sum witness
+            if total is None:
+                total = u.plus(v)
+            if both != cls.contains(total):
+                closure.setdefault(cls, (u, v))
+                if both:
+                    sums[cls] = (u, v)
         del total
-        pending = [cls for cls in pending if cls not in witnesses]
-    return tuple(witnesses.get(cls) for cls in classes)
+        pending = [cls for cls in pending if cls not in sums]
+    return tuple((closure.get(cls), sums.get(cls)) for cls in classes)
 
 
 def verify_perfection(spec: DualityPairSpec) -> CheckReport:
     """Left class contains the ring, closed under direct sums and extensions.
 
     Sum closure is an infinite condition; it is sampled pairwise over the
-    members found at the bound and therefore never reports better than
-    consistent-up-to-bound.  Extension closure runs over every short exact
-    sequence of every enumerated module, which is complete at the bound.
+    members found at the bound, by the sum witness of ``_closure_witnesses``,
+    and therefore never reports better than consistent-up-to-bound.
+    Extension closure runs over every short exact sequence of every
+    enumerated module, which is complete at the bound.
     """
     return _verify_perfection(spec.left, spec.bound)
 
@@ -396,16 +412,7 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
         detail="the ring as a module over itself belongs to the left class",
         witnesses=[] if has_ring else [{"object": reg.describe()}]))
 
-    members = [obj for obj in universe_of(left.ring, left.side, bound)
-               if left.contains(obj)]
-    bad = None
-    for i, u in enumerate(members):
-        for v in members[i:]:
-            if not left.contains(u.plus(v)):
-                bad = (u, v)
-                break
-        if bad:
-            break
+    (_, bad), = _closure_witnesses(left.ring, left.side, bound, (left,))
     clauses.append(CheckReport(
         "direct-sum-closure",
         Verdict.CONSISTENT if bad is None else Verdict.REFUTED,
@@ -440,17 +447,19 @@ def check_perfect_pair(spec: DualityPairSpec) -> CheckReport:
 
 
 def _perfect_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
-    """The perfection report of each spec, its pair verified with one
-    closure scan per universe."""
+    """The perfection report of each spec.  One pair walk per universe
+    finds the witnesses of its right class and of its left class, the same
+    walks that ``_complete_pairs`` asks for."""
+    reports = _duality_pair_reports(specs, perfect=True)
     return [CheckReport.combine(f"perfect({spec.name})",
                                 [duality, verify_perfection(spec)])
-            for spec, duality in zip(specs, _duality_pair_reports(specs))]
+            for spec, duality in zip(specs, reports)]
 
 
 def _complete_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
-    """The completeness report of each spec (symmetric and perfect at once),
-    both orientations of all of them verified with one closure scan per
-    universe."""
+    """The completeness report of each spec (symmetric and perfect at once).
+    Both orientations of all of them are verified with one pair walk per
+    universe, whose witnesses the perfection clauses read."""
     reports = _duality_pair_reports(specs + [spec.swapped() for spec in specs])
     return [CheckReport.combine(
                 f"complete({spec.name})",

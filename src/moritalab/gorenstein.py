@@ -233,15 +233,17 @@ def _spliced_window(x, w: int) -> ChainComplex:
 
     Its resolution terms are covers, its coresolution terms are checked
     projective here, and it is exact with kernel im(coaugmentation) by
-    construction, so failing the re-verification is a defect.
+    construction, so failing the re-verification is a defect.  The
+    coresolution is built and tested first, so an object it rejects costs
+    no resolution of its own.
     """
-    res, aug = projective_resolution(x, w - 1)
     cores, coaug = injective_coresolution(x, w)
     for pos, term in enumerate(cores.terms):
         if not _projective(term):
             raise WindowConstructionError(
                 "no projective coresolution within window: the term at "
                 f"position {pos} ({term.describe()}) is not projective")
+    res, aug = projective_resolution(x, w - 1)
     junction = coaug.compose(aug)
     cx = ChainComplex(-w, res.terms + cores.terms,
                       res.maps + [junction] + cores.maps, coaug)
@@ -615,7 +617,8 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
     identified with the induced tuple, Hom-exact against the widened
     mono-class sample.  An adjunction dimension comparison at every level
     for every test tuple cross-checks the Hom computations.  Hypothesis
-    failures are reported separately from conclusion failures.
+    failures are reported separately from conclusion failures; a component
+    window that cannot be built fails the premise, naming the rejected term.
     """
     classes = (class_a, class_b)
     own_class, _ = by_corner(functor, *classes)
@@ -626,13 +629,20 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
             "inner-tensor-stays-in-component-class", ctx, functor, classes,
             bound, detail=f"checked on the class sample at bound {bound}")]
 
-    premise = is_gorenstein_projective_window(x, own_class, w, bound)
-    premise_gate = CheckReport(
-        "component-window-premise",
-        Verdict.PASS if premise.consistent else Verdict.HYPOTHESIS_FAILURE,
-        detail="the transport is only probed on a clean component window",
-        clauses=[_as_input(premise.report)])
-    if not premise.consistent:
+    try:
+        premise = is_gorenstein_projective_window(x, own_class, w, bound)
+    except WindowConstructionError as err:   # a fact about the ring
+        premise = None
+        premise_gate = CheckReport(
+            "component-window-premise", Verdict.HYPOTHESIS_FAILURE,
+            detail=f"no component window to transport: {err}")
+    else:
+        premise_gate = CheckReport(
+            "component-window-premise",
+            Verdict.PASS if premise.consistent else Verdict.HYPOTHESIS_FAILURE,
+            detail="the transport is only probed on a clean component window",
+            clauses=[_as_input(premise.report)])
+    if premise is None or not premise.consistent:
         return CheckReport.combine(
             "window-transport-forward", hyp_rows + [premise_gate],
             meta={"functor": functor, "width": w, "bound": bound})

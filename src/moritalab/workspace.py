@@ -18,6 +18,10 @@ Kinds and their keys:
     tuple NAME          context, side, x, y, f, g
     oracle NAME         carrier, side, then either `kind BUILTIN` or `member`*
 
+Line i of an algebra's `mul`, row j, holds the coordinates of b_i b_j in
+the basis b_0, b_1, ...; reading it the other way round gives the opposite
+algebra, which parses and validates just as well.
+
 emit_workspace writes a workspace back out in canonical form; parsing the
 emission yields an equal workspace, which the tests pin down.
 """

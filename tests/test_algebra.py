@@ -173,6 +173,19 @@ def test_free_cover_is_epi(e2):
     assert la.rank(eps.matrix, 2) == simple.dim
 
 
+def test_each_ring_keeps_one_regular_module_per_side(e2):
+    """The regular module is built and checked once per side, and every
+    free cover is a sum of copies of that one module."""
+    a = e2.algebra_a
+    assert a.regular_module(LEFT) is a.regular_module(LEFT)
+    assert a.regular_module(RIGHT) is a.regular_module("right")
+    assert a.regular_module(LEFT) is not a.regular_module(RIGHT)
+    simple = Module(a, LEFT, 1, np.array([[[1]], [[0]]], dtype=np.int64))
+    first, _ = free_cover(simple)
+    second, _ = free_cover(a.regular_module(LEFT))
+    assert first.summands == second.summands == (a.regular_module(LEFT),)
+
+
 def greedy_generators(module):
     """The per-vector loop module_generators replaced, kept as the reference:
     a rank test of each basis vector against the submodule generated so far."""

@@ -9,6 +9,7 @@ import pytest
 
 from moritalab import classes, morita
 from moritalab.algebra import LEFT, RIGHT, Module
+from moritalab.cli import run
 from moritalab.classes import (
     ClassOracle,
     DualityPairSpec,
@@ -130,17 +131,33 @@ def reference_closure_witness(cls, bound):
     return None
 
 
+def reference_sum_witness(cls, bound):
+    """The first pair of members whose sum leaves the class, scanned over
+    the members of this class alone."""
+    members = [obj for obj in universe_of(cls.ring, cls.side, bound)
+               if cls.contains(obj)]
+    for i, u in enumerate(members):
+        for v in members[i:]:
+            if not cls.contains(u.plus(v)):
+                return u, v
+    return None
+
+
 def dimension(obj):
     return obj.x.dim + obj.y.dim if isinstance(obj, DeltaModule) else obj.dim
 
 
 # isomorphism invariant and holding the zero module; only "zero" is closed
-# under finite sums and summands.  The first witness of "dim<=2" comes after
-# those of "dim<=1" and "dim-even", which share theirs.
+# under finite sums and summands, and "dim-even" is closed under sums.  The
+# first closure witness of "dim<=2" comes after those of "dim<=1" and
+# "dim-even", which share theirs.  "dim-0-or-2" first fails summands, at a
+# pair of one-dimensional objects, and only later sums, at a pair of
+# two-dimensional ones.
 DIMENSION_CLASSES = {
     "dim<=1": lambda obj: dimension(obj) <= 1,   # not closed under sums
     "dim-even": lambda obj: dimension(obj) % 2 == 0,   # nor under summands
     "dim<=2": lambda obj: dimension(obj) <= 2,
+    "dim-0-or-2": lambda obj: dimension(obj) in (0, 2),
     "zero": lambda obj: dimension(obj) == 0,
 }
 
@@ -156,11 +173,29 @@ def test_one_closure_scan_finds_each_class_its_own_witness(fixture_over, name):
     for ring in (ctx.algebra_a, ctx):
         for side in (LEFT, RIGHT):
             classes = dimension_oracles(ring, side)
-            found = _closure_witnesses(ring, side, 2, *classes)
-            reference = [reference_closure_witness(cls, 2) for cls in classes]
-            assert [w is None for w in reference] == [False] * 3 + [True]
-            assert reference[0] == reference[1] != reference[2]
-            assert found == tuple(reference)
+            found = _closure_witnesses(ring, side, 2, tuple(classes))
+            closure = [reference_closure_witness(cls, 2) for cls in classes]
+            sums = [reference_sum_witness(cls, 2) for cls in classes]
+            assert [w is None for w in closure] == [False] * 4 + [True]
+            assert [w is None for w in sums] == [False, True, False, False,
+                                                 True]
+            assert closure[0] == closure[1] != closure[2]
+            assert dimension(closure[3][0]) == 1
+            assert dimension(sums[3][0]) == 2
+            assert found == tuple(zip(closure, sums))
+
+
+def test_a_later_walk_serves_only_the_classes_without_a_result(e1):
+    """Each class keeps its witnesses.  A walk for more classes over the
+    same universe asks only the new ones, and returns the kept results of
+    the others unchanged."""
+    first, *rest = dimension_oracles(e1, RIGHT)
+    kept = _closure_witnesses(e1, RIGHT, 2, (first,))
+    first.member = None     # asking it about a new sum would fail
+    found = _closure_witnesses(e1, RIGHT, 2, (first, *rest))
+    assert found[0] is kept[0]
+    assert found[1:] == tuple((reference_closure_witness(cls, 2),
+                               reference_sum_witness(cls, 2)) for cls in rest)
 
 
 @pytest.mark.parametrize("name", ["E1", "E2"])
@@ -205,6 +240,31 @@ def test_the_transfer_builds_each_pair_sum_once_and_keeps_none(monkeypatch):
     n = len(universe_of(ctx, RIGHT, 2))
     assert report.verdict is Verdict.PASS
     assert (n, len(built)) == (57, 57 * 58 // 2)
+
+
+def test_theorem_3_6_builds_each_pair_sum_once_and_keeps_none(tmp_path,
+                                                             monkeypatch):
+    """Theorem 3.6 at bound 2 on a fresh copy of E1: the perfect and the
+    complete halves share one walk over the left tuples and one over the
+    right ones, and the direct-sum clauses of perfection read that walk, so
+    each of the 57 * 58 / 2 pairs of either universe is summed once, each
+    sum gone before the next is built."""
+    fixture = tmp_path / "E1.txt"
+    fixture.write_text(resources.files("moritalab").joinpath(
+        "data", "E1.txt").read_text())
+    built = []
+
+    def tracked(tuples):
+        assert not built or built[-1]() is None
+        total = delta_sum(tuples)
+        built.append(weakref.ref(total))
+        return total
+
+    delta_sum = morita.delta_sum
+    monkeypatch.setattr(morita, "delta_sum", tracked)
+    assert run(["theorem", "3.6", "--fixture", str(fixture),
+                "--bound", "2"]) == 2
+    assert len(built) == 2 * (57 * 58 // 2) == 3306
 
 
 def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):

@@ -8,6 +8,7 @@ exactness.
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,9 @@ from moritalab.report import (InternalCheckError, ValidationError, Verdict,
                               WindowConstructionError)
 
 from moritalab import linalg as la
+from moritalab.workspace import parse_workspace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def simple(ctx):
@@ -233,6 +237,50 @@ def test_transport_premise_failure_degrades_to_hypothesis(e2):
     flat_b = builtin_oracles(e2.algebra_b, LEFT)["flat"]
     report = check_window_transport_forward(e2, k, everything_a, flat_b, 4, 2)
     assert report.verdict is Verdict.HYPOTHESIS_FAILURE
+
+
+def t2k():
+    """The upper triangular 2x2 matrices over GF(2), glued to themselves."""
+    return parse_workspace((ROOT / "tests" / "workspaces" / "T2-k.txt")
+                           .read_text())
+
+
+def test_a_rejected_splice_resolves_only_the_dual(monkeypatch):
+    """Over T2(k) the coresolution of a nonzero module starts with the dual
+    of a free module, the injective cogenerator, which is not projective.
+    The splice tests its coresolution first, so an object it rejects is
+    never resolved itself; only its dual is."""
+    algebra = t2k().algebras["T"]
+    resolved = []
+    real = gorenstein.projective_resolution
+
+    def recording(x, length):
+        resolved.append(x)
+        return real(x, length)
+
+    monkeypatch.setattr(gorenstein, "projective_resolution", recording)
+    for x in enumerate_modules(algebra, LEFT, 2):
+        if not x.dim:
+            continue
+        with pytest.raises(WindowConstructionError, match="position 0"):
+            complete_resolution_window(x, 2)
+        assert resolved[-1] is x.dual
+        assert all(obj is not x for obj in resolved)
+
+
+def test_a_module_with_no_window_fails_the_transport_premise():
+    """No module over T2(k) has a spliced window.  The forward transport
+    reports that as a failed premise naming the rejected term, not as an
+    error, and the backward transport has nothing to restrict."""
+    ws = t2k()
+    ctx, probe = ws.single_context(), ws.modules["probe.a"]
+    flat = builtin_oracles(ctx.algebra_a, LEFT)["flat"]
+    report = check_window_transport_forward(ctx, probe, flat, flat, 4, 2)
+    gate = report.clauses[-1]
+    assert report.verdict is gate.verdict is Verdict.HYPOTHESIS_FAILURE
+    assert gate.name == "component-window-premise"
+    assert "(T.regular.right)^+" in gate.detail
+    assert not hasattr(report, "window_complex")
 
 
 def test_ding_transport_smoke(e1):

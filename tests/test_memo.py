@@ -104,3 +104,32 @@ def test_a_miss_refuses_arguments_that_compare_by_value_on_a_full_table():
             probe(value, box)
     assert probe("t", box) is first
     assert calls == ["t"]
+
+
+def test_a_batch_keeps_one_entry_per_owner():
+    """With ``each``, the owners of a batch share no entry: a later batch is
+    computed only for its owners without one, each once, and a batch that
+    raises stores nothing."""
+    calls = []
+
+    @memo("boxes", each=True)
+    def probe(tag, boxes):
+        calls.append(boxes)
+        if tag == "fail":
+            raise ValueError(tag)
+        return tuple(object() for _ in boxes)
+
+    a, b, c = Box(), Box(), Box()
+    first = probe("t", (a, b))
+    assert probe("t", (b, a)) == first[::-1]
+    later = probe("t", (c, a, c, b))
+    assert later == (later[0], first[0], later[0], first[1])
+    assert probe("u", (a,)) != first[:1]
+    assert calls == [(a, b), (c,), (a,)]
+    with pytest.raises(ValueError):
+        probe("fail", (a, b))
+    with pytest.raises(ValueError):
+        probe("fail", (a,))
+    assert calls[-2:] == [(a, b), (a,)]
+    with pytest.raises(TypeError, match="compares by value"):
+        probe(FieldSpec(2), (a,))
