@@ -200,8 +200,9 @@ class Module:
     dim: int
     actions: np.ndarray     # (algebra.dim, dim, dim)
     name: str = ""
-    # The nonzero summands of a module built by ``module_sum``, in order;
-    # tensor.py assembles the products of a sum from theirs.
+    # The nonzero summands of a module built by ``module_sum``, in order,
+    # and the duals of those of a dual of a sum; tensor.py assembles the
+    # products of a sum from theirs.
     summands: ClassVar[tuple["Module", ...]] = ()
 
     def __post_init__(self):
@@ -465,13 +466,17 @@ def dual_module(module: Module) -> Module:
 
     Transposing reverses products, which is exactly the action law of the
     other side, so the dual is not validated again.  It is built once and
-    kept as ``module.dual``, with ``module`` as the dual's dual."""
+    kept as ``module.dual``, with ``module`` as the dual's dual.  The dual
+    of a sum is the sum of the summands' duals entry for entry, so it
+    records them as its summands."""
     if "dual" not in vars(module):
         transposed = np.transpose(module.actions, (0, 2, 1)).copy()
         other = RIGHT if module.side == LEFT else LEFT
         module.dual = Module._derived(module.algebra, other, module.dim,
                                       transposed, f"{module.describe()}^+")
         module.dual.dual = module
+        if module.summands:
+            module.dual.summands = tuple(s.dual for s in module.summands)
     return module.dual
 
 
@@ -487,14 +492,15 @@ def _conjugation_invariants(module: Module) -> tuple:
 
 
 def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
-                                budget: int | None = None, between: tuple = ()):
+                                between: tuple = ()):
     """Search the span of ``basis_vecs`` for an element whose blocks are invertible.
 
     ``shapes`` is a list of (rows, cols, offset) block descriptors into the
     coordinate vectors; an element qualifies when every square block is
-    nonsingular.  Scans all p^h combinations in numeric order under a budget,
-    so the first witness found is deterministic.  ``between`` holds the two
-    objects compared, if any; a budget failure names them.
+    nonsingular.  Scans all p^h combinations in numeric order under
+    ``scan_budget()``, so the first witness found is deterministic.
+    ``between`` holds the two objects compared, if any; a budget failure
+    names them.
 
     Returns the coefficient vector or None.
     """
@@ -507,7 +513,7 @@ def find_invertible_combination(basis_vecs: list[np.ndarray], shapes, p: int,
     if h == 0:
         return None
     total = p ** h
-    limit = budget if budget is not None else scan_budget()
+    limit = scan_budget()
     if total > limit:
         named = (f" between {between[0].describe()} and {between[1].describe()}"
                  if between else "")

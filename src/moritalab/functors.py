@@ -15,9 +15,10 @@ Each is written once for both corners, against the swap
 ``induce_from_a``, ``coinduce_from_b``, ``component_a`` and the other
 ``_a``/``_b`` names are shorthands for one corner.  ``tilde`` transposes a
 structure map into X -> Hom(M, Y) ("a") or Y -> Hom(N, X) ("b") for left
-tuples; these control the epi-style membership tests and the injective
-structure theory.  check_adjunction verifies the unit/counit bijections on
-concrete hom-space bases.
+tuples.  Its kernels, which ``tilde_kernel`` reads off the stacked blocks
+of the structure map without building the transposed map, control the
+epi-style membership tests.  check_adjunction verifies the unit/counit
+bijections on concrete hom-space bases.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .algebra import Module, ModuleMap, hom_space, kernel_module
+from .algebra import Module, ModuleMap, hom_space, submodule
 from .memo import memo
 from .morita import (CORNERS, DeltaModule, DeltaModuleMap, MoritaContext,
                      TupleLayout, by_corner, delta_hom_space, summand_arrays,
@@ -144,10 +145,14 @@ def _tilde_kernel_arrays(v: DeltaModule, corner: str) \
     """The actions and inclusion of ``tilde_kernel(v, corner)``."""
     if v.summands:
         return summand_arrays(v, corner, _tilde_kernel_arrays)
-    t = tilde(v, corner)
-    if la.rank(t.matrix, v.p) != t.target.dim:
+    own, other = by_corner(corner, v.x, v.y)
+    bimodule, _ = by_corner(corner, v.layout.f_bimodule, v.layout.g_bimodule)
+    leaving, _ = by_corner(corner, v.f_blocks, v.g_blocks)
+    n, rows, cols = leaving.shape
+    kernel = la.kernel_basis(leaving.reshape(n * rows, cols), v.p)
+    if cols - len(kernel) != hom_over_algebra(bimodule, other).dim:
         return None
-    ker, incl = kernel_module(t)
+    ker, incl = submodule(own, kernel)
     return ker.actions, incl.matrix
 
 
@@ -156,25 +161,20 @@ def tilde_kernel(v: DeltaModule, corner: str) \
     """The kernel of ``tilde(v, corner)`` with its inclusion, X' for "a"
     and Y' for "b", or None when that map is not onto.
 
+    Both are read off the blocks of the structure map leaving the corner,
+    stacked into one matrix S with a row per bimodule basis vector and row
+    of the other component.  The matrix of ``tilde`` takes each column of
+    S to its coordinates on the basis of the hom module, a linear
+    one-to-one map, so the two matrices have the same row space: the same
+    echelon kernel basis (``linalg.kernel_basis``), and the same rank, its
+    number of columns less the kernel's dimension, which is the dimension
+    of the hom module exactly when tilde is onto.
+
     As in ``morita.structural_cokernel``, the arrays are memoised on v, each
     call returns a new module and map on them, and a sum is assembled from
-    its summands' results, equal entry for entry to the eliminated one.
-    The hom module into a sum of components has the summands' hom modules
-    as blocks: in the row-major vec F the rows of F into one summand are
-    contiguous, and the hom system is block-diagonal on those blocks, so a
-    column is a pivot of the system exactly when it is one of its summand's
-    system, and the echelon kernel basis is the summands' bases,
-    zero-padded, in order; precomposition keeps each basis map inside its
-    block, so the residual actions are the summands' actions,
-    block-diagonal.  Hence tilde of a sum is the summands' tilde matrices,
-    block-diagonal in order: it is onto exactly when every summand's is,
-    rank being additive over blocks.  The reduced echelon form of a
-    block-diagonal matrix is the summands' reduced forms,
-    block-diagonal, so its pivot and free columns are theirs put in place,
-    and the echelon kernel basis of ``linalg.kernel_basis``, one vector per
-    free column in order, is the summands' bases, block-diagonal.  The
-    inclusion is that basis, and the actions on the kernel, solved against
-    it, are the summands' actions, block-diagonal.
+    its summands' results, equal entry for entry to the eliminated one: up
+    to row order S of a sum is block-diagonal on the summands' S, and hom
+    dimensions add over a sum, so the block-diagonal argument there holds.
     """
     arrays = _tilde_kernel_arrays(v, corner)
     if arrays is None:
@@ -248,10 +248,6 @@ def induce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     return induce(ctx, y, "b")
 
 
-def induce_from_a_map(ctx: MoritaContext, phi: ModuleMap) -> DeltaModuleMap:
-    return induce_map(ctx, phi, "a")
-
-
 def component_a(v: DeltaModule) -> Module:
     return component(v, "a")
 
@@ -266,14 +262,6 @@ def coinduce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:
 
 def coinduce_from_b(ctx: MoritaContext, y: Module) -> DeltaModule:
     return coinduce(ctx, y, "b")
-
-
-def tilde_f(v: DeltaModule) -> ModuleMap:
-    return tilde(v, "a")
-
-
-def tilde_g(v: DeltaModule) -> ModuleMap:
-    return tilde(v, "b")
 
 
 def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,

@@ -605,6 +605,19 @@ def _hom_dimension_row(name: str, ctx: MoritaContext, corner: str,
         witnesses=bad, meta={"dimensions": rows})
 
 
+def _under_hypotheses(report: CheckReport, hyp_rows: list[CheckReport],
+                      unconditional: tuple = ()) -> CheckReport:
+    """``report`` with the verdict hypothesis-failure when a hypothesis row
+    failed and no ``unconditional`` row refutes: its window clauses, the
+    conclusion, keep their verdicts and witnesses but decide nothing, as
+    the equivalences of ``classes._relative_transfer`` do."""
+    if any(row.verdict is not Verdict.PASS for row in hyp_rows):
+        refuted = any(row.verdict is Verdict.REFUTED for row in unconditional)
+        report.verdict = (Verdict.REFUTED if refuted
+                          else Verdict.HYPOTHESIS_FAILURE)
+    return report
+
+
 def check_window_transport_forward(ctx: MoritaContext, x: Module,
                                    class_a: ClassOracle, class_b: ClassOracle,
                                    w: int, bound: int,
@@ -617,8 +630,10 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
     identified with the induced tuple, Hom-exact against the widened
     mono-class sample.  An adjunction dimension comparison at every level
     for every test tuple cross-checks the Hom computations.  Hypothesis
-    failures are reported separately from conclusion failures; a component
-    window that cannot be built fails the premise, naming the rejected term.
+    failures are reported separately from conclusion failures: a failed
+    hypothesis makes the harness hypothesis-failure unless the cross-check,
+    which needs no hypothesis, refutes.  A component window that cannot be
+    built fails the premise, naming the rejected term.
     """
     classes = (class_a, class_b)
     own_class, _ = by_corner(functor, *classes)
@@ -671,13 +686,14 @@ def check_window_transport_forward(ctx: MoritaContext, x: Module,
                "component terms into the restriction, at every level",
         witnesses=bad_adjunction[:4])
 
-    out = CheckReport.combine(
+    out = _under_hypotheses(CheckReport.combine(
         "window-transport-forward",
         hyp_rows + [premise_gate] + list(image_verdict.report.clauses)
         + [clause_adjunction],
         detail=f"functor t_{functor}, width {w}, bound {bound}",
         meta={"functor": functor, "width": w, "bound": bound,
-              "image-dims": image_cx.dims()})
+              "image-dims": image_cx.dims()}),
+        hyp_rows, (clause_adjunction,))
     out.window_complex = image_cx
     return out
 
@@ -693,7 +709,8 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
     produced, restricts it levelwise to the ``functor`` corner, and
     re-verifies the restricted complex as a window for that component of v.
     The inner-hom injective dimension hypothesis is operationalised as
-    termination of a coresolution within DIM_CUTOFF, which is reported.
+    termination of a coresolution within DIM_CUTOFF, which is reported.  A
+    failed hypothesis makes the harness hypothesis-failure.
     """
     classes = (class_a, class_b)
     own_class, _ = by_corner(functor, *classes)
@@ -730,13 +747,13 @@ def check_window_transport_backward(ctx: MoritaContext, v: DeltaModule,
     conclusion = _window_report(component(v, functor), restricted, own_class,
                                 bound)
 
-    return CheckReport.combine(
+    return _under_hypotheses(CheckReport.combine(
         "window-transport-backward",
         hyp_rows + [premise_gate] + list(conclusion.report.clauses),
         detail=f"restriction u_{functor}, width {w}, bound {bound}, "
                f"cutoff {DIM_CUTOFF}",
         meta={"functor": functor, "width": w, "bound": bound,
-              "restricted-dims": restricted.dims()})
+              "restricted-dims": restricted.dims()}), hyp_rows)
 
 
 def check_ding_transport(ctx: MoritaContext, w: int, bound: int) -> CheckReport:

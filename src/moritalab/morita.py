@@ -46,11 +46,13 @@ tensor products and ``f_map``/``g_map`` are built on first read, with no
 check.
 
 A sum built by ``delta_sum`` also records its nonzero summands
-(``DeltaModule.summands``); no other tuple does.  Its structural cokernels
-(``structural_cokernel``) and the kernels of its transposed structure maps
-(``functors.tilde_kernel``) are assembled from its summands' memoised ones,
-equal entry for entry to the eliminated ones, and its structure maps are
-not built for them.
+(``DeltaModule.summands``), and its dual their duals; no other tuple does.
+Its structural cokernels (``structural_cokernel``) and the kernels of its
+transposed structure maps (``functors.tilde_kernel``) are assembled from
+its summands' memoised ones, equal entry for entry to the eliminated ones,
+and its structure maps are not built for them.  A tuple is injective
+exactly when its dual is projective, so ``is_injective_delta`` is
+``is_projective_delta``'s two routes on the dual.
 """
 
 from __future__ import annotations
@@ -64,9 +66,9 @@ import numpy as np
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       _invertible_in_span, block_injections, free_cover,
-                      hom_space, is_flat, is_injective, is_projective,
-                      module_sum, quotient_module, submodule,
-                      validate_module_data, zero_module)
+                      hom_space, is_flat, is_projective, module_sum,
+                      quotient_module, submodule, validate_module_data,
+                      zero_module)
 from .memo import memo
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError, Verdict)
@@ -270,9 +272,10 @@ class DeltaModule:
     (``DeltaModuleMap._intertwining``).
 
     A sum built by ``delta_sum`` records its nonzero summands in order, as
-    ``algebra.module_sum`` does; every other tuple, a dual included, records
-    none.  ``structural_cokernel`` and ``functors.tilde_kernel`` assemble the
-    results of a sum from its summands'.
+    ``algebra.module_sum`` does, and a dual of a sum records the duals of
+    its summands; every other tuple records none.  ``structural_cokernel``
+    and ``functors.tilde_kernel`` assemble the results of a sum from its
+    summands'.
     """
 
     context: MoritaContext
@@ -616,7 +619,9 @@ def delta_dual(v: DeltaModule) -> DeltaModule:
     and symmetrically for right tuples.  The components are ``v.x.dual``
     and ``v.y.dual``, so tuples that share a component share its dual.  The
     dual is built once and kept as ``v.dual``, with v as the dual's dual:
-    the dual of the dual is the tuple itself.
+    the dual of the dual is the tuple itself.  The dual of a sum is the sum
+    of the summands' duals entry for entry, as transposing block-diagonal
+    blocks transposes each block in place, so it records them as summands.
     """
     if "dual" not in vars(v):
         x_dual, y_dual = v.x.dual, v.y.dual
@@ -626,6 +631,8 @@ def delta_dual(v: DeltaModule) -> DeltaModule:
             lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
             lay.unblocks(v.f_blocks.transpose(0, 2, 1)), f"{v.describe()}^+")
         v.dual.dual = v
+        if v.summands:
+            v.dual.summands = tuple(summand.dual for summand in v.summands)
     return v.dual
 
 
@@ -857,31 +864,29 @@ def structural_cokernel(v: DeltaModule, corner: str) \
     return quot, ModuleMap._intertwining(own, quot, projection)
 
 
-def _splitting(source: Module, target: Module, composite,
-               dim: int) -> np.ndarray | None:
-    """A module map h : source -> target with composite(h) the identity of
-    dimension ``dim``, or None when there is none."""
-    if dim == 0:
-        return la.zeros(target.dim, source.dim)
-    p = source.p
-    homs = [h.matrix for h in hom_space(source, target)]
+def _section(proj: ModuleMap) -> np.ndarray | None:
+    """A module map s with ``proj`` s the identity of ``proj.target``, or
+    None when ``proj`` does not split."""
+    quot, own, p = proj.target, proj.source, proj.p
+    if quot.dim == 0:
+        return la.zeros(own.dim, 0)
+    homs = [h.matrix for h in hom_space(quot, own)]
     if not homs:
         return None
-    stacked = np.stack([la.vec(composite(h) % p) for h in homs], axis=1)
-    coeffs = la.solve(stacked, la.vec(la.eye(dim)), p)
+    stacked = np.stack([la.vec((proj.matrix @ h) % p) for h in homs], axis=1)
+    coeffs = la.solve(stacked, la.vec(la.eye(quot.dim)), p)
     if coeffs is None:
         return None
     return np.tensordot(coeffs, np.stack(homs), axes=1) % p
 
 
-def _bijective(maps: list[DeltaModuleMap], stack) -> bool:
-    """Whether the maps, joined componentwise by ``stack`` (np.hstack for
-    maps out of the summands of a sum, np.vstack for maps into them), form
-    an isomorphism of tuples."""
+def _bijective(maps: list[DeltaModuleMap]) -> bool:
+    """Whether the maps out of the summands of a sum, joined componentwise,
+    form an isomorphism of tuples."""
     p = maps[0].p
     return all(m.shape[0] == m.shape[1] == la.rank(m, p)
-               for m in (stack([phi.a_matrix for phi in maps]),
-                         stack([phi.b_matrix for phi in maps])))
+               for m in (np.hstack([phi.a_matrix for phi in maps]),
+                         np.hstack([phi.b_matrix for phi in maps])))
 
 
 def induced_isomorphism(v: DeltaModule, premise=lambda module: True) \
@@ -909,13 +914,12 @@ def induced_isomorphism(v: DeltaModule, premise=lambda module: True) \
         return None
     joined = []
     for corner, (quot, proj) in zip(CORNERS, parts):
-        section = _splitting(quot, proj.source, lambda h: proj.matrix @ h,
-                             quot.dim)
+        section = _section(proj)
         if section is None:
             return None
         joined.append(induced_adjoint(induce(v.context, quot, corner), v,
                                       section, corner))
-    if not _bijective(joined, np.hstack):
+    if not _bijective(joined):
         return None
     return (parts[0][0], parts[1][0]), joined
 
@@ -978,43 +982,18 @@ def is_projective_delta(v: DeltaModule) -> bool:
                    induced_isomorphism(v, is_projective) is not None)
 
 
-def _coinduced_splitting(v: DeltaModule) -> bool:
-    """Whether v is isomorphic to the sum of the tuples co-induced from the
-    kernels X' and Y' of its transposed structure maps, both injective,
-    decided by rank as in ``is_injective_delta``."""
-    from .functors import coinduce, coinduced_adjoint, tilde_kernel
-
-    parts = corner_parts(v, tilde_kernel)
-    if parts is None or not all(is_injective(ker) for ker, _ in parts):
-        return False
-    joined = []
-    for corner, (ker, incl) in zip(CORNERS, parts):
-        retraction = _splitting(incl.target, ker, lambda h: h @ incl.matrix,
-                                ker.dim)
-        if retraction is None:
-            return False
-        joined.append(coinduced_adjoint(v, coinduce(v.context, ker, corner),
-                                        retraction, corner))
-    return _bijective(joined, np.vstack)
-
-
 def is_injective_delta(v: DeltaModule) -> bool:
     """Injectivity of a tuple, computed two independent ways.
 
-    Route one: the dual tuple packs to a projective module on the other
-    side.  Route two: the transposed structure maps must be onto, as they
-    are in a sum of co-induced tuples, their kernels X' and Y' injective,
-    and the tuple isomorphic to the sum of the two co-induced tuples.
-    Retractions r : x -> X' and q : y -> Y' of the inclusions give a map
-    from v to that sum by adjunction, with components r and q.  (X', Y')
-    is the annihilator of J in v, where r and q are one-to-one, and every
-    nonzero sub-tuple of v meets it because J squares to zero, so the map
-    is one-to-one.  As for projectivity, it is bijective exactly when v is
-    isomorphic to such a sum, and route two tests it by rank.  Disagreement
-    is an internal error.
+    A tuple is injective exactly when its dual is projective on the other
+    side ([EJ]), so both routes of ``is_projective_delta`` run on
+    ``v.dual``: the Tor certificate of its packed module, and its
+    isomorphism to the sum of the tuples induced from its projective
+    structural cokernels.  Disagreement is an internal error.
     """
-    return _agreed("injectivity", v, is_injective(v.packed),
-                   _coinduced_splitting(v))
+    dual = v.dual
+    return _agreed("injectivity", v, is_projective(dual.packed),
+                   induced_isomorphism(dual, is_projective) is not None)
 
 
 def flat_characterisation(v: DeltaModule) -> bool:

@@ -2,6 +2,7 @@
 
 import json
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,9 @@ from moritalab.report import InternalCheckError
 
 PASS, REFUTED, CONSISTENT, HYPOTHESIS_FAILURE, INPUT_ERROR = 0, 1, 2, 3, 4
 BUDGET_EXCEEDED, INTERNAL_ERROR = 5, 6
+
+
+WORKSPACES = Path(__file__).resolve().parent / "workspaces"
 
 
 def fixture_file(tmp_path, name, p=2):
@@ -188,3 +192,36 @@ def test_report_json_on_refutation(tmp_path):
                 "--report", str(out)])
     payload = json.loads(out.read_text())
     assert code == REFUTED and payload["exit-code"] == 1
+
+
+def _report_nodes(node):
+    yield node
+    for clause in node["clauses"]:
+        yield from _report_nodes(clause)
+
+
+@pytest.mark.parametrize("workspace", ["E0", "E1", "E2", "E2-simple-M",
+                                       "T2-k", "T2-k-op"])
+@pytest.mark.parametrize("number", ["3.3", "3.6", "4.3", "4.7", "4.8"])
+def test_every_theorem_on_every_workspace_ends_with_a_documented_code(
+        number, workspace, tmp_path, capsys, monkeypatch):
+    """Each theorem on each shipped and test workspace, under a small
+    budget, returns a code from the README table without raising, and
+    refutes only with a witness and with no failed hypothesis in the
+    report.  Shipped fixtures are fresh copies, so nothing memoised by
+    other tests at the default budget is reused."""
+    monkeypatch.setenv("MORITA_ENUM_BUDGET", "4096")
+    shipped = workspace in ("E0", "E1", "E2")
+    fixture = (fixture_file(tmp_path, workspace) if shipped
+               else str(WORKSPACES / f"{workspace}.txt"))
+    out = tmp_path / "report.json"
+    code = run(["theorem", number, "--fixture", fixture, "--bound", "1",
+                "--window", "2", "--report", str(out)])
+    capsys.readouterr()
+    assert code in (PASS, REFUTED, CONSISTENT, HYPOTHESIS_FAILURE, INPUT_ERROR,
+                    BUDGET_EXCEEDED, INTERNAL_ERROR)
+    if code == REFUTED:
+        nodes = list(_report_nodes(json.loads(out.read_text())["report"]))
+        assert any(node["witnesses"] for node in nodes)
+        assert not [node["name"] for node in nodes
+                    if node["verdict"] == "hypothesis-failure"]

@@ -11,10 +11,9 @@ from moritalab.functors import (
     component_a,
     component_b,
     induce_from_a,
-    induce_from_a_map,
     induce_from_b,
-    tilde_f,
-    tilde_g,
+    induce_map,
+    tilde,
 )
 from moritalab.morita import (CORNERS, DeltaModuleMap, by_corner,
                               delta_hom_space, is_projective_delta)
@@ -67,7 +66,7 @@ def test_induced_map_is_functorial(e2):
     maps = [phi for phi in hom_space(reg, k) if np.any(phi.matrix)]
     assert maps
     phi = maps[0]
-    lifted = induce_from_a_map(e2, phi)
+    lifted = induce_map(e2, phi, "a")
     assert lifted.source.x is reg
     assert lifted.target.x is k
     assert np.array_equal(lifted.a_matrix, phi.matrix)
@@ -75,8 +74,8 @@ def test_induced_map_is_functorial(e2):
 
 def test_tilde_maps_have_matching_endpoints(e1):
     for v in enumerate_delta_modules(e1, LEFT, 1):
-        tf = tilde_f(v)
-        tg = tilde_g(v)
+        tf = tilde(v, "a")
+        tg = tilde(v, "b")
         assert tf.source is v.x
         assert tg.source is v.y
 

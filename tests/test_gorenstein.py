@@ -283,6 +283,31 @@ def test_a_module_with_no_window_fails_the_transport_premise():
     assert not hasattr(report, "window_complex")
 
 
+def test_a_failed_hypothesis_leaves_only_the_cross_check_deciding():
+    """Over E2 with a simple M the inner bimodules are not projective on
+    the right, and the induced window is not exact.  That conclusion is
+    promised only under the hypothesis, so its refuted clauses stay in the
+    report but the harness fails the hypothesis; the adjunction cross-check
+    needs no hypothesis, so a refutation of it still decides."""
+    ws = parse_workspace((ROOT / "tests" / "workspaces" / "E2-simple-M.txt")
+                         .read_text())
+    ctx, probe = ws.single_context(), ws.modules["probe.a"]
+    flat_a = builtin_oracles(ctx.algebra_a, LEFT)["flat"]
+    flat_b = builtin_oracles(ctx.algebra_b, LEFT)["flat"]
+    report = check_window_transport_forward(ctx, probe, flat_a, flat_b, 4, 2)
+    verdicts = {c.name: c.verdict for c in report.clauses}
+    assert report.verdict is Verdict.HYPOTHESIS_FAILURE
+    assert verdicts["inner-bimodules-projective-on-the-right"] \
+        is Verdict.HYPOTHESIS_FAILURE
+    assert verdicts["window-exactness"] is Verdict.REFUTED
+    cross = report.clauses[-1]
+    assert cross.name == "adjunction-dimension-cross-check"
+    cross.verdict = Verdict.REFUTED
+    hyp_rows = report.clauses[:2]
+    assert gorenstein._under_hypotheses(report, hyp_rows, (cross,)).verdict \
+        is Verdict.REFUTED
+
+
 def test_ding_transport_smoke(e1):
     report = check_ding_transport(e1, 2, 1)
     assert report.ok, report.detail

@@ -8,7 +8,8 @@ import pytest
 
 from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, dual_module,
                                find_invertible_combination, hom_space,
-                               is_injective, kernel_module, quotient_module)
+                               is_injective, is_projective, kernel_module,
+                               quotient_module)
 from moritalab.classes import _twist
 from moritalab.enumeration import (delta_invariant_pairs,
                                    delta_short_exact_sequences,
@@ -19,7 +20,7 @@ from moritalab import linalg as la
 from moritalab.functors import (check_adjunction, coinduce, coinduce_from_a,
                                 coinduce_from_b, component, induce,
                                 induce_from_a, induce_from_b, induce_map,
-                                tilde_f, tilde_g)
+                                tilde)
 from moritalab.morita import (
     CORNERS,
     DeltaModuleMap,
@@ -149,7 +150,7 @@ def test_both_routes_decide_right_tuples(e1, e2, bound, monkeypatch):
         with monkeypatch.context() as patch:
             honest = morita._bijective
             patch.setattr(morita, "_bijective",
-                          lambda maps, stack: not honest(maps, stack))
+                          lambda maps: not honest(maps))
             for v in projective:
                 with pytest.raises(InternalCheckError, match="projectivity"):
                     is_projective_delta(v)
@@ -195,19 +196,21 @@ def test_induced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
 @pytest.mark.parametrize("side", [LEFT, RIGHT])
 @pytest.mark.parametrize("p", [2, 3])
 def test_coinduced_splitting_matches_the_isomorphism_scan(fixture_over, side, p):
-    """The retraction-and-rank route of is_injective_delta agrees with
-    scanning for an isomorphism between the tuple and the sum co-induced
-    from the kernels of its transposed structure maps, both injective."""
+    """The structural route of is_injective_delta, the section-and-rank
+    decision on the dual, agrees with scanning for an isomorphism between
+    the tuple and the sum co-induced from the kernels of its transposed
+    structure maps, both injective."""
     outcomes = set()
     for name in ("E1", "E2"):
         ctx = fixture_over(name, p).single_context()
         for v in enumerate_delta_modules(ctx, side, 2):
-            x1 = kernel_module(tilde_f(v))[0]
-            y1 = kernel_module(tilde_g(v))[0]
+            x1 = kernel_module(tilde(v, "a"))[0]
+            y1 = kernel_module(tilde(v, "b"))[0]
             candidate = delta_sum([coinduce_from_a(ctx, x1), coinduce_from_b(ctx, y1)])
             scanned = (is_injective(x1) and is_injective(y1)
                        and delta_is_isomorphic(v, candidate) is not None)
-            assert morita._coinduced_splitting(v) == scanned, v.describe()
+            found = induced_isomorphism(v.dual, is_projective)
+            assert (found is not None) == scanned, v.describe()
             outcomes.add(scanned)
     assert outcomes == {True, False}
 
@@ -216,25 +219,27 @@ def test_coinduced_splitting_matches_the_isomorphism_scan(fixture_over, side, p)
 @pytest.mark.parametrize("p", [2, 3])
 def test_the_coinduced_rank_test_passes_whenever_it_is_reached(fixture_over,
                                                                monkeypatch, side, p):
-    """No tuple up to dimension 3 has onto tilde maps and injective tilde
-    kernels without being co-induced, so the rank test of the retraction
-    route is reached and never fails.  None can exist: the adjoint map from
-    v to the co-induced sum is one-to-one, and the dimensions agree because
-    x/X' is Hom(M, y) and Hom(M, Y') -> Hom(M, y) is onto, its cokernel
-    lying in Hom(M, Hom(N, x)) = Hom(N (x) M, x) = 0; the y side mirrors
-    it.  The rank test stays as the check of that argument."""
+    """The section route on the dual reaches its rank test on tuples up to
+    dimension 3 and never fails it.  Dualising turns the structure maps of
+    v's dual and their cokernels into v's tilde maps and their kernels, so
+    the test is reached when v has onto tilde maps whose kernels are
+    injective and retract, and every such v is co-induced: the adjoint map
+    from v to the co-induced sum is one-to-one, and the dimensions agree
+    because x/X' is Hom(M, y) and Hom(M, Y') -> Hom(M, y) is onto, its
+    cokernel lying in Hom(M, Hom(N, x)) = Hom(N (x) M, x) = 0; the y side
+    mirrors it.  The rank test stays as the check of that argument."""
     outcomes = []
     bijective = morita._bijective
 
-    def recording(maps, stack):
-        outcomes.append(bijective(maps, stack))
+    def recording(maps):
+        outcomes.append(bijective(maps))
         return outcomes[-1]
 
     monkeypatch.setattr(morita, "_bijective", recording)
     for name in ("E1", "E2"):
         for v in enumerate_delta_modules(fixture_over(name, p).single_context(),
                                          side, 3):
-            morita._coinduced_splitting(v)
+            induced_isomorphism(v.dual, is_projective)
     assert outcomes and all(outcomes)
 
 
@@ -394,7 +399,7 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
                 delta_short_exact_sequences(u)
                 u.cover()
                 induced_isomorphism(u)
-                morita._coinduced_splitting(u)
+                is_injective_delta(u)
                 delta_is_isomorphic(u, u)
                 delta_is_isomorphic(u, delta_sum([u]))
                 for corner in CORNERS:

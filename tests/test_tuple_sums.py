@@ -70,7 +70,7 @@ def compare_sum(total, monkeypatch):
     with monkeypatch.context() as patched:
         if total.summands:
             patched.setattr(morita, "quotient_module", refuse)
-            patched.setattr(functors, "kernel_module", refuse)
+            patched.setattr(functors, "submodule", refuse)
         for part_of, _ in PAIRS:
             for corner in CORNERS:
                 got[part_of, corner] = part_of(total, corner)
@@ -92,6 +92,23 @@ def test_parts_of_pairwise_sums_equal_the_eliminated_ones(fixture_over,
             for v in tuples[i:]:
                 compared += compare_sum(delta_sum([u, v]), monkeypatch)
     assert compared > 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_dual_of_a_pairwise_sum_assembles_its_parts(fixture_over,
+                                                        monkeypatch, p):
+    # The dual of a sum is the sum of the summands' duals, so it records
+    # them, and its parts are assembled from theirs.
+    ctx = fixture_over("E1", p).single_context()
+    for side in (LEFT, RIGHT):
+        tuples = enumerate_delta_modules(ctx, side, 2)
+        for i, u in enumerate(tuples):
+            for v in tuples[i:]:
+                dual = delta_sum([u, v]).dual
+                assert dual.summands == tuple(t.dual for t in (u, v) if t.dim)
+                assert dual.x.summands == tuple(
+                    t.x.dual for t in (u, v) if t.x.dim)
+                compare_sum(dual, monkeypatch)
 
 
 @pytest.mark.parametrize("p", [2, 3])
