@@ -11,8 +11,9 @@ test module, relative to the canonically constructed complex.
 Windows over a glued matrix ring are built either by transporting component
 windows through the induction functors (when the tuple splits as a sum of
 induced pieces) or by the generic splice of a cover resolution with the dual
-of a cover resolution of the dual.  The splice route raises
-WindowConstructionError when some coresolution term fails to be projective;
+of a cover resolution of the dual, both read off one lazy walk,
+``cover_steps``.  The splice raises WindowConstructionError at the first
+coresolution term that is not projective, as soon as the walk makes it;
 that is a fact about the ring, not a refutation, and is reported as such.
 A spliced window that then fails its own re-verification is a defect of the
 program and raises InternalCheckError.
@@ -44,6 +45,7 @@ injective dimension) is built by one row builder that all three use.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -150,53 +152,30 @@ def _projective(term) -> bool:
     return builtin_oracles(term.ring, term.side)["projective"].contains(term)
 
 
-def projective_resolution(x, length: int):
-    """Resolution by iterated covers, as (window, augmentation).
+def cover_steps(x):
+    """The cover resolution of x, one step at a time.
 
-    The window occupies positions -length .. 0; the augmentation is the epi
-    from the position-0 term onto x.  Exact at every inner position by
-    construction, and every term is a cover, hence projective.
+    Yields (cover, epi, d) for x and then for each kernel in turn: epi maps
+    the cover onto x or onto the kernel of the step before, and d is the
+    differential into the previous cover, the kernel's inclusion after epi
+    (None at the first step).  A kernel is taken only when the next step is
+    asked for, so n steps cost n covers and n - 1 kernels.  Every cover is
+    projective, and the covers with these differentials are exact at every
+    inner position.
     """
-    if length < 0:
-        raise ValidationError("resolution length must be nonnegative")
-    covers, epis, inclusions = [], [], []
-    target = x
-    for _ in range(length + 1):
-        cov, eps = target.cover()
-        ker, incl = eps.kernel()
-        covers.append(cov)
-        epis.append(eps)
-        inclusions.append(incl)
-        target = ker
-    terms = list(reversed(covers))
-    maps = [inclusions[j - 1].compose(epis[j]) for j in range(length, 0, -1)]
-    return ChainComplex(-length, terms, maps), epis[0]
-
-
-def injective_coresolution(x, length: int):
-    """Coresolution through the dual, as (window, coaugmentation).
-
-    The resolution of ``x.dual`` with every term and map replaced by its
-    dual.  Terms occupy positions 0 .. length; the coaugmentation, the dual
-    of the augmentation, embeds x into the position-0 term (its source is
-    x itself, the dual of ``x.dual``), and the window carries it too.  Each
-    term is the dual of a cover of the dual side, so it is injective;
-    nothing here requires the terms to be projective.  The transposed maps
-    are not checked (see ``ModuleMap.dual``).
-    """
-    res, aug = projective_resolution(x.dual, length)
-    terms = [t.dual for t in reversed(res.terms)]
-    maps = [d.dual for d in reversed(res.maps)]
-    return ChainComplex(0, terms, maps, aug.dual), aug.dual
+    target, inclusion = x, None
+    while True:
+        cover, epi = target.cover()
+        yield cover, epi, None if inclusion is None else inclusion.compose(epi)
+        target, inclusion = epi.kernel()
 
 
 def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
-    """Steps until a syzygy turns projective, or None past the cutoff."""
-    current = x
-    for n in range(cutoff + 1):
-        if _projective(current):
+    """Steps until a syzygy turns projective, or None past the cutoff.
+    The n-th syzygy is the target of the n-th epi of the cover walk."""
+    for n, (_, epi, _) in enumerate(islice(cover_steps(x), cutoff + 1)):
+        if _projective(epi.target):
             return n
-        current = current.cover()[1].kernel()[0]
     return None
 
 
@@ -229,24 +208,30 @@ def complete_resolution_window(x, w: int) -> ChainComplex:
 
 
 def _spliced_window(x, w: int) -> ChainComplex:
-    """The splice of a cover resolution and the dualised coresolution.
+    """The splice of a cover resolution of x and the dual of one of x.dual.
 
-    Its resolution terms are covers, its coresolution terms are checked
-    projective here, and it is exact with kernel im(coaugmentation) by
-    construction, so failing the re-verification is a defect.  The
-    coresolution is built and tested first, so an object it rejects costs
-    no resolution of its own.
+    Terms 0 .. w, the duals of the covers of the walk over ``x.dual``, are
+    tested projective as they are made: an object rejected at position i
+    costs i + 1 covers of its dual, i kernels and no cover of its own.  Only
+    then is x walked w steps, joined on by the coaugmentation, the dual of
+    the first epi.  Exact with projective terms and kernel im(coaugmentation)
+    by construction, so failing the re-verification is a defect.
     """
-    cores, coaug = injective_coresolution(x, w)
-    for pos, term in enumerate(cores.terms):
-        if not _projective(term):
+    terms, maps = [], []
+    for pos, (cover, epi, d) in enumerate(islice(cover_steps(x.dual), w + 1)):
+        if not _projective(cover.dual):
             raise WindowConstructionError(
                 "no projective coresolution within window: the term at "
-                f"position {pos} ({term.describe()}) is not projective")
-    res, aug = projective_resolution(x, w - 1)
-    junction = coaug.compose(aug)
-    cx = ChainComplex(-w, res.terms + cores.terms,
-                      res.maps + [junction] + cores.maps, coaug)
+                f"position {pos} ({cover.dual.describe()}) is not projective")
+        terms.append(cover.dual)
+        if d is None:
+            coaug = epi.dual
+        else:
+            maps.append(d.dual)
+    for cover, epi, d in islice(cover_steps(x), w):
+        terms.insert(0, cover)
+        maps.insert(0, coaug.compose(epi) if d is None else d)
+    cx = ChainComplex(-w, terms, maps, coaug)
     _verify_window(cx, x, InternalCheckError)
     return cx
 

@@ -96,6 +96,14 @@ def tensor_over_algebra(first, second) -> TensorModule:
     * right module (x) Bimodule -> right module over the bimodule's right algebra
     * right module (x) left module, or Bimodule (x) Bimodule
                                 -> plain space (module over the field)
+
+    The product is derived (see ``Module._derived``), not checked again.
+    The ambient actions on the plain tensor space, a bimodule's residual
+    action tensored with an identity (or the identity alone), commute with
+    the relations, because the bimodule's two actions commute; so they keep
+    the relation span.  With P the projection and S the section, P·amb·S
+    are then the induced actions on the quotient, and they obey the module
+    laws, as in the projection case of ``Module._derived``.
     """
     alg1, rho, d1 = _right_action_of(first)
     alg2, lam, d2 = _left_action_of(second)
@@ -134,7 +142,7 @@ def tensor_over_algebra(first, second) -> TensorModule:
 
     acts = np.stack([(projection @ amb @ section) % p for amb in ambient]) \
         .reshape(out_alg.dim, q, q)
-    module = Module(out_alg, out_side, q, acts, name=name)
+    module = Module._derived(out_alg, out_side, q, acts, name)
     return TensorModule(first, second, shared, module, projection, section,
                         relations, (d1, d2))
 

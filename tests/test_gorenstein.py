@@ -8,6 +8,7 @@ exactness.
 
 import dataclasses
 import json
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -15,23 +16,24 @@ import pytest
 
 from moritalab import gorenstein
 from moritalab.algebra import LEFT, RIGHT, Module, ModuleMap
-from moritalab.morita import DeltaModuleMap, induced_isomorphism
+from moritalab.morita import (DeltaModule, DeltaModuleMap,
+                              induced_isomorphism)
 from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce, induce_from_a
 from moritalab.gorenstein import (
+    ChainComplex,
     check_ding_transport,
     check_window_transport_backward,
     check_window_transport_forward,
     complete_resolution_window,
+    cover_steps,
     exactness_table,
     flat_test_oracle,
-    injective_coresolution,
     injective_dimension_within,
     is_ding_projective_window,
     is_gorenstein_projective_window,
     projective_dimension_within,
-    projective_resolution,
 )
 from moritalab.report import (InternalCheckError, ValidationError, Verdict,
                               WindowConstructionError)
@@ -47,9 +49,27 @@ def simple(ctx):
                   np.array([[[1]], [[0]]], dtype=np.int64), name="k")
 
 
+def _walked_resolution(x, length):
+    """(window, augmentation) from length + 1 steps of the cover walk of x:
+    the covers at positions -length .. 0 and the epi onto x."""
+    steps = list(islice(cover_steps(x), length + 1))
+    terms = [cover for cover, _, _ in reversed(steps)]
+    maps = [d for _, _, d in reversed(steps[1:])]
+    return ChainComplex(-length, terms, maps), steps[0][1]
+
+
+def _walked_coresolution(x, length):
+    """(window, coaugmentation) from length + 1 steps of the cover walk of
+    ``x.dual``, every term and map replaced by its dual."""
+    steps = list(islice(cover_steps(x.dual), length + 1))
+    coaug = steps[0][1].dual
+    return ChainComplex(0, [cover.dual for cover, _, _ in steps],
+                        [d.dual for _, _, d in steps[1:]], coaug), coaug
+
+
 def test_resolution_of_the_simple_is_periodic(e2):
     k = simple(e2)
-    res, aug = projective_resolution(k, 3)
+    res, aug = _walked_resolution(k, 3)
     assert res.lo == -3 and res.hi == 0
     assert res.dims() == [2, 2, 2, 2]
     assert la.rank(aug.matrix, 2) == 1
@@ -59,7 +79,7 @@ def test_resolution_of_the_simple_is_periodic(e2):
 
 def test_coresolution_mirrors_the_resolution(e2):
     k = simple(e2)
-    cores, coaug = injective_coresolution(k, 3)
+    cores, coaug = _walked_coresolution(k, 3)
     assert cores.lo == 0 and cores.hi == 3
     assert cores.dims() == [2, 2, 2, 2]
     assert la.rank(coaug.matrix, 2) == 1
@@ -88,7 +108,7 @@ def test_coresolution_maps_pass_the_full_map_check(fixture_over, name, p):
                    for x in enumerate_modules(algebra, side, 2)]
         objects += enumerate_delta_modules(ctx, side, 2)
         for x in objects:
-            cores, coaug = injective_coresolution(x, 2)
+            cores, coaug = _walked_coresolution(x, 2)
             assert coaug.source is x and cores.coaugmentation is coaug
             for phi in cores.maps + [coaug]:
                 _rebuilt(phi)
@@ -245,27 +265,40 @@ def t2k():
                            .read_text())
 
 
-def test_a_rejected_splice_resolves_only_the_dual(monkeypatch):
-    """Over T2(k) the coresolution of a nonzero module starts with the dual
-    of a free module, the injective cogenerator, which is not projective.
-    The splice tests its coresolution first, so an object it rejects is
-    never resolved itself; only its dual is."""
-    algebra = t2k().algebras["T"]
-    resolved = []
-    real = gorenstein.projective_resolution
+def _recording_costs(monkeypatch):
+    """Record every cover and kernel taken, in order, as (kind, receiver):
+    the covers of modules and tuples and the kernels of their maps."""
+    calls = []
+    for cls, kind in ((Module, "cover"), (DeltaModule, "cover"),
+                      (ModuleMap, "kernel"), (DeltaModuleMap, "kernel")):
+        def recording(self, real=getattr(cls, kind), kind=kind):
+            calls.append((kind, self))
+            return real(self)
+        monkeypatch.setattr(cls, kind, recording)
+    return calls
 
-    def recording(x, length):
-        resolved.append(x)
-        return real(x, length)
 
-    monkeypatch.setattr(gorenstein, "projective_resolution", recording)
-    for x in enumerate_modules(algebra, LEFT, 2):
-        if not x.dim:
-            continue
+def test_a_rejected_splice_costs_one_cover_of_the_dual(monkeypatch):
+    """Over T2(k) the coresolution of a nonzero object starts with the dual
+    of a projective cover, which is not projective.  The splice tests each
+    coresolution term as it is made, so an object it rejects costs exactly
+    one cover, of its dual: no kernel and no cover of its own.  Every
+    nonzero module of either side and every left tuple of dimension at most
+    1 that does not split into induced pieces (a split tuple is first tried
+    piece by piece)."""
+    ctx = t2k().single_context()
+    objects = [x for side in (LEFT, RIGHT)
+               for x in enumerate_modules(ctx.algebra_a, side, 2)]
+    objects += [v for v in enumerate_delta_modules(ctx, LEFT, 1)
+                if induced_isomorphism(v) is None]
+    objects = [x for x in objects if x.dim]
+    calls = _recording_costs(monkeypatch)
+    for x in objects:
+        del calls[:]
         with pytest.raises(WindowConstructionError, match="position 0"):
             complete_resolution_window(x, 2)
-        assert resolved[-1] is x.dual
-        assert all(obj is not x for obj in resolved)
+        assert calls == [("cover", x.dual)], x.describe()
+    assert any(isinstance(x, DeltaModule) for x in objects)
 
 
 def test_a_module_with_no_window_fails_the_transport_premise():
@@ -529,3 +562,149 @@ def test_repeated_test_samples_return_the_same_tuples(e2, carrier):
     first, second = oracle.sample(2), oracle.sample(2)
     assert first and len(first) == len(second)
     assert all(u is v for u, v in zip(first, second))
+
+
+# ---------------------------------------------------------------------------
+# the eager splice, kept as the reference for the lazy one
+
+def projective_resolution(x, length):
+    """Resolution by iterated covers, as (window, augmentation), each cover
+    and kernel taken up front: the window occupies positions -length .. 0;
+    the augmentation is the epi from the position-0 term onto x."""
+    if length < 0:
+        raise ValidationError("resolution length must be nonnegative")
+    covers, epis, inclusions = [], [], []
+    target = x
+    for _ in range(length + 1):
+        cov, eps = target.cover()
+        ker, incl = eps.kernel()
+        covers.append(cov)
+        epis.append(eps)
+        inclusions.append(incl)
+        target = ker
+    terms = list(reversed(covers))
+    maps = [inclusions[j - 1].compose(epis[j]) for j in range(length, 0, -1)]
+    return ChainComplex(-length, terms, maps), epis[0]
+
+
+def injective_coresolution(x, length):
+    """The resolution of ``x.dual`` with every term and map replaced by its
+    dual, as (window, coaugmentation), at positions 0 .. length."""
+    res, aug = projective_resolution(x.dual, length)
+    terms = [t.dual for t in reversed(res.terms)]
+    maps = [d.dual for d in reversed(res.maps)]
+    return ChainComplex(0, terms, maps, aug.dual), aug.dual
+
+
+def eager_spliced_window(x, w):
+    """The splice with its whole coresolution built before any term is
+    tested projective."""
+    cores, coaug = injective_coresolution(x, w)
+    for pos, term in enumerate(cores.terms):
+        if not gorenstein._projective(term):
+            raise WindowConstructionError(
+                "no projective coresolution within window: the term at "
+                f"position {pos} ({term.describe()}) is not projective")
+    res, aug = projective_resolution(x, w - 1)
+    junction = coaug.compose(aug)
+    cx = ChainComplex(-w, res.terms + cores.terms,
+                      res.maps + [junction] + cores.maps, coaug)
+    gorenstein._verify_window(cx, x, InternalCheckError)
+    return cx
+
+
+def _entries(obj):
+    """The data of a module or tuple, or of a map of them."""
+    if isinstance(obj, DeltaModule):
+        return [obj.x.actions.tolist(), obj.y.actions.tolist(),
+                obj.f_plain.tolist(), obj.g_plain.tolist()]
+    if isinstance(obj, Module):
+        return obj.actions.tolist()
+    return obj.matrix.tolist()
+
+
+def _window_or_error(x, w):
+    """The window around x as plain data, or the message of the
+    WindowConstructionError that refuses it."""
+    try:
+        cx = complete_resolution_window(x, w)
+    except WindowConstructionError as err:
+        return str(err)
+    assert cx.coaugmentation.source is x
+    return (cx.lo, [t.describe() for t in cx.terms],
+            [_entries(t) for t in cx.terms], [_entries(d) for d in cx.maps],
+            _entries(cx.coaugmentation))
+
+
+def _matches_the_eager_splice(monkeypatch, objects, widths):
+    """Assert that every window (or refusal) of the lazy splice equals the
+    one built with the eager splice in its place, entry for entry; return
+    how many were compared."""
+    count = 0
+    for x in objects:
+        for w in widths:
+            with monkeypatch.context() as m:
+                m.setattr(gorenstein, "_spliced_window", eager_spliced_window)
+                expected = _window_or_error(x, w)
+            assert _window_or_error(x, w) == expected, (x.describe(), w)
+            count += 1
+    return count
+
+
+def _bounded_objects(ctx, bound):
+    """The modules of both corners and the tuples up to ``bound``, on both
+    sides."""
+    return [x for side in (LEFT, RIGHT)
+            for x in enumerate_modules(ctx.algebra_a, side, bound)
+            + enumerate_modules(ctx.algebra_b, side, bound)
+            + enumerate_delta_modules(ctx, side, bound)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_the_lazy_splice_matches_the_eager_one(fixture_over, monkeypatch,
+                                               name, p):
+    ctx = fixture_over(name, p).single_context()
+    assert _matches_the_eager_splice(monkeypatch, _bounded_objects(ctx, 2),
+                                     (2, 4))
+
+
+@pytest.mark.parametrize("workspace", ["T2-k.txt", "T2-k-op.txt"])
+def test_the_lazy_splice_matches_the_eager_one_over_t2(monkeypatch,
+                                                       workspace):
+    ctx = parse_workspace((ROOT / "tests" / "workspaces" / workspace)
+                          .read_text()).single_context()
+    assert _matches_the_eager_splice(monkeypatch, _bounded_objects(ctx, 1),
+                                     (2,))
+
+
+def test_a_refused_coresolution_term_stops_the_walk(e2, monkeypatch):
+    """Refusing the coresolution term at position 2 raises the eager
+    splice's message, and the walk over the dual stops there: three covers
+    of the dual side, two kernels, and no cover of x itself."""
+    k = simple(e2)
+    real = gorenstein._projective
+
+    def refusing_the_third():
+        tested = []
+
+        def projective(term):
+            tested.append(term)
+            return len(tested) != 3 and real(term)
+        return projective
+
+    with monkeypatch.context() as m:
+        m.setattr(gorenstein, "_projective", refusing_the_third())
+        with pytest.raises(WindowConstructionError) as expected:
+            eager_spliced_window(k, 4)
+    assert "position 2" in str(expected.value)
+
+    monkeypatch.setattr(gorenstein, "_projective", refusing_the_third())
+    calls = _recording_costs(monkeypatch)
+    with pytest.raises(WindowConstructionError) as got:
+        complete_resolution_window(k, 4)
+    assert str(got.value) == str(expected.value)
+    assert [kind for kind, _ in calls] == ["cover", "kernel", "cover",
+                                           "kernel", "cover"]
+    assert calls[0] == ("cover", k.dual)
+    assert all(obj is not k for _, obj in calls)

@@ -161,11 +161,11 @@ def _invariant_spans(module):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
-    # Sums, duals, submodules, quotients, the assembled products and packed
-    # tuples are built without re-running the module check, which their
-    # inputs already passed.  A sum builds the products of its structure
-    # maps on first use, so each sum's f_map and g_map are read, and the
-    # packed modules of sums and their duals are read.
+    # Sums, duals, submodules, quotients, tensor products (eliminated or
+    # assembled) and packed tuples are built without re-running the module
+    # check, which their inputs already passed.  A sum builds the products
+    # of its structure maps on first use, so each sum's f_map and g_map are
+    # read, and the packed modules of sums and their duals are read.
     made, builders = [], set()
     derived = Module._derived.__func__
 
@@ -195,7 +195,8 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
                     for corner in CORNERS:
                         tilde(total, corner)
     assert builders == {"module_sum", "dual_module", "_assembled_tensor",
-                        "submodule", "quotient_module", "pack"}
+                        "tensor_over_algebra", "submodule", "quotient_module",
+                        "pack"}
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
