@@ -31,6 +31,12 @@ RIGHT = "right"
 
 _SCAN_BUDGET_DEFAULT = 1 << 21
 
+# The most entries one hom system may have, k (n m)^2 for an algebra of
+# dimension k and modules of dimensions n and m: 128 MB of int64.  Unlike
+# the scan budget it cannot be set; it stops a system that cannot be held
+# before it is built.
+HOM_SYSTEM_CAP = 1 << 24
+
 
 def scan_budget() -> int:
     """Candidate ceiling of every exhaustive scan: module, structure-map,
@@ -453,8 +459,17 @@ def hom_system(source: Module, target: Module) -> np.ndarray:
     vec(F @ src) = (I (x) src^T) vec F and vec(tgt @ F) = (tgt (x) I) vec F
     for the row-major vec of F: block i, entry ((a, b), (c, d)), is
     [a = c] src_i[d, b] - tgt_i[a, c] [b = d].
+
+    A system of more than ``HOM_SYSTEM_CAP`` entries is refused before
+    anything is allocated (``BudgetExceededError``).
     """
     k, n, m = source.algebra.dim, target.dim, source.dim
+    entries = k * (n * m) ** 2
+    if entries > HOM_SYSTEM_CAP:
+        raise BudgetExceededError(
+            f"hom system of {source.describe()} (dim {m}) -> "
+            f"{target.describe()} (dim {n}) has {entries} entries, above the "
+            f"cap of {HOM_SYSTEM_CAP}")
     src_t = source.actions.transpose(0, 2, 1)
     first = la.eye(n)[None, :, None, :, None] * src_t[:, None, :, None, :]
     second = target.actions[:, :, None, :, None] * la.eye(m)[None, None, :, None, :]

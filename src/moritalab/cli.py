@@ -10,16 +10,15 @@ contract codes:
     3  a hypothesis of the check failed on this input
     4  input error: bad arguments, unparseable workspace, unknown names
     5  budget exceeded: an exhaustive scan needs more candidates than the
-       budget allows, so no verdict was reached ("budget exceeded: ...")
+       budget allows, or a hom system more entries than its cap, so no
+       verdict was reached ("budget exceeded: ...")
     6  internal check failed: two routes that must agree did not, which is
        a defect of the program ("internal check failed: ...")
 
 `--report PATH` additionally writes the full nested report as JSON.
 
-MORITA_ENUM_BUDGET, when set, caps the candidates of every exhaustive scan:
-module scans, structure-map scans, the unit scans of End(x) in tuple
-enumeration and isomorphism scans.  Unset, each may take 2^21 = 2097152
-candidates.  The cap applies to each scan on its own, not to a whole run.
+The budget (MORITA_ENUM_BUDGET) and the hom-system cap are documented once,
+in the README paragraph after its table of exit codes.
 """
 
 from __future__ import annotations

@@ -111,7 +111,7 @@ def generator_plan(algebra: Algebra) -> GeneratorPlan:
 
 
 def _structures_of_dim(algebra: Algebra, side: str, d: int,
-                       budget: int | None) -> tuple[np.ndarray, np.ndarray]:
+                       limit: int) -> tuple[np.ndarray, np.ndarray]:
     """All valid action tensors of shape (algebra.dim, d, d), no iso reduction.
 
     Returns (codes, actions): the ascending scan codes of the valid
@@ -124,7 +124,6 @@ def _structures_of_dim(algebra: Algebra, side: str, d: int,
     plan = generator_plan(algebra)
     r = len(plan.generators)
     total = p ** (r * d * d)
-    limit = budget if budget is not None else scan_budget()
     if total > limit:
         raise BudgetExceededError(
             f"module scan over {algebra.name or '<algebra>'} at dim {d} needs "
@@ -269,18 +268,21 @@ def _classes_of_dim(algebra: Algebra, side: str, d: int,
             for k in _orbit_minima(codes.size, moves)]
 
 
-def enumerate_modules(algebra: Algebra, side: str, max_dim: int,
-                      budget: int | None = None) -> list[Module]:
-    """One representative per isomorphism class of modules of dim <= max_dim."""
-    budget = budget if budget is not None else scan_budget()
+def enumerate_modules(algebra: Algebra, side: str, max_dim: int) -> list[Module]:
+    """One representative per isomorphism class of modules of dim <= max_dim.
+
+    Each dimension is memoised on the algebra under the budget it was
+    scanned with (``scan_budget()``), so no call is answered from a scan
+    made under another budget."""
+    budget = scan_budget()
     out: list[Module] = []
     for d in range(max_dim + 1):
         out.extend(_classes_of_dim(algebra, side, d, budget))
     return out
 
 
-def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
-                            budget: int | None = None) -> list[DeltaModule]:
+def enumerate_delta_modules(ctx: MoritaContext, side: str,
+                            max_dim: int) -> list[DeltaModule]:
     """One representative per isomorphism class of tuples with component
     dimensions <= max_dim.
 
@@ -298,8 +300,7 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str, max_dim: int,
     representative lists.  The structure-map space of each pair and the
     End scan of each component count against the budget.
     """
-    return _delta_classes(ctx, side, max_dim,
-                          budget if budget is not None else scan_budget())
+    return _delta_classes(ctx, side, max_dim, scan_budget())
 
 
 @memo("ctx")
@@ -307,8 +308,8 @@ def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
                    limit: int) -> list[DeltaModule]:
     """enumerate_delta_modules under a resolved budget, memoised on ctx."""
     p = ctx.p
-    xs = enumerate_modules(ctx.algebra_a, side, max_dim, limit)
-    ys = enumerate_modules(ctx.algebra_b, side, max_dim, limit)
+    xs = enumerate_modules(ctx.algebra_a, side, max_dim)
+    ys = enumerate_modules(ctx.algebra_b, side, max_dim)
     lay = tuple_layout(ctx, side)
     out: list[DeltaModule] = []
     counter = 0

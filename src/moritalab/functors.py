@@ -9,16 +9,20 @@ Three functors for each corner, in each direction of sidedness:
 * coinduce(ctx, X, "a") : X |-> (X, Hom(N, X)) with evaluation as
   structure map; right adjoint to component(-, "a").
 
-Each is written once for both corners, against the swap
-``morita.by_corner`` (corner "b" gives Y |-> (N (x) Y, Y) and
-(Hom(M, Y), Y)), and once for both sides, against ``morita.TupleLayout``.
-``induce_from_a``, ``coinduce_from_b``, ``component_a`` and the other
-``_a``/``_b`` names are shorthands for one corner.  ``tilde`` transposes a
-structure map into X -> Hom(M, Y) ("a") or Y -> Hom(N, X) ("b") for left
-tuples.  Its kernels, which ``tilde_kernel`` reads off the stacked blocks
-of the structure map without building the transposed map, control the
-epi-style membership tests.  check_adjunction verifies the unit/counit
-bijections on concrete hom-space bases.
+Co-induction is induction read through the character dual: by the
+tensor-Hom adjunction Hom(N, X) is (X^+ (x) N)^+, so ``coinduce`` is
+``induce(ctx, X.dual, c).dual`` and ``coinduced_adjoint`` is the dual of
+an ``induced_adjoint``.  Induction is written once for both corners,
+against the swap ``morita.by_corner`` (corner "b" gives Y |-> (N (x) Y, Y)
+and so (Hom(M, Y), Y)), and once for both sides, against
+``morita.TupleLayout``.  ``induce_from_a``, ``coinduce_from_b``,
+``component_a`` and the other ``_a``/``_b`` names are shorthands for one
+corner.  ``tilde`` transposes a structure map into X -> Hom(M, Y) ("a") or
+Y -> Hom(N, X) ("b") for left tuples.  Its kernels, which ``tilde_kernel``
+reads off the stacked blocks of the structure map without building the
+transposed map, control the epi-style membership tests.
+check_adjunction verifies the unit/counit bijections on concrete
+hom-space bases.
 """
 
 from __future__ import annotations
@@ -93,39 +97,21 @@ def component(v: DeltaModule, corner: str) -> Module:
     return by_corner(corner, v.x, v.y)[0]
 
 
-def _evaluation_plain(hom: HomModule, lay: TupleLayout) -> np.ndarray:
-    """Evaluation on plain tensor coordinates: in the block of bimodule
-    basis vector i, column k is the value of basis map k at i."""
-    blocks = np.zeros((hom.source.dim, hom.target.dim, hom.dim), dtype=np.int64)
-    for k, mat in enumerate(hom.basis):
-        blocks[:, :, k] = mat.T
-    return lay.unblocks(blocks) % hom.p
-
-
-@memo("module")
 def coinduce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
-    """The tuple co-induced from a module over the ``corner`` algebra.
+    """The tuple co-induced from a module over the ``corner`` algebra:
+    induction read through the dual, ``induce(ctx, X^+, corner)^+``.
 
     From the A corner, X |-> (X, Hom(N, X)) on the left and (X, Hom(M, X))
     on the right; the structure map into X is evaluation and the other is
-    zero.  The B corner mirrors it.
-
-    The tuple is derived (``DeltaModule._derived``).  Each basis map phi of
-    the hom module is a module map, so evaluation n (x) phi |-> phi(n) is
-    one; and the hom module's action is precomposition with the bimodule's
-    other action, (b phi)(n) = phi(n b) on the left, so evaluation vanishes
-    on the relations n b (x) phi - n (x) b phi.  The zero map obeys every
-    law.
+    zero.  The B corner mirrors it.  By the tensor-Hom adjunction with the
+    character dual, (X^+ (x) N)^+ is Hom(N, X) and the dual of the
+    canonical map is evaluation, so this is that tuple, written in the
+    basis dual to that of the tensor product.  Its corner component is X
+    itself, the dual of X's dual.  It is built once per module, and not
+    checked again: ``induce`` is memoised on the cached ``X.dual``, and
+    ``delta_dual`` derives the induced tuple's dual and keeps it.
     """
-    lay = _corner_layout(ctx, module, corner)
-    own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
-    hom = hom_over_algebra(other, module)
-    return DeltaModule._derived(ctx, module.side,
-                                *by_corner(corner, module, hom.module),
-                                *by_corner(corner,
-                                           la.zeros(hom.dim, own.dim * module.dim),
-                                           _evaluation_plain(hom, lay)),
-                                f"coind_{corner}[{module.describe()}]")
+    return induce(ctx, module.dual, corner).dual
 
 
 def tilde(v: DeltaModule, corner: str) -> ModuleMap:
@@ -221,23 +207,14 @@ def coinduced_adjoint(v: DeltaModule, coind: DeltaModule, mat: np.ndarray,
                       corner: str) -> DeltaModuleMap:
     """The map v -> coind adjoint to a component map mat out of v.
 
-    ``coind`` is co-induced from the ``corner`` algebra and mat, a module
-    map, maps out of that component of v.  On the other component an
-    element goes through the structure map of v entering the corner and
-    then through mat, read as an element of the hom module.
-
-    Not checked again (``DeltaModuleMap._intertwining``): the other
-    component is a module map because the hom module's action is
-    precomposition, the square through evaluation holds by this
-    definition, and the other square is zero on both sides, since the
-    entering structure map of v kills the image of the leaving one.
+    ``coind`` is co-induced from the ``corner`` algebra, so its dual is
+    the induced tuple ``coind.dual``, and mat, a module map, maps out of
+    that component of v.  The map is the dual of the adjoint of the
+    transpose mat^T into ``v.dual``: dualising takes maps ``v -> coind`` to
+    maps ``coind.dual -> v.dual`` bijectively and keeps corner blocks up to
+    transposition.
     """
-    _, entering = by_corner(corner, v.f_blocks, v.g_blocks)
-    _, hommed_from = by_corner(corner, coind.layout.f_bimodule,
-                               coind.layout.g_bimodule)
-    hom = hom_over_algebra(hommed_from, component(coind, corner))
-    other = _transposed((mat @ entering) % v.p, hom)
-    return DeltaModuleMap._intertwining(v, coind, *by_corner(corner, mat, other))
+    return induced_adjoint(coind.dual, v.dual, mat.T, corner).dual
 
 
 def induce_from_a(ctx: MoritaContext, x: Module) -> DeltaModule:

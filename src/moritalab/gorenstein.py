@@ -170,18 +170,18 @@ def cover_steps(x):
         target, inclusion = epi.kernel()
 
 
-def projective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
-    """Steps until a syzygy turns projective, or None past the cutoff.
+def projective_dimension_within(x) -> int | None:
+    """Steps until a syzygy turns projective, or None past ``DIM_CUTOFF``.
     The n-th syzygy is the target of the n-th epi of the cover walk."""
-    for n, (_, epi, _) in enumerate(islice(cover_steps(x), cutoff + 1)):
+    for n, (_, epi, _) in enumerate(islice(cover_steps(x), DIM_CUTOFF + 1)):
         if _projective(epi.target):
             return n
     return None
 
 
-def injective_dimension_within(x, cutoff: int = DIM_CUTOFF) -> int | None:
+def injective_dimension_within(x) -> int | None:
     """Injective dimension through the dual; duality swaps the two kinds."""
-    return projective_dimension_within(x.dual, cutoff)
+    return projective_dimension_within(x.dual)
 
 
 def complete_resolution_window(x, w: int) -> ChainComplex:

@@ -35,15 +35,15 @@ and both structure squares commute.  Every other tuple is derived
 (``DeltaModule._derived``): the sums of ``delta_sum``, the duals of
 ``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the kernels
 of ``delta_kernel``), the quotients of ``delta_quotient``, the tuples of
-``unpack`` and the induced and co-induced tuples of ``functors.induce``
-and ``functors.coinduce`` pack to modules derived from checked ones.
-Every other map (``DeltaModuleMap._intertwining``) packs to a map that its
-construction proves: hom bases and their combinations, sum witnesses,
-inclusions and projections of sub-tuples and quotients, composites,
-covers and the maps of the induction and co-induction functors.  So every
-tuple that exists packs to a module, and ``pack`` builds it unchecked;
-tensor products and ``f_map``/``g_map`` are built on first read, with no
-check.
+``unpack`` and the induced tuples of ``functors.induce`` pack to modules
+derived from checked ones; a co-induced tuple is the dual of an induced
+one.  Every other map (``DeltaModuleMap._intertwining``) packs to a map
+that its construction proves: hom bases and their combinations, sum
+witnesses, inclusions and projections of sub-tuples and quotients,
+composites, covers, duals and the maps of the induction functor, whose
+duals are those of co-induction.  So every tuple that exists packs to a
+module, and ``pack`` builds it unchecked; tensor products and
+``f_map``/``g_map`` are built on first read, with no check.
 
 A sum built by ``delta_sum`` also records its nonzero summands
 (``DeltaModule.summands``), and its dual their duals; no other tuple does.
@@ -262,14 +262,14 @@ class DeltaModule:
     b m.  The right side and g are alike, and the laws of the products of the
     two bimodule corners, which vanish, then follow.  The tuple keeps its
     packed module.  A derived tuple (see ``_derived``), a sum, dual,
-    sub-tuple, quotient, unpacked, induced or co-induced tuple built by
-    ``delta_sum``, ``delta_dual``, ``delta_submodule``, ``delta_quotient``,
-    ``unpack``, ``functors.induce`` or ``functors.coinduce``, is not checked
-    again.  The tensor products ``tensor_f``/``tensor_g`` and structure maps
-    ``f_map``/``g_map`` of every tuple are built on first use, since most
-    scanned tuples only read the blocks.  Maps between tuples are derived in
-    the same way where their construction proves them
-    (``DeltaModuleMap._intertwining``).
+    sub-tuple, quotient, unpacked or induced tuple built by ``delta_sum``,
+    ``delta_dual``, ``delta_submodule``, ``delta_quotient``, ``unpack`` or
+    ``functors.induce``, is not checked again; nor is a co-induced tuple,
+    the dual of an induced one.  The tensor products
+    ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map`` of
+    every tuple are built on first use, since most scanned tuples only read
+    the blocks.  Maps between tuples are derived in the same way where
+    their construction proves them (``DeltaModuleMap._intertwining``).
 
     A sum built by ``delta_sum`` records its nonzero summands in order, as
     ``algebra.module_sum`` does, and a dual of a sum records the duals of
@@ -342,10 +342,10 @@ class DeltaModule:
         ``delta_quotient`` packs to the quotient by it, its blocks the
         projected actions (see ``Module._derived`` for both).  The tuple of
         ``unpack`` packs to its module in a new basis, and
-        ``functors.induce`` and ``functors.coinduce`` prove that their
-        canonical projection and evaluation descend to module maps.  Since
-        the result packs to a module, f and g descend through the tensor
-        quotients to module maps, and ``f_map``/``g_map`` need no check.
+        ``functors.induce`` proves that its canonical projection descends
+        to a module map.  Since the result packs to a module, f and g
+        descend through the tensor quotients to module maps, and
+        ``f_map``/``g_map`` need no check.
         """
         v = object.__new__(cls)
         v.context, v.side, v.x, v.y, v.name = context, side, x, y, name

@@ -104,7 +104,8 @@ class AlgebraMismatchError(MoritaLabError):
 
 
 class BudgetExceededError(MoritaLabError):
-    """An exhaustive scan would exceed the configured candidate budget."""
+    """An exhaustive scan would exceed the candidate budget, or a hom system
+    its fixed cap (``algebra.HOM_SYSTEM_CAP``)."""
 
 
 class WindowConstructionError(MoritaLabError):

@@ -469,50 +469,11 @@ def emit_workspace(ws: Workspace) -> str:
 
 
 def workspaces_equal(first: Workspace, second: Workspace) -> bool:
-    """Entity-by-entity value equality, used by the round-trip tests."""
-    if first.p != second.p:
-        return False
-    if set(first.algebras) != set(second.algebras):
-        return False
-    for name, a in first.algebras.items():
-        b = second.algebras[name]
-        if a.dim != b.dim or not np.array_equal(a.structure, b.structure) \
-                or not np.array_equal(a.unit, b.unit):
-            return False
-    if set(first.bimodules) != set(second.bimodules):
-        return False
-    for name, m in first.bimodules.items():
-        w = second.bimodules[name]
-        if (m.dim != w.dim
-                or m.left_algebra.name != w.left_algebra.name
-                or m.right_algebra.name != w.right_algebra.name
-                or not np.array_equal(m.left_actions, w.left_actions)
-                or not np.array_equal(m.right_actions, w.right_actions)):
-            return False
-    if set(first.contexts) != set(second.contexts):
-        return False
-    for name, c in first.contexts.items():
-        d = second.contexts[name]
-        if (c.algebra_a.name != d.algebra_a.name
-                or c.algebra_b.name != d.algebra_b.name
-                or c.m.name != d.m.name or c.n.name != d.n.name):
-            return False
-    if set(first.modules) != set(second.modules):
-        return False
-    for name, m in first.modules.items():
-        w = second.modules[name]
-        if (m.dim != w.dim or m.side != w.side
-                or m.algebra.name != w.algebra.name
-                or not np.array_equal(m.actions, w.actions)):
-            return False
-    if set(first.tuples) != set(second.tuples):
-        return False
-    for name, v in first.tuples.items():
-        u = second.tuples[name]
-        if (v.side != u.side
-                or not np.array_equal(v.f_plain, u.f_plain)
-                or not np.array_equal(v.g_plain, u.g_plain)):
-            return False
-    if first.oracle_specs != second.oracle_specs:
-        return False
-    return True
+    """Whether the two workspaces have the same canonical text
+    (``emit_workspace``), as the round-trip tests compare them.
+
+    Every block is compared, a tuple's context and component names among
+    them.  The comparison is sensitive to the order in which blocks were
+    registered, which parsing an emitted workspace keeps.
+    """
+    return emit_workspace(first) == emit_workspace(second)

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import tracemalloc
 from itertools import islice
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from moritalab import linalg as la
 from moritalab.algebra import (
+    HOM_SYSTEM_CAP,
     LEFT,
     RIGHT,
     Algebra,
@@ -28,6 +30,7 @@ from moritalab.algebra import (
     is_projective,
     kernel_module,
     module_generators,
+    module_sum,
     quotient_module,
     submodule,
     validate_module_data,
@@ -380,6 +383,25 @@ def test_composites_and_cover_maps_pass_the_full_map_check(fixture_over,
     for phi in made:
         checked = ModuleMap(phi.source, phi.target, phi.matrix)
         assert np.array_equal(checked.matrix, phi.matrix)
+
+
+def test_an_oversize_hom_system_is_refused_before_it_is_built(e1):
+    # 2 * (62 * 64)^2 entries, about 2^24.9: 250 MB of int64 if built.
+    reg = e1.algebra_a.regular_module(LEFT)
+    source, target = module_sum([reg] * 31), module_sum([reg] * 32)
+    entries = 2 * (source.dim * target.dim) ** 2
+    assert entries > HOM_SYSTEM_CAP
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError) as caught:
+            hom_space(source, target)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert str(caught.value) == (
+        f"hom system of {source.describe()} (dim 62) -> {target.describe()} "
+        f"(dim 64) has {entries} entries, above the cap of {HOM_SYSTEM_CAP}")
 
 
 def test_an_exhausted_isomorphism_scan_names_both_modules(monkeypatch):

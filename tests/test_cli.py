@@ -146,6 +146,16 @@ def test_exhausted_budget_has_its_own_exit_code(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err.startswith("budget exceeded: ")
 
 
+def test_an_oversize_hom_system_exits_as_budget_exceeded(capsys):
+    # The coresolution of T2(k)^op reaches modules of dimensions 121 and
+    # 161, whose hom system of about 1.1 * 10^9 entries is refused unbuilt.
+    code = run(["theorem", "4.8", "--fixture", str(WORKSPACES / "T2-k-op.txt")])
+    out, err = capsys.readouterr()
+    assert code == BUDGET_EXCEEDED
+    assert (out, err[:len("budget exceeded: ")]) == ("", "budget exceeded: ")
+    assert "hom system of " in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
     monkeypatch.setenv("MORITA_ENUM_BUDGET", value)

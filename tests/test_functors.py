@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from moritalab import functors
-from moritalab.algebra import LEFT, Module
-from moritalab.enumeration import enumerate_delta_modules
+from moritalab import classes, functors
+from moritalab import linalg as la
+from moritalab.algebra import LEFT, RIGHT, Module, hom_space
+from moritalab.classes import builtin_oracles, check_functor_membership
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import (
     check_adjunction,
     coinduce_from_a,
@@ -15,9 +17,11 @@ from moritalab.functors import (
     induce_map,
     tilde,
 )
-from moritalab.morita import (CORNERS, DeltaModuleMap, by_corner,
-                              delta_hom_space, is_projective_delta)
+from moritalab.morita import (CORNERS, DeltaModule, DeltaModuleMap, by_corner,
+                              delta_hom_space, delta_is_isomorphic,
+                              is_projective_delta)
 from moritalab.report import AlgebraMismatchError, Verdict
+from moritalab.tensor import hom_over_algebra
 
 
 def simple(e2):
@@ -132,3 +136,94 @@ def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
             assert report.detail == "composites are not mutually inverse"
             caught += 1
     assert caught
+
+
+def _evaluation_plain(hom, lay):
+    """Evaluation on plain tensor coordinates: in the block of bimodule
+    basis vector i, column k is the value of basis map k at i."""
+    blocks = np.zeros((hom.source.dim, hom.target.dim, hom.dim), dtype=np.int64)
+    for k, mat in enumerate(hom.basis):
+        blocks[:, :, k] = mat.T
+    return lay.unblocks(blocks) % hom.p
+
+
+def reference_coinduce(ctx, module, corner):
+    """Co-induction built by hand and checked: X |-> (X, Hom(N, X)) on the
+    left, the structure map into X evaluation on the basis of the hom
+    module.  The reference for ``functors.coinduce``, which reads induction
+    through the dual."""
+    lay = functors._corner_layout(ctx, module, corner)
+    own, other = by_corner(corner, lay.f_bimodule, lay.g_bimodule)
+    hom = hom_over_algebra(other, module)
+    return DeltaModule(ctx, module.side,
+                       *by_corner(corner, module, hom.module),
+                       *by_corner(corner, la.zeros(hom.dim, own.dim * module.dim),
+                                  _evaluation_plain(hom, lay)),
+                       name=f"coind_{corner}[{module.describe()}]")
+
+
+def reference_coinduced_adjoint(v, coind, mat, corner):
+    """The adjoint v -> coind of mat on the hom-module basis of
+    ``reference_coinduce``, checked: through the structure map of v
+    entering the corner, then mat, read as an element of the hom module."""
+    _, entering = by_corner(corner, v.f_blocks, v.g_blocks)
+    _, hommed_from = by_corner(corner, coind.layout.f_bimodule,
+                               coind.layout.g_bimodule)
+    hom = hom_over_algebra(hommed_from, functors.component(coind, corner))
+    other = functors._transposed((mat @ entering) % v.p, hom)
+    return DeltaModuleMap(v, coind, *by_corner(corner, mat, other))
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_coinduction_through_the_dual_matches_the_hom_construction(
+        fixture_over, monkeypatch, name, p):
+    # The reference adjoint of the identity of x is the comparison map of
+    # the two co-inductions.  Maps into a co-induced tuple are fixed by
+    # their corner block, so each new adjoint, followed by it, must be the
+    # reference adjoint of the same block.
+    ctx = fixture_over(name, p).single_context()
+    for side in (LEFT, RIGHT):
+        tuples = enumerate_delta_modules(ctx, side, 1)
+        for corner in CORNERS:
+            algebra, _ = by_corner(corner, ctx.algebra_a, ctx.algebra_b)
+            for x in enumerate_modules(algebra, side, 2):
+                coind = functors.coinduce(ctx, x, corner)
+                assert functors.component(coind, corner) is x
+                assert functors.coinduce(ctx, x, corner) is coind
+                reference = reference_coinduce(ctx, x, corner)
+                assert delta_is_isomorphic(coind, reference) is not None
+                comparison = reference_coinduced_adjoint(
+                    coind, reference, la.eye(x.dim), corner)
+                assert la.rank(comparison.matrix, p) == coind.dim
+                for v in tuples:
+                    for h in hom_space(functors.component(v, corner), x):
+                        phi = functors.coinduced_adjoint(v, coind, h.matrix,
+                                                         corner)
+                        assert phi.source is v and phi.target is coind
+                        assert np.array_equal(
+                            by_corner(corner, phi.a_matrix, phi.b_matrix)[0],
+                            h.matrix)
+                        DeltaModuleMap(phi.source, phi.target, phi.a_matrix,
+                                       phi.b_matrix)
+                        want = reference_coinduced_adjoint(v, reference,
+                                                           h.matrix, corner)
+                        assert np.array_equal(comparison.compose(phi).matrix,
+                                              want.matrix)
+
+    def coinduce(ctx, module, corner):   # clause names read this name
+        return reference_coinduce(ctx, module, corner)
+
+    kinds = ("flat", "injective", "all")
+    for left in kinds:
+        for right in kinds:
+            quad = dict(
+                c1=builtin_oracles(ctx.algebra_a, LEFT)[left],
+                c2=builtin_oracles(ctx.algebra_a, RIGHT)[right],
+                d1=builtin_oracles(ctx.algebra_b, LEFT)[left],
+                d2=builtin_oracles(ctx.algebra_b, RIGHT)[right])
+            got = check_functor_membership(ctx, bound=2, **quad).to_dict()
+            with monkeypatch.context() as patch:
+                patch.setattr(classes, "coinduce", coinduce)
+                want = check_functor_membership(ctx, bound=2, **quad).to_dict()
+            assert got == want

@@ -48,8 +48,9 @@ def test_duals_are_freed_with_their_owner(e2):
 
 
 def test_defaults_and_keywords_share_an_entry(e2):
-    assert enumerate_delta_modules(e2, LEFT, 2) \
-        is enumerate_delta_modules(e2, LEFT, 2, budget=None)
+    algebra = e2.algebra_a
+    assert algebra.regular_module() is algebra.regular_module(LEFT) \
+        is algebra.regular_module(side=LEFT)
 
 
 @dataclass(eq=False)

@@ -325,10 +325,11 @@ def _listed(pairs):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
-    # Sums, duals, sub-tuples (kernels among them), quotients, unpacked,
-    # induced and co-induced tuples skip the tuple check and build their
-    # tensor products and structure maps on first use, unchecked.  Each must
-    # equal the fully checked tuple on the same data, on checked components.
+    # Sums, duals, sub-tuples (kernels among them), quotients, unpacked and
+    # induced tuples skip the tuple check and build their tensor products
+    # and structure maps on first use, unchecked; co-induced tuples are
+    # duals of induced ones.  Each must equal the fully checked tuple on the
+    # same data, on checked components.
     made, builders = [], set()
     derived = morita.DeltaModule._derived.__func__
 
@@ -357,7 +358,7 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
                 for v in tuples[i:]:
                     delta_dual(delta_sum([u, v]))
     assert builders == {"delta_sum", "delta_dual", "delta_submodule",
-                        "delta_quotient", "unpack", "induce", "coinduce"}
+                        "delta_quotient", "unpack", "induce"}
     for v in made:
         for comp in (v.x, v.y):
             Module(comp.algebra, comp.side, comp.dim, comp.actions)
@@ -378,8 +379,9 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
 def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
                                                     p):
     # Hom bases and their combinations, sum witnesses, the maps of short
-    # exact sequences, covers, composites and the maps of the induction and
-    # co-induction functors skip the map check.  Each must pass it.
+    # exact sequences, covers, composites, duals and the maps of the
+    # induction functor skip the map check; the adjoints of co-induction
+    # are duals of induced ones.  Each must pass it.
     made, builders = [], set()
     intertwining = DeltaModuleMap._intertwining.__func__
 
@@ -415,7 +417,7 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
     assert builders == {"delta_hom_space", "delta_direct_sum",
                         "delta_submodule", "delta_quotient", "compose",
                         "_delta_cover", "induce_map", "induced_adjoint",
-                        "coinduced_adjoint", "delta_is_isomorphic", "identity"}
+                        "dual", "delta_is_isomorphic", "identity"}
     for phi in made:
         checked = DeltaModuleMap(phi.source, phi.target, phi.a_matrix,
                                  phi.b_matrix)
