@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import FieldSpec
-from .memo import memo
+from .memo import array_key, memo
 from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
                      InternalCheckError, MoritaLabError, ValidationError,
                      Verdict)
@@ -250,6 +250,12 @@ class Module:
     def describe(self) -> str:
         return self.name or f"<{self.side} module dim {self.dim} over {self.algebra.name}>"
 
+    def value_key(self) -> tuple:
+        """What the module is as a value, for ``memo(by_value=True)``: its
+        algebra, side and reduced actions; the name and summands are not
+        part of it."""
+        return (self.algebra, self.side, *array_key(self.actions))
+
     # The surface shared with morita.DeltaModule, so class and window code
     # is written once for modules and tuples.
 
@@ -440,15 +446,25 @@ def hom_space(source: Module, target: Module) -> list[ModuleMap]:
 
     Solves the intertwining system act_target(b) F = F act_source(b) for all
     basis elements b; the echelon kernel basis makes the result deterministic.
+    The basis depends only on the values of source and target, so its rows
+    are memoised by value (``_hom_rows``) and read-only; the maps are built
+    on every call, around the objects passed in.
     """
     if source.algebra is not target.algebra or source.side != target.side:
         raise AlgebraMismatchError("hom endpoints disagree on algebra or side")
     n, m = target.dim, source.dim
     if n * m == 0:
         return []
-    basis_rows = la.kernel_basis(hom_system(source, target), source.p)
     return [ModuleMap._intertwining(source, target, row.reshape(n, m))
-            for row in basis_rows]
+            for row in _hom_rows(source, target)]
+
+
+@memo("source", by_value=True)
+def _hom_rows(source: Module, target: Module) -> np.ndarray:
+    """The echelon kernel basis of ``hom_system``, one vec F a row."""
+    rows = la.kernel_basis(hom_system(source, target), source.p)
+    rows.flags.writeable = False
+    return rows
 
 
 def hom_system(source: Module, target: Module) -> np.ndarray:
@@ -785,12 +801,21 @@ def is_projective(module: Module) -> bool:
     J (x)_A M is J (x) M modulo the relations jb (x) m - j (x) bm, the
     images of rho_J(b) (x) I - I (x) lambda_M(b) over the basis elements b,
     and JM is spanned by the images of the basis of J: two ranks, with no
-    free cover and no hom space.
+    free cover and no hom space.  Past the zero cases the verdict is
+    memoised by value (``_tor_vanishes``), so it is decided once for all
+    modules with the same algebra, side and actions.
     """
+    if radical(module.algebra).dim * module.dim == 0:
+        return True
+    return _tor_vanishes(module)
+
+
+@memo("module", by_value=True)
+def _tor_vanishes(module: Module) -> bool:
+    """The rank comparison of ``is_projective`` on a nonzero module over an
+    algebra with a nonzero radical."""
     rad = radical(module.algebra)
     r, d, p = rad.dim, module.dim, module.p
-    if r * d == 0:
-        return True
     on_rad = rad.right if module.side == LEFT else rad.left
     # The relation images are the columns of the blocks; their transposes,
     # stacked, have the same rank.

@@ -279,11 +279,14 @@ def _transported_window(v: DeltaModule, split, w: int) -> ChainComplex:
     return cx
 
 
+@memo("cx")
 def _structural_clauses(cx: ChainComplex, x) -> tuple[list, list[CheckReport]]:
     """The exactness table of cx and the three clauses that make it a
     window around x: exact at every inner position, projective terms, and
     the kernel leaving position 0 identified with x by its coaugmentation
     c, a module map with d^0 c = 0 and rank c = dim x = dim T^0 - rank d^0.
+    Memoised on cx, so the check a window passes at construction is the
+    one its report shows.
     """
     exact_rows = exactness_table(cx)
     bad_exact = [pos for pos, ok in exact_rows if not ok]

@@ -23,20 +23,70 @@ raises stores nothing.
 a tuple of owners, the function returns one result per owner in order, and
 it is called only with the owners that have no entry yet, each once.  A
 later call with other owners therefore computes only for the new ones.
+
+``@memo("x", by_value=True)`` keys by value instead: the entries live on
+the value token of the owner (``value_token``), shared by every object of
+the same value, and every other argument that has a ``value_key`` is keyed
+by its token.  An object's token is interned by ``type(obj).value_key``
+on first use and kept in the object's ``__dict__``; the intern table holds
+tokens weakly, so a token and its entries die with the last object of its
+value, as identity entries die with their owner.  Use it only for results
+that are plain data determined by the arguments' values, such as a verdict
+or a read-only array, so that a fresh but equal object, a cover, a
+cokernel, a dual or a sum built again, is decided once.  A result that
+holds or names its arguments, such as a module, a map or a window, stays
+keyed by identity: on another object of the same value it would name the
+wrong one.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
+import weakref
 from numbers import Integral
 
 _BY_VALUE = (str, int, Integral)   # cheapest test first
 _MISSING = object()
+_TOKEN = "memo.value_token"         # never an attribute name
+_TOKENS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
-def memo(owner, *, each: bool = False):
-    """Decorator memoising a function in the ``__dict__`` of its owner."""
+class ValueToken:
+    """The holder of the by-value entries of every object of one value."""
+
+
+def value_token(obj) -> ValueToken:
+    """The token of ``obj``'s value, ``type(obj).value_key(obj)``, interned
+    on first use and kept by ``obj``.  A value key must hold every ring or
+    context it depends on itself, not its ``id``, so that a recycled id
+    cannot alias two values."""
+    entries = vars(obj)
+    token = entries.get(_TOKEN)
+    if token is None:
+        key = obj.value_key()
+        token = _TOKENS.get(key)
+        if token is None:
+            token = _TOKENS[key] = ValueToken()
+        entries[_TOKEN] = token
+    return token
+
+
+def array_key(array) -> tuple:
+    """The part of a value key that pins one array: shape, dtype and bytes."""
+    return array.shape, array.dtype.str, array.tobytes()
+
+
+def _by_token(arg):
+    return value_token(arg) if hasattr(arg, "value_key") else arg
+
+
+def memo(owner, *, each: bool = False, by_value: bool = False):
+    """Decorator memoising a function in the ``__dict__`` of its owner, or
+    of its owner's value token."""
+    if each and by_value:
+        raise TypeError("a batch memo keys its owners by identity")
+
     def decorate(fn):
         signature = inspect.signature(fn)
         index = {name: i for i, name in enumerate(signature.parameters)}
@@ -51,9 +101,11 @@ def memo(owner, *, each: bool = False):
                 args = bound.args
             at = fixed if fixed is not None else index[owner(*args)]
             key = args[:at] + args[at + 1:]
+            if by_value:
+                key = tuple(map(_by_token, key))
             if each:
                 return _each_owner(fn, slot, args, at, key)
-            entries = vars(args[at])
+            entries = vars(value_token(args[at]) if by_value else args[at])
             table = entries.get(slot)
             if table is None:
                 table = entries[slot] = {}

@@ -69,7 +69,7 @@ from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       hom_space, is_flat, is_projective, module_sum,
                       quotient_module, submodule, validate_module_data,
                       zero_module)
-from .memo import memo
+from .memo import array_key, memo, value_token
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError, Verdict)
 from .tensor import TensorModule, tensor_over_algebra
@@ -363,6 +363,14 @@ class DeltaModule:
 
     def describe(self) -> str:
         return self.name or f"<{self.side} tuple ({self.x.dim}, {self.y.dim})>"
+
+    def value_key(self) -> tuple:
+        """What the tuple is as a value, for ``memo(by_value=True)``: its
+        context, side, the values of its components and its plain structure
+        maps; the name and summands are not part of it."""
+        return (self.context, self.side, value_token(self.x),
+                value_token(self.y), *array_key(self.f_plain),
+                *array_key(self.g_plain))
 
     @property
     def ring(self) -> MoritaContext:
@@ -967,6 +975,7 @@ def _agreed(property_name: str, v: DeltaModule, packed_answer: bool,
     return packed_answer
 
 
+@memo("v", by_value=True)
 def is_projective_delta(v: DeltaModule) -> bool:
     """Projectivity of a tuple, computed two independent ways.
 
@@ -976,12 +985,16 @@ def is_projective_delta(v: DeltaModule) -> bool:
     P = x/im g and Q = y/im f are projective and the tuple is isomorphic to
     the sum of the tuples induced from P and from Q, which
     ``induced_isomorphism`` decides by rank.
-    Disagreement is an internal error.
+    Disagreement is an internal error.  Both routes run once for each value
+    of v: the verdict is memoised by value (see ``memo``), so a tuple equal
+    to one decided before, such as a cover, dual, cokernel or sum built
+    again, is not decided again.
     """
     return _agreed("projectivity", v, is_projective(v.packed),
                    induced_isomorphism(v, is_projective) is not None)
 
 
+@memo("v", by_value=True)
 def is_injective_delta(v: DeltaModule) -> bool:
     """Injectivity of a tuple, computed two independent ways.
 
@@ -989,7 +1002,8 @@ def is_injective_delta(v: DeltaModule) -> bool:
     side ([EJ]), so both routes of ``is_projective_delta`` run on
     ``v.dual``: the Tor certificate of its packed module, and its
     isomorphism to the sum of the tuples induced from its projective
-    structural cokernels.  Disagreement is an internal error.
+    structural cokernels.  Disagreement is an internal error.  Like
+    projectivity, the verdict is memoised by the value of v.
     """
     dual = v.dual
     return _agreed("injectivity", v, is_projective(dual.packed),
@@ -1002,13 +1016,15 @@ def flat_characterisation(v: DeltaModule) -> bool:
     return parts is not None and all(is_flat(quot) for quot, _ in parts)
 
 
+@memo("v", by_value=True)
 def is_flat_delta(v: DeltaModule) -> bool:
     """Flatness of a tuple, computed two independent ways.
 
     Over these finite-dimensional algebras flat coincides with projective,
     so the packed route settles it.  The monomorphism characterisation
     (f and g injective with flat cokernels) must agree unconditionally;
-    a disagreement is an internal error.
+    a disagreement is an internal error.  Like projectivity, the verdict is
+    memoised by the value of v.
     """
     return _agreed("flatness", v, is_projective(v.packed),
                    flat_characterisation(v))

@@ -52,3 +52,16 @@ def fixture_over():
         return made[name, p]
 
     return over
+
+
+@pytest.fixture(scope="session")
+def fresh():
+    """``fresh(name)``: the shipped workspace ``name`` parsed anew at every
+    call.  Its rings are new objects, so its modules and tuples share no
+    value with those of any other parse, and every verdict memoised by
+    value (``memo(by_value=True)``) is computed on them, not read back."""
+    def parse(name):
+        return parse_workspace(resources.files("moritalab").joinpath(
+            "data", f"{name}.txt").read_text())
+
+    return parse

@@ -519,6 +519,25 @@ def test_a_bad_coaugmentation_refutes_the_kernel_identification(e1, e2):
             k, cx.term(1), np.zeros((cx.term(1).dim, 1), dtype=np.int64)))
 
 
+def test_each_window_is_checked_once(fresh, monkeypatch):
+    """The structural check of a window is memoised on the window, so the
+    check it passes at construction is the one its report shows: one
+    exactness table per window, spliced, transported or a transported
+    window's piece."""
+    tables = []
+    monkeypatch.setattr(gorenstein, "exactness_table",
+                        lambda cx: tables.append(cx) or exactness_table(cx))
+    ctx = fresh("E1").single_context()
+    projective = builtin_oracles(ctx.algebra_a, LEFT)["projective"]
+    for m in enumerate_modules(ctx.algebra_a, LEFT, 2):
+        for verdict in (is_gorenstein_projective_window(m, projective, 4, 2),
+                        is_ding_projective_window(induce_from_a(ctx, m), 4, 1)):
+            assert verdict.consistent
+            assert sum(cx is verdict.window for cx in tables) == 1
+    assert len(tables) > 12
+    assert len({id(cx) for cx in tables}) == len(tables)
+
+
 def test_a_spliced_window_that_fails_its_reverification_is_a_defect(
         e2, monkeypatch):
     """The splice is exact with projective terms and kernel im(coaug) by

@@ -1,17 +1,23 @@
-"""The memo: entries die with their owner, keys follow the signature."""
+"""The memo: entries die with their owner, keys follow the signature, and
+by-value entries are shared by equal objects and die with the last one."""
 
 import gc
 import weakref
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
-from moritalab.algebra import LEFT, FieldSpec, Module
+from moritalab import linalg as la
+from moritalab import memo as memo_module
+from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, hom_space,
+                               is_projective)
 from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
-from moritalab.memo import memo
-from moritalab.morita import DeltaModule
+from moritalab.memo import array_key, memo, value_token
+from moritalab.morita import (DeltaModule, is_flat_delta, is_injective_delta,
+                              is_projective_delta)
 from moritalab.tensor import hom_over_algebra, tensor_over_algebra
 
 
@@ -134,3 +140,122 @@ def test_a_batch_keeps_one_entry_per_owner():
     assert calls[-2:] == [(a, b), (a,)]
     with pytest.raises(TypeError, match="compares by value"):
         probe(FieldSpec(2), (a,))
+
+
+def simple(algebra, side=LEFT):
+    """The simple module of the dual numbers, a new object at every call."""
+    return Module(algebra, side, 1, np.array([[[1]], [[0]]], dtype=np.int64),
+                  name="k")
+
+
+def counting_rref(monkeypatch) -> list:
+    calls, real = [], la.rref
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(la, "rref", counted)
+    return calls
+
+
+def test_equal_objects_share_one_decision(fresh, monkeypatch):
+    """A module and a tuple built twice are decided once: asking about the
+    second object runs no elimination."""
+    ctx = fresh("E2").single_context()
+    calls = counting_rref(monkeypatch)
+    x, twin = simple(ctx.algebra_a), simple(ctx.algebra_a)
+    v, v_twin = induce_from_a(ctx, x), induce_from_a(ctx, twin)
+    assert value_token(x) is value_token(twin)
+    assert v is not v_twin and value_token(v) is value_token(v_twin)
+    calls.clear()
+    first = [is_projective(x), [phi.matrix.tolist() for phi in hom_space(x, x)],
+             is_projective_delta(v), is_injective_delta(v), is_flat_delta(v)]
+    assert calls
+    calls.clear()
+    again = [is_projective(twin),
+             [phi.matrix.tolist() for phi in hom_space(twin, twin)],
+             is_projective_delta(v_twin), is_injective_delta(v_twin),
+             is_flat_delta(v_twin)]
+    assert again == first and not calls
+    assert all(phi.source is twin and phi.target is twin
+               for phi in hom_space(twin, twin))
+
+
+def test_values_are_not_shared_across_parses_sides_or_shapes(fresh):
+    first, second = (fresh("E2").single_context() for _ in range(2))
+    token = value_token(simple(first.algebra_a))
+    assert value_token(simple(first.algebra_a)) is token
+    assert value_token(simple(second.algebra_a)) is not token
+    assert value_token(simple(first.algebra_a, RIGHT)) is not token
+    v = induce_from_a(first, simple(first.algebra_a))
+    w = induce_from_a(second, simple(second.algebra_a))
+    assert value_token(v) is not value_token(w)
+
+    @dataclass(eq=False)
+    class Valued:
+        ring: object
+        array: np.ndarray
+
+        def value_key(self):
+            return (self.ring, *array_key(self.array))
+
+    ring = Box()
+    empty = value_token(Valued(ring, np.zeros((0, 3), dtype=np.int64)))
+    assert value_token(Valued(ring, np.zeros((3, 0), dtype=np.int64))) is not empty
+    zeros = value_token(Valued(ring, np.zeros(2, dtype=np.int64)))
+    assert value_token(Valued(ring, np.zeros(4, dtype=np.int32))) is not zeros
+    assert value_token(Valued(ring, np.zeros((2, 1), dtype=np.int64))) is not zeros
+    assert value_token(Valued(Box(), np.zeros(2, dtype=np.int64))) is not zeros
+
+
+def test_a_by_value_memo_keys_other_arguments_by_their_tokens():
+    calls = []
+
+    @dataclass(eq=False)
+    class Valued:
+        value: int
+
+        def value_key(self):
+            return (self.value,)
+
+    @memo("owner", by_value=True)
+    def probe(owner, other, tag):
+        calls.append((owner, other, tag))
+        return object()
+
+    a, b = Valued(1), Valued(2)
+    first = probe(a, b, "t")
+    assert probe(Valued(1), Valued(2), "t") is first
+    assert probe(a, Valued(3), "t") is not first
+    assert probe(a, b, "u") is not first
+    assert len(calls) == 3
+    with pytest.raises(TypeError, match="compares by value"):
+        probe(a, FieldSpec(2), "t")
+    with pytest.raises(TypeError, match="batch"):
+        memo("xs", each=True, by_value=True)
+
+
+def test_a_value_token_dies_with_the_last_object_of_its_value(fresh):
+    ctx = fresh("E2").single_context()
+    x, twin = simple(ctx.algebra_a), simple(ctx.algebra_a)
+    is_projective(x)
+    hom_space(x, x)
+    key = x.value_key()
+    token = weakref.ref(value_token(x))
+    assert value_token(twin) is token() and key in memo_module._TOKENS
+    del x
+    gc.collect()
+    assert token() is not None and key in memo_module._TOKENS
+    del twin
+    gc.collect()
+    assert token() is None and key not in memo_module._TOKENS
+
+
+def test_a_memoised_array_is_read_only(fresh):
+    ctx = fresh("E2").single_context()
+    x = simple(ctx.algebra_a)
+    phi = hom_space(x, x)[0]
+    with pytest.raises(ValueError, match="read-only"):
+        phi.matrix[0, 0] += 1
+    assert hom_space(x, x)[0].matrix.tolist() == phi.matrix.tolist()

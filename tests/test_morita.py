@@ -23,6 +23,7 @@ from moritalab.functors import (check_adjunction, coinduce, coinduce_from_a,
                                 tilde)
 from moritalab.morita import (
     CORNERS,
+    DeltaModule,
     DeltaModuleMap,
     MoritaContext,
     delta_direct_sum,
@@ -137,26 +138,39 @@ def test_injectivity_of_the_regular_tuple(ws_e0, ws_e1):
     assert not is_injective_delta(ws_e1.tuples["Delta"])
 
 
+def rebuilt(v, ctx):
+    """A checked copy of the tuple v over ctx, a context parsed from the
+    same text as v's: an equal tuple whose verdicts no memo holds yet."""
+    x, y = (Module(ring, v.side, part.dim, part.actions.copy(), name=part.name)
+            for ring, part in ((ctx.algebra_a, v.x), (ctx.algebra_b, v.y)))
+    return DeltaModule(ctx, v.side, x, y, v.f_plain, v.g_plain, name=v.name)
+
+
 @pytest.mark.parametrize("bound", [2, 3])
-def test_both_routes_decide_right_tuples(e1, e2, bound, monkeypatch):
+def test_both_routes_decide_right_tuples(e1, e2, fresh, bound, monkeypatch):
     """The structural routes run on right tuples and agree with the packed
     routes; once their final rank test is made to lie, every tuple that
-    reaches it raises."""
-    for ctx in (e1, e2):
+    reaches it raises.  The lying test is asked about copies of the tuples
+    over a fresh parse, so it runs: the verdicts on the originals are
+    memoised by value."""
+    for name, ctx in (("E1", e1), ("E2", e2)):
         tuples = enumerate_delta_modules(ctx, RIGHT, bound)
         projective = [v for v in tuples if is_projective_delta(v)]
         injective = [v for v in tuples if is_injective_delta(v)]
         assert projective and injective
+        other = fresh(name).single_context()
+        reached = []
         with monkeypatch.context() as patch:
             honest = morita._bijective
             patch.setattr(morita, "_bijective",
-                          lambda maps: not honest(maps))
+                          lambda maps: reached.append(maps) or not honest(maps))
             for v in projective:
                 with pytest.raises(InternalCheckError, match="projectivity"):
-                    is_projective_delta(v)
+                    is_projective_delta(rebuilt(v, other))
             for v in injective:
                 with pytest.raises(InternalCheckError, match="injectivity"):
-                    is_injective_delta(v)
+                    is_injective_delta(rebuilt(v, other))
+        assert len(reached) == len(projective) + len(injective)
 
 
 def test_structure_square_violation_is_rejected(e2):

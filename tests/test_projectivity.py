@@ -145,14 +145,20 @@ def test_certificate_matches_the_splitting_test_on_bound_3_tuples(fixture_over,
     assert_certificate_matches_the_reference([v.packed for v in tuples])
 
 
-def test_certificate_builds_no_free_cover_and_no_hom_space(e1, e2, monkeypatch):
+def test_certificate_builds_no_free_cover_and_no_hom_space(fresh, monkeypatch):
+    """The modules live over fresh parses, so no verdict on them is
+    memoised yet and the certificate runs: its ranks are reached."""
     def refuse(*args):
         raise AssertionError("projectivity must be decided without it")
 
-    modules = [v.packed for ctx in (e1, e2) for side in (LEFT, RIGHT)
+    modules = [v.packed for name in ("E1", "E2")
+               for ctx in (fresh(name).single_context(),) for side in (LEFT, RIGHT)
                for v in enumerate_delta_modules(ctx, side, 2)]
+    ranks, rank = [], la.rank
+    monkeypatch.setattr(la, "rank", lambda m, p: ranks.append(m) or rank(m, p))
     monkeypatch.setattr(algebra, "free_cover", refuse)
     monkeypatch.setattr(algebra, "hom_space", refuse)
     for module in modules:
         is_projective(module)
         is_injective(module)
+    assert ranks
