@@ -470,11 +470,12 @@ def _hom_rows(source: Module, target: Module) -> np.ndarray:
 def hom_system(source: Module, target: Module) -> np.ndarray:
     """The intertwining system of ``hom_space``: the blocks
     I (x) src_i^T - tgt_i (x) I for every algebra basis element i, stacked
-    in order, built in one broadcast.
+    in order, built in one array.
 
     vec(F @ src) = (I (x) src^T) vec F and vec(tgt @ F) = (tgt (x) I) vec F
     for the row-major vec of F: block i, entry ((a, b), (c, d)), is
-    [a = c] src_i[d, b] - tgt_i[a, c] [b = d].
+    [a = c] src_i[d, b] - tgt_i[a, c] [b = d].  Both terms are written into
+    diagonals of one zero array (writable ``einsum`` views), reduced in place.
 
     A system of more than ``HOM_SYSTEM_CAP`` entries is refused before
     anything is allocated (``BudgetExceededError``).
@@ -486,10 +487,11 @@ def hom_system(source: Module, target: Module) -> np.ndarray:
             f"hom system of {source.describe()} (dim {m}) -> "
             f"{target.describe()} (dim {n}) has {entries} entries, above the "
             f"cap of {HOM_SYSTEM_CAP}")
-    src_t = source.actions.transpose(0, 2, 1)
-    first = la.eye(n)[None, :, None, :, None] * src_t[:, None, :, None, :]
-    second = target.actions[:, :, None, :, None] * la.eye(m)[None, None, :, None, :]
-    return ((first - second) % source.p).reshape(k * n * m, n * m)
+    out = np.zeros((k, n, m, n, m), dtype=np.int64)
+    np.einsum("iabad->iabd", out)[...] = source.actions.transpose(0, 2, 1)[:, None]
+    np.einsum("iabcb->iabc", out)[...] -= target.actions[:, :, None]
+    np.remainder(out, source.p, out=out)
+    return out.reshape(k * n * m, n * m)
 
 
 def dual_module(module: Module) -> Module:

@@ -10,8 +10,8 @@ contract codes:
     3  a hypothesis of the check failed on this input
     4  input error: bad arguments, unparseable workspace, unknown names
     5  budget exceeded: an exhaustive scan needs more candidates than the
-       budget allows, or a hom system more entries than its cap, so no
-       verdict was reached ("budget exceeded: ...")
+       budget allows, a hom system more entries than its cap, or the host
+       ran out of memory, so no verdict was reached ("budget exceeded: ...")
     6  internal check failed: two routes that must agree did not, which is
        a defect of the program ("internal check failed: ...")
 
@@ -454,6 +454,10 @@ def run(argv: list[str] | None = None) -> int:
         return INPUT_ERROR
     except BudgetExceededError as err:
         print(f"budget exceeded: {err}", file=sys.stderr)
+        return BUDGET_EXCEEDED
+    except MemoryError as err:
+        print("budget exceeded: out of memory" + (f": {err}" if str(err) else ""),
+              file=sys.stderr)
         return BUDGET_EXCEEDED
     except InternalCheckError as err:
         print(f"internal check failed: {err}", file=sys.stderr)

@@ -135,15 +135,18 @@ class ChainComplex:
         return [t.dim for t in self.terms]
 
 
+@memo("cx")
+def _ranks(cx: ChainComplex) -> list[int]:
+    """The rank of each differential of cx, in order."""
+    return [la.rank(d.matrix, d.p) for d in cx.maps]
+
+
 def exactness_table(cx: ChainComplex) -> list[tuple[int, bool]]:
-    """(position, exact) at every inner position, by the rank identity."""
-    p = cx.terms[0].p
-    rows = []
-    for pos in range(cx.lo + 1, cx.hi):
-        arriving = la.rank(cx.diff(pos - 1).matrix, p)
-        leaving = la.rank(cx.diff(pos).matrix, p)
-        rows.append((pos, arriving + leaving == cx.term(pos).dim))
-    return rows
+    """(position, exact) at every inner position, by the rank identity on
+    the ranks of ``_ranks``, which the kernel identification shares."""
+    ranks = _ranks(cx)
+    return [(pos, ranks[i] + ranks[i + 1] == cx.term(pos).dim)
+            for i, pos in enumerate(range(cx.lo + 1, cx.hi))]
 
 
 def _projective(term) -> bool:
@@ -308,7 +311,7 @@ def _structural_clauses(cx: ChainComplex, x) -> tuple[list, list[CheckReport]]:
     kernel_ok = (coaug is not None and coaug.source is x
                  and not np.any((d0.matrix @ coaug.matrix) % p)
                  and la.rank(coaug.matrix, p) == x.dim
-                 == cx.term(0).dim - la.rank(d0.matrix, p))
+                 == cx.term(0).dim - _ranks(cx)[-cx.lo])
     clause_kernel = CheckReport(
         "window-kernel-identification",
         Verdict.PASS if kernel_ok else Verdict.REFUTED,
@@ -353,25 +356,27 @@ def _hom_complex_data(cx: ChainComplex, test):
     """Hom bases levelwise and the homology dimensions of Hom(cx, test).
 
     Applying Hom(-, test) reverses the differentials; homology is reported
-    at inner positions of the original window.
+    at inner positions of the original window.  The matrix d^i induces is
+    one solve, with the independent hom basis at i as columns and each
+    composite psi d^i as a right-hand side; homology reads one rank of each.
     """
     p = test.p
     bases = [t.homs(test) for t in cx.terms]
-    vec_bases = [[b.coord_vector() for b in basis] for basis in bases]
     induced = []
     for i, d in enumerate(cx.maps):
-        mat = la.zeros(len(bases[i]), len(bases[i + 1]))
-        for k, psi in enumerate(bases[i + 1]):
-            coords = la.coords_in_span(vec_bases[i], psi.compose(d).coord_vector(), p)
-            if coords is None:
-                raise InternalCheckError("hom basis failed to span a composite")
-            mat[:, k] = coords
+        if not bases[i + 1]:
+            induced.append(la.zeros(len(bases[i]), 0))
+            continue
+        rhs = np.stack([psi.compose(d).coord_vector() for psi in bases[i + 1]], 1)
+        span = np.array([b.coord_vector() for b in bases[i]], dtype=np.int64)
+        mat = la.solve(span.reshape(len(bases[i]), len(rhs)).T, rhs, p)
+        if mat is None:
+            raise InternalCheckError("hom basis failed to span a composite")
         induced.append(mat)
+    ranks = [la.rank(mat, p) for mat in induced]
     homology = []
     for j in range(1, len(bases) - 1):
-        arriving = la.rank(induced[j], p)
-        leaving = la.rank(induced[j - 1], p)
-        h = len(bases[j]) - arriving - leaving
+        h = len(bases[j]) - ranks[j] - ranks[j - 1]
         if h < 0:
             raise InternalCheckError("negative homology dimension")
         homology.append((cx.lo + j, h))

@@ -4,6 +4,7 @@ import re
 import sys
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,8 +40,10 @@ from moritalab.enumeration import (_rref_patterns, enumerate_delta_modules,
                                    enumerate_modules)
 from moritalab.gorenstein import cover_steps
 from moritalab.report import BudgetExceededError, ValidationError
+from moritalab.workspace import parse_workspace
 
 P2 = FieldSpec(2)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_nonassociative_table_names_the_triple():
@@ -341,6 +344,37 @@ def test_hom_system_is_the_stack_of_kron_blocks(fixture_over, p):
                         assert got.dtype == np.int64
                         assert got.shape == want.shape
                         assert np.array_equal(got, want)
+
+
+def _broadcast_hom_system(source, target):
+    """The hom system as three broadcast arrays, the terms and their
+    difference: the reference for ``hom_system``'s one-array build."""
+    k, n, m = source.algebra.dim, target.dim, source.dim
+    src_t = source.actions.transpose(0, 2, 1)
+    first = la.eye(n)[None, :, None, :, None] * src_t[:, None, :, None, :]
+    second = target.actions[:, :, None, :, None] * la.eye(m)[None, None, :, None, :]
+    return ((first - second) % source.p).reshape(k * n * m, n * m)
+
+
+def test_a_hom_system_takes_little_more_memory_than_its_result():
+    # Eight copies of the regular right module of T2(k)^op: a system of
+    # 3 * 24^4 entries, about 8 MB.  The broadcast build held four such
+    # arrays at its peak.
+    ws = parse_workspace((ROOT / "tests" / "workspaces" / "T2-k-op.txt")
+                         .read_text())
+    regular = ws.algebras["T"].regular_module(RIGHT)
+    for copies in (1, 2, 8):
+        summed = module_sum([regular] * copies)
+        want = _broadcast_hom_system(summed, summed)
+        tracemalloc.start()
+        try:
+            got = hom_system(summed, summed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        if copies == 8:
+            assert peak <= 1.5 * got.nbytes
 
 
 @pytest.mark.parametrize("p", [2, 3])

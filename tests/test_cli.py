@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from moritalab import cli
+from moritalab import algebra, cli
 from moritalab.cli import run
 from moritalab.report import InternalCheckError
 
@@ -156,6 +156,24 @@ def test_an_oversize_hom_system_exits_as_budget_exceeded(capsys):
     assert "hom system of " in err and "Traceback" not in err
 
 
+def test_running_out_of_memory_exits_as_budget_exceeded(tmp_path, capsys,
+                                                       monkeypatch):
+    # Running out of memory reaches no verdict: it is exit 5, not a
+    # traceback and exit 1 ("refuted").  A fresh copy of E1 has no hom
+    # basis memoised, so its first hom space builds a system.
+    def exhausted(source, target):
+        raise MemoryError("Unable to allocate 103. MiB for an array")
+
+    monkeypatch.setattr(algebra, "hom_system", exhausted)
+    code = run(["theorem", "3.3", "--fixture", fixture_file(tmp_path, "E1"),
+                "--bound", "1"])
+    out, err = capsys.readouterr()
+    assert code == BUDGET_EXCEEDED
+    assert out == ""
+    assert err == ("budget exceeded: out of memory: "
+                   "Unable to allocate 103. MiB for an array\n")
+
+
 @pytest.mark.parametrize("value", ["abc", "-5"])
 def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
     monkeypatch.setenv("MORITA_ENUM_BUDGET", value)
@@ -211,7 +229,7 @@ def _report_nodes(node):
 
 
 @pytest.mark.parametrize("workspace", ["E0", "E1", "E2", "E2-simple-M",
-                                       "T2-k", "T2-k-op"])
+                                       "T2-k", "T2-k-op", "T2-kx"])
 @pytest.mark.parametrize("number", ["3.3", "3.6", "4.3", "4.7", "4.8"])
 def test_every_theorem_on_every_workspace_ends_with_a_documented_code(
         number, workspace, tmp_path, capsys, monkeypatch):

@@ -103,17 +103,21 @@ def test_adjunctions_hold_on_the_semisimple_fixture(e1):
             assert report.verdict is Verdict.PASS, report.detail
 
 
-@pytest.mark.parametrize("kind", ["induce", "coinduce"])
-def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
-    # The adjoint maps are built unchecked, so an adjoint that is wrong
-    # outside the corner must be caught by the round trip itself.
-    right = getattr(functors, f"{kind}d_adjoint")
+def _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, block):
+    """Put a zero ``block`` ("corner" or "other") in every map that
+    ``induced_adjoint`` builds, and assert that the check refutes every
+    pair whose tuple homs have that block nonzero.  Co-induction pairs are
+    checked on the duals, through ``induced_adjoint``, so the wrong adjoint
+    is put there for both kinds."""
+    right = functors.induced_adjoint
+    at = 0 if block == "corner" else 1
 
-    def zero_outside_the_corner(*args):
-        phi, corner = right(*args), args[-1]
-        own, other = by_corner(corner, phi.a_matrix, phi.b_matrix)
-        return DeltaModuleMap._intertwining(
-            phi.source, phi.target, *by_corner(corner, own, 0 * other))
+    def wrong(ind, v, mat, corner):
+        phi = right(ind, v, mat, corner)
+        blocks = list(by_corner(corner, phi.a_matrix, phi.b_matrix))
+        blocks[at] = 0 * blocks[at]
+        return DeltaModuleMap._intertwining(phi.source, phi.target,
+                                            *by_corner(corner, *blocks))
 
     caught = 0
     for corner in CORNERS:
@@ -124,18 +128,98 @@ def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
         for v in enumerate_delta_modules(e2, LEFT, 2):
             ends = (made, v) if kind == "induce" else (v, made)
             homs = delta_hom_space(*ends)
-            if not any(by_corner(corner, h.a_matrix, h.b_matrix)[1].any()
+            if not any(by_corner(corner, h.a_matrix, h.b_matrix)[at].any()
                        for h in homs):
                 continue
             assert check_adjunction(e2, plain, v, pair).verdict is Verdict.PASS
             with monkeypatch.context() as patch:
-                patch.setattr(functors, f"{kind}d_adjoint",
-                              zero_outside_the_corner)
+                patch.setattr(functors, "induced_adjoint", wrong)
                 report = check_adjunction(e2, plain, v, pair)
             assert report.verdict is Verdict.REFUTED
             assert report.detail == "composites are not mutually inverse"
             caught += 1
     assert caught
+
+
+@pytest.mark.parametrize("kind", ["induce", "coinduce"])
+def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
+    # The adjoint maps are built unchecked, so an adjoint that is wrong
+    # outside the corner must be caught by the round trip itself.
+    _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, "other")
+
+
+@pytest.mark.parametrize("kind", ["induce", "coinduce"])
+def test_the_adjunction_check_refutes_a_wrong_corner_block(e2, monkeypatch,
+                                                           kind):
+    # The check runs one round, backward . forward = id on the tuple homs;
+    # an adjoint whose corner block is not its argument fails that round.
+    _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, "corner")
+
+
+def reference_check_adjunction(ctx, plain, v, pair):
+    """The adjunction check with a branch per kind and both rounds: a
+    co-induction pair is checked on ``coinduce`` and ``coinduced_adjoint``,
+    and forward . backward = id is checked on the plain hom basis besides
+    backward . forward = id on the tuple hom basis.  The reference for
+    ``check_adjunction``, which reads co-induction through the dual and
+    checks the second round only."""
+    name = f"adjunction-{pair}"
+    kind, _, corner = pair.partition("-")
+    own = functors.component(v, corner)
+    if kind == "induce":
+        ind = functors.induce(ctx, plain, corner)
+        tuple_homs = delta_hom_space(ind, v)
+        plain_homs = hom_space(plain, own)
+
+        def backward(mat):
+            return functors.induced_adjoint(ind, v, mat, corner)
+    else:
+        coind = functors.coinduce(ctx, plain, corner)
+        tuple_homs = delta_hom_space(v, coind)
+        plain_homs = hom_space(own, plain)
+
+        def backward(mat):
+            return functors.coinduced_adjoint(v, coind, mat, corner)
+
+    if len(tuple_homs) != len(plain_homs):
+        return (name, Verdict.REFUTED,
+                f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
+
+    def forward(dm):
+        return by_corner(corner, dm.a_matrix, dm.b_matrix)[0]
+
+    def restored(dm):
+        back = backward(forward(dm))
+        return (np.array_equal(back.a_matrix, dm.a_matrix)
+                and np.array_equal(back.b_matrix, dm.b_matrix))
+
+    if (all(np.array_equal(forward(backward(h.matrix)), h.matrix)
+            for h in plain_homs)
+            and all(restored(dm) for dm in tuple_homs)):
+        return (name, Verdict.PASS,
+                f"bijection verified on hom spaces of dim {len(plain_homs)}")
+    return (name, Verdict.REFUTED, "composites are not mutually inverse")
+
+
+@pytest.mark.parametrize("name", ["E0", "E1", "E2"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_the_adjunction_check_matches_the_two_branch_reference(fixture_over,
+                                                               name, p):
+    ctx = fixture_over(name, p).single_context()
+    checked = 0
+    for side in (LEFT, RIGHT):
+        regular = dict(zip(CORNERS, (ctx.algebra_a.regular_module(side),
+                                     ctx.algebra_b.regular_module(side))))
+        for v in enumerate_delta_modules(ctx, side, 2):
+            for corner in CORNERS:
+                for kind in ("induce", "coinduce"):
+                    pair = f"{kind}-{corner}"
+                    report = check_adjunction(ctx, regular[corner], v, pair)
+                    assert (report.name, report.verdict, report.detail) == \
+                        reference_check_adjunction(ctx, regular[corner], v,
+                                                   pair)
+                    checked += 1
+    assert checked
 
 
 def _evaluation_plain(hom, lay):

@@ -727,3 +727,70 @@ def test_a_refused_coresolution_term_stops_the_walk(e2, monkeypatch):
                                            "kernel", "cover"]
     assert calls[0] == ("cover", k.dual)
     assert all(obj is not k for _, obj in calls)
+
+
+def reference_hom_complex_data(cx, test):
+    """The homology of Hom(cx, test), solving for each composite psi d of
+    a hom basis map psi on its own and ranking each induced matrix at both
+    positions it borders: the reference for ``_hom_complex_data``, which
+    solves once per differential and ranks once per induced matrix."""
+    p = test.p
+    bases = [t.homs(test) for t in cx.terms]
+    vec_bases = [[b.coord_vector() for b in basis] for basis in bases]
+    induced = []
+    for i, d in enumerate(cx.maps):
+        mat = la.zeros(len(bases[i]), len(bases[i + 1]))
+        for k, psi in enumerate(bases[i + 1]):
+            coords = la.coords_in_span(vec_bases[i],
+                                       psi.compose(d).coord_vector(), p)
+            assert coords is not None
+            mat[:, k] = coords
+        induced.append(mat)
+    return [(cx.lo + j, len(bases[j]) - la.rank(induced[j], p)
+             - la.rank(induced[j - 1], p))
+            for j in range(1, len(bases) - 1)]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("name", ["E1", "E2"])
+def test_one_solve_per_differential_matches_the_per_map_hom_complex(
+        fixture_over, name, p):
+    # Every window of the lazy splice test, against the projective and
+    # flat samples at bound 1 over its ring and side, whose complexes are
+    # exact, and against every object at bound 1, where some are not.
+    ctx = fixture_over(name, p).single_context()
+    compared = dirty = 0
+    for x in _bounded_objects(ctx, 2):
+        oracles = builtin_oracles(x.ring, x.side)
+        tests = [test for kind in ("projective", "flat", "all")
+                 for test in oracles[kind].sample(1)]
+        for w in (2, 4):
+            try:
+                cx = complete_resolution_window(x, w)
+            except WindowConstructionError:
+                continue
+            for test in tests:
+                _, homology = gorenstein._hom_complex_data(cx, test)
+                assert homology == reference_hom_complex_data(cx, test)
+                compared += 1
+                dirty += any(h for _, h in homology)
+    assert compared and (dirty or name == "E1")
+
+
+def test_a_window_ranks_each_differential_once(e2, monkeypatch):
+    """The exactness table and the kernel identification read one rank
+    per differential, plus the coaugmentation's; the Hom complex one rank
+    per induced matrix.  A width-4 window has 8 differentials."""
+    k = simple(e2)
+    cx = complete_resolution_window(k, 4)
+    test = e2.algebra_a.regular_module(LEFT)
+    assert len(cx.maps) == 8
+    rank, calls = la.rank, []
+    monkeypatch.setattr(la, "rank", lambda m, p: calls.append(m) or rank(m, p))
+    copy = dataclasses.replace(cx)    # a new window, with nothing memoised
+    assert all(clause.verdict is Verdict.PASS
+               for clause in gorenstein._structural_clauses(copy, k)[1])
+    assert len(calls) <= 9
+    calls.clear()
+    gorenstein._hom_complex_data(copy, test)
+    assert len(calls) <= 8

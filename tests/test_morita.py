@@ -18,9 +18,9 @@ from moritalab.enumeration import (delta_invariant_pairs,
 from moritalab import morita
 from moritalab import linalg as la
 from moritalab.functors import (check_adjunction, coinduce, coinduce_from_a,
-                                coinduce_from_b, component, induce,
-                                induce_from_a, induce_from_b, induce_map,
-                                tilde)
+                                coinduce_from_b, coinduced_adjoint, component,
+                                induce, induce_from_a, induce_from_b,
+                                induce_map, tilde)
 from moritalab.morita import (
     CORNERS,
     DeltaModule,
@@ -395,7 +395,8 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
     # Hom bases and their combinations, sum witnesses, the maps of short
     # exact sequences, covers, composites, duals and the maps of the
     # induction functor skip the map check; the adjoints of co-induction
-    # are duals of induced ones.  Each must pass it.
+    # are duals of induced ones, built here directly, since the adjunction
+    # check reads co-induction pairs through the duals.  Each must pass it.
     made, builders = [], set()
     intertwining = DeltaModuleMap._intertwining.__func__
 
@@ -425,6 +426,9 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
                         assert report.verdict is Verdict.PASS, report.detail
                     for phi in hom_space(regular[corner], component(u, corner)):
                         induce_map(ctx, phi, corner)
+                    coind = coinduce(ctx, regular[corner], corner)
+                    for phi in hom_space(component(u, corner), regular[corner]):
+                        coinduced_adjoint(u, coind, phi.matrix, corner)
                 for v in tuples[i:]:
                     delta_hom_space(u, v)
                     delta_direct_sum([u, v])
