@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg as la
 from .linalg import FieldSpec
-from .memo import array_key, memo
+from .memo import array_key, linked_dual, memo
 from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
                      InternalCheckError, MoritaLabError, ValidationError,
                      Verdict)
@@ -263,9 +263,9 @@ class Module:
     def ring(self) -> Algebra:
         return self.algebra
 
-    @cached_property
+    @property
     def dual(self) -> "Module":
-        """The GF(p)-linear dual, built once by ``dual_module``."""
+        """The GF(p)-linear dual, kept by ``dual_module``."""
         return dual_module(self)
 
     def homs(self, target: "Module") -> list["ModuleMap"]:
@@ -380,15 +380,15 @@ class ModuleMap:
     def kernel(self) -> tuple[Module, "ModuleMap"]:
         return kernel_module(self)
 
-    @cached_property
+    @property
+    @linked_dual
     def dual(self) -> "ModuleMap":
         """The transpose, from ``target.dual`` to ``source.dual``; its dual
-        is this map.  Unchecked: transposing phi A = B phi gives
-        A^T phi^T = phi^T B^T, the intertwining law of the dual actions."""
-        dual = ModuleMap._intertwining(self.target.dual, self.source.dual,
+        is this map while it lives (``memo.linked_dual``).  Unchecked:
+        transposing phi A = B phi gives A^T phi^T = phi^T B^T, the
+        intertwining law of the dual actions."""
+        return ModuleMap._intertwining(self.target.dual, self.source.dual,
                                        self.matrix.T.copy())
-        dual.dual = self
-        return dual
 
     @classmethod
     def identity(cls, module: Module) -> "ModuleMap":
@@ -494,23 +494,22 @@ def hom_system(source: Module, target: Module) -> np.ndarray:
     return out.reshape(k * n * m, n * m)
 
 
+@linked_dual
 def dual_module(module: Module) -> Module:
     """GF(p)-linear dual with the opposite side; action matrices transpose.
 
     Transposing reverses products, which is exactly the action law of the
     other side, so the dual is not validated again.  It is built once and
-    kept as ``module.dual``, with ``module`` as the dual's dual.  The dual
-    of a sum is the sum of the summands' duals entry for entry, so it
-    records them as its summands."""
-    if "dual" not in vars(module):
-        transposed = np.transpose(module.actions, (0, 2, 1)).copy()
-        other = RIGHT if module.side == LEFT else LEFT
-        module.dual = Module._derived(module.algebra, other, module.dim,
-                                      transposed, f"{module.describe()}^+")
-        module.dual.dual = module
-        if module.summands:
-            module.dual.summands = tuple(s.dual for s in module.summands)
-    return module.dual
+    kept as ``module.dual``, with ``module`` as the dual's dual while it
+    lives (``memo.linked_dual``).  The dual of a sum is the sum of the
+    summands' duals entry for entry, so it records them as its summands."""
+    other = RIGHT if module.side == LEFT else LEFT
+    dual = Module._derived(module.algebra, other, module.dim,
+                           np.transpose(module.actions, (0, 2, 1)).copy(),
+                           f"{module.describe()}^+")
+    if module.summands:
+        dual.summands = tuple(s.dual for s in module.summands)
+    return dual
 
 
 def _conjugation_invariants(module: Module) -> tuple:
@@ -667,8 +666,9 @@ def module_generators(module: Module) -> list[int]:
     return [c // (n + 1) for c in pivots if c % (n + 1) == 0]
 
 
+@memo("module")
 def free_cover(module: Module) -> tuple[Module, ModuleMap]:
-    """A surjection from a free module onto ``module``.
+    """A surjection from a free module onto ``module``, kept by it.
 
     One free summand per generator; the counit sends the basis element b of
     copy i to b acting on generator i.  It intertwines by construction (the

@@ -42,7 +42,7 @@ from .algebra import (LEFT, RIGHT, is_flat, is_injective, is_projective,
                       submodule)
 from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
                           enumerate_modules, short_exact_sequences)
-from .functors import coinduce, induce, tilde_kernel
+from .functors import coinduce, induce
 from .memo import memo
 from .morita import (CORNERS, DeltaModule, MoritaContext, by_corner,
                      corner_parts, delta_submodule, is_flat_delta,
@@ -224,11 +224,18 @@ def in_mono_class(v: DeltaModule, class_a: ClassOracle,
 
 def in_epi_class(v: DeltaModule, class_a: ClassOracle,
                  class_b: ClassOracle) -> bool:
-    """Transposed maps surjective with kernels in the component classes."""
+    """Transposed maps surjective with kernels in the component classes.
+
+    Decided on the dual: the transposed map at a corner, x -> Hom(M, y) for
+    a left tuple at A, is the dual of the structure map of ``v.dual``
+    entering that corner.  So it is onto exactly when that map is
+    one-to-one, and its kernel is the dual of that map's cokernel up to
+    isomorphism, which is all a class sees (``ClassOracle``).
+    """
     _require_component_classes(v, class_a, class_b)
-    parts = corner_parts(v, tilde_kernel)
-    return (parts is not None and class_a.contains(parts[0][0])
-            and class_b.contains(parts[1][0]))
+    parts = corner_parts(v.dual, structural_cokernel)
+    return (parts is not None and class_a.contains(parts[0][0].dual)
+            and class_b.contains(parts[1][0].dual))
 
 
 @memo("ctx")

@@ -17,12 +17,10 @@ against the swap ``morita.by_corner`` (corner "b" gives Y |-> (N (x) Y, Y)
 and so (Hom(M, Y), Y)), and once for both sides, against
 ``morita.TupleLayout``.  ``induce_from_a``, ``coinduce_from_b``,
 ``component_a`` and the other ``_a``/``_b`` names are shorthands for one
-corner.  ``tilde`` transposes a structure map into X -> Hom(M, Y) ("a") or
-Y -> Hom(N, X) ("b") for left tuples.  Its kernels, which ``tilde_kernel``
-reads off the stacked blocks of the structure map without building the
-transposed map, control the epi-style membership tests.
-check_adjunction verifies the bijections of induction on concrete hom-space
-bases, and those of co-induction as the ones of induction on the duals.
+corner.  check_adjunction verifies the bijections of induction on concrete
+hom-space bases, and those of co-induction as the ones of induction on the
+duals.  The epi classes read the transposed structure maps x -> Hom(M, y)
+through the dual as well (``classes.in_epi_class``).
 """
 
 from __future__ import annotations
@@ -30,13 +28,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg as la
-from .algebra import Module, ModuleMap, hom_space, submodule
+from .algebra import Module, ModuleMap, hom_space
 from .memo import memo
 from .morita import (CORNERS, DeltaModule, DeltaModuleMap, MoritaContext,
-                     TupleLayout, by_corner, delta_hom_space, summand_arrays,
-                     tuple_layout)
+                     TupleLayout, by_corner, delta_hom_space, tuple_layout)
 from .report import AlgebraMismatchError, CheckReport, Verdict
-from .tensor import HomModule, hom_over_algebra
 
 
 def _corner_layout(ctx: MoritaContext, module: Module,
@@ -112,70 +108,6 @@ def coinduce(ctx: MoritaContext, module: Module, corner: str) -> DeltaModule:
     ``delta_dual`` derives the induced tuple's dual and keeps it.
     """
     return induce(ctx, module.dual, corner).dual
-
-
-def tilde(v: DeltaModule, corner: str) -> ModuleMap:
-    """Transpose of the structure map leaving the ``corner`` component: for
-    a left tuple x -> Hom(M, y) from f ("a") and y -> Hom(N, x) from g
-    ("b"); on the right Hom(N, y) and Hom(M, x)."""
-    own, other = by_corner(corner, v.x, v.y)
-    bimodule, _ = by_corner(corner, v.layout.f_bimodule, v.layout.g_bimodule)
-    blocks, _ = by_corner(corner, v.f_blocks, v.g_blocks)
-    hom = hom_over_algebra(bimodule, other)
-    return ModuleMap(own, hom.module, _transposed(blocks, hom))
-
-
-@memo("v")
-def _tilde_kernel_arrays(v: DeltaModule, corner: str) \
-        -> tuple[np.ndarray, np.ndarray] | None:
-    """The actions and inclusion of ``tilde_kernel(v, corner)``."""
-    if v.summands:
-        return summand_arrays(v, corner, _tilde_kernel_arrays)
-    own, other = by_corner(corner, v.x, v.y)
-    bimodule, _ = by_corner(corner, v.layout.f_bimodule, v.layout.g_bimodule)
-    leaving, _ = by_corner(corner, v.f_blocks, v.g_blocks)
-    n, rows, cols = leaving.shape
-    kernel = la.kernel_basis(leaving.reshape(n * rows, cols), v.p)
-    if cols - len(kernel) != hom_over_algebra(bimodule, other).dim:
-        return None
-    ker, incl = submodule(own, kernel)
-    return ker.actions, incl.matrix
-
-
-def tilde_kernel(v: DeltaModule, corner: str) \
-        -> tuple[Module, ModuleMap] | None:
-    """The kernel of ``tilde(v, corner)`` with its inclusion, X' for "a"
-    and Y' for "b", or None when that map is not onto.
-
-    Both are read off the blocks of the structure map leaving the corner,
-    stacked into one matrix S with a row per bimodule basis vector and row
-    of the other component.  The matrix of ``tilde`` takes each column of
-    S to its coordinates on the basis of the hom module, a linear
-    one-to-one map, so the two matrices have the same row space: the same
-    echelon kernel basis (``linalg.kernel_basis``), and the same rank, its
-    number of columns less the kernel's dimension, which is the dimension
-    of the hom module exactly when tilde is onto.
-
-    As in ``morita.structural_cokernel``, the arrays are memoised on v, each
-    call returns a new module and map on them, and a sum is assembled from
-    its summands' results, equal entry for entry to the eliminated one: up
-    to row order S of a sum is block-diagonal on the summands' S, and hom
-    dimensions add over a sum, so the block-diagonal argument there holds.
-    """
-    arrays = _tilde_kernel_arrays(v, corner)
-    if arrays is None:
-        return None
-    actions, inclusion = arrays
-    own = component(v, corner)
-    sub = Module._derived(own.algebra, own.side, inclusion.shape[1], actions,
-                          f"sub[{own.describe()}]")
-    return sub, ModuleMap._intertwining(sub, own, inclusion)
-
-
-def _transposed(blocks: np.ndarray, hom: HomModule) -> np.ndarray:
-    """Matrix sending component basis vector j to the element of ``hom``
-    whose value at bimodule basis vector i is column j of block i."""
-    return hom.coords_of(blocks.transpose(2, 1, 0))
 
 
 def induced_adjoint(ind: DeltaModule, v: DeltaModule, mat: np.ndarray,

@@ -30,8 +30,8 @@ Modules and tuples, and their maps, share one surface (``ring``, ``dual``,
 ``cover``, ``homs``; ``matrix``, ``kernel``, ``dual``), so complexes,
 resolutions and window checks are written once for both.  ``dual`` is an
 attribute, built once and self-inverse: the dual of an object's dual is the
-object itself.  Only the transport route and the widened flat test sample
-are tuple-only constructions.
+object itself while the object lives.  Only the transport route and the
+widened flat test sample are tuple-only constructions.
 
 The transport harnesses check that window verdicts travel along the
 induction and restriction functors, with an adjunction dimension comparison
@@ -164,7 +164,7 @@ def cover_steps(x):
     (None at the first step).  A kernel is taken only when the next step is
     asked for, so n steps cost n covers and n - 1 kernels.  Every cover is
     projective, and the covers with these differentials are exact at every
-    inner position.
+    inner position.  A second walk over x starts from the cover x keeps.
     """
     target, inclusion = x, None
     while True:
@@ -218,7 +218,8 @@ def _spliced_window(x, w: int) -> ChainComplex:
     costs i + 1 covers of its dual, i kernels and no cover of its own.  Only
     then is x walked w steps, joined on by the coaugmentation, the dual of
     the first epi.  Exact with projective terms and kernel im(coaugmentation)
-    by construction, so failing the re-verification is a defect.
+    by construction, so failing the re-verification is a defect.  A second
+    ask reuses the cover that ``x.dual`` keeps, and so its verdicts.
     """
     terms, maps = [], []
     for pos, (cover, epi, d) in enumerate(islice(cover_steps(x.dual), w + 1)):

@@ -99,10 +99,10 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     """
     if p >= FIELD_BOUND:
         raise ValidationError(f"rref: GF({p}) is beyond the field bound 2^15")
-    r = reduce_mod(m, p)
-    rows, cols = r.shape
+    m = np.asarray(m)
+    rows, cols = m.shape
     if not rows or not cols:
-        return r, [], 0
+        return reduce_mod(m, p), [], 0
     s = (p ** 3).bit_length()
     mult = -(-(1 << s) // p)
     top = (p * (p - 1) * mult).bit_length()   # bits of M times the largest digit
@@ -110,7 +110,10 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
     w, width, dtype = 8 * nbytes, nbytes * cols, f"<u{nbytes}"
     digit = (1 << w) - 1
     low = ((1 << (w * cols)) - 1) // digit * ((1 << (w - s)) - 1)
-    packed = r.astype(dtype).tobytes()
+    # The residues go straight into the digit-width array the rows are
+    # read from, with no int64 copy of the input.
+    packed = memoryview(np.remainder(m, p, out=np.empty((rows, cols), dtype),
+                                     casting="unsafe")).cast("B")
     basis: dict[int, int] = {}
     for i in range(rows):
         x = int.from_bytes(packed[i * width:(i + 1) * width], "little")
@@ -134,10 +137,11 @@ def rref(m: np.ndarray, p: int) -> tuple[np.ndarray, list[int], int]:
                 b += (p - e) * x
                 basis[k] = b - p * (((b * mult) >> s) & low)
         basis[c] = x
+    del packed   # the residues go before the result is allocated
     pivots = sorted(basis)
+    reduced = zeros(rows, cols)
     out = b"".join(basis[c].to_bytes(width, "little") for c in pivots)
-    out += bytes(width * (rows - len(pivots)))
-    reduced = np.frombuffer(out, dtype=dtype).reshape(rows, cols).astype(np.int64)
+    reduced[:len(pivots)] = np.frombuffer(out, dtype=dtype).reshape(-1, cols)
     return reduced, pivots, len(pivots)
 
 

@@ -37,6 +37,11 @@ cokernel, a dual or a sum built again, is decided once.  A result that
 holds or names its arguments, such as a module, a map or a window, stays
 keyed by identity: on another object of the same value it would name the
 wrong one.
+
+``@linked_dual`` keeps a dual: the object holds its dual and the dual
+refers back weakly, so the two form no reference cycle and the object dies
+with its last other reference.  ``x.dual.dual is x`` while x lives; the
+dual of a dual whose original has died is built anew and kept.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ _BY_VALUE = (str, int, Integral)   # cheapest test first
 _MISSING = object()
 _TOKEN = "memo.value_token"         # never an attribute name
 _TOKENS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_DUAL = "memo.dual"                 # never an attribute name
 
 
 class ValueToken:
@@ -145,3 +151,21 @@ def _refuse_by_value(fn, key: tuple) -> None:
             raise TypeError(
                 f"{fn.__qualname__} cannot be memoised on a "
                 f"{type(value).__name__}, which compares by value")
+
+
+def linked_dual(build):
+    """Decorator keeping ``build(obj)`` on ``obj`` and a weak reference to
+    ``obj`` on the result (see the module docstring)."""
+
+    @functools.wraps(build)
+    def wrapper(obj):
+        entries = vars(obj)
+        dual = entries.get(_DUAL)
+        if isinstance(dual, weakref.ref):   # obj is a dual
+            dual = dual()
+        if dual is None:
+            dual = entries[_DUAL] = build(obj)
+            vars(dual)[_DUAL] = weakref.ref(obj)
+        return dual
+
+    return wrapper

@@ -47,12 +47,12 @@ module, and ``pack`` builds it unchecked; tensor products and
 
 A sum built by ``delta_sum`` also records its nonzero summands
 (``DeltaModule.summands``), and its dual their duals; no other tuple does.
-Its structural cokernels (``structural_cokernel``) and the kernels of its
-transposed structure maps (``functors.tilde_kernel``) are assembled from
-its summands' memoised ones, equal entry for entry to the eliminated ones,
-and its structure maps are not built for them.  A tuple is injective
-exactly when its dual is projective, so ``is_injective_delta`` is
-``is_projective_delta``'s two routes on the dual.
+Its structural cokernels (``structural_cokernel``) are assembled from its
+summands' memoised ones, equal entry for entry to the eliminated ones, and
+its structure maps are not built for them.  A tuple is injective exactly
+when its dual is projective, so ``is_injective_delta`` is
+``is_projective_delta``'s two routes on the dual, and the epi classes read
+the dual's structural cokernels (``classes.in_epi_class``).
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap,
                       hom_space, is_flat, is_projective, module_sum,
                       quotient_module, submodule, validate_module_data,
                       zero_module)
-from .memo import array_key, memo, value_token
+from .memo import array_key, linked_dual, memo, value_token
 from .report import (AlgebraMismatchError, InternalCheckError,
                      ValidationError, Verdict)
 from .tensor import TensorModule, tensor_over_algebra
@@ -274,8 +274,7 @@ class DeltaModule:
     A sum built by ``delta_sum`` records its nonzero summands in order, as
     ``algebra.module_sum`` does, and a dual of a sum records the duals of
     its summands; every other tuple records none.  ``structural_cokernel``
-    and ``functors.tilde_kernel`` assemble the results of a sum from its
-    summands'.
+    assembles the results of a sum from its summands'.
     """
 
     context: MoritaContext
@@ -376,9 +375,9 @@ class DeltaModule:
     def ring(self) -> MoritaContext:
         return self.context
 
-    @cached_property
+    @property
     def dual(self) -> "DeltaModule":
-        """The dual tuple, built once by ``delta_dual``."""
+        """The dual tuple, kept by ``delta_dual``."""
         return delta_dual(self)
 
     def homs(self, target: "DeltaModule") -> list["DeltaModuleMap"]:
@@ -537,17 +536,17 @@ class DeltaModuleMap:
     def kernel(self) -> tuple[DeltaModule, "DeltaModuleMap"]:
         return delta_kernel(self)
 
-    @cached_property
+    @property
+    @linked_dual
     def dual(self) -> "DeltaModuleMap":
         """The transpose, from ``target.dual`` to ``source.dual``; its dual
-        is this map.  Unchecked: it packs to the transpose of the packed
-        map, taken between the packed duals (see ``DeltaModule._derived``),
-        which intertwines as ``ModuleMap.dual`` does."""
-        dual = DeltaModuleMap._intertwining(
+        is this map while it lives (``memo.linked_dual``).  Unchecked: it
+        packs to the transpose of the packed map, taken between the packed
+        duals (see ``DeltaModule._derived``), which intertwines as
+        ``ModuleMap.dual`` does."""
+        return DeltaModuleMap._intertwining(
             self.target.dual, self.source.dual, self.a_matrix.T.copy(),
             self.b_matrix.T.copy())
-        dual.dual = self
-        return dual
 
     @classmethod
     def identity(cls, v: DeltaModule) -> "DeltaModuleMap":
@@ -618,6 +617,7 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
                                 f"unpacked[{module.describe()}]")
 
 
+@linked_dual
 def delta_dual(v: DeltaModule) -> DeltaModule:
     """Linear dual of a tuple, switching sides.
 
@@ -626,22 +626,20 @@ def delta_dual(v: DeltaModule) -> DeltaModule:
     f+(phi (x) n) = phi . g(n (x) -) and g+(psi (x) m) = psi . f(m (x) -),
     and symmetrically for right tuples.  The components are ``v.x.dual``
     and ``v.y.dual``, so tuples that share a component share its dual.  The
-    dual is built once and kept as ``v.dual``, with v as the dual's dual:
-    the dual of the dual is the tuple itself.  The dual of a sum is the sum
-    of the summands' duals entry for entry, as transposing block-diagonal
+    dual is built once and kept as ``v.dual``, with v as the dual's dual
+    while it lives (``memo.linked_dual``).  The dual of a sum is the sum of
+    the summands' duals entry for entry, as transposing block-diagonal
     blocks transposes each block in place, so it records them as summands.
     """
-    if "dual" not in vars(v):
-        x_dual, y_dual = v.x.dual, v.y.dual
-        lay = tuple_layout(v.context, x_dual.side)
-        v.dual = DeltaModule._derived(
-            v.context, x_dual.side, x_dual, y_dual,
-            lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
-            lay.unblocks(v.f_blocks.transpose(0, 2, 1)), f"{v.describe()}^+")
-        v.dual.dual = v
-        if v.summands:
-            v.dual.summands = tuple(summand.dual for summand in v.summands)
-    return v.dual
+    x_dual, y_dual = v.x.dual, v.y.dual
+    lay = tuple_layout(v.context, x_dual.side)
+    dual = DeltaModule._derived(
+        v.context, x_dual.side, x_dual, y_dual,
+        lay.unblocks(v.g_blocks.transpose(0, 2, 1)),
+        lay.unblocks(v.f_blocks.transpose(0, 2, 1)), f"{v.describe()}^+")
+    if v.summands:
+        dual.summands = tuple(summand.dual for summand in v.summands)
+    return dual
 
 
 def delta_hom_space(u: DeltaModule, v: DeltaModule) -> list[DeltaModuleMap]:
@@ -668,8 +666,8 @@ def delta_sum(tuples: list[DeltaModule]) -> DeltaModule:
 
     Builds only the sum; ``delta_direct_sum`` adds the injection and
     projection witnesses for callers that use them.  The sum records its
-    nonzero summands, from which its structural cokernels and tilde kernels
-    are assembled.
+    nonzero summands, from which its structural cokernels, and those of its
+    dual, are assembled.
     """
     if not tuples:
         raise ValueError("direct sum of an empty list is ambiguous; pass a zero tuple")
@@ -809,26 +807,21 @@ def corner_parts(v: DeltaModule, part_of) -> list | None:
     return parts
 
 
-def summand_arrays(v: DeltaModule, corner: str, arrays_of) -> tuple | None:
-    """The (actions, matrix) pair of a sum, from ``arrays_of(summand,
-    corner)`` of its summands: None as soon as one summand gives None, else
-    both block-diagonal with the summands' blocks in order."""
-    parts = []
-    for summand in v.summands:
-        part = arrays_of(summand, corner)
-        if part is None:
-            return None
-        parts.append(part)
-    return (la.block_diagonal([actions for actions, _ in parts]),
-            la.block_diagonal([matrix for _, matrix in parts]))
-
-
 @memo("v")
 def _cokernel_arrays(v: DeltaModule, corner: str) \
         -> tuple[np.ndarray, np.ndarray] | None:
-    """The actions and projection of ``structural_cokernel(v, corner)``."""
+    """The actions and projection of ``structural_cokernel(v, corner)``: of
+    a sum, None as soon as one summand gives None, else the summands'
+    arrays, block-diagonal in order."""
     if v.summands:
-        return summand_arrays(v, corner, _cokernel_arrays)
+        parts = []
+        for summand in v.summands:
+            part = _cokernel_arrays(summand, corner)
+            if part is None:
+                return None
+            parts.append(part)
+        return (la.block_diagonal([actions for actions, _ in parts]),
+                la.block_diagonal([matrix for _, matrix in parts]))
     _, entering = by_corner(corner, v.f_map, v.g_map)
     image = la.image_basis(entering.matrix, v.p)
     if image.shape[0] != entering.source.dim:
@@ -841,7 +834,8 @@ def structural_cokernel(v: DeltaModule, corner: str) \
         -> tuple[Module, ModuleMap] | None:
     """The cokernel of the structure map into the ``corner`` component,
     x/im g for "a" and y/im f for "b", with its projection, or None when
-    that structure map is not one-to-one.
+    that structure map is not one-to-one.  Asked of ``v.dual`` it decides
+    v's epi classes (``classes.in_epi_class``).
 
     The actions and the projection are memoised on v; each call returns a
     new module and map on them, so nothing memoised on a returned module
@@ -932,8 +926,9 @@ def induced_isomorphism(v: DeltaModule, premise=lambda module: True) \
     return (parts[0][0], parts[1][0]), joined
 
 
+@memo("v")
 def _delta_cover(v: DeltaModule) -> tuple[DeltaModule, DeltaModuleMap]:
-    """An epi onto v from a projective tuple.
+    """An epi onto v from a projective tuple, kept by v.
 
     The source is the sum of the inductions of component covers; its packed
     module is a sum of principal summands of the glued algebra, so it is

@@ -34,7 +34,7 @@ from . import linalg as la
 from .algebra import (LEFT, RIGHT, Algebra, Bimodule, Module, ModuleMap,
                       field_algebra, free_cover, hom_space, kernel_module)
 from .memo import memo
-from .report import AlgebraMismatchError, InternalCheckError, ValidationError
+from .report import AlgebraMismatchError, InternalCheckError
 
 
 @dataclass(eq=False)
@@ -234,20 +234,6 @@ class HomModule:
     @property
     def dim(self) -> int:
         return self.module.dim
-
-    def coords_of(self, matrices: np.ndarray) -> np.ndarray:
-        """The coordinates of a stack of matrices (k, target.dim,
-        source.dim) on the basis, one column each, from one solve with every
-        matrix as a right-hand side.  The basis is independent, so each
-        column is that matrix's unique coordinate vector."""
-        k, size = matrices.shape[0], self.target.dim * self.source.dim
-        stacked = la.zeros(size, len(self.basis))
-        for i, m in enumerate(self.basis):
-            stacked[:, i] = la.vec(m)
-        coords = la.solve(stacked, matrices.reshape(k, size).T, self.p)
-        if coords is None:
-            raise ValidationError("matrix is not a module map in this hom space")
-        return coords
 
 
 @memo("target")

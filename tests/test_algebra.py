@@ -356,25 +356,34 @@ def _broadcast_hom_system(source, target):
     return ((first - second) % source.p).reshape(k * n * m, n * m)
 
 
+def _traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def test_a_hom_system_takes_little_more_memory_than_its_result():
     # Eight copies of the regular right module of T2(k)^op: a system of
     # 3 * 24^4 entries, about 8 MB.  The broadcast build held four such
-    # arrays at its peak.
+    # arrays at its peak.  Solving it adds the reduced matrix and the
+    # residues packed in one byte each, not a second int64 copy.
     ws = parse_workspace((ROOT / "tests" / "workspaces" / "T2-k-op.txt")
                          .read_text())
     regular = ws.algebras["T"].regular_module(RIGHT)
     for copies in (1, 2, 8):
         summed = module_sum([regular] * copies)
         want = _broadcast_hom_system(summed, summed)
-        tracemalloc.start()
-        try:
-            got = hom_system(summed, summed)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        got, peak = _traced_peak(hom_system, summed, summed)
         assert got.dtype == np.int64 and np.array_equal(got, want)
         if copies == 8:
             assert peak <= 1.5 * got.nbytes
+            _, solved = _traced_peak(hom_space, summed, summed)
+            assert solved <= 2.5 * got.nbytes
 
 
 @pytest.mark.parametrize("p", [2, 3])

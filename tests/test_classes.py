@@ -3,6 +3,7 @@
 import sys
 import weakref
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +29,15 @@ from moritalab.classes import (
     verify_duality_pair,
     verify_oracle,
 )
-from moritalab.enumeration import enumerate_modules
+from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
-from moritalab.morita import DeltaModule
+from moritalab.morita import (DeltaModule, is_flat_delta, is_injective_delta,
+                              is_projective_delta)
 from moritalab.report import CheckReport, ValidationError, Verdict
 from moritalab.workspace import parse_workspace
+from reference import reference_in_epi_class, sampled_pair_sums
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def simple(ctx):
@@ -269,8 +274,11 @@ def test_theorem_3_6_builds_each_pair_sum_once_and_keeps_none(tmp_path,
 
 def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):
     """Theorem 3.3's three tuple pairs scan the same left tuples in their
-    character clauses.  A tuple keeps its dual, so each of the 57 is dualised
-    once for all three scans.  A fresh copy of E1 carries no duals."""
+    character clauses, and the epi class is decided on the dual of each
+    right tuple and of each pair sum its closure walk asks about.  A tuple
+    keeps its dual, so each of the 57 left tuples, the 57 right tuples and
+    the 57 * 58 / 2 right pair sums is dualised once for all three pairs,
+    and no tuple twice.  A fresh copy of E1 carries no duals."""
     ctx = parse_workspace(resources.files("moritalab").joinpath(
         "data", "E1.txt").read_text()).single_context()
     quad = [builtin_oracles(algebra, side)[kind]
@@ -281,13 +289,16 @@ def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):
 
     def recording(cls, *args):
         if sys._getframe(1).f_code.co_name == "delta_dual":
-            built.append(args[-1])
+            built.append((args[1], args[-1]))   # the dual's side and name
         return derived(cls, *args)
 
     monkeypatch.setattr(DeltaModule, "_derived", classmethod(recording))
     report = check_duality_transfer(ctx, *quad, 2)
     assert report.verdict is Verdict.PASS
-    assert len(universe_of(ctx, LEFT, 2)) == len(built) == len(set(built)) == 57
+    assert len(universe_of(ctx, LEFT, 2)) == len(universe_of(ctx, RIGHT, 2)) \
+        == 57
+    assert len(built) == len(set(built)) == 57 + 57 + 57 * 58 // 2 == 1767
+    assert sum(side == RIGHT for side, _ in built) == 57
 
 
 @pytest.mark.parametrize("at,row", [(2, "mono-epi"), (3, "componentwise")])
@@ -315,3 +326,47 @@ def test_a_refuted_tuple_pair_refutes_its_equivalence(e1, monkeypatch, at, row):
         assert report.verdict is Verdict.REFUTED
         assert rows[f"{kind}-equivalence({row})"] is Verdict.REFUTED
         assert rows[f"{kind}-equivalence({other})"] is Verdict.CONSISTENT
+
+
+def workspace_over(name, p):
+    """A new parse of the shipped fixture or test workspace ``name`` with
+    its ``field 2`` line set to ``field p``."""
+    if name.startswith("T2"):
+        text = (ROOT / "tests" / "workspaces" / f"{name}.txt").read_text()
+    else:
+        text = resources.files("moritalab").joinpath(
+            "data", f"{name}.txt").read_text()
+    return parse_workspace(text.replace("field 2", f"field {p}", 1))
+
+
+@pytest.mark.parametrize("name, p, bound", [
+    ("E1", 2, 2), ("E1", 3, 2), ("E2", 2, 2), ("E2", 3, 2), ("T2-k", 2, 2),
+    ("T2-k-op", 2, 2), ("T2-kx", 2, 2), ("E1", 5, 1), ("E2", 5, 1),
+    ("T2-k", 5, 1), ("T2-k-op", 5, 1), ("T2-kx", 5, 1)])
+def test_the_epi_class_read_on_the_dual_equals_the_tilde_kernels(name, p,
+                                                                 bound):
+    """``in_epi_class`` decides the transposed structure maps on the
+    structural cokernels of the dual.  It must agree with the reference,
+    which builds each transposed map into its hom module and eliminates its
+    kernel, on every tuple up to the bound and on sampled pair sums, for
+    the builtin classes and the dimension classes.  Each tuple classifier
+    has two routes and raises when they disagree, so the classifiers are
+    asked too; in the third characteristic, GF(5), nothing else asks them.
+    """
+    ctx = workspace_over(name, p).single_context()
+    rings = (ctx.algebra_a, ctx.algebra_b)
+    members = 0
+    for side in (LEFT, RIGHT):
+        tuples = enumerate_delta_modules(ctx, side, bound)
+        assert len(tuples) >= 5
+        a, b = (builtin_oracles(ring, side) for ring in rings)
+        pairs = [(a[kind], b[kind]) for kind in a] + list(
+            zip(*(dimension_oracles(ring, side) for ring in rings)))
+        for v in tuples + list(sampled_pair_sums(tuples, 20, seed=28)):
+            is_projective_delta(v), is_injective_delta(v), is_flat_delta(v)
+            for class_a, class_b in pairs:
+                got = in_epi_class(v, class_a, class_b)
+                assert got == reference_in_epi_class(v, class_a, class_b), \
+                    (v.describe(), class_a.name)
+                members += got
+    assert members

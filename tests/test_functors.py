@@ -15,13 +15,13 @@ from moritalab.functors import (
     induce_from_a,
     induce_from_b,
     induce_map,
-    tilde,
 )
 from moritalab.morita import (CORNERS, DeltaModule, DeltaModuleMap, by_corner,
                               delta_hom_space, delta_is_isomorphic,
                               is_projective_delta)
 from moritalab.report import AlgebraMismatchError, Verdict
 from moritalab.tensor import hom_over_algebra
+from reference import tilde, transposed
 
 
 def simple(e2):
@@ -254,7 +254,7 @@ def reference_coinduced_adjoint(v, coind, mat, corner):
     _, hommed_from = by_corner(corner, coind.layout.f_bimodule,
                                coind.layout.g_bimodule)
     hom = hom_over_algebra(hommed_from, functors.component(coind, corner))
-    other = functors._transposed((mat @ entering) % v.p, hom)
+    other = transposed((mat @ entering) % v.p, hom)
     return DeltaModuleMap(v, coind, *by_corner(corner, mat, other))
 
 

@@ -4,21 +4,31 @@ by-value entries are shared by equal objects and die with the last one."""
 import gc
 import weakref
 from dataclasses import dataclass
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from moritalab import algebra
 from moritalab import linalg as la
 from moritalab import memo as memo_module
 from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, hom_space,
-                               is_projective)
-from moritalab.classes import builtin_oracles
+                               is_injective, is_projective, module_sum)
+from moritalab.classes import (builtin_oracles, in_component_class,
+                               in_epi_class, in_mono_class)
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
+from moritalab.gorenstein import complete_resolution_window
 from moritalab.memo import array_key, memo, value_token
 from moritalab.morita import (DeltaModule, is_flat_delta, is_injective_delta,
                               is_projective_delta)
+from moritalab.report import WindowConstructionError
 from moritalab.tensor import hom_over_algebra, tensor_over_algebra
+from moritalab.workspace import parse_workspace
+from reference import sampled_pair_sums
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_entries_are_freed_with_their_owner(e2):
@@ -37,8 +47,8 @@ def test_entries_are_freed_with_their_owner(e2):
 
 
 def test_duals_are_freed_with_their_owner(e2):
-    """An object and its dual refer to each other; the cycle dies with its
-    owner, for a module, a tuple and a tuple map."""
+    """An object keeps its dual, which refers back weakly; both die with
+    the owner, for a module, a tuple and a tuple map."""
     template = enumerate_delta_modules(e2, LEFT, 2)[-1]
     x, y = (Module(m.algebra, LEFT, m.dim, m.actions.copy(), name="throwaway")
             for m in (template.x, template.y))
@@ -259,3 +269,135 @@ def test_a_memoised_array_is_read_only(fresh):
     with pytest.raises(ValueError, match="read-only"):
         phi.matrix[0, 0] += 1
     assert hom_space(x, x)[0].matrix.tolist() == phi.matrix.tolist()
+
+
+def throwaway_tuple(ctx):
+    """A checked tuple on new components, referenced from nowhere else."""
+    template = enumerate_delta_modules(ctx, LEFT, 2)[-1]
+    x, y = (Module(m.algebra, LEFT, m.dim, m.actions.copy(), name="throwaway")
+            for m in (template.x, template.y))
+    return DeltaModule(ctx, LEFT, x, y, template.f_plain, template.g_plain,
+                       name="throwaway")
+
+
+def test_a_dropped_sum_is_freed_though_its_dual_was_asked(fresh):
+    """Injectivity and the epi class build the dual of what they decide.
+    The dual refers back weakly, so a sum and its dual are freed when the
+    sum's last reference goes, with the cycle collector off: no sum waits
+    for a collection.  The values are new, so nothing is read back."""
+    ctx = fresh("E1").single_context()
+    tuples = enumerate_delta_modules(ctx, RIGHT, 2)
+    injective = [builtin_oracles(ring, RIGHT)["injective"]
+                 for ring in (ctx.algebra_a, ctx.algebra_b)]
+    modules = enumerate_modules(ctx.algebra_a, RIGHT, 2)
+    alive = []
+    gc.collect()
+    gc.disable()
+    try:
+        for total in sampled_pair_sums(tuples, 25, seed=60):
+            is_injective_delta(total)
+            in_epi_class(total, *injective)
+            alive += [weakref.ref(total), weakref.ref(total.dual)]
+            del total
+        for x, y in zip(modules, modules[1:]):
+            total = module_sum([x, y])
+            is_injective(total)
+            alive += [weakref.ref(total), weakref.ref(total.dual)]
+            del total
+        left = sum(ref() is not None for ref in alive)
+    finally:
+        gc.enable()
+    assert len(alive) == 2 * (25 + len(modules) - 1) and left == 0
+
+
+def test_a_dual_that_outlives_its_original_builds_an_equal_one(e2):
+    """Once the original has died, the dual's dual is built again, equal in
+    value, and kept: its own dual is the dual that built it."""
+    v = throwaway_tuple(e2)
+    x, phi = v.x, v.homs(v)[-1]
+    want = [v.x.actions, v.y.actions, v.f_plain, v.g_plain, phi.a_matrix,
+            phi.b_matrix]
+    d, dx, dphi = v.dual, x.dual, phi.dual
+    gone = [weakref.ref(obj) for obj in (v, x, phi)]
+    del v, x, phi
+    gc.collect()
+    assert all(ref() is None for ref in gone)
+    v, x, phi = d.dual, dx.dual, dphi.dual
+    assert (d.dual, dx.dual, dphi.dual) == (v, x, phi)
+    assert v.dual is d and x.dual is dx and phi.dual is dphi
+    assert phi.source is v is phi.target and v.side == LEFT
+    got = [v.x.actions, v.y.actions, v.f_plain, v.g_plain, phi.a_matrix,
+           phi.b_matrix]
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(x.actions, want[0])
+
+
+def test_covers_are_kept_by_what_they_cover(e1):
+    x = enumerate_modules(e1.algebra_a, LEFT, 2)[-1]
+    v = enumerate_delta_modules(e1, LEFT, 2)[-1]
+    assert x.cover() is x.cover()
+    assert v.cover() is v.cover()
+
+
+def test_a_window_asked_twice_covers_the_dual_once(monkeypatch):
+    """The injective cogenerator of T2(k) is not projective, so no spliced
+    window exists over T.  Asked twice, the window of a module over T fails
+    twice, and the second attempt starts from the cover the first one made
+    of its dual."""
+    ws = parse_workspace((ROOT / "tests" / "workspaces" / "T2-k.txt")
+                         .read_text())
+    x = ws.modules["probe.a"]
+    covered, generators = [], algebra.module_generators
+
+    def recording(module):
+        covered.append(module)
+        return generators(module)
+
+    monkeypatch.setattr(algebra, "module_generators", recording)
+    for _ in range(2):
+        with pytest.raises(WindowConstructionError):
+            complete_resolution_window(x, 2)
+    assert sum(module is x.dual for module in covered) == 1
+
+
+def test_caches_plateau_over_rounds_of_queries():
+    """Three rounds of library queries in one process over a GF(3) copy of
+    E1: the classifiers, the three tuple classes, duals, pair sums built
+    anew every round and width-4 windows.  After the second round no
+    round leaves more value tokens, modules or tuples alive."""
+    ctx = parse_workspace(resources.files("moritalab").joinpath(
+        "data", "E1.txt").read_text().replace("field 2", "field 3", 1)
+    ).single_context()
+
+    def query_round():
+        for side in (LEFT, RIGHT):
+            tuples = enumerate_delta_modules(ctx, side, 2)
+            pairs = [[builtin_oracles(ring, side)[kind]
+                      for ring in (ctx.algebra_a, ctx.algebra_b)]
+                     for kind in ("flat", "injective")]
+            sums = list(sampled_pair_sums(tuples, 20, seed=3))
+            for v in tuples + sums:
+                is_projective_delta(v), is_injective_delta(v), is_flat_delta(v)
+                v.dual.dual
+                for pair in pairs:
+                    in_component_class(v, *pair), in_mono_class(v, *pair)
+                    in_epi_class(v, *pair)
+            for x in tuples[:6] + sums[:4] + enumerate_modules(
+                    ctx.algebra_a, side, 2):
+                try:
+                    complete_resolution_window(x, 4)
+                except WindowConstructionError:
+                    pass
+
+    def census():
+        gc.collect()
+        live = gc.get_objects()
+        return (len(memo_module._TOKENS),
+                sum(isinstance(obj, Module) for obj in live),
+                sum(isinstance(obj, DeltaModule) for obj in live))
+
+    counts = []
+    for _ in range(3):
+        query_round()
+        counts.append(census())
+    assert counts[2] == counts[1]

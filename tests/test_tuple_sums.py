@@ -1,6 +1,5 @@
-"""Structural cokernels and tilde kernels of tuple sums, assembled from their
-summands', against the eliminating bodies they replaced, kept here as the
-reference."""
+"""Structural cokernels of tuple sums, assembled from their summands',
+against the eliminating body they replaced, kept here as the reference."""
 
 import gc
 import weakref
@@ -8,12 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from moritalab import functors, morita
+from moritalab import morita
 from moritalab import linalg as la
-from moritalab.algebra import LEFT, RIGHT, kernel_module, quotient_module
+from moritalab.algebra import LEFT, RIGHT, quotient_module
 from moritalab.classes import builtin_oracles
 from moritalab.enumeration import enumerate_delta_modules
-from moritalab.functors import induce, tilde, tilde_kernel
+from moritalab.functors import induce
 from moritalab.morita import (CORNERS, by_corner, delta_sum,
                               structural_cokernel, zero_delta_module)
 
@@ -26,19 +25,6 @@ def eliminated_cokernel(v, corner):
     if image.shape[0] != entering.source.dim:
         return None
     return quotient_module(entering.target, image.T)[:2]
-
-
-def eliminated_tilde_kernel(v, corner):
-    """The kernel of ``tilde(v, corner)``, eliminated: the reference for
-    ``tilde_kernel``."""
-    t = tilde(v, corner)
-    if la.rank(t.matrix, v.p) != t.target.dim:
-        return None
-    return kernel_module(t)
-
-
-PAIRS = [(structural_cokernel, eliminated_cokernel),
-         (tilde_kernel, eliminated_tilde_kernel)]
 
 
 def assert_same_part(got, want):
@@ -60,23 +46,20 @@ def refuse(*args):
 
 
 def compare_sum(total, monkeypatch):
-    """Every part of ``total`` is assembled without elimination and equals
-    the eliminated one; returns the number of comparisons."""
+    """Every structural cokernel of ``total`` is assembled without
+    elimination and equals the eliminated one; returns the number of
+    comparisons."""
     for summand in total.summands:
-        for part_of, _ in PAIRS:
-            for corner in CORNERS:
-                part_of(summand, corner)
+        for corner in CORNERS:
+            structural_cokernel(summand, corner)
     got = {}
     with monkeypatch.context() as patched:
         if total.summands:
             patched.setattr(morita, "quotient_module", refuse)
-            patched.setattr(functors, "submodule", refuse)
-        for part_of, _ in PAIRS:
-            for corner in CORNERS:
-                got[part_of, corner] = part_of(total, corner)
-    for part_of, reference in PAIRS:
         for corner in CORNERS:
-            assert_same_part(got[part_of, corner], reference(total, corner))
+            got[corner] = structural_cokernel(total, corner)
+    for corner in CORNERS:
+        assert_same_part(got[corner], eliminated_cokernel(total, corner))
     return len(got)
 
 
@@ -138,15 +121,14 @@ def test_returned_modules_are_not_memoised(e1):
     # module (class membership, induced tuples, tensor products) dies with it.
     flat = builtin_oracles(e1.algebra_a, LEFT)["flat"]
     tuples = enumerate_delta_modules(e1, LEFT, 2)
-    for part_of in (structural_cokernel, tilde_kernel):
-        owners = [v for v in tuples if part_of(v, "a") is not None]
-        for v in (owners[-1], delta_sum([owners[0], owners[-1]])):
-            module, mp = part_of(v, "a")
-            again, _ = part_of(v, "a")
-            assert again is not module and again.actions is module.actions
-            flat.contains(module)
-            induce(e1, module, "a")
-            alive = weakref.ref(module)
-            del module, mp, again
-            gc.collect()
-            assert alive() is None
+    owners = [v for v in tuples if structural_cokernel(v, "a") is not None]
+    for v in (owners[-1], delta_sum([owners[0], owners[-1]])):
+        module, mp = structural_cokernel(v, "a")
+        again, _ = structural_cokernel(v, "a")
+        assert again is not module and again.actions is module.actions
+        flat.contains(module)
+        induce(e1, module, "a")
+        alive = weakref.ref(module)
+        del module, mp, again
+        gc.collect()
+        assert alive() is None
