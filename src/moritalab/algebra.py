@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import ClassVar
 
 import numpy as np
@@ -484,14 +485,64 @@ def hom_system(source: Module, target: Module) -> np.ndarray:
     entries = k * (n * m) ** 2
     if entries > HOM_SYSTEM_CAP:
         raise BudgetExceededError(
-            f"hom system of {source.describe()} (dim {m}) -> "
-            f"{target.describe()} (dim {n}) has {entries} entries, above the "
+            f"hom system of {_counted(source)} (dim {m}) -> "
+            f"{_counted(target)} (dim {n}) has {entries} entries, above the "
             f"cap of {HOM_SYSTEM_CAP}")
     out = np.zeros((k, n, m, n, m), dtype=np.int64)
     np.einsum("iabad->iabd", out)[...] = source.actions.transpose(0, 2, 1)[:, None]
     np.einsum("iabcb->iabc", out)[...] -= target.actions[:, :, None]
     np.remainder(out, source.p, out=out)
     return out.reshape(k * n * m, n * m)
+
+
+def _counted(module: Module) -> str:
+    """``module.describe()`` for an error message, each run of equal terms
+    of a sum written once with its count: ``(T + T + S)`` reads
+    ``((T)×2 + S)``.  Nested sums and sums inside other names are shortened
+    too, so that a description built from large sums stays short.  A
+    description with unbalanced parentheses is left as it is."""
+    text = module.describe()
+    if not _balanced(text):
+        return text
+    pos = 0
+
+    def terms() -> str:
+        """The terms from ``pos`` to the closing parenthesis or the end."""
+        nonlocal pos
+        parts, current = [], ""
+        while pos < len(text):
+            char = text[pos]
+            pos += 1
+            if char == ")":
+                break
+            if char == "(":
+                current += "(" + terms() + ")"
+            elif text.startswith(" + ", pos - 1):
+                parts.append(current)
+                current, pos = "", pos + 2
+            else:
+                current += char
+        parts.append(current)
+        counted = []
+        for term, run in groupby(parts):
+            count = sum(1 for _ in run)
+            if count > 1:
+                grouped = term.startswith("(") and _balanced(term[1:-1])
+                term = f"{term if grouped else f'({term})'}×{count}"
+            counted.append(term)
+        return " + ".join(counted)
+
+    return terms()
+
+
+def _balanced(text: str) -> bool:
+    """Whether every parenthesis of ``text`` is closed, and in order."""
+    depth = 0
+    for char in text:
+        depth += (char == "(") - (char == ")")
+        if depth < 0:
+            return False
+    return depth == 0
 
 
 @linked_dual

@@ -16,7 +16,11 @@ isomorphism classes are the orbits of a group acting on the scanned codes,
 GL(d) by conjugation for modules and Aut(x) x Aut(y) on the structure-map
 space Hom(M (x) X, Y) x Hom(N (x) Y, X) for tuples with fixed components.
 Orbits are labelled by a vectorised union-find under a generating set of
-the group, and the smallest code of each orbit is its representative.
+the group, and the smallest code of each orbit is its representative.  The
+generating set of Aut(x) is scanned, inverted and twisted once per
+component, not once per pair, and the tuple representatives of a pair are
+derived together, without the tuple check: a combination of hom-space basis
+maps always gives a tuple.
 
 Scan order is deterministic, and each representative is the first member of
 its class in that order, so enumeration output (and every count frozen in
@@ -167,22 +171,33 @@ def _orbit_minima(size: int, moves) -> np.ndarray:
     """The smallest element of each orbit on 0..size-1, ascending.
 
     ``moves`` are the actions of a generating set of a finite group on
-    0..size-1, each mapping an array of elements to their images.  The
-    orbits are the connected components of the graph with edges c - move(c),
-    labelled by a vectorised union-find: a pass hooks the larger root of
-    every edge under the smaller, pointer jumping then flattens the forest,
-    and a pass that hooks nothing ends the loop.  Every label is a member
-    of its own orbit and never exceeds its element, so the final roots are
-    the orbit minima.  Edges are recomputed chunk by chunk, so memory stays
-    one label per element whatever the size of the group.
+    0..size-1, each mapping an array of elements to their images.  Each
+    move's images of all elements are computed once, chunk by chunk, and
+    every pass below only indexes into them.  The orbits are the connected
+    components of the graph with edges c - move(c), labelled by a
+    vectorised union-find: a pass hooks the larger root of every edge under
+    the smaller, pointer jumping then flattens the forest, and a pass that
+    hooks nothing ends the loop.  Every label is a member of its own orbit
+    and never exceeds its element, so the final roots are the orbit minima.
+    Labels and images are ``int32`` below 2^31 elements, so memory is
+    (1 + len(moves)) labels per element: at most 8 MB per move at the
+    default scan budget of 2^21.
     """
-    labels = np.arange(size, dtype=np.int64)
+    dtype = np.int32 if size <= np.iinfo(np.int32).max else np.int64
+    images = []
+    for move in moves:
+        image = np.empty(size, dtype=dtype)
+        for start in range(0, size, _CHUNK):
+            image[start:start + _CHUNK] = move(
+                np.arange(start, min(start + _CHUNK, size), dtype=np.int64))
+        images.append(image)
+    labels = np.arange(size, dtype=dtype)
     while True:
         hooked = False
-        for move in moves:
+        for image in images:
             for start in range(0, size, _CHUNK):
-                src = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
-                a, b = labels[src], labels[move(src)]
+                a = labels[start:start + _CHUNK]
+                b = labels[image[start:start + _CHUNK]]
                 apart = a != b
                 if apart.any():
                     hooked = True
@@ -209,16 +224,16 @@ def _linear_move(matrix: np.ndarray, p: int):
     return move
 
 
-def _coords(basis: list[np.ndarray], images: list[np.ndarray], p: int,
-            space: str) -> np.ndarray:
+def _coords(basis, images, p: int, space: str) -> np.ndarray:
     """Coordinates of ``images`` in the span of ``basis``, one column each.
 
-    ``space`` names the hom space the basis spans.  An image outside it is
-    a group element that failed to preserve the space, which is a defect,
-    not an input condition.
+    Both are sequences of matrices of one shape, lists or stacks.  ``space``
+    names the hom space the basis spans.  An image outside it is a group
+    element that failed to preserve the space, which is a defect, not an
+    input condition.
     """
-    stacked = np.stack([la.vec(b) for b in basis], axis=1)
-    sol = la.solve(stacked, np.stack([la.vec(m) for m in images], axis=1), p)
+    stacked = np.reshape(basis, (len(basis), -1)).T
+    sol = la.solve(stacked, np.reshape(images, (len(images), -1)).T, p)
     if sol is None:
         raise InternalCheckError(f"enumeration: a map left the space of {space}")
     return sol
@@ -294,11 +309,15 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str,
     f -> beta f and g -> g (N (x) beta^-1) (alpha^-1 (x) N and so on for
     right tuples).  Orbits are labelled under generating sets of the two
     unit groups, and the smallest code of each orbit, the first member of
-    its class in scan order, is built as the representative; its name
-    carries its index among all candidates of the run.  Bucketing by
-    component identity is sound because the components are drawn from fixed
-    representative lists.  The structure-map space of each pair and the
-    End scan of each component count against the budget.
+    its class in scan order, is its representative; its name carries its
+    index among all candidates of the run.  The unit scan of each component
+    and the inverses and twists of its generators are made once per
+    component; each pair makes one solve per hom space for the moves of
+    all generators, and derives all its representatives in one step (see
+    ``_representatives``).  Bucketing by component identity is sound
+    because the components are drawn from fixed representative lists.  The
+    structure-map space of each pair and the End scan of each component
+    count against the budget.
     """
     return _delta_classes(ctx, side, max_dim, scan_budget())
 
@@ -306,19 +325,27 @@ def enumerate_delta_modules(ctx: MoritaContext, side: str,
 @memo("ctx")
 def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
                    limit: int) -> list[DeltaModule]:
-    """enumerate_delta_modules under a resolved budget, memoised on ctx."""
+    """enumerate_delta_modules under a resolved budget, memoised on ctx.
+
+    The twisted unit generators of a component are kept in a table local
+    to the call and made at the first pair that needs them, so every budget
+    error is raised where and in the order the pair scan first meets it.
+    """
     p = ctx.p
     xs = enumerate_modules(ctx.algebra_a, side, max_dim)
     ys = enumerate_modules(ctx.algebra_b, side, max_dim)
     lay = tuple_layout(ctx, side)
+    # A and B may be one algebra, so the x and y roles keep separate tables.
+    x_units: dict = {}
+    y_units: dict = {}
     out: list[DeltaModule] = []
     counter = 0
     for x in xs:
+        tf = lay.tensor(lay.f_bimodule, x)
         for y in ys:
-            tf = lay.tensor(lay.f_bimodule, x)
             tg = lay.tensor(lay.g_bimodule, y)
-            f_basis = [h.matrix for h in hom_space(tf.module, y)]
-            g_basis = [h.matrix for h in hom_space(tg.module, x)]
+            f_basis = _stacked(hom_space(tf.module, y), y.dim, tf.dim)
+            g_basis = _stacked(hom_space(tg.module, x), x.dim, tg.dim)
             hf, hg = len(f_basis), len(g_basis)
             size = p ** (hf + hg)
             if size > limit:
@@ -327,50 +354,98 @@ def _delta_classes(ctx: MoritaContext, side: str, max_dim: int,
                     f"budget is {limit}")
             moves = []
             if hf + hg:
-                where = f"maps over ({x.describe()}, {y.describe()})"
-                for alpha in _unit_generators(x, limit):
-                    twist = _twist(tf, lay, lay.f_bimodule, la.inverse(alpha, p))
-                    moves.append(_tuple_move(
-                        f_basis, [(f @ twist) % p for f in f_basis],
-                        g_basis, [(alpha @ g) % p for g in g_basis], p, where))
-                for beta in _unit_generators(y, limit):
-                    twist = _twist(tg, lay, lay.g_bimodule, la.inverse(beta, p))
-                    moves.append(_tuple_move(
-                        f_basis, [(beta @ f) % p for f in f_basis],
-                        g_basis, [(g @ twist) % p for g in g_basis], p, where))
-            for code in _orbit_minima(size, moves):
-                digits = la.digits(np.array([code]), p, hf + hg)[0]
-                f_mat = la.zeros(y.dim, tf.dim)
-                for c, h in zip(digits[:hf], f_basis):
-                    f_mat = (f_mat + c * h) % p
-                g_mat = la.zeros(x.dim, tg.dim)
-                for c, h in zip(digits[hf:], g_basis):
-                    g_mat = (g_mat + c * h) % p
-                out.append(DeltaModule(
-                    ctx, side, x, y,
-                    (f_mat @ tf.projection) % p, (g_mat @ tg.projection) % p,
-                    name=f"enum[{ctx.name or 'ctx'}/{side}/{counter + code}]"))
+                moves = _tuple_moves(
+                    f_basis, g_basis,
+                    _twisted_units(x, tf, lay, lay.f_bimodule, limit, x_units),
+                    _twisted_units(y, tg, lay, lay.g_bimodule, limit, y_units),
+                    p, f"maps over ({x.describe()}, {y.describe()})")
+            out += _representatives(ctx, side, x, y, tf, tg, f_basis, g_basis,
+                                    _orbit_minima(size, moves), counter)
             counter += size
     return out
 
 
-def _twist(tm: TensorModule, lay: TupleLayout, bimodule: Bimodule,
-           auto: np.ndarray) -> np.ndarray:
-    """Matrix of id (x) auto on the tensor quotient ``tm`` of ``bimodule``
-    with a component."""
-    return tensor_map(tm, tm, *lay.order(la.eye(bimodule.dim), auto)).matrix
+def _stacked(maps: list[ModuleMap], rows: int, cols: int) -> np.ndarray:
+    """The matrices of ``maps`` as one (len(maps), rows, cols) stack."""
+    return np.array([h.matrix for h in maps], dtype=np.int64).reshape(
+        len(maps), rows, cols)
 
 
-def _tuple_move(f_basis, f_images, g_basis, g_images, p: int, where: str):
-    """The code-space action sending basis map k of each hom space to the
-    given image; block diagonal because f and g move separately."""
-    hf, hg = len(f_basis), len(g_basis)
-    matrix = la.zeros(hf + hg, hf + hg)
-    if hf:
-        matrix[:hf, :hf] = _coords(f_basis, f_images, p, f"f-{where}")
-    if hg:
-        matrix[hf:, hf:] = _coords(g_basis, g_images, p, f"g-{where}")
-    return _linear_move(matrix, p)
+def _twisted_units(component: Module, tm: TensorModule, lay: TupleLayout,
+                   bimodule: Bimodule, limit: int, made: dict) -> list:
+    """The unit generators u of Aut(component), each with the matrix of its
+    twist id (x) u^-1 on the tensor quotient ``tm`` of ``bimodule`` with the
+    component, built by the checked ``tensor_map``; made on first use and
+    kept in ``made``."""
+    found = made.get(component)
+    if found is None:
+        identity = la.eye(bimodule.dim)
+        found = made[component] = [
+            (u, tensor_map(tm, tm, *lay.order(
+                identity, la.inverse(u, component.p))).matrix)
+            for u in _unit_generators(component, limit)]
+    return found
+
+
+def _tuple_moves(f_basis: np.ndarray, g_basis: np.ndarray, alphas: list,
+                 betas: list, p: int, where: str) -> list:
+    """The code-space actions of the twisted units ``alphas`` of Aut(x) and
+    ``betas`` of Aut(y), each sending basis map k of each hom space to its
+    image; block diagonal because f and g move separately.
+
+    One solve per hom space takes the images under every generator as
+    right-hand sides, as ``linalg.restrict`` does; the basis is independent,
+    so each block is the one a solve of its own would give.
+    """
+    if not alphas and not betas:    # a trivial group; nothing to stack
+        return []
+    f_images = ([(f_basis @ twist) % p for _, twist in alphas]
+                + [(beta @ f_basis) % p for beta, _ in betas])
+    g_images = ([(alpha @ g_basis) % p for alpha, _ in alphas]
+                + [(g_basis @ twist) % p for _, twist in betas])
+    blocks = []
+    for label, basis, images in (("f", f_basis, f_images),
+                                 ("g", g_basis, g_images)):
+        if len(basis):
+            coords = _coords(basis, np.concatenate(images), p,
+                             f"{label}-{where}")
+            blocks.append(np.split(coords, len(images), axis=1))
+        else:
+            blocks.append([la.zeros(0, 0)] * len(images))
+    return [_linear_move(la.block_diagonal([f, g]), p)
+            for f, g in zip(*blocks)]
+
+
+def _representatives(ctx: MoritaContext, side: str, x: Module, y: Module,
+                     tf: TensorModule, tg: TensorModule, f_basis: np.ndarray,
+                     g_basis: np.ndarray, codes: np.ndarray,
+                     counter: int) -> list[DeltaModule]:
+    """The tuples over (x, y) of the structure-map ``codes``, derived.
+
+    Code c with base-p digits d stands for f = sum_k d_k f_k over the
+    f-basis and g = sum_k d_(hf+k) g_k over the g-basis; one ``tensordot``
+    each expands every code.  f is a combination of a basis of
+    Hom(M (x)_A x, y) (Hom(x (x)_A N, y) on the right), so it is a module
+    map on the tensor quotient, and f @ projection descends through the
+    tensor relations to it; g likewise.  The bimodule products of a
+    ``MoritaContext`` vanish, so every such pair of maps is admissible and
+    the tuple packs to a module: it is built by ``DeltaModule._derived``,
+    without the construction check.
+    """
+    p, hf = ctx.p, len(f_basis)
+    digits = la.digits(codes, p, hf + len(g_basis))
+    f_plain = (np.tensordot(digits[:, :hf], f_basis, axes=1) % p
+               @ tf.projection) % p
+    g_plain = (np.tensordot(digits[:, hf:], g_basis, axes=1) % p
+               @ tg.projection) % p
+    out = []
+    # A loop, not a comprehension: on Python < 3.12 a comprehension is a
+    # frame of its own, and the recording tests name each builder's frame.
+    for code, f, g in zip(codes, f_plain, g_plain):
+        out.append(DeltaModule._derived(
+            ctx, side, x, y, f, g,
+            f"enum[{ctx.name or 'ctx'}/{side}/{counter + code}]"))
+    return out
 
 
 @memo("module")

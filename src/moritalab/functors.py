@@ -195,19 +195,30 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
     have equal dimension, so forward is a bijection onto the plain homs
     with inverse backward, and backward lands in the tuple homs.  The other
     round holds by construction: the adjoint's corner block is its argument.
+
+    The verdict and detail are memoised by value (``_adjunction_outcome``),
+    so equal objects are checked once; the report is built on every call.
     """
-    name = f"adjunction-{pair}"
     kind, _, corner = pair.partition("-")
     if kind not in ("induce", "coinduce") or corner not in CORNERS:
         raise ValueError(f"unknown adjunction pair {pair!r}")
+    return CheckReport(f"adjunction-{pair}",
+                       *_adjunction_outcome(v, ctx, plain, pair))
+
+
+@memo("v", by_value=True)
+def _adjunction_outcome(v: DeltaModule, ctx: MoritaContext, plain: Module,
+                        pair: str) -> tuple[Verdict, str]:
+    """The verdict and detail of ``check_adjunction``."""
+    kind, _, corner = pair.partition("-")
     if kind == "coinduce":
         plain, v = plain.dual, v.dual
     ind = induce(ctx, plain, corner)
     tuple_homs = delta_hom_space(ind, v)
     plain_homs = hom_space(plain, component(v, corner))
     if len(tuple_homs) != len(plain_homs):
-        return CheckReport(name, Verdict.REFUTED,
-                           f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
+        return (Verdict.REFUTED,
+                f"hom dimensions differ: {len(tuple_homs)} vs {len(plain_homs)}")
 
     def restored(dm: DeltaModuleMap) -> bool:
         forward = by_corner(corner, dm.a_matrix, dm.b_matrix)[0]
@@ -215,6 +226,6 @@ def check_adjunction(ctx: MoritaContext, plain: Module, v: DeltaModule,
                               dm.matrix)
 
     if all(restored(dm) for dm in tuple_homs):
-        return CheckReport(name, Verdict.PASS,
-                           f"bijection verified on hom spaces of dim {len(plain_homs)}")
-    return CheckReport(name, Verdict.REFUTED, "composites are not mutually inverse")
+        return (Verdict.PASS,
+                f"bijection verified on hom spaces of dim {len(plain_homs)}")
+    return Verdict.REFUTED, "composites are not mutually inverse"

@@ -36,8 +36,9 @@ and both structure squares commute.  Every other tuple is derived
 ``delta_dual``, the sub-tuples of ``delta_submodule`` (and so the kernels
 of ``delta_kernel``), the quotients of ``delta_quotient``, the tuples of
 ``unpack`` and the induced tuples of ``functors.induce`` pack to modules
-derived from checked ones; a co-induced tuple is the dual of an induced
-one.  Every other map (``DeltaModuleMap._intertwining``) packs to a map
+derived from checked ones, and the representatives of
+``enumeration.enumerate_delta_modules`` have structure maps combined from
+hom-space bases; a co-induced tuple is the dual of an induced one.  Every other map (``DeltaModuleMap._intertwining``) packs to a map
 that its construction proves: hom bases and their combinations, sum
 witnesses, inclusions and projections of sub-tuples and quotients,
 composites, covers, duals and the maps of the induction functor, whose
@@ -261,11 +262,11 @@ class DeltaModule:
     of the basis vector m_i of M: the action laws of the products m a and
     b m.  The right side and g are alike, and the laws of the products of the
     two bimodule corners, which vanish, then follow.  The tuple keeps its
-    packed module.  A derived tuple (see ``_derived``), a sum, dual,
-    sub-tuple, quotient, unpacked or induced tuple built by ``delta_sum``,
-    ``delta_dual``, ``delta_submodule``, ``delta_quotient``, ``unpack`` or
-    ``functors.induce``, is not checked again; nor is a co-induced tuple,
-    the dual of an induced one.  The tensor products
+    packed module.  A derived tuple (see ``_derived``), an enumerated
+    representative or a sum, dual, sub-tuple, quotient, unpacked or induced
+    tuple built by ``delta_sum``, ``delta_dual``, ``delta_submodule``,
+    ``delta_quotient``, ``unpack`` or ``functors.induce``, is not checked
+    again; nor is a co-induced tuple, the dual of an induced one.  The tensor products
     ``tensor_f``/``tensor_g`` and structure maps ``f_map``/``g_map`` of
     every tuple are built on first use, since most scanned tuples only read
     the blocks.  Maps between tuples are derived in the same way where
@@ -342,8 +343,9 @@ class DeltaModule:
         projected actions (see ``Module._derived`` for both).  The tuple of
         ``unpack`` packs to its module in a new basis, and
         ``functors.induce`` proves that its canonical projection descends
-        to a module map.  Since the result packs to a module, f and g
-        descend through the tensor quotients to module maps, and
+        to a module map, and ``enumeration._representatives`` that its
+        combinations of hom bases do.  Since the result packs to a module,
+        f and g descend through the tensor quotients to module maps, and
         ``f_map``/``g_map`` need no check.
         """
         v = object.__new__(cls)

@@ -56,12 +56,13 @@ def fixture_over():
 
 @pytest.fixture(scope="session")
 def fresh():
-    """``fresh(name)``: the shipped workspace ``name`` parsed anew at every
-    call.  Its rings are new objects, so its modules and tuples share no
-    value with those of any other parse, and every verdict memoised by
-    value (``memo(by_value=True)``) is computed on them, not read back."""
-    def parse(name):
+    """``fresh(name, p=2)``: the shipped workspace ``name``, its ``field 2``
+    line set to ``field p``, parsed anew at every call.  Its rings are new
+    objects, so its modules and tuples share no value with those of any
+    other parse, and every result memoised on them, by identity or by value
+    (``memo(by_value=True)``), is computed, not read back."""
+    def parse(name, p=2):
         return parse_workspace(resources.files("moritalab").joinpath(
-            "data", f"{name}.txt").read_text())
+            "data", f"{name}.txt").read_text().replace("field 2", f"field {p}", 1))
 
     return parse

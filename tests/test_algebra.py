@@ -443,8 +443,35 @@ def test_an_oversize_hom_system_is_refused_before_it_is_built(e1):
         tracemalloc.stop()
     assert peak < 1 << 20
     assert str(caught.value) == (
-        f"hom system of {source.describe()} (dim 62) -> {target.describe()} "
-        f"(dim 64) has {entries} entries, above the cap of {HOM_SYSTEM_CAP}")
+        f"hom system of ((kxk.regular.left)×31) (dim 62) -> "
+        f"((kxk.regular.left)×32) (dim 64) has {entries} entries, above the "
+        f"cap of {HOM_SYSTEM_CAP}")
+
+
+def test_an_oversize_hom_system_counts_equal_summands():
+    """The cap message writes each run of equal summands once, with its
+    count, in nested sums and inside other names too; ``describe()`` still
+    spells them out.  The cap is checked before anything is allocated, so
+    this is cheap."""
+    ws = parse_workspace((ROOT / "tests" / "workspaces" / "T2-k-op.txt")
+                         .read_text())
+    regular = ws.algebras["T"].regular_module(RIGHT)
+    forty = module_sum([regular] * 40)
+    assert forty.describe() == "(" + " + ".join(["T.regular.right"] * 40) + ")"
+    with pytest.raises(BudgetExceededError) as caught:
+        hom_system(forty, forty)
+    assert str(caught.value) == (
+        "hom system of ((T.regular.right)×40) (dim 120) -> "
+        "((T.regular.right)×40) (dim 120) has 622080000 entries, above the "
+        f"cap of {HOM_SYSTEM_CAP}")
+    nested = module_sum([forty, forty, regular])
+    named = Module(regular.algebra, RIGHT, nested.dim, nested.actions,
+                   name=f"quot[{nested.describe()}^+] + x)(")
+    with pytest.raises(BudgetExceededError) as caught:
+        hom_system(nested, named)
+    assert str(caught.value).startswith(
+        "hom system of (((T.regular.right)×40)×2 + T.regular.right) (dim 243) "
+        f"-> {named.describe()} (dim 243) has ")
 
 
 def test_an_exhausted_isomorphism_scan_names_both_modules(monkeypatch):

@@ -6,6 +6,8 @@ is also compared, object by object, with the pairwise isomorphism dedupe it
 replaced, which is kept here as the reference.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, field_algebra,
 from moritalab.enumeration import (
     _CHUNK,
     _coords,
+    _delta_classes,
     _linear_move,
     _orbit_minima,
     _structures_of_dim,
@@ -27,6 +30,9 @@ from moritalab.enumeration import (
 from moritalab.morita import DeltaModule, delta_is_isomorphic
 from moritalab.report import BudgetExceededError, InternalCheckError
 from moritalab.tensor import tensor_over_algebra
+from moritalab.workspace import parse_workspace
+
+WORKSPACES = Path(__file__).resolve().parent / "workspaces"
 
 
 def pairwise_modules(algebra, side, max_dim):
@@ -107,6 +113,128 @@ def test_orbit_minima_of_small_groups():
     assert _orbit_minima(12, [shift]).tolist() == [0, 1, 2, 3]
     # <shift, swap> joins each orbit {c, c+4, c+8} with its partner under c ^ 1
     assert _orbit_minima(12, [shift, swap]).tolist() == [0, 2]
+
+
+def recomputing_orbit_minima(size, moves):
+    """The orbit labelling that recomputes every move's images, chunk by
+    chunk, on every hook pass: the reference for ``_orbit_minima``, which
+    computes them once."""
+    labels = np.arange(size, dtype=np.int64)
+    while True:
+        hooked = False
+        for move in moves:
+            for start in range(0, size, _CHUNK):
+                src = np.arange(start, min(start + _CHUNK, size), dtype=np.int64)
+                a, b = labels[src], labels[move(src)]
+                apart = a != b
+                if apart.any():
+                    hooked = True
+                    np.minimum.at(labels, np.maximum(a, b)[apart],
+                                  np.minimum(a, b)[apart])
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        if not hooked:
+            return np.flatnonzero(labels == np.arange(size))
+
+
+def random_invertible(rng, width, p):
+    """A random invertible matrix over GF(p): a dense one, or a transvection
+    or diagonal scaling, whose groups have many orbits."""
+    kind = rng.integers(3)
+    if kind == 0:
+        while True:
+            matrix = rng.integers(p, size=(1, width, width))
+            if la.nonsingular_mask(matrix, p)[0]:
+                return matrix[0]
+    matrix = la.eye(width)
+    if kind == 1:
+        i, j = rng.choice(width, size=2, replace=False)
+        matrix[i, j] = rng.integers(1, p)
+    else:
+        matrix[np.diag_indices(width)] = rng.integers(1, p, size=width)
+    return matrix
+
+
+# Code spaces of 8 and 243 elements fit one chunk; 2^14 is two whole
+# chunks and 3^9 = 19683 ends in a partial one.
+@pytest.mark.parametrize("p,width", [(2, 3), (2, 14), (3, 5), (3, 9)])
+def test_orbit_minima_match_the_recomputing_reference(p, width):
+    rng = np.random.default_rng(1000 * p + width)
+    size = p ** width
+    for count in (0, 1, 2, 3, 3):
+        moves = [_linear_move(random_invertible(rng, width, p), p)
+                 for _ in range(count)]
+        assert np.array_equal(_orbit_minima(size, moves),
+                              recomputing_orbit_minima(size, moves))
+
+
+# The BudgetExceededError that _delta_classes(ctx, side, 3, 2**k) raises at
+# k = 0, 1, ..., 12, recorded before the per-component unit tables: runs of
+# (count, message up to " candidates"), None for no error, "{side}" the side.
+BUDGET_ERRORS = {
+    ("E1", 2): [(1, "structural-map scan needs 2"),
+                (1, "unit scan of End(enum[kxk/{side}/2/1]) needs 4"),
+                (2, "unit scan of End(enum[kxk/{side}/2/5]) needs 16"),
+                (1, "unit scan of End(enum[kxk/{side}/3/1]) needs 32"),
+                (4, "unit scan of End(enum[kxk/{side}/3/35]) needs 512"),
+                (4, None)],
+    ("E1", 3): [(2, "structural-map scan needs 3"),
+                (2, "unit scan of End(enum[kxk/{side}/2/1]) needs 9"),
+                (3, "unit scan of End(enum[kxk/{side}/2/7]) needs 81"),
+                (1, "unit scan of End(enum[kxk/{side}/3/1]) needs 243"),
+                (5, "unit scan of End(enum[kxk/{side}/3/103]) needs 19683")],
+    ("E2", 2): [(1, "structural-map scan needs 2"),
+                (1, "structural-map scan needs 4"),
+                (2, "unit scan of End(enum[k/{side}/2/0]) needs 16"),
+                (5, "unit scan of End(enum[k/{side}/3/0]) needs 512"),
+                (4, None)],
+    ("E2", 3): [(2, "structural-map scan needs 3"),
+                (2, "structural-map scan needs 9"),
+                (3, "unit scan of End(enum[k/{side}/2/0]) needs 81"),
+                (6, "unit scan of End(enum[k/{side}/3/0]) needs 19683")],
+}
+
+
+@pytest.mark.parametrize("name,p", sorted(BUDGET_ERRORS))
+def test_budget_errors_come_in_scan_order(fixture_over, name, p):
+    """The unit scan and twists of a component are made at its first pair
+    with structure maps, so each budget names the scan the pair loop meets
+    first, as it did when every pair made its own."""
+    ctx = fixture_over(name, p).single_context()
+    for side in (LEFT, RIGHT):
+        expected = [prefix for count, prefix in BUDGET_ERRORS[name, p]
+                    for _ in range(count)]
+        for k, prefix in enumerate(expected):
+            if prefix is None:
+                _delta_classes(ctx, side, 3, 2 ** k)
+                continue
+            with pytest.raises(BudgetExceededError) as caught:
+                _delta_classes(ctx, side, 3, 2 ** k)
+            assert str(caught.value) == (prefix.format(side=side)
+                                         + f" candidates, budget is {2 ** k}")
+
+
+def test_representatives_pass_the_tuple_check(fixture_over):
+    """Representatives are derived, unchecked; rebuilt by the checked
+    constructor each passes and packs to the same module."""
+    contexts = [(fixture_over(name, p).single_context(), 3)
+                for name in ("E1", "E2") for p in (2, 3)]
+    contexts += [(parse_workspace((WORKSPACES / f"{name}.txt").read_text())
+                  .single_context(), 2)
+                 for name in ("T2-k", "T2-k-op", "T2-kx")]
+    checked = 0
+    for ctx, bound in contexts:
+        for side in (LEFT, RIGHT):
+            for v in enumerate_delta_modules(ctx, side, bound):
+                rebuilt = DeltaModule(ctx, side, v.x, v.y, v.f_plain,
+                                      v.g_plain, name=v.name)
+                assert np.array_equal(rebuilt.packed.actions,
+                                      v.packed.actions)
+                checked += 1
+    assert checked == 2 * (2 * 203 + 2 * 62 + 87 + 70 + 27)
 
 
 def unique_unit_generators(module):

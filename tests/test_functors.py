@@ -103,12 +103,14 @@ def test_adjunctions_hold_on_the_semisimple_fixture(e1):
             assert report.verdict is Verdict.PASS, report.detail
 
 
-def _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, block):
+def _assert_refuted_by_a_wrong_adjoint(fresh, monkeypatch, kind, block):
     """Put a zero ``block`` ("corner" or "other") in every map that
     ``induced_adjoint`` builds, and assert that the check refutes every
     pair whose tuple homs have that block nonzero.  Co-induction pairs are
     checked on the duals, through ``induced_adjoint``, so the wrong adjoint
-    is put there for both kinds."""
+    is put there for both kinds.  Outcomes are memoised by value, so the
+    wrong adjoint is asked about the tuples of a second fresh parse of E2,
+    equal to the first one's but of values that no check has seen."""
     right = functors.induced_adjoint
     at = 0 if block == "corner" else 1
 
@@ -119,13 +121,17 @@ def _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, block):
         return DeltaModuleMap._intertwining(phi.source, phi.target,
                                             *by_corner(corner, *blocks))
 
+    e2, twin = (fresh("E2").single_context() for _ in range(2))
     caught = 0
     for corner in CORNERS:
         algebra, _ = by_corner(corner, e2.algebra_a, e2.algebra_b)
         plain = algebra.regular_module(LEFT)
+        twin_plain = by_corner(corner, twin.algebra_a,
+                               twin.algebra_b)[0].regular_module(LEFT)
         made = getattr(functors, kind)(e2, plain, corner)
         pair = f"{kind}-{corner}"
-        for v in enumerate_delta_modules(e2, LEFT, 2):
+        for v, twin_v in zip(enumerate_delta_modules(e2, LEFT, 2),
+                             enumerate_delta_modules(twin, LEFT, 2)):
             ends = (made, v) if kind == "induce" else (v, made)
             homs = delta_hom_space(*ends)
             if not any(by_corner(corner, h.a_matrix, h.b_matrix)[at].any()
@@ -134,7 +140,7 @@ def _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, block):
             assert check_adjunction(e2, plain, v, pair).verdict is Verdict.PASS
             with monkeypatch.context() as patch:
                 patch.setattr(functors, "induced_adjoint", wrong)
-                report = check_adjunction(e2, plain, v, pair)
+                report = check_adjunction(twin, twin_plain, twin_v, pair)
             assert report.verdict is Verdict.REFUTED
             assert report.detail == "composites are not mutually inverse"
             caught += 1
@@ -142,18 +148,54 @@ def _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, block):
 
 
 @pytest.mark.parametrize("kind", ["induce", "coinduce"])
-def test_the_adjunction_check_refutes_a_wrong_adjoint(e2, monkeypatch, kind):
+def test_the_adjunction_check_refutes_a_wrong_adjoint(fresh, monkeypatch,
+                                                     kind):
     # The adjoint maps are built unchecked, so an adjoint that is wrong
     # outside the corner must be caught by the round trip itself.
-    _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, "other")
+    _assert_refuted_by_a_wrong_adjoint(fresh, monkeypatch, kind, "other")
 
 
 @pytest.mark.parametrize("kind", ["induce", "coinduce"])
-def test_the_adjunction_check_refutes_a_wrong_corner_block(e2, monkeypatch,
-                                                           kind):
+def test_the_adjunction_check_refutes_a_wrong_corner_block(fresh,
+                                                           monkeypatch, kind):
     # The check runs one round, backward . forward = id on the tuple homs;
     # an adjoint whose corner block is not its argument fails that round.
-    _assert_refuted_by_a_wrong_adjoint(e2, monkeypatch, kind, "corner")
+    _assert_refuted_by_a_wrong_adjoint(fresh, monkeypatch, kind, "corner")
+
+
+def test_an_adjunction_is_checked_once_per_value(fresh, monkeypatch):
+    """Equal objects built twice are checked once: the second ask runs no
+    hom space.  Each call builds its own report, so changing one report
+    does not change the next."""
+    ctx = fresh("E2").single_context()
+    template = enumerate_delta_modules(ctx, LEFT, 2)[-1]
+
+    def built(corner):
+        algebra = by_corner(corner, ctx.algebra_a, ctx.algebra_b)[0]
+        regular = algebra.regular_module(LEFT)
+        plain = Module(algebra, LEFT, regular.dim, regular.actions.copy(),
+                       name="plain")
+        v = DeltaModule(ctx, LEFT, template.x, template.y,
+                        template.f_plain.copy(), template.g_plain.copy(),
+                        name="v")
+        return plain, v
+
+    bodies, real = [], functors.delta_hom_space
+    monkeypatch.setattr(functors, "delta_hom_space",
+                        lambda *ends: bodies.append(ends) or real(*ends))
+    for pair in ("induce-a", "induce-b", "coinduce-a", "coinduce-b"):
+        corner = pair[-1]
+        first, second = built(corner), built(corner)
+        bodies.clear()
+        report = check_adjunction(ctx, *first, pair)
+        assert len(bodies) == 1
+        again = check_adjunction(ctx, *second, pair)
+        assert len(bodies) == 1
+        assert again == report and again is not report
+        assert report.verdict is Verdict.PASS
+        report.detail = "changed"
+        report.witnesses.append({"changed": True})
+        assert check_adjunction(ctx, *second, pair) == again
 
 
 def reference_check_adjunction(ctx, plain, v, pair):

@@ -339,12 +339,14 @@ def _listed(pairs):
 
 
 @pytest.mark.parametrize("p", [2, 3])
-def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
-    # Sums, duals, sub-tuples (kernels among them), quotients, unpacked and
-    # induced tuples skip the tuple check and build their tensor products
-    # and structure maps on first use, unchecked; co-induced tuples are
-    # duals of induced ones.  Each must equal the fully checked tuple on the
-    # same data, on checked components.
+def test_derived_tuples_equal_checked_ones(fresh, monkeypatch, p):
+    # Enumerated representatives, sums, duals, sub-tuples (kernels among
+    # them), quotients, unpacked and induced tuples skip the tuple check and
+    # build their tensor products and structure maps on first use,
+    # unchecked; co-induced tuples are duals of induced ones.  Each must
+    # equal the fully checked tuple on the same data, on checked components.
+    # Each workspace is parsed anew, so its enumeration runs here, whatever
+    # the order of the test files.
     made, builders = [], set()
     derived = morita.DeltaModule._derived.__func__
 
@@ -355,7 +357,7 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
 
     monkeypatch.setattr(morita.DeltaModule, "_derived", classmethod(recording))
     for name in ("E0", "E1", "E2"):
-        ctx = fixture_over(name, p).single_context()
+        ctx = fresh(name, p).single_context()
         for side in (LEFT, RIGHT):
             tuples = enumerate_delta_modules(ctx, side, 2)
             for i, u in enumerate(tuples):
@@ -373,8 +375,9 @@ def test_derived_tuples_equal_checked_ones(fixture_over, monkeypatch, p):
                     == _listed(_closed_span_pairs(u))
                 for v in tuples[i:]:
                     delta_dual(delta_sum([u, v]))
-    assert builders == {"delta_sum", "delta_dual", "delta_submodule",
-                        "delta_quotient", "unpack", "induce"}
+    assert builders == {"_representatives", "delta_sum", "delta_dual",
+                        "delta_submodule", "delta_quotient", "unpack",
+                        "induce"}
     for v in made:
         for comp in (v.x, v.y):
             Module(comp.algebra, comp.side, comp.dim, comp.actions)
