@@ -6,10 +6,11 @@ and the ``--report`` JSON document (``<name>.json``) next to it.  A case's
 ``--fixture`` names a shipped fixture or a test-only workspace file by its
 path from the repository root (``tests/workspaces/``); every case runs from
 the repository root, so that path and the ``"fixture"`` string of the
-report match.  The CI packaging check runs the same list through an
-installed ``morita-lab``.  After a deliberate output change, regenerate the
-files with ``PYTHONPATH=src python tests/test_golden.py`` and review the
-diff.
+report match.  ``tests/golden/slow-commands.txt`` lists, in the same format,
+the cases that take seconds each (bound 3); tier-1 does not run them.  The CI
+packaging check runs both lists through an installed ``morita-lab``.  After
+a deliberate output change, regenerate the files of both lists with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import sys
@@ -23,8 +24,15 @@ from moritalab.fixtures import SHIPPED
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
-CASES = [(name, int(code), argv) for name, code, *argv in
-         (line.split() for line in (GOLDEN / "commands.txt").read_text().splitlines())]
+
+
+def cases(listing: str) -> list:
+    """(name, exit code, arguments) of each line of a command list."""
+    return [(name, int(code), argv) for name, code, *argv in
+            (line.split() for line in (GOLDEN / listing).read_text().splitlines())]
+
+
+CASES = cases("commands.txt")
 
 
 @pytest.mark.parametrize("name,code,argv", CASES, ids=[c[0] for c in CASES])
@@ -75,7 +83,7 @@ if __name__ == "__main__":
     import os
 
     os.chdir(ROOT)
-    for name, code, argv in CASES:
+    for name, code, argv in CASES + cases("slow-commands.txt"):
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             got = run(argv + ["--report", str(GOLDEN / f"{name}.json")])
