@@ -22,7 +22,8 @@ about sums of two objects, closure of a right class and direct-sum closure
 of a left class alike, reads one walk over each universe's pairs,
 ``_closure_witnesses``: a pair's sum is built once and every class over that
 universe is asked about it, so no sum is built twice and only one is alive
-at a time.
+at a time.  The extension clause walks each non-member's subs lazily
+(``extensions_of``) and builds a quotient only for a sub the class contains.
 
 Verdict discipline: clauses that quantify over modules up to the requested
 bound and are fully decided there report "pass"; clauses that sample an
@@ -39,14 +40,14 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, RIGHT, is_flat, is_injective, is_projective,
-                      submodule)
-from .enumeration import (delta_short_exact_sequences, enumerate_delta_modules,
-                          enumerate_modules, short_exact_sequences)
+                      quotient_module, submodule)
+from .enumeration import (delta_invariant_pairs, enumerate_delta_modules,
+                          enumerate_modules, invariant_subspaces)
 from .functors import coinduce, induce
 from .memo import memo
 from .morita import (CORNERS, DeltaModule, MoritaContext, by_corner,
-                     corner_parts, delta_submodule, is_flat_delta,
-                     is_injective_delta, is_projective_delta,
+                     corner_parts, delta_quotient, delta_submodule,
+                     is_flat_delta, is_injective_delta, is_projective_delta,
                      structural_cokernel)
 from .report import (AlgebraMismatchError, CheckReport, ValidationError,
                      Verdict)
@@ -74,11 +75,19 @@ def universe_of(ring, side: str, bound: int) -> list:
     return enumerate_modules(ring, side, bound)
 
 
-def extensions_of(obj) -> list:
-    """All (sub, quotient) pairs arising from submodules of the object."""
+def extensions_of(obj):
+    """Each extension 0 -> sub -> obj -> quotient -> 0, one per invariant
+    span in enumeration order, as (sub, quotient): ``quotient`` is a
+    zero-argument function that builds the quotient, so a caller that
+    rejects the sub never pays for it."""
     if isinstance(obj, DeltaModule):
-        return [(sub, quot) for sub, _, quot, _ in delta_short_exact_sequences(obj)]
-    return [(sub, quot) for sub, _, quot, _ in short_exact_sequences(obj)]
+        for xs, ys in delta_invariant_pairs(obj):
+            yield (delta_submodule(obj, xs, ys)[0],
+                   lambda xs=xs, ys=ys: delta_quotient(obj, xs, ys)[0])
+    else:
+        for span in invariant_subspaces(obj):
+            yield (submodule(obj, span.T)[0],
+                   lambda span=span: quotient_module(obj, span)[0])
 
 
 def _as_input(report: CheckReport) -> CheckReport:
@@ -428,16 +437,7 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
         witnesses=[] if bad is None else [
             {"first": bad[0].describe(), "second": bad[1].describe()}]))
 
-    ext_bad = None
-    for whole in universe_of(left.ring, left.side, bound):
-        if left.contains(whole):   # a member is the middle term of no witness
-            continue
-        for sub, quot in extensions_of(whole):
-            if left.contains(sub) and left.contains(quot):
-                ext_bad = (sub, whole, quot)
-                break
-        if ext_bad:
-            break
+    ext_bad = _extension_witness(left, bound)
     clauses.append(CheckReport(
         "extension-closure",
         Verdict.PASS if ext_bad is None else Verdict.REFUTED,
@@ -447,6 +447,19 @@ def _verify_perfection(left: ClassOracle, bound: int) -> CheckReport:
              "quotient": ext_bad[2].describe()}]))
     return CheckReport.combine(f"perfection({left.name})", clauses,
                                meta={"bound": bound})
+
+
+def _extension_witness(left: ClassOracle, bound: int) -> tuple | None:
+    """The first (sub, middle, quotient) of a short exact sequence with both
+    ends in the left class and the middle outside it, or None.  A quotient
+    is built only when its sub is a member."""
+    for whole in universe_of(left.ring, left.side, bound):
+        if left.contains(whole):   # a member is the middle term of no witness
+            continue
+        for sub, quotient in extensions_of(whole):
+            if left.contains(sub) and left.contains(quot := quotient()):
+                return sub, whole, quot
+    return None
 
 
 def check_perfect_pair(spec: DualityPairSpec) -> CheckReport:

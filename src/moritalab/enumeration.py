@@ -36,11 +36,9 @@ import numpy as np
 
 from . import linalg as la
 from .algebra import (LEFT, Algebra, Bimodule, Module, ModuleMap, _law_defects,
-                      field_algebra, hom_space, quotient_module, scan_budget,
-                      submodule)
+                      field_algebra, hom_space, scan_budget)
 from .memo import memo
-from .morita import (DeltaModule, DeltaModuleMap, MoritaContext, TupleLayout,
-                     delta_submodule, delta_quotient, tuple_layout)
+from .morita import DeltaModule, MoritaContext, TupleLayout, tuple_layout
 from .report import BudgetExceededError, InternalCheckError
 from .tensor import TensorModule, tensor_map
 
@@ -539,17 +537,6 @@ def _rref_patterns(d: int, p: int):
                 yield rows.T.copy()
 
 
-def short_exact_sequences(module: Module) \
-        -> list[tuple[Module, ModuleMap, Module, ModuleMap]]:
-    """All extensions 0 -> sub -> module -> quotient -> 0 from invariant subspaces."""
-    out = []
-    for span in invariant_subspaces(module):
-        sub, incl = submodule(module, span.T)
-        quot, proj, _ = quotient_module(module, span)
-        out.append((sub, incl, quot, proj))
-    return out
-
-
 def delta_invariant_pairs(v: DeltaModule) -> list[tuple[np.ndarray, np.ndarray]]:
     """Column-basis pairs (in x, in y) spanning sub-tuples of v: invariant
     spans that f and g carry into each other."""
@@ -558,14 +545,3 @@ def delta_invariant_pairs(v: DeltaModule) -> list[tuple[np.ndarray, np.ndarray]]
             for span_y in y_spans
             if la.restrict(v.f_blocks, span_x, span_y, p) is not None
             and la.restrict(v.g_blocks, span_y, span_x, p) is not None]
-
-
-def delta_short_exact_sequences(v: DeltaModule) \
-        -> list[tuple[DeltaModule, DeltaModuleMap, DeltaModule, DeltaModuleMap]]:
-    """All extensions 0 -> sub -> v -> quotient -> 0 of tuples."""
-    out = []
-    for span_x, span_y in delta_invariant_pairs(v):
-        sub, incl = delta_submodule(v, span_x, span_y)
-        quot, proj = delta_quotient(v, span_x, span_y)
-        out.append((sub, incl, quot, proj))
-    return out

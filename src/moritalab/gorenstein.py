@@ -798,8 +798,9 @@ def check_ding_transport(ctx: MoritaContext, w: int, bound: int) -> CheckReport:
             if image_verdict is None:
                 continue
             checked += 1
-            clean_tuples.append(image)
-            if not image_verdict.consistent:
+            if image_verdict.consistent:
+                clean_tuples.append(image)
+            else:
                 bad.append({"object": m.describe(),
                             "image": image.describe(),
                             "position": image_verdict.failing_position,

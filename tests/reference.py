@@ -1,13 +1,20 @@
-"""The transposed structure maps of a tuple, built as module maps into hom
-modules, and the epi classes decided on their kernels: the construction
-that ``classes.in_epi_class`` replaced by the structural cokernels of the
-dual, kept for the tests as the reference."""
+"""Constructions that the library replaced, kept for the tests as
+references: the transposed structure maps of a tuple, built as module maps
+into hom modules, and the epi classes decided on their kernels (replaced in
+``classes.in_epi_class`` by the structural cokernels of the dual); and the
+extension walk that builds every short exact sequence of a non-member
+before it asks about any of them (replaced by ``classes.extensions_of``,
+which builds a quotient only for a member sub)."""
 
 import numpy as np
 
 from moritalab import linalg as la
-from moritalab.algebra import ModuleMap, kernel_module
-from moritalab.morita import CORNERS, by_corner, delta_sum
+from moritalab.algebra import (ModuleMap, kernel_module, quotient_module,
+                               submodule)
+from moritalab.classes import universe_of
+from moritalab.enumeration import delta_invariant_pairs, invariant_subspaces
+from moritalab.morita import (CORNERS, DeltaModule, by_corner, delta_quotient,
+                              delta_submodule, delta_sum)
 from moritalab.tensor import hom_over_algebra
 
 
@@ -59,3 +66,26 @@ def sampled_pair_sums(tuples, count, seed):
     for _ in range(count if tuples else 0):
         i, j = rng.integers(len(tuples), size=2)
         yield delta_sum([tuples[i], tuples[j]])
+
+
+def short_exact_sequences(obj):
+    """Every 0 -> sub -> obj -> quotient -> 0 from an invariant span, in
+    enumeration order, as (sub, inclusion, quotient, projection)."""
+    if isinstance(obj, DeltaModule):
+        return [delta_submodule(obj, xs, ys) + delta_quotient(obj, xs, ys)
+                for xs, ys in delta_invariant_pairs(obj)]
+    return [submodule(obj, span.T) + quotient_module(obj, span)[:2]
+            for span in invariant_subspaces(obj)]
+
+
+def reference_extension_witness(left, bound):
+    """The first (sub, middle, quotient) with both ends in the left class
+    and the middle outside it, or None, from the sequences of each
+    non-member built in full before the first is asked about."""
+    for whole in universe_of(left.ring, left.side, bound):
+        if left.contains(whole):
+            continue
+        for sub, _, quot, _ in short_exact_sequences(whole):
+            if left.contains(sub) and left.contains(quot):
+                return sub, whole, quot
+    return None

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from moritalab import classes, morita
-from moritalab.algebra import LEFT, RIGHT, Module
+from moritalab.algebra import LEFT, RIGHT, Module, submodule
 from moritalab.cli import run
 from moritalab.classes import (
     ClassOracle,
     DualityPairSpec,
     _closure_witnesses,
+    _extension_witness,
     builtin_oracles,
     check_complete_transfer,
     check_duality_transfer,
@@ -22,20 +23,24 @@ from moritalab.classes import (
     check_injective_structure,
     check_perfect_pair,
     check_perfect_transfer,
+    component_class_oracle,
+    epi_class_oracle,
     in_component_class,
     in_epi_class,
     in_mono_class,
+    mono_class_oracle,
     universe_of,
     verify_duality_pair,
     verify_oracle,
 )
 from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
-from moritalab.morita import (DeltaModule, is_flat_delta, is_injective_delta,
-                              is_projective_delta)
+from moritalab.morita import (DeltaModule, delta_submodule, is_flat_delta,
+                              is_injective_delta, is_projective_delta)
 from moritalab.report import CheckReport, ValidationError, Verdict
-from moritalab.workspace import parse_workspace
-from reference import reference_in_epi_class, sampled_pair_sums
+from moritalab.workspace import _list_oracle, parse_workspace
+from reference import (reference_extension_witness, reference_in_epi_class,
+                       sampled_pair_sums)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -370,3 +375,68 @@ def test_the_epi_class_read_on_the_dual_equals_the_tilde_kernels(name, p,
                     (v.describe(), class_a.name)
                 members += got
     assert members
+
+
+def test_the_extension_clause_builds_a_quotient_only_for_a_member_sub(
+        monkeypatch):
+    """The left classes of ``theorem 3.6 --c1 simples`` on E2, whose list
+    oracle holds the simple A2-module, at bound 3 on a new parse, so no
+    verdict is memoised: every quotient that perfection builds belongs to a
+    sub of the class, and some are built."""
+    ws = parse_workspace(
+        (ROOT / "tests" / "workspaces" / "E2-simples.txt").read_text())
+    ctx = ws.single_context()
+    simples = ws.oracles["simples"]
+    flat_k = builtin_oracles(ctx.algebra_b, LEFT)["flat"]
+    subs = []
+
+    def recording(build, sub_of):
+        def wrapped(obj, *spans):
+            subs.append(sub_of(obj, *spans)[0])
+            return build(obj, *spans)
+        return wrapped
+
+    monkeypatch.setattr(classes, "quotient_module", recording(
+        classes.quotient_module, lambda m, span: submodule(m, span.T)))
+    monkeypatch.setattr(classes, "delta_quotient", recording(
+        classes.delta_quotient, delta_submodule))
+    built = 0
+    for left in (simples, flat_k, mono_class_oracle(ctx, simples, flat_k),
+                 component_class_oracle(ctx, simples, flat_k)):
+        subs.clear()
+        classes._verify_perfection(left, 3)
+        assert all(left.contains(sub) for sub in subs), left.name
+        built += len(subs)
+    assert built
+
+
+@pytest.mark.parametrize("name, p", [
+    ("E1", 2), ("E1", 3), ("E2", 2), ("E2", 3), ("T2-k", 2), ("T2-kx", 2)])
+def test_the_lazy_extension_walk_finds_the_eager_witness(name, p):
+    """The extension clause, which builds a quotient only for a member sub,
+    finds the witness of the reference walk, which builds every sequence
+    first, at bound 2.  The classes: the builtin classes of both corners;
+    the one-dimensional modules of the first corner as a member list
+    ("simples"); the componentwise class of the projectives, which passes;
+    and the componentwise, mono and epi classes of (simples, flat), which
+    are all refuted.  The tuple classes of the other builtin kinds are left
+    out: each walks every non-member, which takes seconds in all."""
+    ctx = workspace_over(name, p).single_context()
+    a, b = (builtin_oracles(ring, LEFT) for ring in (ctx.algebra_a,
+                                                      ctx.algebra_b))
+    simples = _list_oracle("simples", ctx.algebra_a, LEFT, [
+        m for m in enumerate_modules(ctx.algebra_a, LEFT, 1) if m.dim == 1])
+    lefts = [*a.values(), *b.values(), simples,
+             component_class_oracle(ctx, a["projective"], b["projective"])] + [
+        make(ctx, simples, b["flat"]) for make in (
+            component_class_oracle, mono_class_oracle, epi_class_oracle)]
+    refuted = []
+    for left in lefts:
+        got = _extension_witness(left, 2)
+        want = reference_extension_witness(left, 2)
+        assert (got is None) == (want is None), left.name
+        if got is not None:
+            assert [(obj.describe(), obj.value_key()) for obj in got] \
+                == [(obj.describe(), obj.value_key()) for obj in want], left.name
+            refuted.append(left)
+    assert refuted[-4:] == [simples, *lefts[-3:]]

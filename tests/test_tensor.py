@@ -15,10 +15,9 @@ from moritalab.algebra import (
     validate_module_data,
     zero_module,
 )
-from moritalab.enumeration import (delta_short_exact_sequences,
-                                   enumerate_delta_modules, enumerate_modules,
-                                   invariant_subspaces, short_exact_sequences,
-                                   _rref_patterns)
+from moritalab.classes import extensions_of
+from moritalab.enumeration import (enumerate_delta_modules, enumerate_modules,
+                                   invariant_subspaces, _rref_patterns)
 from moritalab.morita import delta_dual, delta_sum, tuple_layout
 from moritalab.report import AlgebraMismatchError, Verdict
 from moritalab.tensor import hom_over_algebra, tensor_over_algebra, tor_one_dimension
@@ -180,11 +179,13 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
             for module in [u.packed for u in tuples] + [
                     m for algebra in (ctx.algebra_a, ctx.algebra_b)
                     for m in enumerate_modules(algebra, side, 2)]:
-                short_exact_sequences(module)
+                for _, quotient in extensions_of(module):
+                    quotient()
                 assert [s.tolist() for s in invariant_subspaces(module)] \
                     == [s.tolist() for s in _invariant_spans(module)]
             for i, u in enumerate(tuples):
-                delta_short_exact_sequences(u)
+                for _, quotient in extensions_of(u):
+                    quotient()
                 # u keeps its cover, so a new copy builds one
                 delta_sum([u]).cover()[1].kernel()
                 for v in tuples[i:]:
