@@ -24,8 +24,7 @@ from . import linalg as la
 from .linalg import FieldSpec
 from .memo import array_key, linked_dual, memo
 from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
-                     InternalCheckError, MoritaLabError, ValidationError,
-                     Verdict)
+                     InputError, InternalCheckError, ValidationError, Verdict)
 
 LEFT = "left"
 RIGHT = "right"
@@ -42,7 +41,7 @@ HOM_SYSTEM_CAP = 1 << 24
 def scan_budget() -> int:
     """Candidate ceiling of every exhaustive scan: module, structure-map,
     unit and isomorphism scans alike.  MORITA_ENUM_BUDGET overrides it with
-    a nonnegative integer; any other value is an input error."""
+    a nonnegative integer; any other value is an ``InputError``."""
     raw = os.environ.get("MORITA_ENUM_BUDGET")
     if not raw:
         return _SCAN_BUDGET_DEFAULT
@@ -51,7 +50,7 @@ def scan_budget() -> int:
     except ValueError:
         budget = -1
     if budget < 0:
-        raise MoritaLabError(
+        raise InputError(
             f"MORITA_ENUM_BUDGET must be a nonnegative integer, got {raw!r}")
     return budget
 
@@ -468,6 +467,15 @@ def _hom_rows(source: Module, target: Module) -> np.ndarray:
     return rows
 
 
+def hom_dimension(source: Module, target: Module) -> int:
+    """dim Hom(source, target): the nullity of ``hom_system``, one rank,
+    with no basis built or kept."""
+    if source.algebra is not target.algebra or source.side != target.side:
+        raise AlgebraMismatchError("hom endpoints disagree on algebra or side")
+    cells = target.dim * source.dim
+    return cells and cells - la.rank(hom_system(source, target), source.p)
+
+
 def hom_system(source: Module, target: Module) -> np.ndarray:
     """The intertwining system of ``hom_space``: the blocks
     I (x) src_i^T - tgt_i (x) I for every algebra basis element i, stacked
@@ -833,6 +841,63 @@ def radical(alg: Algebra) -> Radical:
         ideal = (la.kernel_basis((traces // step).T, p) @ ideal) % p
         step *= p
     return Radical(alg, ideal)
+
+
+def endomorphism_algebra(module: Module) -> Algebra:
+    """End(module) under composition, f * g = f after g, on the reduced
+    echelon basis of the rows of ``_hom_rows(module, module)``.  An element
+    of that span has its coordinates at the pivot columns, so each product
+    of two basis maps, and the identity, is read off there."""
+    p, n = module.p, module.dim
+    rows, pivots, e = la.rref(_hom_rows(module, module), p)
+    maps = rows[:e].reshape(e, n, n)
+    products = np.einsum("iab,jbc->ijac", maps, maps) % p
+    return Algebra(module.algebra.field, e,
+                   products.reshape(e, e, n * n)[:, :, pivots],
+                   la.eye(n).reshape(-1)[pivots],
+                   name=f"End({module.describe()})")
+
+
+def is_local(alg: Algebra) -> bool:
+    """Whether alg/J is a field, J = ``radical(alg)``; for alg = End(M),
+    whether M is indecomposable.
+
+    alg/J is semisimple, so it is a field exactly when it is commutative,
+    since a finite division ring is one (Wedderburn), and has one simple
+    factor.  On a commutative alg/J, x -> x^p - x is GF(p)-linear modulo J,
+    and its kernel there is J plus the elements of alg/J fixed by the
+    Frobenius map: GF(p) in each field factor.  So alg/J is a field exactly
+    when the commutators b_i b_j - b_j b_i lie in J and the images of
+    b_i^p - b_i span a space of dimension dim alg - 1 together with J.
+    """
+    p, e = alg.p, alg.dim
+    rad = radical(alg)
+    commutators = (alg.structure - alg.structure.transpose(1, 0, 2)) % p
+    if la.rank(np.concatenate([rad.basis, commutators.reshape(e * e, e)]),
+               p) != rad.dim:
+        return False
+    frobenius = (_power_mod(alg.left_mult, p, p) @ alg.unit - la.eye(e)) % p
+    return la.rank(np.concatenate([rad.basis, frobenius]), p) == e - 1
+
+
+def is_indecomposable(module: Module) -> bool:
+    """A nonzero module with a local endomorphism algebra (``is_local``).
+
+    Two certificates are read off the hom basis of End(module) first: a
+    one-dimensional End is the field, which is local, and a basis map e
+    other than 0 and 1 with e e = e splits the module into the image and
+    the kernel of e.  Only a module with neither builds its End algebra."""
+    if not module.dim:
+        return False
+    p, n = module.p, module.dim
+    maps = _hom_rows(module, module).reshape(-1, n, n)
+    if len(maps) == 1:
+        return True
+    idempotent = ((maps @ maps - maps) % p == 0).all(axis=(1, 2))
+    trivial = ~maps.any(axis=(1, 2)) | (maps == la.eye(n)).all(axis=(1, 2))
+    if (idempotent & ~trivial).any():
+        return False
+    return is_local(endomorphism_algebra(module))
 
 
 def is_projective(module: Module) -> bool:

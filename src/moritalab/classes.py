@@ -7,8 +7,8 @@ perfection, the transfer harnesses) is written against the method surface
 that modules and tuples share (``ring``, ``side``, ``dual``, ``plus``,
 ``describe``), so the same verification code runs at both levels.  The few
 operations that live above a carrier's own module dispatch here:
-``universe_of``, ``extensions_of``, the member table of ``builtin_oracles``
-and ``_twist``.
+``universe_of``, ``universe_keys``, ``extensions_of``, the member table of
+``builtin_oracles`` and ``_twist``.
 
 A duality pair couples a class on one side with a class on the other through
 the character module: membership on the left must match membership of the
@@ -20,10 +20,12 @@ way; the last two are one body, ``_relative_transfer``, given the hypothesis
 row, the pair reporter and the wording that tell them apart.  Every clause
 about sums of two objects, closure of a right class and direct-sum closure
 of a left class alike, reads one walk over each universe's pairs,
-``_closure_witnesses``: a pair's sum is built once and every class over that
-universe is asked about it, so no sum is built twice and only one is alive
-at a time.  The extension clause walks each non-member's subs lazily
-(``extensions_of``) and builds a quotient only for a sub the class contains.
+``_closure_witnesses``.  Classes are isomorphism invariants, so the walk
+builds one sum per isomorphism class of pair sums, told apart by exact
+Krull-Schmidt keys (``universe_keys``), and every class over that universe
+is asked about it once; only one sum is alive at a time.  The extension
+clause walks each non-member's subs lazily (``extensions_of``) and builds a
+quotient only for a sub the class contains.
 
 Verdict discipline: clauses that quantify over modules up to the requested
 bound and are fully decided there report "pass"; clauses that sample an
@@ -33,14 +35,16 @@ infinite closure condition (direct sums of arbitrary families) report
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, RIGHT, is_flat, is_injective, is_projective,
-                      quotient_module, submodule)
+from .algebra import (LEFT, RIGHT, Module, hom_dimension, is_flat,
+                      is_indecomposable, is_injective, is_projective,
+                      quotient_module, scan_budget, submodule)
 from .enumeration import (delta_invariant_pairs, enumerate_delta_modules,
                           enumerate_modules, invariant_subspaces)
 from .functors import coinduce, induce
@@ -49,14 +53,15 @@ from .morita import (CORNERS, DeltaModule, MoritaContext, by_corner,
                      corner_parts, delta_quotient, delta_submodule,
                      is_flat_delta, is_injective_delta, is_projective_delta,
                      structural_cokernel)
-from .report import (AlgebraMismatchError, CheckReport, ValidationError,
-                     Verdict)
+from .report import (AlgebraMismatchError, CheckReport, InternalCheckError,
+                     ValidationError, Verdict)
 from .tensor import tor_one_dimension
 
 __all__ = [
     "ClassOracle", "DualityPairSpec", "builtin_oracles", "verify_oracle",
     "in_component_class", "in_mono_class", "in_epi_class",
     "component_class_oracle", "mono_class_oracle", "epi_class_oracle",
+    "require_component_classes", "require_component_quad",
     "verify_duality_pair", "verify_perfection", "check_perfect_pair",
     "check_functor_membership", "check_duality_transfer",
     "check_perfect_transfer", "check_complete_transfer",
@@ -73,6 +78,124 @@ def universe_of(ring, side: str, bound: int) -> list:
     if isinstance(ring, MoritaContext):
         return enumerate_delta_modules(ring, side, bound)
     return enumerate_modules(ring, side, bound)
+
+
+def universe_keys(ring, side: str, bound: int) -> list | None:
+    """The Krull-Schmidt key of each object of ``universe_of(ring, side,
+    bound)``, in order, or None where the universe has none (see
+    ``_summand_keys``).  Objects are isomorphic exactly when their keys are
+    equal, and the key of a sum is the sum of the keys, so two pairs whose
+    keys add up to the same vector have isomorphic sums."""
+    return _summand_keys(ring, side, bound, scan_budget())
+
+
+def _module_of(obj) -> Module:
+    return obj.packed if isinstance(obj, DeltaModule) else obj
+
+
+def _dims(obj) -> tuple:
+    return (obj.x.dim, obj.y.dim) if isinstance(obj, DeltaModule) else (obj.dim,)
+
+
+@memo("ring")
+def _summand_keys(ring, side: str, bound: int, budget: int) -> list | None:
+    """``universe_keys`` for the universe enumerated under ``budget``.
+
+    By Krull-Schmidt each object u is a sum of indecomposables, each unique
+    up to isomorphism with its multiplicity, and each is in the universe,
+    since its component dimensions are at most u's.  An object is
+    indecomposable exactly when its module (the packed one of a tuple) has a
+    local endomorphism algebra (``is_indecomposable``).  Over the
+    indecomposables I_1 .. I_r, dim Hom(I_j, u) = sum_i m_i dim Hom(I_j, I_i)
+    for the multiplicities m_i of u, so where the matrix H[j][i] =
+    dim Hom(I_j, I_i) is nonsingular, the key m of u is the one solution of
+    H m = (dim Hom(I_j, u))_j, exactly, in integers.  Where H is singular
+    there is no key.
+
+    The enumeration is checked against the keys as a second route: the
+    multisets of indecomposables within the bound must be as many as the
+    objects, and each key must be a nonnegative integer vector with the
+    component dimensions of its object, and none may repeat.  A failure is
+    an ``InternalCheckError`` naming the enumeration.
+    """
+    objs = universe_of(ring, side, bound)
+    where = f"enumeration of {_ring_name(ring)}/{side} at bound {bound}"
+    modules = [_module_of(obj) for obj in objs]
+    tops = [k for k, module in enumerate(modules) if is_indecomposable(module)]
+    top_dims = [_dims(objs[k]) for k in tops]
+    if _multisets_within(top_dims, bound) != len(objs):
+        raise InternalCheckError(
+            f"{where}: {len(objs)} objects, but the multisets of its "
+            f"{len(tops)} indecomposables within the bound are not as many")
+    homs = [[hom_dimension(modules[j], module) for j in tops]
+            for module in modules]
+    solved = _integral_solutions(
+        [[homs[k][j] for k in tops] for j in range(len(tops))], homs)
+    if solved is None:
+        return None
+    for obj, key in zip(objs, solved):
+        if key is None or min(key, default=0) < 0:
+            raise InternalCheckError(
+                f"{where}: the key of {obj.describe()} is not a nonnegative "
+                f"integer vector")
+        dims = _dims(obj)
+        if tuple(sum(m * d[c] for m, d in zip(key, top_dims))
+                 for c in range(len(dims))) != dims:
+            raise InternalCheckError(
+                f"{where}: the key of {obj.describe()} does not add up to "
+                f"its component dimensions")
+    if len(set(solved)) != len(solved):
+        raise InternalCheckError(f"{where}: two objects share a key")
+    return solved
+
+
+def _multisets_within(dims: list[tuple], bound: int) -> int:
+    """The multisets of objects of the given nonzero component dimensions
+    whose sum has every component at most ``bound``."""
+    def count(k: int, room: tuple) -> int:
+        if k == len(dims):
+            return 1
+        total = 0
+        while min(room) >= 0:
+            total += count(k + 1, room)
+            room = tuple(r - d for r, d in zip(room, dims[k]))
+        return total
+
+    return count(0, (bound,) * len(dims[0])) if dims else 1
+
+
+def _integral_solutions(matrix: list[list[int]],
+                        rhs: list[list[int]]) -> list | None:
+    """For each vector b of ``rhs``, the solution m of H m = b over the
+    rationals for the square integer ``matrix`` H, as a tuple where it is
+    integral and None where it is not; or None when H is singular.
+
+    Fraction-free Gauss-Jordan elimination on [H | b ...]: each step scales
+    the other rows by the pivot before it subtracts, and divides each row by
+    the gcd of its entries, so H ends diagonal, d_i m_i = b'_i, and every
+    number on the way is an exact integer.
+    """
+    r = len(matrix)
+    rows = [list(h) + [b[i] for b in rhs] for i, h in enumerate(matrix)]
+    for c in range(r):
+        pivot = next((i for i in range(c, r) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        top = rows[c]
+        for i in range(r):
+            if i != c and rows[i][c]:
+                s, t = top[c], rows[i][c]
+                row = [s * x - t * y for x, y in zip(rows[i], top)]
+                g = math.gcd(*row) or 1
+                rows[i] = [x // g for x in row]
+    solved = []
+    for u in range(r, r + len(rhs)):
+        if all(row[u] % row[i] == 0 for i, row in enumerate(rows)):
+            solved.append(tuple(row[u] // row[i] for i, row in enumerate(rows)))
+        else:
+            solved.append(None)
+    return solved
 
 
 def extensions_of(obj):
@@ -205,8 +328,10 @@ def verify_oracle(oracle: ClassOracle, bound: int) -> CheckReport:
 # tuple classes built from component classes
 
 
-def _require_component_classes(v: DeltaModule, class_a: ClassOracle,
+def require_component_classes(v: DeltaModule, class_a: ClassOracle,
                                class_b: ClassOracle) -> None:
+    """Raise unless the two classes classify v's components: modules over
+    the first and the second algebra, on v's side."""
     ctx = v.context
     for cls, algebra, ordinal in ((class_a, ctx.algebra_a, "first"),
                                   (class_b, ctx.algebra_b, "second")):
@@ -218,14 +343,14 @@ def _require_component_classes(v: DeltaModule, class_a: ClassOracle,
 def in_component_class(v: DeltaModule, class_a: ClassOracle,
                        class_b: ClassOracle) -> bool:
     """Both components belong to their classes; the maps are unconstrained."""
-    _require_component_classes(v, class_a, class_b)
+    require_component_classes(v, class_a, class_b)
     return class_a.contains(v.x) and class_b.contains(v.y)
 
 
 def in_mono_class(v: DeltaModule, class_a: ClassOracle,
                   class_b: ClassOracle) -> bool:
     """Structure maps injective with cokernels in the component classes."""
-    _require_component_classes(v, class_a, class_b)
+    require_component_classes(v, class_a, class_b)
     parts = corner_parts(v, structural_cokernel)
     return (parts is not None and class_a.contains(parts[0][0])
             and class_b.contains(parts[1][0]))
@@ -241,7 +366,7 @@ def in_epi_class(v: DeltaModule, class_a: ClassOracle,
     one-to-one, and its kernel is the dual of that map's cokernel up to
     isomorphism, which is all a class sees (``ClassOracle``).
     """
-    _require_component_classes(v, class_a, class_b)
+    require_component_classes(v, class_a, class_b)
     parts = corner_parts(v.dual, structural_cokernel)
     return (parts is not None and class_a.contains(parts[0][0].dual)
             and class_b.contains(parts[1][0].dual))
@@ -374,29 +499,48 @@ def _closure_witnesses(ring, side: str, bound: int, classes: tuple) -> tuple:
 
     One walk over the pairs serves every class, and each class keeps its
     result, so a later walk over the same universe serves only the classes
-    that have none yet.  A pair's sum is built once, when some class still
-    looking needs it, and every such class is asked about it in the order
-    given.  A class stops looking once it has its sum witness, which comes
-    at or after its closure witness; until then it evaluates what a scan of
-    its own for the witnesses it lacks would, and finds the same pairs.
-    Only the current pair's sum is alive.
+    that have none yet.  A class stops looking once it has its sum witness,
+    which comes at or after its closure witness; until then it evaluates
+    what a scan of its own for the witnesses it lacks would, and finds the
+    same pairs.
+
+    Every class is an isomorphism invariant (``ClassOracle``), so it is
+    asked once per isomorphism class of sums: its verdict is kept under the
+    key of the sum, the sum of the Krull-Schmidt keys of u and v
+    (``universe_keys``, read at the first pair that needs a verdict), and a
+    pair's sum is built only when some class still looking has no verdict
+    for its key.  Where the universe has no keys, each pair's sum is built,
+    once, for every class that needs it.  Only the current pair's sum is
+    alive.
     """
     objs = universe_of(ring, side, bound)
-    pairs = ((u, v) for i, u in enumerate(objs) for v in objs[i:])
+    pairs = ((i, j) for i in range(len(objs)) for j in range(i, len(objs)))
+    keys = None
     closure: dict = {}
     sums: dict = {}
+    decided: dict = {cls: {} for cls in classes}
     pending = list(classes)
-    for u, v in pairs:
+    for i, j in pairs:
         if not pending:
             break
-        total = None
+        u, v = objs[i], objs[j]
+        total = key = None
         for cls in pending:
             both = cls.contains(u) and cls.contains(v)
             if not both and cls in closure:
                 continue        # only members make a sum witness
-            if total is None:
-                total = u.plus(v)
-            if both != cls.contains(total):
+            if keys is None:
+                keys = universe_keys(ring, side, bound) or [None] * len(objs)
+            if key is None and keys[i] is not None:
+                key = tuple(a + b for a, b in zip(keys[i], keys[j]))
+            in_sum = decided[cls].get(key)
+            if in_sum is None:
+                if total is None:
+                    total = u.plus(v)
+                in_sum = cls.contains(total)
+                if key is not None:
+                    decided[cls][key] = in_sum
+            if both != in_sum:
                 closure.setdefault(cls, (u, v))
                 if both:
                     sums[cls] = (u, v)
@@ -494,7 +638,9 @@ def _complete_pairs(specs: list[DualityPairSpec]) -> list[CheckReport]:
 # transfer harnesses
 
 
-def _component_quad(ctx: MoritaContext, c1, c2, d1, d2) -> None:
+def require_component_quad(ctx: MoritaContext, c1, c2, d1, d2) -> None:
+    """Raise unless (c1, c2) are classes over the first algebra and (d1, d2)
+    over the second, each pair on opposite sides, c1 and d1 on the left."""
     checks = [(c1, ctx.algebra_a, LEFT), (c2, ctx.algebra_a, None),
               (d1, ctx.algebra_b, LEFT), (d2, ctx.algebra_b, None)]
     for oracle, alg, side in checks:
@@ -523,7 +669,7 @@ def check_functor_membership(ctx: MoritaContext, c1, c2, d1, d2,
     class, coinducing lands in the epi class likewise, and the duals land in
     the transposed classes over the opposite side.
     """
-    _component_quad(ctx, c1, c2, d1, d2)
+    require_component_quad(ctx, c1, c2, d1, d2)
     side = c1.side
     if side != LEFT:
         raise ValidationError("the functor checks run from left-module classes")
@@ -587,7 +733,7 @@ def check_duality_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     epi/mono tuple pair is.  The decision clause compares the four truth
     values; the pair reports themselves are attached as inputs.
     """
-    _component_quad(ctx, c1, c2, d1, d2)
+    require_component_quad(ctx, c1, c2, d1, d2)
     r_a, r_b, r_mono_epi, r_comp, r_epi_mono = _duality_pair_reports(
         _transfer_specs(ctx, c1, c2, d1, d2, bound))
 
@@ -721,7 +867,7 @@ def check_perfect_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     under arbitrary direct sums, so the equivalences never report better
     than consistent-up-to-bound.
     """
-    _component_quad(ctx, c1, c2, d1, d2)
+    require_component_quad(ctx, c1, c2, d1, d2)
     return _relative_transfer(
         ctx, c1, c2, d1, d2, bound, _tor_hypothesis(ctx, c1, d1, bound),
         _perfect_pairs, ("perfect", "perfection", "torsion"), True)
@@ -736,7 +882,7 @@ def check_complete_transfer(ctx: MoritaContext, c1, c2, d1, d2,
     projective on their one-sided ring; the componentwise equivalence trades
     that for the membership conditions, which show no row of their own.
     """
-    _component_quad(ctx, c1, c2, d1, d2)
+    require_component_quad(ctx, c1, c2, d1, d2)
     return _relative_transfer(
         ctx, c1, c2, d1, d2, bound, _inner_projectivity(ctx),
         _complete_pairs, ("complete", "completeness", "projectivity"), False)

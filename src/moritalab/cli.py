@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from .algebra import LEFT, RIGHT, Module
+from .algebra import LEFT, RIGHT, Module, scan_budget
 from .classes import (
     DualityPairSpec,
     builtin_oracles,
@@ -42,6 +42,8 @@ from .classes import (
     in_component_class,
     in_epi_class,
     in_mono_class,
+    require_component_classes,
+    require_component_quad,
     verify_duality_pair,
 )
 from .enumeration import enumerate_delta_modules, enumerate_modules
@@ -53,8 +55,9 @@ from .gorenstein import (
     check_window_transport_forward,
 )
 from .morita import CORNERS, DeltaModule, by_corner, pack, unpack
-from .report import (BudgetExceededError, CheckReport, InternalCheckError,
-                     MoritaLabError, Verdict)
+from .report import (AlgebraMismatchError, BudgetExceededError, CheckReport,
+                     InputError, InternalCheckError, MoritaLabError,
+                     ValidationError, Verdict)
 from .tensor import tensor_over_algebra
 from .workspace import BUILTIN_KINDS, Workspace, WorkspaceError
 
@@ -69,10 +72,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise InputError(message)
-
-
-class InputError(MoritaLabError):
-    pass
 
 
 def _common(sub: argparse.ArgumentParser) -> None:
@@ -193,14 +192,25 @@ def _resolve_oracle(ws: Workspace, token: str, carrier=None, side=None):
     return builtin_oracles(carrier, side)[kind]
 
 
+def _fitting(build, *args):
+    """``build(*args)``, a library check or constructor of classes named on
+    the command line; classes that do not fit it are an input error."""
+    try:
+        return build(*args)
+    except (AlgebraMismatchError, ValidationError) as err:
+        raise InputError(str(err)) from None
+
+
 def _corner_quad(ws: Workspace, ctx, args, defaults):
     """The four component-class oracles used by the transfer theorems."""
     c1, c2, d1, d2 = (getattr(args, key, None) or fallback
                       for key, fallback in zip(("c1", "c2", "d1", "d2"), defaults))
-    return (_resolve_oracle(ws, c1, ctx.algebra_a, LEFT),
+    quad = (_resolve_oracle(ws, c1, ctx.algebra_a, LEFT),
             _resolve_oracle(ws, c2, ctx.algebra_a, RIGHT),
             _resolve_oracle(ws, d1, ctx.algebra_b, LEFT),
             _resolve_oracle(ws, d2, ctx.algebra_b, RIGHT))
+    _fitting(require_component_quad, ctx, *quad)
+    return quad
 
 
 def _plain_module(ws: Workspace, name: str) -> Module:
@@ -208,6 +218,19 @@ def _plain_module(ws: Workspace, name: str) -> Module:
     if isinstance(obj, DeltaModule):
         raise InputError(f"{name!r} is a tuple; this command needs a module")
     return obj
+
+
+def _corner_module(ws: Workspace, ctx, name: str, corner: str,
+                   label: str) -> Module:
+    """The plain module ``name``, which must live over the ``corner``
+    algebra of ``ctx``; ``label`` names the argument in the error."""
+    module = _plain_module(ws, name)
+    algebra, _ = by_corner(corner, ctx.algebra_a, ctx.algebra_b)
+    if module.algebra is not algebra:
+        raise InputError(
+            f"{label}{name!r} lives over {module.algebra.name}, not the "
+            f"{corner.upper()} corner")
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +272,8 @@ def _cmd_tensor(ws: Workspace, args) -> CheckReport:
 
 def _cmd_functor(ws: Workspace, args) -> CheckReport:
     ctx = ws.single_context()
-    module = _plain_module(ws, args.name)
     kind, _, corner = args.which.partition("_")
+    module = _corner_module(ws, ctx, args.name, corner.lower(), "")
     out = {"t": induce, "h": coinduce}[kind](ctx, module, corner.lower())
     return CheckReport(
         "functor", Verdict.PASS,
@@ -307,6 +330,7 @@ def _cmd_class_member(ws: Workspace, args) -> CheckReport:
     else:
         class_a = _resolve_oracle(ws, args.c2, ctx.algebra_a, RIGHT)
         class_b = _resolve_oracle(ws, args.d2, ctx.algebra_b, RIGHT)
+    _fitting(require_component_classes, v, class_a, class_b)
     table = {"A": in_component_class, "B": in_mono_class, "J": in_epi_class}
     member = table[args.which](v, class_a, class_b)
     return CheckReport(
@@ -321,7 +345,8 @@ def _cmd_duality_pair(ws: Workspace, args) -> CheckReport:
     carrier = ws.single_context() if ws.contexts else None
     left = _resolve_oracle(ws, args.left, carrier, LEFT)
     right = _resolve_oracle(ws, args.right, carrier, RIGHT)
-    return verify_duality_pair(DualityPairSpec(left, right, args.bound))
+    return verify_duality_pair(
+        _fitting(DualityPairSpec, left, right, args.bound))
 
 
 def _theorem_3_3(ws: Workspace, ctx, args) -> CheckReport:
@@ -341,12 +366,7 @@ def _theorem_3_6(ws: Workspace, ctx, args) -> CheckReport:
 
 
 def _theorem_4_3(ws: Workspace, ctx, args) -> CheckReport:
-    module = _plain_module(ws, args.module)
-    corner, _ = by_corner(args.functor, ctx.algebra_a, ctx.algebra_b)
-    if module.algebra is not corner:
-        raise InputError(
-            f"--module {args.module!r} lives over {module.algebra.name}, "
-            f"not the {args.functor.upper()} corner")
+    module = _corner_module(ws, ctx, args.module, args.functor, "--module ")
     class_a = _resolve_oracle(ws, args.c1 or "flat", ctx.algebra_a, LEFT)
     class_b = _resolve_oracle(ws, args.d1 or "flat", ctx.algebra_b, LEFT)
     forward = check_window_transport_forward(
@@ -447,6 +467,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        scan_budget()           # a malformed MORITA_ENUM_BUDGET is an input error
         ws = load_workspace(args.fixture)
         report = _COMMANDS[args.command](ws, args)
     except (InputError, WorkspaceError) as err:

@@ -91,6 +91,11 @@ class MoritaLabError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InputError(MoritaLabError):
+    """A name, argument or setting given by the user is malformed or does
+    not fit the workspace; the command line exits 4."""
+
+
 class ValidationError(MoritaLabError):
     """A constructed object violates its defining equations."""
 

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from moritalab import classes, morita
-from moritalab.algebra import LEFT, RIGHT, Module, submodule
+from moritalab import linalg as la
+from moritalab.algebra import (LEFT, RIGHT, Module, endomorphism_algebra,
+                               is_indecomposable, is_local, submodule)
 from moritalab.cli import run
 from moritalab.classes import (
     ClassOracle,
@@ -29,6 +31,7 @@ from moritalab.classes import (
     in_epi_class,
     in_mono_class,
     mono_class_oracle,
+    universe_keys,
     universe_of,
     verify_duality_pair,
     verify_oracle,
@@ -37,7 +40,8 @@ from moritalab.enumeration import enumerate_delta_modules, enumerate_modules
 from moritalab.functors import induce_from_a
 from moritalab.morita import (DeltaModule, delta_submodule, is_flat_delta,
                               is_injective_delta, is_projective_delta)
-from moritalab.report import CheckReport, ValidationError, Verdict
+from moritalab.report import (CheckReport, InternalCheckError, ValidationError,
+                              Verdict)
 from moritalab.workspace import _list_oracle, parse_workspace
 from reference import (reference_extension_witness, reference_in_epi_class,
                        sampled_pair_sums)
@@ -227,21 +231,31 @@ def test_unclosed_right_classes_are_refuted_with_their_witness(fixture_over,
                                           "second": witness[1].describe()}]
 
 
+def pair_key(u, v):
+    """The Krull-Schmidt key of u + v for two objects of one universe at
+    bound 2: the sum of their keys (``universe_keys``)."""
+    keys = dict(zip(map(id, universe_of(u.ring, u.side, 2)),
+                    universe_keys(u.ring, u.side, 2)))
+    return u.side, tuple(a + b for a, b in zip(keys[id(u)], keys[id(v)]))
+
+
 def test_the_transfer_builds_each_pair_sum_once_and_keeps_none(monkeypatch):
     """Theorem 3.3's three tuple classes share one walk over the right
-    tuples: one sum per unordered pair, each gone before the next is built.
-    A fresh copy of E1 carries no memoised scan."""
+    tuples: one sum per isomorphism class of pair sums, 574 of the
+    57 * 58 / 2 pairs, each gone before the next is built, and no two with
+    the same key.  A fresh copy of E1 carries no memoised scan."""
     ctx = parse_workspace(resources.files("moritalab").joinpath(
         "data", "E1.txt").read_text()).single_context()
     quad = [builtin_oracles(algebra, side)[kind]
             for algebra in (ctx.algebra_a, ctx.algebra_b)
             for side, kind in ((LEFT, "flat"), (RIGHT, "injective"))]
-    built = []
+    built, summands = [], []
 
     def tracked(tuples):
         assert not built or built[-1]() is None
         total = delta_sum(tuples)
         built.append(weakref.ref(total))
+        summands.append(tuples)
         return total
 
     delta_sum = morita.delta_sum
@@ -249,7 +263,8 @@ def test_the_transfer_builds_each_pair_sum_once_and_keeps_none(monkeypatch):
     report = check_duality_transfer(ctx, *quad, 2)
     n = len(universe_of(ctx, RIGHT, 2))
     assert report.verdict is Verdict.PASS
-    assert (n, len(built)) == (57, 57 * 58 // 2)
+    assert (n, len(built)) == (57, 574)
+    assert len({pair_key(u, v) for u, v in summands}) == 574
 
 
 def test_theorem_3_6_builds_each_pair_sum_once_and_keeps_none(tmp_path,
@@ -257,39 +272,42 @@ def test_theorem_3_6_builds_each_pair_sum_once_and_keeps_none(tmp_path,
     """Theorem 3.6 at bound 2 on a fresh copy of E1: the perfect and the
     complete halves share one walk over the left tuples and one over the
     right ones, and the direct-sum clauses of perfection read that walk, so
-    each of the 57 * 58 / 2 pairs of either universe is summed once, each
-    sum gone before the next is built."""
+    one sum is built for each of the 574 isomorphism classes of pair sums
+    of either universe, with no key twice, each sum gone before the next is
+    built."""
     fixture = tmp_path / "E1.txt"
     fixture.write_text(resources.files("moritalab").joinpath(
         "data", "E1.txt").read_text())
-    built = []
+    built, summands = [], []
 
     def tracked(tuples):
         assert not built or built[-1]() is None
         total = delta_sum(tuples)
         built.append(weakref.ref(total))
+        summands.append(tuples)
         return total
 
     delta_sum = morita.delta_sum
     monkeypatch.setattr(morita, "delta_sum", tracked)
     assert run(["theorem", "3.6", "--fixture", str(fixture),
                 "--bound", "2"]) == 2
-    assert len(built) == 2 * (57 * 58 // 2) == 3306
+    assert len(built) == 2 * 574 == 1148
+    assert len({pair_key(u, v) for u, v in summands}) == 1148
 
 
 def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):
     """Theorem 3.3's three tuple pairs scan the same left tuples in their
     character clauses, and the epi class is decided on the dual of each
-    right tuple and of each pair sum its closure walk asks about.  A tuple
+    right tuple and of each pair sum its closure walk builds.  A tuple
     keeps its dual, so each of the 57 left tuples, the 57 right tuples and
-    the 57 * 58 / 2 right pair sums is dualised once for all three pairs,
-    and no tuple twice.  A fresh copy of E1 carries no duals."""
+    the 574 right pair sums, one per key, is dualised once for all three
+    pairs, and no tuple twice.  A fresh copy of E1 carries no duals."""
     ctx = parse_workspace(resources.files("moritalab").joinpath(
         "data", "E1.txt").read_text()).single_context()
     quad = [builtin_oracles(algebra, side)[kind]
             for algebra in (ctx.algebra_a, ctx.algebra_b)
             for side, kind in ((LEFT, "flat"), (RIGHT, "injective"))]
-    built = []
+    built, summands = [], []
     derived = DeltaModule._derived.__func__
 
     def recording(cls, *args):
@@ -297,13 +315,20 @@ def test_the_transfer_builds_one_dual_per_left_tuple(monkeypatch):
             built.append((args[1], args[-1]))   # the dual's side and name
         return derived(cls, *args)
 
+    def tracked(tuples):
+        summands.append(tuples)
+        return delta_sum(tuples)
+
+    delta_sum = morita.delta_sum
+    monkeypatch.setattr(morita, "delta_sum", tracked)
     monkeypatch.setattr(DeltaModule, "_derived", classmethod(recording))
     report = check_duality_transfer(ctx, *quad, 2)
     assert report.verdict is Verdict.PASS
     assert len(universe_of(ctx, LEFT, 2)) == len(universe_of(ctx, RIGHT, 2)) \
         == 57
-    assert len(built) == len(set(built)) == 57 + 57 + 57 * 58 // 2 == 1767
+    assert len(built) == len(set(built)) == 57 + 57 + 574 == 688
     assert sum(side == RIGHT for side, _ in built) == 57
+    assert len(summands) == len({pair_key(u, v) for u, v in summands}) == 574
 
 
 @pytest.mark.parametrize("at,row", [(2, "mono-epi"), (3, "componentwise")])
@@ -440,3 +465,136 @@ def test_the_lazy_extension_walk_finds_the_eager_witness(name, p):
                 == [(obj.describe(), obj.value_key()) for obj in want], left.name
             refuted.append(left)
     assert refuted[-4:] == [simples, *lefts[-3:]]
+
+
+def invertible_hom(x, y, rng, tries: int = 256):
+    """The matrix of an isomorphism x -> y, found among ``tries`` random
+    combinations of the hom basis, or None.  A combination of hom basis
+    maps is a module map, so an invertible one certifies x and y
+    isomorphic; the isomorphism scan would try up to p^dim Hom of them."""
+    homs = x.homs(y)
+    if not homs or x.dim != y.dim:
+        return None
+    basis = np.stack([phi.matrix for phi in homs])
+    coeffs = rng.integers(0, x.p, size=(tries, len(basis)))
+    maps = np.tensordot(coeffs, basis, axes=1) % x.p
+    found = np.flatnonzero(la.nonsingular_mask(maps, x.p))
+    return maps[found[0]] if found.size else None
+
+
+@pytest.mark.parametrize("name, p, bound", [
+    ("E1", 2, 2), ("E1", 3, 2), ("E2", 2, 2), ("E2", 3, 2), ("T2-kx", 2, 2),
+    ("T2-k", 2, 1)])
+def test_equal_keys_mean_isomorphic_sums(name, p, bound):
+    """Pair sums with one Krull-Schmidt key are isomorphic: in each key
+    group, every sum is checked against the group's first sum, for the
+    tuples and for the plain modules over the first corner, by an
+    invertible map among seeded random combinations of their hom basis, or
+    else by the isomorphism scan (``isomorphism()``), which alone would
+    exceed the default budget on some sums (3^20 candidates over GF(3)).
+    Sums with different keys differ in some dim Hom(I, -), so they are not
+    isomorphic."""
+    ctx = workspace_over(name, p).single_context()
+    rng = np.random.default_rng(32)
+    checked = 0
+    for ring in (ctx, ctx.algebra_a):
+        objs = universe_of(ring, LEFT, bound)
+        keys = universe_keys(ring, LEFT, bound)
+        assert keys is not None and len(set(keys)) == len(objs)
+        groups: dict = {}
+        for i, u in enumerate(objs):
+            for j in range(i, len(objs)):
+                key = tuple(a + b for a, b in zip(keys[i], keys[j]))
+                groups.setdefault(key, []).append((u, objs[j]))
+        for pairs in groups.values():
+            first = pairs[0][0].plus(pairs[0][1])
+            for u, v in pairs[1:]:
+                total = u.plus(v)
+                assert (invertible_hom(total, first, rng) is not None
+                        or total.isomorphism(first) is not None), \
+                    (u.describe(), v.describe())
+                checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("name, p, bound", [
+    ("E1", 2, 2), ("E1", 3, 2), ("E2", 2, 2), ("E2", 3, 2), ("T2-kx", 2, 2),
+    ("T2-k", 2, 2)])
+def test_the_local_endomorphism_test_matches_an_idempotent_scan(name, p,
+                                                                bound):
+    """A nonzero module is indecomposable exactly when End(M) has no
+    idempotent but 0 and 1.  Every object of both universes, tuples (on
+    their packed modules) and plain modules over the first corner, with
+    dim End <= 8 is scanned for one, against ``is_indecomposable`` and
+    against the local test of its End algebra alone, without the
+    certificates that ``is_indecomposable`` reads first."""
+    ctx = workspace_over(name, p).single_context()
+    scanned = {True: 0, False: 0}
+    for ring in (ctx, ctx.algebra_a):
+        for obj in universe_of(ring, LEFT, bound)[1:]:
+            module = obj.packed if isinstance(obj, DeltaModule) else obj
+            basis = np.stack([phi.matrix for phi in module.homs(module)])
+            if len(basis) > 8:
+                continue
+            codes = np.arange(p ** len(basis))
+            digits = (codes[:, None] // p ** np.arange(len(basis))) % p
+            maps = np.tensordot(digits, basis, axes=1) % p
+            idempotent = ((maps @ maps - maps) % p == 0).all(axis=(1, 2))
+            trivial = (maps == 0).all(axis=(1, 2)) | (
+                maps == np.eye(module.dim, dtype=np.int64)).all(axis=(1, 2))
+            split = bool((idempotent & ~trivial).any())
+            assert is_indecomposable(module) is not split, obj.describe()
+            assert is_local(endomorphism_algebra(module)) is not split, \
+                obj.describe()
+            scanned[split] += 1
+    assert scanned[True] and scanned[False]
+
+
+def test_the_walk_without_keys_gives_the_same_reports(tmp_path, monkeypatch):
+    """With no keys, the closure walk builds every pair's sum, as it did
+    before it read them; theorems 3.3 and 3.6 on E1 at bound 2 report the
+    same, row for row and in their JSON documents."""
+    fixture = tmp_path / "E1.txt"
+    fixture.write_text(resources.files("moritalab").joinpath(
+        "data", "E1.txt").read_text())
+
+    def reports(number):
+        document = tmp_path / "report.json"
+        code = run(["theorem", number, "--fixture", str(fixture),
+                    "--report", str(document)])
+        return code, document.read_text()
+
+    for number in ("3.3", "3.6"):
+        keyed = reports(number)
+        asked = []
+        with monkeypatch.context() as patch:
+            patch.setattr(classes, "universe_keys",
+                          lambda *args: asked.append(args))
+            assert reports(number) == keyed
+        assert asked
+
+
+def test_a_dropped_indecomposable_fails_the_second_route(monkeypatch):
+    """Keys made with one indecomposable taken for decomposable no longer
+    count the enumeration's classes, which is an internal error that names
+    the enumeration; so is a key shared by two objects."""
+    ws = parse_workspace(resources.files("moritalab").joinpath(
+        "data", "E1.txt").read_text())
+    ctx = ws.single_context()
+    dropped = []
+
+    def all_but_one(module):
+        found = classes_is_indecomposable(module)
+        if found and not dropped:
+            dropped.append(module)
+            return False
+        return found
+
+    classes_is_indecomposable = classes.is_indecomposable
+    monkeypatch.setattr(classes, "is_indecomposable", all_but_one)
+    for ring in (ctx, ctx.algebra_a):
+        dropped.clear()
+        with pytest.raises(InternalCheckError,
+                           match=f"enumeration of {ring.name}/left at bound 2"):
+            universe_keys(ring, LEFT, 2)
+        assert dropped

@@ -8,7 +8,7 @@ import pytest
 
 from moritalab import algebra, cli
 from moritalab.cli import run
-from moritalab.report import InternalCheckError
+from moritalab.report import InternalCheckError, MoritaLabError
 
 PASS, REFUTED, CONSISTENT, HYPOTHESIS_FAILURE, INPUT_ERROR = 0, 1, 2, 3, 4
 BUDGET_EXCEEDED, INTERNAL_ERROR = 5, 6
@@ -179,7 +179,7 @@ def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
     monkeypatch.setenv("MORITA_ENUM_BUDGET", value)
     assert run(["enumerate", "--fixture", "E1"]) == INPUT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MORITA_ENUM_BUDGET" in err
+    assert err.startswith("input error: ") and "MORITA_ENUM_BUDGET" in err
     assert "Traceback" not in err
 
 
@@ -197,11 +197,47 @@ def test_a_malformed_budget_is_an_input_error(value, capsys, monkeypatch):
 ])
 def test_class_arguments_that_do_not_fit_are_input_errors(argv, message,
                                                           capsys):
-    """Library errors about the classes named on the command line.  They
-    are not raised as input errors, so they reach the catch-all of
-    ``cli.run``, which maps them to exit 4 with one line on stderr."""
+    """Classes named on the command line that do not fit the command are
+    refused while the arguments are resolved, as input errors: exit 4 with
+    one line on stderr."""
     assert run(argv.split() + ["--fixture", "E2"]) == INPUT_ERROR
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, budget", [
+    ("functor t_A probe.b", None),
+    ("theorem 4.3 --module probe.b", None),
+    ("duality-pair --left flat:A2:left --right injective:k:right", None),
+    ("duality-pair --left flat:A2:left --right injective:A2:left", None),
+    ("theorem 3.3 --c1 flat:k:left", None),
+    ("theorem 3.3 --c2 flat:A2:left", None),
+    ("theorem 3.6 --d1 flat:A2:left", None),
+    ("class-member B Delta --c1 flat:k:left", None),
+    ("enumerate", "abc"),
+    ("enumerate", "-5"),
+])
+def test_argument_errors_do_not_need_the_catch_all(argv, budget, capsys,
+                                                   monkeypatch):
+    """Every wrong argument is an ``InputError`` raised while the arguments
+    are resolved: with the catch-all ``except MoritaLabError`` of
+    ``cli.run`` made to catch nothing, so that any other library error
+    escapes it, each still exits 4."""
+    class Unraised(Exception):
+        pass
+
+    monkeypatch.setattr(cli, "MoritaLabError", Unraised)
+    if budget is not None:
+        monkeypatch.setenv("MORITA_ENUM_BUDGET", budget)
+    assert run(argv.split() + ["--fixture", "E2"]) == INPUT_ERROR
+    assert capsys.readouterr().err.startswith("input error: ")
+
+    def stray(ws, args):
+        raise MoritaLabError("a library error no argument explains")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", stray)
+    monkeypatch.delenv("MORITA_ENUM_BUDGET", raising=False)
+    with pytest.raises(MoritaLabError, match="no argument explains"):
+        run(["validate", "--fixture", "E2"])
 
 
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):
