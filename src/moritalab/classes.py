@@ -42,9 +42,9 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .algebra import (LEFT, RIGHT, Module, hom_dimension, is_flat,
-                      is_indecomposable, is_injective, is_projective,
-                      quotient_module, scan_budget, submodule)
+from .algebra import (LEFT, RIGHT, hom_dimension, is_flat, is_indecomposable,
+                      is_injective, is_projective, quotient_module,
+                      scan_budget, submodule)
 from .enumeration import (delta_invariant_pairs, enumerate_delta_modules,
                           enumerate_modules, invariant_subspaces)
 from .functors import coinduce, induce
@@ -89,10 +89,6 @@ def universe_keys(ring, side: str, bound: int) -> list | None:
     return _summand_keys(ring, side, bound, scan_budget())
 
 
-def _module_of(obj) -> Module:
-    return obj.packed if isinstance(obj, DeltaModule) else obj
-
-
 def _dims(obj) -> tuple:
     return (obj.x.dim, obj.y.dim) if isinstance(obj, DeltaModule) else (obj.dim,)
 
@@ -120,7 +116,8 @@ def _summand_keys(ring, side: str, bound: int, budget: int) -> list | None:
     """
     objs = universe_of(ring, side, bound)
     where = f"enumeration of {_ring_name(ring)}/{side} at bound {bound}"
-    modules = [_module_of(obj) for obj in objs]
+    modules = [obj.packed if isinstance(obj, DeltaModule) else obj
+               for obj in objs]
     tops = [k for k, module in enumerate(modules) if is_indecomposable(module)]
     top_dims = [_dims(objs[k]) for k in tops]
     if _multisets_within(top_dims, bound) != len(objs):

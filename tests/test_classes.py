@@ -491,7 +491,8 @@ def test_equal_keys_mean_isomorphic_sums(name, p, bound):
     tuples and for the plain modules over the first corner, by an
     invertible map among seeded random combinations of their hom basis, or
     else by the isomorphism scan (``isomorphism()``), which alone would
-    exceed the default budget on some sums (3^20 candidates over GF(3)).
+    exceed the default budget on some sums (2^24 candidates over GF(2),
+    3^20 over GF(3)).
     Sums with different keys differ in some dim Hom(I, -), so they are not
     isomorphic."""
     ctx = workspace_over(name, p).single_context()
