@@ -33,10 +33,13 @@ tokens weakly, so a token and its entries die with the last object of its
 value, as identity entries die with their owner.  Use it only for results
 that are plain data determined by the arguments' values, such as a verdict
 or a read-only array, so that a fresh but equal object, a cover, a
-cokernel, a dual or a sum built again, is decided once.  A result that
-holds or names its arguments, such as a module, a map or a window, stays
-keyed by identity: on another object of the same value it would name the
-wrong one.
+cokernel, a dual or a sum built again, is decided once: a hom basis
+(``algebra._hom_rows``), the quotient data of a tensor product
+(``tensor._tensor_arrays``) or the restricted actions of an unpacking
+(``morita._unpacked_arrays``).  A result that holds or names its
+arguments, such as a module, a map or a window, stays keyed by identity:
+on another object of the same value it would name the wrong one, so the
+object is built per identity around the by-value arrays.
 
 ``@linked_dual`` keeps a dual: the object holds its dual and the dual
 refers back weakly, so the two form no reference cycle and the object dies

@@ -589,17 +589,32 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     module laws because the module's do; the A and B corners restrict to
     modules x and y (see ``Module._derived``, e_a acting as the identity on
     its image), and the tuple packs to the module in the new basis (see
-    ``DeltaModule._derived``).
+    ``DeltaModule._derived``).  The restricted actions depend only on the
+    module's value, so they are computed once per value
+    (``_unpacked_arrays``) and read-only; the tuple and its components are
+    built on every call, under the module's name.
     """
     if module.algebra is not ctx.delta:
         raise AlgebraMismatchError("module does not live over this context's glued algebra")
+    x_acts, y_acts, f_plain, g_plain = _unpacked_arrays(module, ctx)
+    x = Module._derived(ctx.algebra_a, module.side, x_acts.shape[1], x_acts,
+                        "unpacked.x")
+    y = Module._derived(ctx.algebra_b, module.side, y_acts.shape[1], y_acts,
+                        "unpacked.y")
+    return DeltaModule._derived(ctx, module.side, x, y, f_plain, g_plain,
+                                f"unpacked[{module.describe()}]")
+
+
+@memo("module", by_value=True)
+def _unpacked_arrays(module: Module, ctx: MoritaContext) -> tuple:
+    """The read-only actions of x and y and the plain structure maps f and
+    g of ``unpack(module, ctx)``."""
     p = ctx.p
     e_a = module.action_of(ctx.idempotent_a)
     e_b = module.action_of(ctx.idempotent_b)
     cols_x = la.image_basis(e_a, p).T
     cols_y = la.image_basis(e_b, p).T
-    dx, dy = cols_x.shape[1], cols_y.shape[1]
-    if dx + dy != module.dim:
+    if cols_x.shape[1] + cols_y.shape[1] != module.dim:
         raise InternalCheckError("corner idempotent images do not span the module")
     da, _, _, db = ctx.dims
     oa, _, _, ob = ctx.offsets
@@ -612,11 +627,10 @@ def unpack(module: Module, ctx: MoritaContext) -> DeltaModule:
     if any(blocks is None for blocks in restricted):
         raise InternalCheckError("an action does not keep the corner blocks")
     x_acts, y_acts, f_blocks, g_blocks = restricted
-    x = Module._derived(ctx.algebra_a, module.side, dx, x_acts, "unpacked.x")
-    y = Module._derived(ctx.algebra_b, module.side, dy, y_acts, "unpacked.y")
-    return DeltaModule._derived(ctx, module.side, x, y, lay.unblocks(f_blocks),
-                                lay.unblocks(g_blocks),
-                                f"unpacked[{module.describe()}]")
+    arrays = (x_acts, y_acts, lay.unblocks(f_blocks), lay.unblocks(g_blocks))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 @linked_dual

@@ -6,6 +6,14 @@ relations are the columns of rho_first(b) (x) I - I (x) lambda_second(b) over
 the shared basis.  Each product keeps its projection and section so maps can
 be defined on plain tensors and pushed down.
 
+The quotient data are a function of the factors' values alone, and no name
+enters them, so they are computed once per value (``_tensor_arrays``,
+memoised by value): a fresh module equal to one seen before, such as a
+cokernel, a cover or a sub built again, is not eliminated again.  The
+``TensorModule`` and its module are built once per identity of the module
+factor, around the factors passed in and under their name, and share the
+read-only arrays.
+
 Index convention: the plain tensor basis is ordered (i, j) -> i * dim2 + j,
 matching numpy's kron.
 
@@ -39,7 +47,10 @@ from .report import AlgebraMismatchError, InternalCheckError
 
 @dataclass(eq=False)
 class TensorModule:
-    """A tensor product over an algebra together with its quotient data."""
+    """A tensor product over an algebra together with its quotient data.
+
+    The arrays of an eliminated product are read-only and shared by every
+    product of the same factor values."""
 
     first: object               # Bimodule or right Module
     second: object              # Bimodule or left Module
@@ -97,6 +108,38 @@ def tensor_over_algebra(first, second) -> TensorModule:
     * right module (x) left module, or Bimodule (x) Bimodule
                                 -> plain space (module over the field)
 
+    The quotient data depend only on the values of the factors, so they are
+    eliminated once per value (``_tensor_arrays``) and read-only; the
+    ``TensorModule`` and its module are built once per identity of the
+    module factor, around the objects passed in and under their name.  A
+    product of two bimodules has no value key; it is made once per context
+    and eliminated directly.
+    """
+    alg1, _, d1 = _right_action_of(first)
+    alg2, _, d2 = _left_action_of(second)
+    if alg1 is not alg2:
+        raise AlgebraMismatchError(
+            "tensor factors act through different algebras "
+            f"({alg1.name!r} vs {alg2.name!r})")
+    name = f"({_describe(first)} (x) {_describe(second)})"
+    if isinstance(first, Bimodule) != isinstance(second, Bimodule):
+        axis = 1 if isinstance(first, Bimodule) else 0
+        if (first, second)[axis].summands:
+            return _assembled_tensor(first, second, alg1, axis, (d1, d2), name)
+    both = isinstance(first, Bimodule) and isinstance(second, Bimodule)
+    eliminate = _tensor_arrays.__wrapped__ if both else _tensor_arrays
+    out_alg, out_side, acts, projection, section, relations = \
+        eliminate(first, second)
+    module = Module._derived(out_alg, out_side, acts.shape[1], acts, name)
+    return TensorModule(first, second, alg1, module, projection, section,
+                        relations, (d1, d2))
+
+
+@memo(_module_factor, by_value=True)
+def _tensor_arrays(first, second) -> tuple:
+    """The elimination of first (x)_A second: the output algebra and side,
+    and the read-only residual actions, projection, section and relations.
+
     The product is derived (see ``Module._derived``), not checked again.
     The ambient actions on the plain tensor space, a bimodule's residual
     action tensored with an identity (or the identity alone), commute with
@@ -105,19 +148,9 @@ def tensor_over_algebra(first, second) -> TensorModule:
     are then the induced actions on the quotient, and they obey the module
     laws, as in the projection case of ``Module._derived``.
     """
-    alg1, rho, d1 = _right_action_of(first)
-    alg2, lam, d2 = _left_action_of(second)
-    if alg1 is not alg2:
-        raise AlgebraMismatchError(
-            "tensor factors act through different algebras "
-            f"({alg1.name!r} vs {alg2.name!r})")
-    shared = alg1
+    shared, rho, d1 = _right_action_of(first)
+    _, lam, d2 = _left_action_of(second)
     p = shared.p
-    name = f"({_describe(first)} (x) {_describe(second)})"
-    if isinstance(first, Bimodule) != isinstance(second, Bimodule):
-        axis = 1 if isinstance(first, Bimodule) else 0
-        if (first, second)[axis].summands:
-            return _assembled_tensor(first, second, shared, axis, (d1, d2), name)
     plain = d1 * d2
     if plain:
         rel_blocks = [(la.kron(rho[i], la.eye(d2), p)
@@ -142,9 +175,10 @@ def tensor_over_algebra(first, second) -> TensorModule:
 
     acts = np.stack([(projection @ amb @ section) % p for amb in ambient]) \
         .reshape(out_alg.dim, q, q)
-    module = Module._derived(out_alg, out_side, q, acts, name)
-    return TensorModule(first, second, shared, module, projection, section,
-                        relations, (d1, d2))
+    arrays = (acts, projection, section, relations)
+    for array in arrays:
+        array.flags.writeable = False
+    return (out_alg, out_side, *arrays)
 
 
 def _assembled_tensor(first, second, shared: Algebra, axis: int,

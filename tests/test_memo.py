@@ -271,6 +271,32 @@ def test_a_memoised_array_is_read_only(fresh):
     assert hom_space(x, x)[0].matrix.tolist() == phi.matrix.tolist()
 
 
+def test_value_entries_of_products_and_unpackings_die_with_their_value(fresh):
+    """A tensor product and an unpacking keep their arrays on the value
+    token of their module, so deleting every object of that value frees
+    the token and the arrays: the value caches do not grow over a long
+    session."""
+    from moritalab.morita import _unpacked_arrays, pack, unpack
+    from moritalab.tensor import _tensor_arrays
+
+    ctx = fresh("E2").single_context()
+    xs = [simple(ctx.algebra_a) for _ in range(2)]
+    tuples = [induce_from_a(ctx, x) for x in xs]
+    packed = [pack(v) for v in tuples]
+    products = [tensor_over_algebra(ctx.m, x) for x in xs]
+    unpacked = [unpack(module, ctx) for module in packed]
+    assert products[0].projection is products[1].projection
+    assert unpacked[0].f_plain is unpacked[1].f_plain
+    entries = [*_tensor_arrays(ctx.m, xs[0])[2:],
+               *_unpacked_arrays(packed[0], ctx)]
+    gone = [weakref.ref(obj) for obj in
+            (value_token(xs[0]), value_token(packed[0]), *entries)]
+    assert value_token(tuples[0].packed) is value_token(packed[0])
+    del xs, tuples, packed, products, unpacked, entries
+    gc.collect()
+    assert [ref() for ref in gone] == [None] * len(gone)
+
+
 def throwaway_tuple(ctx):
     """A checked tuple on new components, referenced from nowhere else."""
     template = enumerate_delta_modules(ctx, LEFT, 2)[-1]

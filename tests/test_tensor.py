@@ -198,3 +198,141 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
+
+
+def _copy(module, name="copy"):
+    """A checked module equal to ``module``, on copied actions, under a new
+    name, and recording no summands."""
+    return Module(module.algebra, module.side, module.dim,
+                  module.actions.copy(), name=name)
+
+
+def _t2kx():
+    from pathlib import Path
+
+    from moritalab.workspace import parse_workspace
+    path = Path(__file__).resolve().parent / "workspaces" / "T2-kx.txt"
+    return parse_workspace(path.read_text())
+
+
+@pytest.fixture(scope="module")
+def value_core_contexts(fixture_over):
+    return [fixture_over(name, p).single_context()
+            for name in ("E1", "E2") for p in (2, 3)] \
+        + [_t2kx().single_context()]
+
+
+def _tensor_cases(ctx, side):
+    """Every module of the bound-2 universes of both corners and every
+    component of the bound-2 tuples on ``side``, each with the bimodule it
+    tensors with, as (factors in order, module)."""
+    lay = tuple_layout(ctx, side)
+    tuples = enumerate_delta_modules(ctx, side, 2)
+    for algebra, bimodule, component in (
+            (ctx.algebra_a, lay.f_bimodule, "x"),
+            (ctx.algebra_b, lay.g_bimodule, "y")):
+        for module in (enumerate_modules(algebra, side, 2)
+                       + [getattr(v, component) for v in tuples]):
+            yield bimodule, module
+
+
+def _same_arrays(got, want):
+    out_alg, out_side, *arrays = got
+    assert out_alg is want[0] and out_side == want[1]
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(arrays, want[2:], strict=True))
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_an_equal_fresh_factor_reads_the_eliminated_arrays(value_core_contexts,
+                                                           side):
+    """A fresh copy of a factor, a new module under a new name, gets its
+    own product, under its own name, around the read-only arrays that the
+    original's value was eliminated to, and those equal an elimination
+    from scratch entry for entry."""
+    from moritalab.tensor import _tensor_arrays
+
+    cases = 0
+    for ctx in value_core_contexts:
+        lay = tuple_layout(ctx, side)
+        for bimodule, module in _tensor_cases(ctx, side):
+            copy = _copy(module)
+            original = lay.tensor(bimodule, module)
+            fresh = lay.tensor(bimodule, copy)
+            assert fresh is lay.tensor(bimodule, copy)
+            assert fresh is not original and fresh.module is not original.module
+            assert fresh.first is lay.order(bimodule, copy)[0]
+            assert fresh.second is lay.order(bimodule, copy)[1]
+            assert "copy" in fresh.module.name
+            assert fresh.module.name != original.module.name
+            core = _tensor_arrays(*lay.order(bimodule, copy))
+            _same_arrays(core, _tensor_arrays.__wrapped__(
+                *lay.order(bimodule, copy)))
+            shared = (fresh.module.actions, fresh.projection, fresh.section,
+                      fresh.relations)
+            assert all(a is b for a, b in zip(shared, core[2:]))
+            assert not any(a.flags.writeable for a in shared)
+            assert fresh.module.algebra is core[0]
+            assert fresh.module.side == core[1]
+            assert fresh.dims == original.dims
+            if not module.summands:   # a sum's product is assembled
+                assert all(a is b for a, b in zip(shared, (
+                    original.module.actions, original.projection,
+                    original.section, original.relations)))
+            cases += 1
+    assert cases == 416
+
+
+def test_bimodule_products_and_argument_checks_bypass_the_value_core(e2):
+    """Two bimodules have no value key; their product is eliminated
+    directly, once per identity.  A factor on the wrong side, or over the
+    other algebra, is refused on a fresh object too."""
+    a = e2.algebra_a
+    regular = _regular_bimodule(a)
+    square = tensor_over_algebra(regular, regular)
+    assert square is tensor_over_algebra(regular, regular)
+    assert square.module.dim == a.dim
+    assert square.module.algebra.dim == 1
+    assert tensor_over_algebra(e2.m, e2.n).dim == 0
+    wrong_side = _copy(a.regular_module(RIGHT))
+    with pytest.raises(AlgebraMismatchError, match="left-sided"):
+        tensor_over_algebra(e2.m, wrong_side)
+    with pytest.raises(AlgebraMismatchError, match="right-sided"):
+        tensor_over_algebra(_copy(a.regular_module(LEFT)), e2.n)
+    other_algebra = _copy(e2.algebra_b.regular_module(LEFT))
+    with pytest.raises(AlgebraMismatchError, match="different algebras"):
+        tensor_over_algebra(e2.m, other_algebra)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_an_equal_fresh_packed_module_reads_the_unpacked_arrays(
+        value_core_contexts, side):
+    """``unpack`` on a fresh ``pack(v)``, or on its fresh dual, builds a new
+    tuple with new components under its own name, around the read-only
+    arrays of the first unpacking of that value, and those equal an
+    unpacking from scratch entry for entry."""
+    from moritalab.algebra import dual_module
+    from moritalab.morita import _unpacked_arrays, pack, unpack
+
+    for ctx in value_core_contexts:
+        for v in enumerate_delta_modules(ctx, side, 2):
+            for build in (pack, lambda v: dual_module(pack(v))):
+                module, again = build(v), build(v)
+                first, second = unpack(module, ctx), unpack(again, ctx)
+                assert second is not first
+                assert second.x is not first.x and second.y is not first.y
+                assert second.name == first.name \
+                    == f"unpacked[{module.describe()}]"
+                assert (second.x.name, second.y.name) \
+                    == ("unpacked.x", "unpacked.y")
+                want = _unpacked_arrays.__wrapped__(again, ctx)
+                got = (second.x.actions, second.y.actions, second.f_plain,
+                       second.g_plain)
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype
+                           for a, b in zip(got, want, strict=True))
+                assert all(a is b for a, b in zip(got, (
+                    first.x.actions, first.y.actions, first.f_plain,
+                    first.g_plain)))
+                assert not any(a.flags.writeable for a in got)
+                assert (second.side, second.x.side) == (module.side,) * 2
+                assert second.value_key() == first.value_key()
