@@ -16,7 +16,6 @@ import os
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import ClassVar
 
 import numpy as np
 
@@ -206,10 +205,6 @@ class Module:
     dim: int
     actions: np.ndarray     # (algebra.dim, dim, dim)
     name: str = ""
-    # The nonzero summands of a module built by ``module_sum``, in order,
-    # and the duals of those of a dual of a sum; tensor.py assembles the
-    # products of a sum from theirs.
-    summands: ClassVar[tuple["Module", ...]] = ()
 
     def __post_init__(self):
         self.actions = la.reduce_mod(self.actions, self.p)
@@ -252,8 +247,7 @@ class Module:
 
     def value_key(self) -> tuple:
         """What the module is as a value, for ``memo(by_value=True)``: its
-        algebra, side and reduced actions; the name and summands are not
-        part of it."""
+        algebra, side and reduced actions; the name is not part of it."""
         return (self.algebra, self.side, *array_key(self.actions))
 
     # The surface shared with morita.DeltaModule, so class and window code
@@ -409,14 +403,7 @@ def module_sum(modules: list[Module]) -> Module:
     """Direct sum of modules, actions block-diagonal in the given order.
 
     Block-diagonal actions obey the action laws because each block does, so
-    the sum is not validated again.
-    It records its nonzero summands, from which ``tensor_over_algebra``
-    assembles its products.  Those equal the eliminated ones entry for
-    entry: the relations of a sum are block-diagonal, so their echelon
-    choices are the summands' choices put in place (see tensor.py).  Zero
-    summands contribute no coordinates and are left out, so assembling makes
-    no memo entry on them.
-    """
+    the sum is not validated again."""
     if not modules:
         raise ValueError("direct sum of an empty list is ambiguous; pass a zero module")
     alg, side = modules[0].algebra, modules[0].side
@@ -424,9 +411,7 @@ def module_sum(modules: list[Module]) -> Module:
         raise AlgebraMismatchError("direct sum factors disagree on algebra or side")
     actions = la.block_diagonal([m.actions for m in modules])
     name = "(" + " + ".join(m.describe() for m in modules) + ")"
-    out = Module._derived(alg, side, actions.shape[1], actions, name)
-    out.summands = tuple(m for m in modules if m.dim)
-    return out
+    return Module._derived(alg, side, actions.shape[1], actions, name)
 
 
 def block_injections(dims: list[int]) -> list[np.ndarray]:
@@ -560,15 +545,11 @@ def dual_module(module: Module) -> Module:
     Transposing reverses products, which is exactly the action law of the
     other side, so the dual is not validated again.  It is built once and
     kept as ``module.dual``, with ``module`` as the dual's dual while it
-    lives (``memo.linked_dual``).  The dual of a sum is the sum of the
-    summands' duals entry for entry, so it records them as its summands."""
+    lives (``memo.linked_dual``)."""
     other = RIGHT if module.side == LEFT else LEFT
-    dual = Module._derived(module.algebra, other, module.dim,
+    return Module._derived(module.algebra, other, module.dim,
                            np.transpose(module.actions, (0, 2, 1)).copy(),
                            f"{module.describe()}^+")
-    if module.summands:
-        dual.summands = tuple(s.dual for s in module.summands)
-    return dual
 
 
 def _conjugation_invariants(module: Module) -> tuple:

@@ -12,8 +12,10 @@ contract codes:
     5  budget exceeded: an exhaustive scan needs more candidates than the
        budget allows, a hom system more entries than its cap, or the host
        ran out of memory, so no verdict was reached ("budget exceeded: ...")
-    6  internal check failed: two routes that must agree did not, which is
-       a defect of the program ("internal check failed: ...")
+    6  internal check failed: two routes that must agree did not, or a
+       library error that no argument explains escaped the command; either
+       is a defect of the program ("internal check failed: ..." or
+       "internal error: ...")
 
 `--report PATH` additionally writes the full nested report as JSON.
 
@@ -190,6 +192,19 @@ def _resolve_oracle(ws: Workspace, token: str, carrier=None, side=None):
     if carrier is None or side is None:
         raise InputError(f"oracle {token!r} needs an explicit carrier and side")
     return builtin_oracles(carrier, side)[kind]
+
+
+# The least value of each integer option: a bound and a dimension count
+# objects, and a window has at least one step.
+_LEAST = {"bound": 0, "max_dim": 0, "window": 1}
+
+
+def _check_ranges(args) -> None:
+    for key, least in _LEAST.items():
+        value = getattr(args, key, None)
+        if value is not None and value < least:
+            raise InputError(f"--{key.replace('_', '-')} must be at least "
+                             f"{least}, not {value}")
 
 
 def _fitting(build, *args):
@@ -467,6 +482,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_ranges(args)
         scan_budget()           # a malformed MORITA_ENUM_BUDGET is an input error
         ws = load_workspace(args.fixture)
         report = _COMMANDS[args.command](ws, args)
@@ -484,8 +500,8 @@ def run(argv: list[str] | None = None) -> int:
         print(f"internal check failed: {err}", file=sys.stderr)
         return INTERNAL_ERROR
     except MoritaLabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return INPUT_ERROR
+        print(f"internal error: {err}", file=sys.stderr)
+        return INTERNAL_ERROR
     _print_table(report)
     if args.report:
         document = {

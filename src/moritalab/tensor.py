@@ -9,27 +9,13 @@ be defined on plain tensors and pushed down.
 The quotient data are a function of the factors' values alone, and no name
 enters them, so they are computed once per value (``_tensor_arrays``,
 memoised by value): a fresh module equal to one seen before, such as a
-cokernel, a cover or a sub built again, is not eliminated again.  The
-``TensorModule`` and its module are built once per identity of the module
-factor, around the factors passed in and under their name, and share the
-read-only arrays.
+cokernel, a cover, a direct sum or a sub built again, is not eliminated
+again.  The ``TensorModule`` and its module are built once per identity of
+the module factor, around the factors passed in and under their name, and
+share the read-only arrays.
 
 Index convention: the plain tensor basis is ordered (i, j) -> i * dim2 + j,
 matching numpy's kron.
-
-The product of a bimodule with a direct sum (``algebra.module_sum``) is not
-eliminated again: it is assembled from the memoised products of the
-summands, and equals the eliminated one entry for entry.  Each summand's
-plain coordinates sit in the sum's plain coordinates by an index map that
-keeps their order, and the relation space of the sum is the direct sum of
-the summands' relation spaces on those disjoint coordinate sets.  So a unit
-vector of one summand's coordinates lies in the span of the relations and
-of the unit vectors chosen before it exactly when it does so within its
-summand: the greedy section of ``linalg.quotient_data`` is the union of the
-summands' sections, sorted by plain index in the sum.  The projection is
-the unique map that kills the relations and inverts that section, so it is
-the summands' projections put in place, and the residual actions are the
-summands' actions, block-diagonal in the sorted order.
 """
 
 from __future__ import annotations
@@ -122,10 +108,6 @@ def tensor_over_algebra(first, second) -> TensorModule:
             "tensor factors act through different algebras "
             f"({alg1.name!r} vs {alg2.name!r})")
     name = f"({_describe(first)} (x) {_describe(second)})"
-    if isinstance(first, Bimodule) != isinstance(second, Bimodule):
-        axis = 1 if isinstance(first, Bimodule) else 0
-        if (first, second)[axis].summands:
-            return _assembled_tensor(first, second, alg1, axis, (d1, d2), name)
     both = isinstance(first, Bimodule) and isinstance(second, Bimodule)
     eliminate = _tensor_arrays.__wrapped__ if both else _tensor_arrays
     out_alg, out_side, acts, projection, section, relations = \
@@ -179,49 +161,6 @@ def _tensor_arrays(first, second) -> tuple:
     for array in arrays:
         array.flags.writeable = False
     return (out_alg, out_side, *arrays)
-
-
-def _assembled_tensor(first, second, shared: Algebra, axis: int,
-                      dims: tuple[int, int], name: str) -> TensorModule:
-    """The product of a bimodule and a module sum, from its summands'.
-
-    ``axis`` is the factor that is the sum: 1 for bimodule (x) sum, 0 for
-    sum (x) bimodule.  The result equals the eliminated product entry for
-    entry (see the module docstring).
-    """
-    factors = [first, second]
-    total = factors[axis]
-    grid = np.arange(dims[0] * dims[1]).reshape(dims)
-    parts, plains, offset = [], [], 0
-    for summand in total.summands:
-        factors[axis] = summand
-        parts.append(tensor_over_algebra(*factors))
-        block = [slice(None), slice(None)]
-        block[axis] = slice(offset, offset + summand.dim)
-        plains.append(grid[tuple(block)].ravel())
-        offset += summand.dim
-    # Quotient coordinates in summand order, then sorted by the plain index
-    # of their section column.
-    chosen = np.concatenate([plain[np.nonzero(t.section.T)[1]]
-                             for t, plain in zip(parts, plains)])
-    order = np.argsort(chosen)
-    q, size = chosen.size, grid.size
-    projection = la.zeros(q, size)
-    relations = la.zeros(size, sum(t.relations.shape[1] for t in parts))
-    row = col = 0
-    for t, plain in zip(parts, plains):
-        projection[row:row + t.dim, plain] = t.projection
-        relations[plain, col:col + t.relations.shape[1]] = t.relations
-        row += t.dim
-        col += t.relations.shape[1]
-    section = la.zeros(size, q)
-    section[chosen[order], np.arange(q)] = 1
-    out_alg = parts[0].module.algebra
-    acts = la.block_diagonal([t.module.actions for t in parts])
-    module = Module._derived(out_alg, parts[0].module.side, q,
-                             acts[:, order][:, :, order], name)
-    return TensorModule(first, second, shared, module, projection[order],
-                        section, relations, dims)
 
 
 def _describe(obj) -> str:

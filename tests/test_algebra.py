@@ -182,7 +182,8 @@ def test_free_cover_is_epi(e2):
 
 def test_each_ring_keeps_one_regular_module_per_side(e2):
     """The regular module is built and checked once per side, and every
-    free cover is a sum of copies of that one module."""
+    free cover's actions are the block-diagonal of copies of that one
+    module's actions."""
     a = e2.algebra_a
     assert a.regular_module(LEFT) is a.regular_module(LEFT)
     assert a.regular_module(RIGHT) is a.regular_module("right")
@@ -190,7 +191,11 @@ def test_each_ring_keeps_one_regular_module_per_side(e2):
     simple = Module(a, LEFT, 1, np.array([[[1]], [[0]]], dtype=np.int64))
     first, _ = free_cover(simple)
     second, _ = free_cover(a.regular_module(LEFT))
-    assert first.summands == second.summands == (a.regular_module(LEFT),)
+    regular = a.regular_module(LEFT)
+    for cover in (first, second):
+        assert cover.dim % a.dim == 0
+        copies = la.block_diagonal([regular.actions] * (cover.dim // a.dim))
+        assert np.array_equal(cover.actions, copies)
 
 
 def greedy_generators(module):

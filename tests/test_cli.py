@@ -215,6 +215,9 @@ def test_class_arguments_that_do_not_fit_are_input_errors(argv, message,
     ("class-member B Delta --c1 flat:k:left", None),
     ("enumerate", "abc"),
     ("enumerate", "-5"),
+    ("theorem 3.3 --bound -1", None),
+    ("enumerate --max-dim -1", None),
+    ("theorem 4.8 --window 0", None),
 ])
 def test_argument_errors_do_not_need_the_catch_all(argv, budget, capsys,
                                                    monkeypatch):
@@ -231,13 +234,17 @@ def test_argument_errors_do_not_need_the_catch_all(argv, budget, capsys,
     assert run(argv.split() + ["--fixture", "E2"]) == INPUT_ERROR
     assert capsys.readouterr().err.startswith("input error: ")
 
+
+def test_a_stray_library_error_is_an_internal_error(capsys, monkeypatch):
+    """A library error that no argument explains is a defect of the
+    program: the catch-all of ``cli.run`` exits 6, not 4."""
     def stray(ws, args):
         raise MoritaLabError("a library error no argument explains")
 
     monkeypatch.setitem(cli._COMMANDS, "validate", stray)
-    monkeypatch.delenv("MORITA_ENUM_BUDGET", raising=False)
-    with pytest.raises(MoritaLabError, match="no argument explains"):
-        run(["validate", "--fixture", "E2"])
+    assert run(["validate", "--fixture", "E2"]) == INTERNAL_ERROR
+    assert capsys.readouterr().err == (
+        "internal error: a library error no argument explains\n")
 
 
 def test_internal_check_failure_has_its_own_exit_code(capsys, monkeypatch):

@@ -85,13 +85,6 @@ def test_tor_vanishes_over_the_semisimple_fixture(e1):
         assert tor_one_dimension(e1.m, x) == 0
 
 
-def _eliminated(module):
-    """An equal module that records no summands, so its products are
-    eliminated from scratch."""
-    return Module(module.algebra, module.side, module.dim, module.actions,
-                  name=module.name)
-
-
 def _sums(algebra, side, components):
     """Sums of every ordered pair of components, a sum with zero summands,
     a nested sum and a free module."""
@@ -108,43 +101,31 @@ def _regular_bimodule(algebra):
                     algebra.right_mult, name=f"{algebra.name}.regular")
 
 
-def _same_span(a, b, p):
-    return la.rank(a, p) == la.rank(b, p) == la.rank(np.hstack([a, b]), p)
-
-
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("name", ["E0", "E1", "E2"])
 def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
-                                                             monkeypatch, name, p):
-    # The products of a sum are assembled from its summands' and must
-    # equal the eliminated ones entry for entry.  Over the regular bimodule
-    # of k x k the section columns of a sum interleave those of its
-    # summands, so the sort by plain index is exercised.
+                                                             name, p):
+    # A direct sum is eliminated once per value like any module: its
+    # product, under the sum's own name, reads the value core's arrays, and
+    # those equal an elimination from scratch entry for entry.
+    from moritalab.tensor import _tensor_arrays
+
     ctx = fixture_over(name, p).single_context()
-
-    def refuse(*args):
-        raise AssertionError("a sum was eliminated instead of assembled")
-
     for side in (LEFT, RIGHT):
         lay = tuple_layout(ctx, side)
         for algebra, tensored in ((ctx.algebra_a, lay.f_bimodule),
                                   (ctx.algebra_b, lay.g_bimodule)):
             for total in _sums(algebra, side, enumerate_modules(algebra, side, 2)):
-                plain = _eliminated(total)
                 for tensored_with in (tensored, _regular_bimodule(algebra)):
-                    for summand in total.summands:
-                        lay.tensor(tensored_with, summand)
-                    with monkeypatch.context() as patched:
-                        if total.summands:  # a sum of zero modules is eliminated
-                            patched.setattr(la, "quotient_data", refuse)
-                        got = lay.tensor(tensored_with, total)
-                    want = lay.tensor(tensored_with, plain)
-                    assert np.array_equal(got.projection, want.projection)
-                    assert np.array_equal(got.section, want.section)
-                    assert np.array_equal(got.module.actions, want.module.actions)
-                    assert got.module.name == want.module.name
-                    assert got.dims == want.dims
-                    assert _same_span(got.relations, want.relations, p)
+                    factors = lay.order(tensored_with, total)
+                    got = lay.tensor(tensored_with, total)
+                    core = _tensor_arrays(*factors)
+                    _same_arrays(core, _tensor_arrays.__wrapped__(*factors))
+                    assert all(a is b for a, b in zip(
+                        (got.module.actions, got.projection, got.section,
+                         got.relations), core[2:], strict=True))
+                    assert total.name in got.module.name
+                    assert got.dims == tuple(f.dim for f in factors)
 
 
 def _invariant_spans(module):
@@ -158,11 +139,11 @@ def _invariant_spans(module):
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p):
-    # Sums, duals, submodules, quotients, tensor products (eliminated or
-    # assembled) and packed tuples are built without re-running the module
-    # check, which their inputs already passed.  A sum builds the products
-    # of its structure maps on first use, so each sum's f_map and g_map are
-    # read, and the packed modules of sums and their duals are read.
+    # Sums, duals, submodules, quotients, tensor products and packed tuples
+    # are built without re-running the module check, which their inputs
+    # already passed.  A sum builds the products of its structure maps on
+    # first use, so each sum's f_map and g_map are read, and the packed
+    # modules of sums and their duals are read.
     made, builders = [], set()
     derived = Module._derived.__func__
 
@@ -192,9 +173,8 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
                     total = delta_sum([u, v])
                     total.f_map, total.g_map
                     total.packed, delta_dual(total).packed
-    assert builders == {"module_sum", "dual_module", "_assembled_tensor",
-                        "tensor_over_algebra", "submodule", "quotient_module",
-                        "pack"}
+    assert builders == {"module_sum", "dual_module", "tensor_over_algebra",
+                        "submodule", "quotient_module", "pack"}
     for m in made:
         report = validate_module_data(m.algebra, m.side, m.dim, m.actions)
         assert report.verdict is Verdict.PASS, m.name
@@ -202,7 +182,7 @@ def test_derived_modules_pass_the_full_module_check(fixture_over, monkeypatch, p
 
 def _copy(module, name="copy"):
     """A checked module equal to ``module``, on copied actions, under a new
-    name, and recording no summands."""
+    name."""
     return Module(module.algebra, module.side, module.dim,
                   module.actions.copy(), name=name)
 
@@ -275,10 +255,9 @@ def test_an_equal_fresh_factor_reads_the_eliminated_arrays(value_core_contexts,
             assert fresh.module.algebra is core[0]
             assert fresh.module.side == core[1]
             assert fresh.dims == original.dims
-            if not module.summands:   # a sum's product is assembled
-                assert all(a is b for a, b in zip(shared, (
-                    original.module.actions, original.projection,
-                    original.section, original.relations)))
+            assert all(a is b for a, b in zip(shared, (
+                original.module.actions, original.projection,
+                original.section, original.relations)))
             cases += 1
     assert cases == 416
 

@@ -89,8 +89,6 @@ def test_the_dual_of_a_pairwise_sum_assembles_its_parts(fixture_over,
             for v in tuples[i:]:
                 dual = delta_sum([u, v]).dual
                 assert dual.summands == tuple(t.dual for t in (u, v) if t.dim)
-                assert dual.x.summands == tuple(
-                    t.x.dual for t in (u, v) if t.x.dim)
                 compare_sum(dual, monkeypatch)
 
 
