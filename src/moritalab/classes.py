@@ -325,29 +325,28 @@ def verify_oracle(oracle: ClassOracle, bound: int) -> CheckReport:
 # tuple classes built from component classes
 
 
-def require_component_classes(v: DeltaModule, class_a: ClassOracle,
-                               class_b: ClassOracle) -> None:
-    """Raise unless the two classes classify v's components: modules over
-    the first and the second algebra, on v's side."""
-    ctx = v.context
+def require_component_classes(ctx: MoritaContext, side: str,
+                              class_a: ClassOracle, class_b: ClassOracle) -> None:
+    """Raise unless the two classes classify the components of ``side``
+    tuples over ``ctx``: modules over its first and second algebra."""
     for cls, algebra, ordinal in ((class_a, ctx.algebra_a, "first"),
                                   (class_b, ctx.algebra_b, "second")):
-        if cls.ring is not algebra or cls.side != v.side:
+        if cls.ring is not algebra or cls.side != side:
             raise AlgebraMismatchError(
-                f"{cls.name!r} does not classify {v.side} modules over the {ordinal} algebra")
+                f"{cls.name!r} does not classify {side} modules over the {ordinal} algebra")
 
 
 def in_component_class(v: DeltaModule, class_a: ClassOracle,
                        class_b: ClassOracle) -> bool:
     """Both components belong to their classes; the maps are unconstrained."""
-    require_component_classes(v, class_a, class_b)
+    require_component_classes(v.context, v.side, class_a, class_b)
     return class_a.contains(v.x) and class_b.contains(v.y)
 
 
 def in_mono_class(v: DeltaModule, class_a: ClassOracle,
                   class_b: ClassOracle) -> bool:
     """Structure maps injective with cokernels in the component classes."""
-    require_component_classes(v, class_a, class_b)
+    require_component_classes(v.context, v.side, class_a, class_b)
     parts = corner_parts(v, structural_cokernel)
     return (parts is not None and class_a.contains(parts[0][0])
             and class_b.contains(parts[1][0]))
@@ -363,7 +362,7 @@ def in_epi_class(v: DeltaModule, class_a: ClassOracle,
     one-to-one, and its kernel is the dual of that map's cokernel up to
     isomorphism, which is all a class sees (``ClassOracle``).
     """
-    require_component_classes(v, class_a, class_b)
+    require_component_classes(v.context, v.side, class_a, class_b)
     parts = corner_parts(v.dual, structural_cokernel)
     return (parts is not None and class_a.contains(parts[0][0].dual)
             and class_b.contains(parts[1][0].dual))

@@ -276,7 +276,7 @@ def _cmd_tensor(ws: Workspace, args) -> CheckReport:
         raise InputError(f"unknown bimodule {args.bimodule!r}")
     bim = ws.bimodules[args.bimodule]
     module = _plain_module(ws, args.module)
-    t = tensor_over_algebra(bim, module)
+    t = _fitting(tensor_over_algebra, bim, module)
     return CheckReport(
         "tensor", Verdict.PASS,
         detail=f"dimension {t.module.dim} over {t.module.algebra.name} "
@@ -345,7 +345,7 @@ def _cmd_class_member(ws: Workspace, args) -> CheckReport:
     else:
         class_a = _resolve_oracle(ws, args.c2, ctx.algebra_a, RIGHT)
         class_b = _resolve_oracle(ws, args.d2, ctx.algebra_b, RIGHT)
-    _fitting(require_component_classes, v, class_a, class_b)
+    _fitting(require_component_classes, ctx, v.side, class_a, class_b)
     table = {"A": in_component_class, "B": in_mono_class, "J": in_epi_class}
     member = table[args.which](v, class_a, class_b)
     return CheckReport(
@@ -384,6 +384,7 @@ def _theorem_4_3(ws: Workspace, ctx, args) -> CheckReport:
     module = _corner_module(ws, ctx, args.module, args.functor, "--module ")
     class_a = _resolve_oracle(ws, args.c1 or "flat", ctx.algebra_a, LEFT)
     class_b = _resolve_oracle(ws, args.d1 or "flat", ctx.algebra_b, LEFT)
+    _fitting(require_component_classes, ctx, module.side, class_a, class_b)
     forward = check_window_transport_forward(
         ctx, module, class_a, class_b, args.window, args.bound,
         functor=args.functor)

@@ -180,18 +180,25 @@ def test_free_cover_is_epi(e2):
     assert la.rank(eps.matrix, 2) == simple.dim
 
 
-def test_each_ring_keeps_one_regular_module_per_side(e2):
+def test_each_ring_keeps_one_regular_module_per_side(e2, monkeypatch):
     """The regular module is built and checked once per side, and every
     free cover's actions are the block-diagonal of copies of that one
-    module's actions."""
+    module's actions: building a cover checks no module again."""
+    from moritalab import algebra as algebra_code
+
     a = e2.algebra_a
     assert a.regular_module(LEFT) is a.regular_module(LEFT)
     assert a.regular_module(RIGHT) is a.regular_module("right")
     assert a.regular_module(LEFT) is not a.regular_module(RIGHT)
-    simple = Module(a, LEFT, 1, np.array([[[1]], [[0]]], dtype=np.int64))
-    first, _ = free_cover(simple)
-    second, _ = free_cover(a.regular_module(LEFT))
     regular = a.regular_module(LEFT)
+    simple = Module(a, LEFT, 1, np.array([[[1]], [[0]]], dtype=np.int64))
+    checked = []
+    real = algebra_code.validate_module_data
+    monkeypatch.setattr(algebra_code, "validate_module_data",
+                        lambda *args: checked.append(args) or real(*args))
+    first, _ = free_cover(simple)
+    second, _ = free_cover(regular)
+    assert checked == []
     for cover in (first, second):
         assert cover.dim % a.dim == 0
         copies = la.block_diagonal([regular.actions] * (cover.dim // a.dim))

@@ -204,6 +204,16 @@ def test_class_arguments_that_do_not_fit_are_input_errors(argv, message,
     assert capsys.readouterr().err == f"input error: {message}\n"
 
 
+_RIGHT_PROBE = """
+module probe.r
+algebra A2
+side right
+dim 1
+act 1
+act 0
+"""
+
+
 @pytest.mark.parametrize("argv, budget", [
     ("functor t_A probe.b", None),
     ("theorem 4.3 --module probe.b", None),
@@ -218,20 +228,29 @@ def test_class_arguments_that_do_not_fit_are_input_errors(argv, message,
     ("theorem 3.3 --bound -1", None),
     ("enumerate --max-dim -1", None),
     ("theorem 4.8 --window 0", None),
+    ("tensor M probe.b", None),
+    ("tensor N probe.a", None),
+    ("tensor M probe.r", None),
+    ("theorem 4.3 --module probe.r", None),
+    ("theorem 4.3 --c1 flat:k:left", None),
+    ("theorem 4.3 --d1 flat:E2:left --functor b --module probe.b", None),
 ])
-def test_argument_errors_do_not_need_the_catch_all(argv, budget, capsys,
-                                                   monkeypatch):
+def test_argument_errors_do_not_need_the_catch_all(argv, budget, tmp_path,
+                                                   capsys, monkeypatch):
     """Every wrong argument is an ``InputError`` raised while the arguments
     are resolved: with the catch-all ``except MoritaLabError`` of
     ``cli.run`` made to catch nothing, so that any other library error
-    escapes it, each still exits 4."""
+    escapes it, each still exits 4.  The workspace is E2 with one right
+    module, ``probe.r``, for the arguments that need a left one."""
     class Unraised(Exception):
         pass
 
+    path = Path(fixture_file(tmp_path, "E2"))
+    path.write_text(path.read_text() + _RIGHT_PROBE)
     monkeypatch.setattr(cli, "MoritaLabError", Unraised)
     if budget is not None:
         monkeypatch.setenv("MORITA_ENUM_BUDGET", budget)
-    assert run(argv.split() + ["--fixture", "E2"]) == INPUT_ERROR
+    assert run(argv.split() + ["--fixture", str(path)]) == INPUT_ERROR
     assert capsys.readouterr().err.startswith("input error: ")
 
 

@@ -108,7 +108,7 @@ def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
     # A direct sum is eliminated once per value like any module: its
     # product, under the sum's own name, reads the value core's arrays, and
     # those equal an elimination from scratch entry for entry.
-    from moritalab.tensor import _tensor_arrays
+    from moritalab.tensor import _describe, _tensor_arrays
 
     ctx = fixture_over(name, p).single_context()
     for side in (LEFT, RIGHT):
@@ -124,7 +124,8 @@ def test_products_and_homs_of_sums_equal_the_eliminated_ones(fixture_over,
                     assert all(a is b for a, b in zip(
                         (got.module.actions, got.projection, got.section,
                          got.relations), core[2:], strict=True))
-                    assert total.name in got.module.name
+                    assert got.module.name == (
+                        f"({_describe(factors[0])} (x) {_describe(factors[1])})")
                     assert got.dims == tuple(f.dim for f in factors)
 
 
